@@ -79,6 +79,43 @@ std::vector<VarId> ft::racyVars(const Trace &T) {
   return Vars;
 }
 
+std::vector<VarId> ft::racyVarsLinear(const Trace &T) {
+  HappensBefore Hb(T);
+  constexpr size_t None = ~size_t(0);
+  std::vector<size_t> LastWrite(T.numVars(), None);
+  /// Per variable: (thread, index of its last read since LastWrite).
+  std::vector<std::vector<std::pair<ThreadId, size_t>>> Reads(T.numVars());
+  std::vector<bool> Racy(T.numVars(), false);
+  for (size_t I = 0, E = T.size(); I != E; ++I) {
+    const Operation &Op = T[I];
+    if (!isAccess(Op.Kind) || Racy[Op.Target])
+      continue;
+    const VarId X = Op.Target;
+    bool Race = LastWrite[X] != None && !Hb.happensBefore(LastWrite[X], I);
+    std::vector<std::pair<ThreadId, size_t>> &R = Reads[X];
+    if (Op.Kind == OpKind::Read) {
+      auto It = std::find_if(R.begin(), R.end(), [&](const auto &P) {
+        return P.first == Op.Thread;
+      });
+      if (It == R.end())
+        R.push_back({Op.Thread, I});
+      else
+        It->second = I;
+    } else {
+      for (const auto &P : R)
+        Race = Race || !Hb.happensBefore(P.second, I);
+      R.clear();
+      LastWrite[X] = I;
+    }
+    Racy[X] = Race;
+  }
+  std::vector<VarId> Vars;
+  for (VarId X = 0; X != Racy.size(); ++X)
+    if (Racy[X])
+      Vars.push_back(X);
+  return Vars;
+}
+
 bool ft::isRaceFree(const Trace &T) {
   RaceOracleOptions Options;
   Options.MaxPairs = 1;

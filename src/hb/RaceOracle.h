@@ -48,7 +48,17 @@ std::vector<RacePair>
 findRaces(const Trace &T, const RaceOracleOptions &Options = RaceOracleOptions());
 
 /// Returns the set of variables with at least one race in \p T, sorted.
+/// Quadratic per variable: fine for tests, minutes on a Table 1 suite.
 std::vector<VarId> racyVars(const Trace &T);
+
+/// racyVars() in one pass over \p T: the same ordering (HappensBefore),
+/// a linear pair search. Each access is checked against its variable's
+/// last write and — for a write — each thread's last read since that
+/// write. Until a variable's first race, every earlier conflicting
+/// access happens before one of those (by program order, or by an
+/// earlier race-free check), so a variable is flagged iff racyVars()
+/// lists it. Use it where the trace is too long for racyVars().
+std::vector<VarId> racyVarsLinear(const Trace &T);
 
 /// Returns true iff \p T is race-free.
 bool isRaceFree(const Trace &T);

@@ -92,10 +92,15 @@ unsigned resolveShardCount(const OnlineOptions &Options, Tool &Checker) {
 
 /// Which engine/channel the calling thread is bound to. Rebinding is
 /// lazy: a thread carrying a stale binding (from a finished session)
-/// re-registers against the live engine on first emit.
+/// re-registers against the live engine on first emit. Every (re)binding
+/// starts with NeedTicket set: the first event a thread emits on a slot
+/// is ticketed even when it is an access, so it cannot merge ahead of the
+/// fork that created the thread, and so a later incarnation of a recycled
+/// slot always starts with a ticketed head (the join gate relies on it).
 struct TlsBinding {
   const void *E = nullptr;
   void *Ch = nullptr;
+  bool NeedTicket = true;
 };
 thread_local TlsBinding Binding;
 
@@ -280,9 +285,10 @@ void Engine::promoteDrainedLocked() {
   // Retiring → Free once the sequencer has drained the dead thread's
   // ring. Ring.empty() is an acquire on both ends, so a true answer means
   // every event of the dead incarnation has been popped — and popped
-  // events dispatch strictly before anything the successor will push,
-  // because dispatch order is ticket order and the successor's tickets
-  // all postdate the parent's join ticket.
+  // events dispatch strictly before anything the successor will push:
+  // the successor's first event is ticketed after the reincarnating
+  // fork, which is ticketed after the dead incarnation's join, and its
+  // later events queue behind that first one.
   size_t Out = 0;
   for (Channel *Ch : RetiringSlots) {
     if (Ch->Ring.empty()) {
@@ -419,17 +425,25 @@ void Engine::emit(OpKind Kind, uint32_t Target) {
     Ch->DroppedPostHalt.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  // Backpressure: park until the sequencer drains. The ticket is drawn
+  // Backpressure: park until the sequencer drains. A ticket is drawn
   // only after space is certain, so the sequencer never waits on a seq
   // number owned by a parked thread (that would deadlock the pipeline) —
   // and an event shed while parked owns no ticket either, so shedding
   // leaves no gap in the sequence.
   if (!Ch->Ring.hasSpace() && !parkUntilSpace(Ch, Kind))
     return;
+  // Only sync events need a global order: happens-before is built from
+  // program order and the order of sync operations, so accesses travel
+  // unticketed and the merge slots them between their thread's sync
+  // events (see the class comment).
   OnlineEvent E;
-  E.Seq = Seq.fetch_add(1, std::memory_order_relaxed);
+  E.Seq = NoTicket;
   E.Kind = Kind;
   E.Target = Target;
+  if (!isAccess(Kind) || Binding.NeedTicket) {
+    E.Seq = Seq.fetch_add(1, std::memory_order_relaxed);
+    Binding.NeedTicket = false;
+  }
   Ch->Ring.push(E);
 }
 
@@ -510,13 +524,15 @@ ThreadId Engine::forkThread() {
 void Engine::joinThread(ThreadId Child) {
   if (Child == NoThread)
     return; // untracked child: no slot, no events, no edge to emit
-  // Ticketed after the native join returned, so every event of the child
-  // precedes join(t, u) in the merged order.
+  // Ticketed after the native join returned, and merged only once the
+  // child's ring holds no unticketed access at its head (the join gate
+  // in EventRing::popMergeable), so every event of the child precedes
+  // join(t, u) in the merged order.
   emit(OpKind::Join, Child);
   if (!Options.RecycleThreadSlots)
     return;
   // Retire the slot. The ring may still hold undrained events (they all
-  // predate the join ticket just drawn); the slot becomes reusable only
+  // merge before the join just emitted); the slot becomes reusable only
   // once the sequencer has emptied it (promoteDrainedLocked).
   std::lock_guard<std::mutex> Guard(ChannelMu);
   for (const std::unique_ptr<Channel> &Ch : Channels)
@@ -528,6 +544,14 @@ void Engine::joinThread(ThreadId Child) {
     }
 }
 
+uint64_t Engine::pushedEvents() {
+  std::lock_guard<std::mutex> Guard(ChannelMu);
+  uint64_t Total = 0;
+  for (const std::unique_ptr<Channel> &Ch : Channels)
+    Total += Ch->Ring.pushed();
+  return Total;
+}
+
 void Engine::noteMaxBacklog(uint64_t Backlog) {
   uint64_t Seen = MaxBacklogSeen.load(std::memory_order_relaxed);
   while (Backlog > Seen &&
@@ -536,77 +560,138 @@ void Engine::noteMaxBacklog(uint64_t Backlog) {
     ;
 }
 
-void Engine::sequencerLoop(uint64_t Epoch) {
-  // A successor resumes exactly at the predecessor's published watermark:
+Engine::MergeCursor Engine::resumeMerge() const {
+  // A successor resumes exactly at the predecessor's published cursor:
   // batches are popped, dispatched, and published atomically with respect
-  // to abandonment (the epoch is only checked between batches).
-  uint64_t Next = NextSeq.load(std::memory_order_acquire);
-  std::vector<Channel *> Snapshot;
-  size_t Known = 0;
+  // to abandonment (the epoch is only checked between batches), and every
+  // popped event has left its ring, so the rings hold exactly the rest.
+  MergeCursor M;
+  M.Next = NextSeq.load(std::memory_order_acquire);
+  M.Pos = MergedEvents.load(std::memory_order_acquire);
+  return M;
+}
+
+bool Engine::beginSweep(MergeCursor &M, uint64_t Epoch) {
+  if (SequencerEpoch.load(std::memory_order_acquire) != Epoch)
+    return false;
+  // Rung downgrades requested by the supervisor are applied here: the
+  // driver is single-threaded, so only the sequencer may touch it.
+  if (PendingDegrade.load(std::memory_order_relaxed) != 0) {
+    unsigned K = PendingDegrade.exchange(0, std::memory_order_acq_rel);
+    while (K-- != 0 &&
+           Driver.requestStepDown(StatusCode::Stalled,
+                                  "supervisor: sustained overload"))
+      ;
+  }
+  // Rebuild the channel snapshot only when a registration happened; the
+  // steady-state sweep never touches ChannelMu.
+  if (NumChannels.load(std::memory_order_acquire) != M.Known) {
+    std::lock_guard<std::mutex> Guard(ChannelMu);
+    M.Snapshot.clear();
+    for (const std::unique_ptr<Channel> &Ch : Channels)
+      M.Snapshot.push_back(Ch.get());
+    M.Known = Channels.size();
+  }
+  // Backlog is sampled, not tracked: summing the rings reads every
+  // producer's tail line, which a sync-heavy stream, merging a few events
+  // per sweep, would otherwise pay on every sweep.
+  if ((M.Sweeps++ & 15u) == 0) {
+    uint64_t Backlog = 0;
+    for (Channel *Ch : M.Snapshot)
+      Backlog += Ch->Ring.size();
+    M.MaxBacklog = std::max(M.MaxBacklog, Backlog);
+  }
+  return true;
+}
+
+size_t Engine::pullBatch(MergeCursor &M, Channel &Ch, OnlineEvent *Out,
+                         size_t &Cap, uint64_t Epoch, bool &Abandoned) {
+  if (const FaultPlan *Faults = Options.Faults) {
+    // Injected wedge: busy-wait *before* consuming merge position Pos, so
+    // nothing is popped-but-undelivered — the supervisor abandons this
+    // thread and its successor resumes cleanly here. Only with an event
+    // to take, so the wedge always leaves work the watchdog can see.
+    if (!Ch.Ring.empty() && Faults->takeStall(M.Pos)) {
+      while (SequencerEpoch.load(std::memory_order_acquire) == Epoch)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      Abandoned = true;
+      return 0;
+    }
+    // Stop the batch right before the stall position so the check above
+    // sees it exactly (a batch advances Pos wholesale).
+    if (Faults->StallsArmed.load(std::memory_order_relaxed) != 0 &&
+        Faults->StallAtEvent > M.Pos && Faults->StallAtEvent - M.Pos < Cap)
+      Cap = static_cast<size_t>(Faults->StallAtEvent - M.Pos);
+  }
+  // The join gate: join(t, u) waits until u's ring has no unticketed
+  // access at its head. A ticketed head can only be a later incarnation's
+  // first event (the dead one's tickets all precede the join), so the
+  // gate holds across slot recycling. Joins are rare; a linear scan of
+  // the snapshot is fine. A slot not yet in the snapshot has pushed
+  // nothing this merge must wait for: its first event is ticketed before
+  // the join, so it would have had to merge first.
+  return Ch.Ring.popMergeable(M.Next, Out, Cap, [&M](uint32_t U) {
+    for (Channel *Other : M.Snapshot)
+      if (Other->Id == U)
+        return Other->Ring.headTicketedOrEmpty();
+    return true;
+  });
+}
+
+void Engine::publishMerge(const MergeCursor &M) {
+  // The OnlineOptions::SequencerBatch invariant: the published cursor
+  // only ever moves past *fully* processed batches, and monotonically.
+  assert(M.Pos > MergedEvents.load(std::memory_order_relaxed) &&
+         M.Next >= NextSeq.load(std::memory_order_relaxed) &&
+         "per-batch merge cursor must advance monotonically");
+  NextSeq.store(M.Next, std::memory_order_release);
+  MergedEvents.store(M.Pos, std::memory_order_release);
+}
+
+void Engine::endMerge(const MergeCursor &M) {
+  noteMaxBacklog(M.MaxBacklog);
+  // Vector-clock counters are thread-local (see ClockStats.h); each
+  // sequencer incarnation folds its block in at exit. ClocksMu covers the
+  // sharded engine, where shard workers can exit concurrently.
+  std::lock_guard<std::mutex> Guard(ClocksMu);
+  SequencerClocks += clockStats();
+}
+
+void Engine::sequencerLoop(uint64_t Epoch) {
+  MergeCursor M = resumeMerge();
   const size_t BatchCap = std::max<size_t>(1, Options.SequencerBatch);
   std::vector<OnlineEvent> Batch(BatchCap);
   std::vector<Operation> Delivered;
   Delivered.reserve(BatchCap);
   const FaultPlan *Faults = Options.Faults;
-  uint64_t LocalMaxBacklog = 0;
   bool Abandoned = false;
   while (!Abandoned) {
-    if (SequencerEpoch.load(std::memory_order_acquire) != Epoch)
+    // Read before the sweep: the main thread's last accesses are
+    // unticketed, so only a clean sweep begun after finish() cleared
+    // Running proves every ring empty.
+    const bool Stopping = !Running.load(std::memory_order_acquire);
+    if (!beginSweep(M, Epoch))
       break;
-    // Rung downgrades requested by the supervisor are applied here: the
-    // driver is single-threaded, so only the sequencer may touch it.
-    if (unsigned K = PendingDegrade.exchange(0, std::memory_order_acq_rel)) {
-      while (K-- != 0 &&
-             Driver.requestStepDown(StatusCode::Stalled,
-                                    "supervisor: sustained overload"))
-        ;
-    }
-    // Rebuild the channel snapshot only when a registration happened;
-    // the steady-state sweep never touches ChannelMu.
-    if (NumChannels.load(std::memory_order_acquire) != Known) {
-      std::lock_guard<std::mutex> Guard(ChannelMu);
-      Snapshot.clear();
-      for (const std::unique_ptr<Channel> &Ch : Channels)
-        Snapshot.push_back(Ch.get());
-      Known = Channels.size();
-    }
-    uint64_t Backlog = Seq.load(std::memory_order_relaxed) - Next;
-    if (Backlog > LocalMaxBacklog)
-      LocalMaxBacklog = Backlog;
     bool Progress = false;
-    for (Channel *Ch : Snapshot) {
-      // Drain this ring's run of consecutive tickets in batches: the
-      // events are copied out and their slots released in one Head store
-      // (so a parked producer unblocks early), then dispatched from the
-      // local buffer. A short batch means the run ended — either the
-      // ring is out of events or its head ticket is from the future, so
-      // move on to the other rings.
-      for (;;) {
-        // Injected wedge (FaultPlan): busy-wait *before* consuming the
-        // ticket, so nothing is popped-but-undelivered — the supervisor
-        // abandons this thread and its successor resumes cleanly here.
-        if (Faults && Faults->takeStall(Next)) {
-          while (SequencerEpoch.load(std::memory_order_acquire) == Epoch)
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-          Abandoned = true;
-          break;
-        }
+    for (Channel *Ch : M.Snapshot) {
+      // Drain this ring in batches: the events are copied out and their
+      // slots released in one Head store (so a parked producer unblocks
+      // early), then dispatched from the local buffer. A short batch
+      // means the ring is out of mergeable events, so move on; a ring's
+      // capacity per visit keeps one busy producer from starving the
+      // others.
+      for (size_t Taken = 0; Taken < Ch->Ring.capacity();) {
         size_t Cap = BatchCap;
-        if (Faults &&
-            Faults->StallsArmed.load(std::memory_order_relaxed) != 0 &&
-            Faults->StallAtTicket > Next &&
-            Faults->StallAtTicket - Next < Cap)
-          // Stop the batch right before the stall ticket so the check
-          // above sees it exactly (a batch advances Next wholesale).
-          Cap = static_cast<size_t>(Faults->StallAtTicket - Next);
-        size_t N = Ch->Ring.popRunInto(Next, Batch.data(), Cap);
+        const uint64_t FirstPos = M.Pos;
+        size_t N = pullBatch(M, *Ch, Batch.data(), Cap, Epoch, Abandoned);
         if (N == 0)
           break;
         Progress = true;
+        Taken += N;
         Delivered.clear();
         for (size_t I = 0; I != N; ++I) {
           if (Halted.load(std::memory_order_relaxed)) {
-            // Ticketed before the halt landed; discarded but counted —
+            // Emitted before the halt landed; discarded but counted —
             // no silent loss (the relaxed load is fine: this thread set
             // the flag itself or will re-check via the driver).
             ++DiscardedPostHalt;
@@ -617,7 +702,7 @@ void Engine::sequencerLoop(uint64_t Epoch) {
           if (Outcome == OnlineDriver::DispatchOutcome::Delivered) {
             if (Capturing)
               Delivered.push_back(Op);
-            if (Faults && Faults->inStorm(Batch[I].Seq))
+            if (Faults && Faults->inStorm(FirstPos + I))
               std::this_thread::sleep_for(
                   std::chrono::microseconds(Faults->DelayPerDeliveryUs));
           } else if (Outcome == OnlineDriver::DispatchOutcome::Rejected) {
@@ -637,14 +722,10 @@ void Engine::sequencerLoop(uint64_t Epoch) {
           if (SegWriter)
             SegWriter->append(Delivered.data(), Delivered.size());
         }
-        // Publish the merge watermark per batch: the watchdog reads it
-        // for stall detection and a successor resumes from it. The
-        // OnlineOptions::SequencerBatch invariant: published watermarks
-        // are strictly increasing and only ever move past *fully*
-        // processed batches.
-        assert(Next > NextSeq.load(std::memory_order_relaxed) &&
-               "per-batch watermark must advance monotonically");
-        NextSeq.store(Next, std::memory_order_release);
+        // Publish the cursor per batch: the watchdog reads it for stall
+        // detection and a successor resumes from it.
+        M.Pos += N;
+        publishMerge(M);
         if (N != Cap)
           break;
       }
@@ -655,19 +736,13 @@ void Engine::sequencerLoop(uint64_t Epoch) {
       break;
     if (Progress)
       continue;
-    // No ring held ticket Next: either it is in flight (drawn but not yet
+    // Nothing mergeable: a ticket is in flight (drawn but not yet
     // published — a handful of instructions), or nothing is happening.
-    if (!Running.load(std::memory_order_acquire) &&
-        Next == Seq.load(std::memory_order_acquire))
+    if (Stopping && M.Next == Seq.load(std::memory_order_acquire))
       break;
     std::this_thread::yield();
   }
-  noteMaxBacklog(LocalMaxBacklog);
-  // Vector-clock counters are thread-local (see ClockStats.h); each
-  // sequencer incarnation folds its block in at exit. ClocksMu covers the
-  // sharded engine, where shard workers can exit concurrently.
-  std::lock_guard<std::mutex> Guard(ClocksMu);
-  SequencerClocks += clockStats();
+  endMerge(M);
 }
 
 unsigned Engine::shardIndexFor(uint32_t Target) const {
@@ -714,7 +789,7 @@ bool Engine::routeToShard(Shard &S, const OnlineEvent &E) {
   // full ring is backpressure (the shard is behind) or a wedged worker —
   // either way the fix is on the shard side, so the router parks and
   // raises RouterBlockedOnShard, which (a) tells the supervisor its
-  // frozen watermark is the shard's fault and (b) keeps the supervisor
+  // frozen merge position is the shard's fault and (b) keeps the supervisor
   // from restarting a router it could never join. Only a halt lets the
   // router give up, counted by the caller.
   if (S.Ring.hasSpace()) {
@@ -745,15 +820,13 @@ bool Engine::routeToShard(Shard &S, const OnlineEvent &E) {
 
 void Engine::routerLoop(uint64_t Epoch) {
   // The sharded engine's first pipeline stage: sequencerLoop's merge and
-  // admission stages verbatim (same watermark/restart contract, same
+  // admission stages verbatim (same merge cursor and restart contract, same
   // fault hooks, same capture), with tool dispatch replaced by routing —
   // admitted accesses go to the shard owning their variable, admitted
   // sync events to every shard (the cross-shard spine). The raw index the
   // admission driver just assigned rides in OnlineEvent::Seq so shard
   // tools see single-sequencer op indices.
-  uint64_t Next = NextSeq.load(std::memory_order_acquire);
-  std::vector<Channel *> Snapshot;
-  size_t Known = 0;
+  MergeCursor M = resumeMerge();
   const size_t BatchCap = std::max<size_t>(1, Options.SequencerBatch);
   std::vector<OnlineEvent> Batch(BatchCap);
   std::vector<Operation> Delivered;
@@ -763,7 +836,7 @@ void Engine::routerLoop(uint64_t Epoch) {
   // transport is what sharding pays over the single sequencer, so it is
   // kept off the per-event path. Flushes happen when a stage fills,
   // before any broadcast sync (per-shard ring order must match admission
-  // order), and before every watermark publish (a batch only counts as
+  // order), and before every cursor publish (a batch only counts as
   // "routed" once its staged events are in the rings).
   // Capped at 1024 events: past that the flush amortization is already
   // total, and NumShards stage buffers at SequencerBatch size would cost
@@ -809,47 +882,22 @@ void Engine::routerLoop(uint64_t Epoch) {
     Buf.clear();
   };
   const FaultPlan *Faults = Options.Faults;
-  uint64_t LocalMaxBacklog = 0;
   unsigned IdlePolls = 0;
   bool Abandoned = false;
   while (!Abandoned) {
-    if (SequencerEpoch.load(std::memory_order_acquire) != Epoch)
+    const bool Stopping = !Running.load(std::memory_order_acquire);
+    if (!beginSweep(M, Epoch))
       break;
-    if (unsigned K = PendingDegrade.exchange(0, std::memory_order_acq_rel)) {
-      while (K-- != 0 &&
-             Driver.requestStepDown(StatusCode::Stalled,
-                                    "supervisor: sustained overload"))
-        ;
-    }
-    if (NumChannels.load(std::memory_order_acquire) != Known) {
-      std::lock_guard<std::mutex> Guard(ChannelMu);
-      Snapshot.clear();
-      for (const std::unique_ptr<Channel> &Ch : Channels)
-        Snapshot.push_back(Ch.get());
-      Known = Channels.size();
-    }
-    uint64_t Backlog = Seq.load(std::memory_order_relaxed) - Next;
-    if (Backlog > LocalMaxBacklog)
-      LocalMaxBacklog = Backlog;
     bool Progress = false;
-    for (Channel *Ch : Snapshot) {
-      for (;;) {
-        if (Faults && Faults->takeStall(Next)) {
-          while (SequencerEpoch.load(std::memory_order_acquire) == Epoch)
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-          Abandoned = true;
-          break;
-        }
+    for (Channel *Ch : M.Snapshot) {
+      for (size_t Taken = 0; Taken < Ch->Ring.capacity();) {
         size_t Cap = BatchCap;
-        if (Faults &&
-            Faults->StallsArmed.load(std::memory_order_relaxed) != 0 &&
-            Faults->StallAtTicket > Next &&
-            Faults->StallAtTicket - Next < Cap)
-          Cap = static_cast<size_t>(Faults->StallAtTicket - Next);
-        size_t N = Ch->Ring.popRunInto(Next, Batch.data(), Cap);
+        const uint64_t FirstPos = M.Pos;
+        size_t N = pullBatch(M, *Ch, Batch.data(), Cap, Epoch, Abandoned);
         if (N == 0)
           break;
         Progress = true;
+        Taken += N;
         Delivered.clear();
         size_t I = 0;
         while (I != N) {
@@ -921,7 +969,7 @@ void Engine::routerLoop(uint64_t Epoch) {
                 if (!routeToShard(*S, Routed))
                   ++DiscardedPostHalt;
             }
-            if (Faults && Faults->inStorm(Batch[I].Seq))
+            if (Faults && Faults->inStorm(FirstPos + I))
               std::this_thread::sleep_for(
                   std::chrono::microseconds(Faults->DelayPerDeliveryUs));
           } else if (Outcome == OnlineDriver::DispatchOutcome::Rejected) {
@@ -936,16 +984,15 @@ void Engine::routerLoop(uint64_t Epoch) {
           if (SegWriter)
             SegWriter->append(Delivered.data(), Delivered.size());
         }
-        // Same per-batch watermark contract as sequencerLoop: published
+        // Same per-batch cursor contract as sequencerLoop: published
         // only after the whole batch is admitted, captured, AND routed —
         // staged events count as routed only once flushed into their
         // rings — so a restarted router never re-admits (duplicate raw
         // indices) or skips (holes in the capture) an event.
         for (unsigned SI = 0; SI != NumShards; ++SI)
           FlushShard(SI);
-        assert(Next > NextSeq.load(std::memory_order_relaxed) &&
-               "per-batch watermark must advance monotonically");
-        NextSeq.store(Next, std::memory_order_release);
+        M.Pos += N;
+        publishMerge(M);
         if (N != Cap)
           break;
       }
@@ -958,8 +1005,7 @@ void Engine::routerLoop(uint64_t Epoch) {
       IdlePolls = 0;
       continue;
     }
-    if (!Running.load(std::memory_order_acquire) &&
-        Next == Seq.load(std::memory_order_acquire))
+    if (Stopping && M.Next == Seq.load(std::memory_order_acquire))
       break;
     // Same idle backoff as the shard workers: on an oversubscribed host a
     // yield-spinning router competes with the producers it is waiting on.
@@ -968,9 +1014,7 @@ void Engine::routerLoop(uint64_t Epoch) {
     else
       std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
-  noteMaxBacklog(LocalMaxBacklog);
-  std::lock_guard<std::mutex> Guard(ClocksMu);
-  SequencerClocks += clockStats();
+  endMerge(M);
 }
 
 void Engine::shardLoop(Shard &S, uint64_t MyEpoch) {
@@ -1120,11 +1164,11 @@ void Engine::superviseNote(Severity Sev, StatusCode Code,
   SupDiags.push_back({Code, Sev, 0, NoOpIndex, std::move(Message)});
 }
 
-void Engine::handleStall(uint64_t Watermark) {
+void Engine::handleStall(uint64_t Position) {
   ++StallsSeen;
   superviseNote(
       Severity::Warning, StatusCode::Stalled,
-      "sequencer stalled at watermark " + std::to_string(Watermark) +
+      "sequencer stalled at merge position " + std::to_string(Position) +
           " past the " + std::to_string(Options.Supervise.StallDeadlineMs) +
           " ms deadline; unparking producers into drop-and-count mode");
   // Unpark blocked producers: parked accesses are shed and counted, sync
@@ -1162,7 +1206,7 @@ void Engine::handleStall(uint64_t Watermark) {
 void Engine::restartSequencerLocked() {
   // Abandon the wedged thread: it notices the epoch bump between batches
   // (or inside an injected stall loop) and exits. The successor resumes
-  // from the published watermark; the predecessor publishes only after
+  // from the published cursor; the predecessor publishes only after
   // completing a batch, so no event is lost or delivered twice.
   uint64_t NewEpoch =
       SequencerEpoch.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -1218,7 +1262,7 @@ void Engine::handleShardStall(Shard &S) {
 
 void Engine::supervisorLoop() {
   const SupervisorOptions &S = Options.Supervise;
-  uint64_t LastMark = NextSeq.load(std::memory_order_acquire);
+  uint64_t LastMark = MergedEvents.load(std::memory_order_acquire);
   uint64_t LastDeadlineDrops = DeadlineDrops.load(std::memory_order_relaxed);
   unsigned StalledMs = 0;
   unsigned PressureTicks = 0;
@@ -1226,13 +1270,15 @@ void Engine::supervisorLoop() {
   std::vector<unsigned> ShardStalledMs(ShardSet.size(), 0);
   while (SupervisorRun.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(S.TickMs));
-    uint64_t Mark = NextSeq.load(std::memory_order_acquire);
-    uint64_t Tickets = Seq.load(std::memory_order_acquire);
-    if (Tickets > Mark)
-      noteMaxBacklog(Tickets - Mark);
+    // Merged first: every event it counts was pushed earlier, so the
+    // difference never underflows.
+    uint64_t Mark = MergedEvents.load(std::memory_order_acquire);
+    uint64_t Pending = pushedEvents() - Mark;
+    noteMaxBacklog(Pending);
 
-    // --- stall detection: outstanding tickets, frozen watermark. A
-    // router parked on a full shard ring also freezes the watermark, but
+    // --- stall detection: events outstanding, frozen merge position.
+    // Tickets alone cannot tell: a sync-free stream has none outstanding.
+    // A router parked on a full shard ring also freezes the position, but
     // the cure is restarting the *shard* (the scan below) — restarting
     // the router would hang this thread joining a parked router.
     if (Mark != LastMark) {
@@ -1240,7 +1286,7 @@ void Engine::supervisorLoop() {
       // The sequencer is draining again: leave drop-and-count mode.
       if (DropAccesses.load(std::memory_order_relaxed))
         DropAccesses.store(false, std::memory_order_release);
-    } else if (Tickets != Mark &&
+    } else if (Pending != 0 &&
                !Halted.load(std::memory_order_acquire) &&
                !SequencerGaveUp.load(std::memory_order_acquire) &&
                !RouterBlockedOnShard.load(std::memory_order_acquire)) {
@@ -1304,15 +1350,15 @@ OnlineReport Engine::finish() {
   assert(!Finished && "finish() is callable once");
   Finished = true;
 
-  // Drain: every ticket handed out has been merged (or discarded after a
-  // halt). Requires all runtime Threads to be joined by the caller. When
-  // the watchdog declared the sequencer dead, outstanding tickets will
-  // never merge — skip the wait and report what happened.
-  while (NextSeq.load(std::memory_order_acquire) <
-             Seq.load(std::memory_order_acquire) &&
+  // Drain: every event pushed has been merged (or discarded after a
+  // halt) — so every ticket too, and every ring is empty. Requires all
+  // runtime Threads to be joined by the caller. When the watchdog
+  // declared the sequencer dead, outstanding events will never merge —
+  // skip the wait and report what happened.
+  while (MergedEvents.load(std::memory_order_acquire) < pushedEvents() &&
          !SequencerGaveUp.load(std::memory_order_acquire))
     std::this_thread::yield();
-  // Sharded: the router has routed everything (the watermark is published
+  // Sharded: the router has routed everything (the cursor is published
   // only after a batch is fully routed); now wait for every worker to
   // drain its routed stream too. A halted worker still advances its drain
   // watermark by discard-and-count, so this terminates unless a worker is
@@ -1393,10 +1439,10 @@ OnlineReport Engine::finish() {
          S->Drained.load(std::memory_order_relaxed));
   }
   if (SequencerGaveUp.load(std::memory_order_acquire))
-    // No sequencer will ever merge the outstanding tickets; count them as
+    // No sequencer will ever merge the outstanding events; count them as
     // dropped rather than pretending the stream simply ended.
-    Report.DroppedPostHalt += Seq.load(std::memory_order_acquire) -
-                              NextSeq.load(std::memory_order_acquire);
+    Report.DroppedPostHalt +=
+        pushedEvents() - MergedEvents.load(std::memory_order_acquire);
   {
     std::lock_guard<std::mutex> Guard(ChannelMu);
     for (const std::unique_ptr<Channel> &Ch : Channels) {

@@ -27,20 +27,30 @@
 ///
 /// How the pieces fit (each one a paper-adjacent engineering idea):
 ///
-///  - **Tickets.** Every instrumentation point draws a global sequence
-///    number (one relaxed fetch_add) at a moment when the real operation
-///    has made it safe: an acquire is ticketed while the lock is held, a
+///  - **Tickets, for sync events only.** Happens-before is built from
+///    program order and the order of synchronization operations alone
+///    (paper §2), so only sync events need a global order. Each one —
+///    acquire, release, fork, join, volatile access — draws a global
+///    sequence number (one relaxed fetch_add) at a moment when the real
+///    operation has made it safe: an acquire while the lock is held, a
 ///    release before it is given up, a fork before the child starts, a
-///    join after the child is reaped. Ticket order is therefore a legal
-///    linearization of the execution — the total order the framework's
-///    analyses are defined over.
-///  - **Rings.** Each thread publishes its ticketed events into a private
-///    bounded SPSC ring (EventRing.h). Emit is wait-free until the ring
-///    fills; a full ring parks the thread (bounded-queue backpressure),
-///    so the application can never race unboundedly ahead of the
-///    detector.
-///  - **The sequencer.** One drain thread merges the rings by ticket
-///    number into the totally-ordered stream and feeds the framework's
+///    join after the child is reaped. Reads and writes carry NoTicket,
+///    except the first event a thread emits after binding to a slot,
+///    which is ticketed so it cannot merge ahead of the fork that
+///    created the thread.
+///  - **Rings.** Each thread publishes its events into a private bounded
+///    SPSC ring (EventRing.h). Emit is wait-free until the ring fills; a
+///    full ring parks the thread (bounded-queue backpressure), so the
+///    application can never race unboundedly ahead of the detector.
+///  - **The sequencer.** One drain thread merges the rings into one
+///    totally-ordered stream (EventRing::popMergeable): each ring drains
+///    in FIFO order, unticketed accesses pass freely, a ticketed event
+///    passes only when its ticket is next, and join(t, u) additionally
+///    waits until u's trailing accesses have merged. The result keeps
+///    every thread's program order and the ticket order of sync events,
+///    so it has the execution's happens-before relation and the same
+///    racy variables — a legal linearization, not necessarily the real
+///    interleaving of accesses. The stream feeds the framework's
 ///    OnlineDriver, which applies the serial replay loop's semantics
 ///    (re-entrant lock filtering, raw op indices) to the unmodified Tool.
 ///    Detection runs entirely off the application's critical path.
@@ -71,16 +81,16 @@
 ///    transition is a Warning diagnostic in the report. Pin it off with
 ///    OnlineOptions::Degrade.Enabled = false.
 ///  - **The supervisor** (a watchdog thread, modeled on the parallel
-///    replay stall watchdog): when the sequencer's merge watermark stops
-///    advancing past the deadline, it unparks blocked producers into
-///    drop-and-count mode, abandons and restarts the sequencer, and from
+///    replay stall watchdog): when the sequencer merges no event past the
+///    deadline while events are outstanding, it unparks blocked producers
+///    into drop-and-count mode, abandons and restarts the sequencer, and from
 ///    the second stall on also downgrades a ladder rung. Application
 ///    threads therefore never block on a wedged detector for longer than
 ///    the deadline (sync events wait for the restart; access events are
 ///    shed and counted). Only an unrecoverable sequencer — MaxRestarts
 ///    exhausted — halts detection, never the application.
 ///  - **Fault injection** (FaultPlan.h): every transition above is
-///    drivable deterministically, keyed on ticket numbers.
+///    drivable deterministically, keyed on merge positions.
 ///
 /// Threads created through ft::runtime::Thread get fork/join edges; any
 /// other thread that touches instrumented state is auto-registered on
@@ -145,8 +155,8 @@ struct SupervisorOptions {
   /// Sampling cadence of the watchdog thread.
   unsigned TickMs = 5;
 
-  /// A sequencer whose merge watermark has not advanced for this long
-  /// (while tickets are outstanding) is declared stalled: blocked
+  /// A sequencer that has merged no event for this long (while events
+  /// are outstanding in the rings) is declared stalled: blocked
   /// producers are unparked into drop-and-count mode and the sequencer
   /// is restarted (the second stall also downgrades a ladder rung).
   unsigned StallDeadlineMs = 250;
@@ -184,28 +194,28 @@ struct OnlineOptions {
   size_t RingCapacity = 1024;
 
   /// How many consecutive events the sequencer copies out of a ring per
-  /// visit before dispatching them (EventRing::popRunInto). Larger
+  /// batch before dispatching them (EventRing::popMergeable). Larger
   /// batches amortize the ring's atomic hand-off and release backpressure
-  /// space in bulk; events are dispatched in ticket order either way.
+  /// space in bulk; the merge rules are the same either way.
   ///
   /// **Watermark invariant** (pinned by OnlineShardingTest): the merge
-  /// watermark NextSeq is published once per *batch*, after every event
-  /// of the batch has been admitted, captured, and — with Shards > 1 —
-  /// routed. A sequencer the supervisor restarts therefore resumes
-  /// exactly at its predecessor's last per-batch watermark, never
-  /// mid-batch, so no event is lost or delivered twice whatever
-  /// SequencerBatch is; successive published watermarks are strictly
-  /// increasing (asserted in the loop). With Shards > 1 each shard
-  /// worker keeps the same discipline over its own routed stream: its
-  /// in-flight batch and position persist across a restart, so the
-  /// successor resumes at the exact wedge point (the popped events are
-  /// gone from the ring and exist nowhere else).
+  /// cursor — the sync-ticket watermark NextSeq and the merged-event
+  /// count — is published once per *batch*, after every event of the
+  /// batch has been admitted, captured, and — with Shards > 1 — routed.
+  /// A sequencer the supervisor restarts therefore resumes exactly at its
+  /// predecessor's last per-batch cursor, never mid-batch, so no event is
+  /// lost or delivered twice whatever SequencerBatch is; the published
+  /// event count strictly increases (asserted in the loop). With
+  /// Shards > 1 each shard worker keeps the same discipline over its own
+  /// routed stream: its in-flight batch and position persist across a
+  /// restart, so the successor resumes at the exact wedge point (the
+  /// popped events are gone from the ring and exist nowhere else).
   size_t SequencerBatch = 256;
 
   /// Per-shard sequencer threads — the PR 1 variable partitioning
   /// brought online. 0 or 1 keeps the classic single sequencer,
   /// bit-compatible with previous releases. With N > 1 the old sequencer
-  /// becomes a *router*: it still merges tickets and runs admission
+  /// becomes a *router*: it still merges the rings and runs admission
   /// (degradation ladder, capacity checks, lock filtering, raw-index
   /// assignment, capture), then routes each admitted access to the shard
   /// owning its variable — shardOf(x) = (x / ShardBlockVars) % N — and
@@ -308,8 +318,10 @@ struct OnlineReport {
   uint64_t DroppedOverload = 0;  ///< Accesses shed at emit (park deadline
                                  ///< or drop-and-count mode).
   uint64_t ParkEpisodes = 0;     ///< Total backpressure park episodes.
-  uint64_t MaxBacklog = 0;       ///< Max observed tickets outstanding
-                                 ///< (MaxQueueDepth-style pressure stat).
+  uint64_t MaxBacklog = 0;       ///< Max observed events outstanding —
+                                 ///< pushed into the rings, not yet
+                                 ///< merged (MaxQueueDepth-style
+                                 ///< pressure stat).
   unsigned SequencerRestarts = 0; ///< Watchdog recoveries (router/sequencer).
   unsigned CaptureSegments = 0;  ///< Segments sealed (segmented recorder).
   std::vector<ThreadDropStats> PerThreadDrops; ///< Nonzero rows only.
@@ -386,8 +398,9 @@ public:
     return Interner.intern(Kind, Obj);
   }
 
-  /// Emits one event from the calling thread, drawing the next global
-  /// ticket. Parks while the thread's ring is full (backpressure) — but
+  /// Emits one event from the calling thread; sync events (and the
+  /// thread's first event on its slot) draw the next global ticket.
+  /// Parks while the thread's ring is full (backpressure) — but
   /// never past the supervisor's bounds: a parked *access* is dropped and
   /// counted after MaxParkMs (or immediately in drop-and-count mode);
   /// sync events wait for the watchdog to recover the sequencer. Events
@@ -408,7 +421,7 @@ public:
 
   /// Allocates a slot for a child thread about to start and emits
   /// fork(current, child). Call before the native thread launches so the
-  /// fork precedes the child's first event in ticket order. Prefers the
+  /// fork precedes the child's first event in merged order. Prefers the
   /// drained slot of a joined thread (RecycleThreadSlots); falls back to
   /// a fresh slot under MaxThreads; otherwise waits up to SlotDrainWaitMs
   /// for a retiring ring to drain. On genuine exhaustion (max-live over
@@ -425,7 +438,7 @@ public:
 
   /// Emits join(current, child) and retires the child's slot for reuse.
   /// Call after the native join returns so every child event precedes it
-  /// in ticket order. NoThread (an untracked child) is a no-op.
+  /// in merged order. NoThread (an untracked child) is a no-op.
   void joinThread(ThreadId Child);
 
   /// Binds the calling thread to dense id \p Id (child bootstrap). The
@@ -482,6 +495,30 @@ private:
   void promoteDrainedLocked();
   void noteExhaustion(const char *Who);
   bool parkUntilSpace(Channel *Ch, OpKind Kind);
+  /// The merge state sequencerLoop and routerLoop share. A restarted
+  /// loop resumes Next and Pos from the published NextSeq and
+  /// MergedEvents; the snapshot is rebuilt whenever a slot registers.
+  struct MergeCursor {
+    uint64_t Next = 0; ///< The next sync ticket the merge may take.
+    uint64_t Pos = 0;  ///< Events consumed so far (the merge position).
+    std::vector<Channel *> Snapshot;
+    size_t Known = 0;  ///< NumChannels the snapshot reflects.
+    uint64_t Sweeps = 0;
+    uint64_t MaxBacklog = 0; ///< Sampled every 16th sweep.
+  };
+  MergeCursor resumeMerge() const;
+  /// Sweep prologue: false once this loop is abandoned; otherwise applies
+  /// requested rung downgrades, refreshes the snapshot, samples backlog.
+  bool beginSweep(MergeCursor &M, uint64_t Epoch);
+  /// Pops the next mergeable batch of \p Ch (at most \p Cap events,
+  /// lowered to stop at an armed FaultPlan stall). Sets \p Abandoned when
+  /// an injected stall ended in the supervisor abandoning this loop.
+  size_t pullBatch(MergeCursor &M, Channel &Ch, OnlineEvent *Out,
+                   size_t &Cap, uint64_t Epoch, bool &Abandoned);
+  void publishMerge(const MergeCursor &M);
+  void endMerge(const MergeCursor &M);
+  /// Events ever pushed into any ring (Σ ring tails).
+  uint64_t pushedEvents();
   void sequencerLoop(uint64_t Epoch);
   void routerLoop(uint64_t Epoch);
   void shardLoop(Shard &S, uint64_t MyEpoch);
@@ -490,7 +527,7 @@ private:
   uint64_t shardShadowBytes() const;
   ShadowGovernorStats shardGovernorStats() const;
   void supervisorLoop();
-  void handleStall(uint64_t Watermark);
+  void handleStall(uint64_t Position);
   void handleShardStall(Shard &S);
   void restartSequencerLocked();
   void superviseNote(Severity Sev, StatusCode Code, std::string Message);
@@ -543,13 +580,20 @@ private:
                                             ///< ladder request however
                                             ///< many forks bounce.
 
-  std::atomic<uint64_t> Seq{0};     ///< Next ticket to hand out.
-  std::atomic<uint64_t> NextSeq{0}; ///< The merge watermark: next ticket
-                                    ///< the sequencer expects. Published
-                                    ///< per batch so a restarted sequencer
-                                    ///< resumes exactly where its
-                                    ///< predecessor stopped.
-  std::atomic<bool> Running{true};  ///< Cleared by finish().
+  /// Producers write Seq, the sequencer writes the merge cursor, and
+  /// every emit reads Halted: three cache lines, so neither writer evicts
+  /// what the other side reads on its hot path.
+  alignas(64) std::atomic<uint64_t> Seq{0}; ///< Next sync ticket to hand
+                                            ///< out.
+  /// The merge cursor, published per batch so a restarted sequencer
+  /// resumes exactly where its predecessor stopped.
+  alignas(64) std::atomic<uint64_t> NextSeq{0}; ///< The sync-ticket
+                                                ///< watermark: next ticket
+                                                ///< the merge expects.
+  std::atomic<uint64_t> MergedEvents{0}; ///< Events the merge consumed
+                                         ///< (its position; the stall
+                                         ///< sensor).
+  alignas(64) std::atomic<bool> Running{true}; ///< Cleared by finish().
 
   /// Detection stopped (unrecoverable breach, tool fault, or watchdog
   /// give-up); emits drop-and-count. Store/load ordering is
@@ -585,7 +629,7 @@ private:
   std::mutex SupMu;        ///< Guards SupDiags.
   std::vector<Diagnostic> SupDiags;
   uint64_t DiscardedPostHalt = 0; ///< Sequencer-side post-halt discards
-                                  ///< (events ticketed before the halt).
+                                  ///< (events emitted before the halt).
 
   // --- sharded mode (NumShards > 1) ---
   std::vector<std::unique_ptr<Shard>> ShardSet;

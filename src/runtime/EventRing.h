@@ -41,12 +41,18 @@
 
 namespace ft::runtime {
 
+/// Seq of an access that carries no ticket (see OnlineEvent).
+constexpr uint64_t NoTicket = ~0ull;
+
 /// One instrumentation event in flight. The meaning of the fields depends
 /// on which leg of the pipeline the event is traveling:
 ///
 ///  - In a *per-thread* ring (application thread → sequencer/router) the
-///    producing thread is implied by the ring, Thread is unused, and Seq
-///    is the global total-order ticket the merge runs on.
+///    producing thread is implied by the ring and Thread is unused. Seq
+///    is the global sync ticket for a sync event — and for the first
+///    event after the thread binds to its slot — and NoTicket for every
+///    other access: the merge orders sync events by ticket and lets
+///    accesses flow between them in per-thread order.
 ///  - In a *per-shard* ring (router → shard sequencer, Shards > 1) the
 ///    router has already merged and admitted the event: Thread is the
 ///    dense id of the emitting thread and Seq is the *raw op index* the
@@ -144,14 +150,19 @@ public:
     Head.store(H + 1, std::memory_order_release);
   }
 
-  /// Batch drain for the sequencer: copies out up to \p Max consecutive
-  /// events whose tickets continue the run \p NextSeq, advancing
-  /// \p NextSeq past each one, and releases all consumed slots with a
-  /// single Head store (so a parked producer sees the whole batch of
-  /// space at once). Stops early at the first out-of-run ticket — that
-  /// event stays in the ring for a later visit. Returns the number of
-  /// events written to \p Out.
-  size_t popRunInto(uint64_t &NextSeq, OnlineEvent *Out, size_t Max) {
+  /// Merge drain for the sequencer/router: copies out up to \p Max events
+  /// in FIFO order and releases all consumed slots with a single Head
+  /// store (so a parked producer sees the whole batch of space at once).
+  /// Unticketed events (accesses) pass freely; a ticketed event passes
+  /// only when its ticket is \p NextTicket, which it then advances. A
+  /// join additionally needs \p JoinReady(joined thread) to hold — the
+  /// joined thread's trailing unticketed accesses must merge first. The
+  /// drain stops at the first event that may not pass yet; it stays in
+  /// the ring for a later visit. Returns the number of events written to
+  /// \p Out.
+  template <typename JoinReadyFn>
+  size_t popMergeable(uint64_t &NextTicket, OnlineEvent *Out, size_t Max,
+                      JoinReadyFn &&JoinReady) {
     uint64_t H = Head.load(std::memory_order_relaxed);
     if (H == TailCache) {
       TailCache = Tail.load(std::memory_order_acquire);
@@ -161,15 +172,26 @@ public:
     size_t N = 0;
     while (N != Max && H != TailCache) {
       const OnlineEvent &E = Buffer[H & Mask];
-      if (E.Seq != NextSeq)
-        break;
+      if (E.Seq != NoTicket) {
+        if (E.Seq != NextTicket ||
+            (E.Kind == OpKind::Join && !JoinReady(E.Target)))
+          break;
+        ++NextTicket;
+      }
       Out[N++] = E;
       ++H;
-      ++NextSeq;
     }
     if (N != 0)
       Head.store(H, std::memory_order_release);
     return N;
+  }
+
+  /// True when the oldest event is ticketed or the ring is empty: no
+  /// unticketed access is waiting at the head. The join gate of
+  /// popMergeable(); consumer side only.
+  bool headTicketedOrEmpty() {
+    const OnlineEvent *E = peek();
+    return E == nullptr || E->Seq != NoTicket;
   }
 
   /// Batch drain for a *routed* ring (router → shard), where tickets are
@@ -228,6 +250,16 @@ public:
   bool empty() const {
     return Head.load(std::memory_order_acquire) ==
            Tail.load(std::memory_order_acquire);
+  }
+
+  /// Events ever pushed (the producer's tail index). Monotone for the
+  /// ring's lifetime, across slot incarnations.
+  uint64_t pushed() const { return Tail.load(std::memory_order_acquire); }
+
+  /// Events pushed but not yet consumed.
+  size_t size() const {
+    const uint64_t H = Head.load(std::memory_order_acquire);
+    return static_cast<size_t>(Tail.load(std::memory_order_acquire) - H);
   }
 
 private:

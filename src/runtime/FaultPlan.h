@@ -11,18 +11,20 @@
 /// sequencer watchdog, tool quarantine, crash-safe capture — only earns
 /// trust if every rung and recovery transition is exercised by a
 /// reproducible test rather than by luck. A FaultPlan describes *where*
-/// in the merged stream misbehavior strikes, keyed on global ticket
-/// numbers (the one coordinate that is deterministic across runs of the
-/// same workload schedule) and raw op indices:
+/// in the merged stream misbehavior strikes, keyed on merge positions —
+/// the count of events the merge has consumed, which for a given
+/// workload schedule is deterministic and, unlike sync tickets, advances
+/// on every event, accesses included — and on raw op indices:
 ///
 ///  - **Sequencer stalls/deaths.** The sequencer busy-waits instead of
-///    merging ticket StallAtTicket, as if wedged in a slow consumer; it
-///    only resumes when the supervisor abandons it (restart) — so each
-///    armed stall consumes one watchdog recovery. Arm it twice to drive
-///    the restart-then-downgrade path.
-///  - **Ring-full storms.** Every delivered event in a ticket window is
-///    slowed by a fixed delay, backing events up into the producers'
-///    rings until they park — the overload that walks the ladder.
+///    consuming merge position StallAtEvent, as if wedged in a slow
+///    consumer; it only resumes when the supervisor abandons it (restart)
+///    — so each armed stall consumes one watchdog recovery. Arm it twice
+///    to drive the restart-then-downgrade path.
+///  - **Ring-full storms.** Every delivered event in a window of merge
+///    positions is slowed by a fixed delay, backing events up into the
+///    producers' rings until they park — the overload that walks the
+///    ladder.
 ///  - **Allocation failures.** A budget probe is forced to report a
 ///    shadow-memory breach at a chosen raw op (forwarded to
 ///    OnlineDriverOptions::ForceBudgetBreachAtRawOp).
@@ -52,22 +54,23 @@ namespace ft::runtime {
 struct FaultPlan {
   static constexpr uint64_t None = ~0ull;
 
-  /// The sequencer busy-waits instead of merging this ticket, until the
-  /// supervisor abandons the thread. NOTE: with no supervisor
+  /// The sequencer busy-waits instead of consuming the event at this
+  /// merge position (0 = the first event merged), until the supervisor
+  /// abandons the thread. NOTE: with no supervisor
   /// (SupervisorOptions::Enabled = false) an armed stall wedges the
   /// session forever — exactly the failure the watchdog exists for.
-  uint64_t StallAtTicket = None;
+  uint64_t StallAtEvent = None;
 
-  /// How many times the stall re-arms: the restarted sequencer hits the
-  /// same un-merged ticket again, so 2 drives stall → restart → stall →
-  /// restart + rung downgrade.
+  /// How many times the stall re-arms: the restarted sequencer reaches
+  /// the same un-merged position again, so 2 drives stall → restart →
+  /// stall → restart + rung downgrade.
   mutable std::atomic<unsigned> StallsArmed{0};
 
-  /// Ring-full storm: each event *delivered* while the next ticket lies
-  /// in [DelayFromTicket, DelayToTicket) costs this many microseconds in
-  /// the sequencer, simulating a slow consumer.
-  uint64_t DelayFromTicket = None;
-  uint64_t DelayToTicket = None;
+  /// Ring-full storm: each event *delivered* from a merge position in
+  /// [DelayFromEvent, DelayToEvent) costs this many microseconds in the
+  /// sequencer, simulating a slow consumer.
+  uint64_t DelayFromEvent = None;
+  uint64_t DelayToEvent = None;
   unsigned DelayPerDeliveryUs = 0;
 
   /// Forwarded to OnlineDriverOptions::ForceBudgetBreachAtRawOp: the
@@ -90,10 +93,10 @@ struct FaultPlan {
   FaultPlan(const FaultPlan &) = delete;
   FaultPlan &operator=(const FaultPlan &) = delete;
 
-  /// True when the sequencer should stall before merging \p Ticket.
-  /// Consumes one armed stall.
-  bool takeStall(uint64_t Ticket) const {
-    if (Ticket != StallAtTicket)
+  /// True when the sequencer should stall before consuming merge position
+  /// \p Position. Consumes one armed stall.
+  bool takeStall(uint64_t Position) const {
+    if (Position != StallAtEvent)
       return false;
     unsigned Armed = StallsArmed.load(std::memory_order_relaxed);
     while (Armed != 0) {
@@ -104,15 +107,16 @@ struct FaultPlan {
     return false;
   }
 
-  /// True when a delivery at \p Ticket falls inside the storm window.
-  bool inStorm(uint64_t Ticket) const {
-    return DelayPerDeliveryUs != 0 && Ticket >= DelayFromTicket &&
-           Ticket < DelayToTicket;
+  /// True when a delivery from merge position \p Position falls inside
+  /// the storm window.
+  bool inStorm(uint64_t Position) const {
+    return DelayPerDeliveryUs != 0 && Position >= DelayFromEvent &&
+           Position < DelayToEvent;
   }
 
   // --- sharded-engine faults (OnlineOptions::Shards > 1) ---
 
-  /// Shard whose worker stalls. Per-thread tickets are invisible to shard
+  /// Shard whose worker stalls. Merge positions are invisible to shard
   /// workers (they drain raw-indexed routed events), so shard stalls are
   /// keyed on the raw op index instead: worker StallShard busy-waits
   /// before dispatching the first routed event with Seq >=

@@ -37,7 +37,10 @@ void Trace::append(const Operation &Op) {
 }
 
 void Trace::appendRun(const Operation *Run, size_t N) {
-  Ops.reserve(Ops.size() + N);
+  // Grow geometrically: an exact reserve would reallocate on every run,
+  // making a capture of many short runs quadratic.
+  if (Ops.capacity() - Ops.size() < N)
+    Ops.reserve(std::max(Ops.size() + N, 2 * Ops.capacity()));
   for (size_t I = 0; I != N; ++I) {
     const Operation &Op = Run[I];
     assert(Op.Kind != OpKind::Barrier &&

@@ -32,7 +32,8 @@ public:
   void append(const Operation &Op);
 
   /// Appends \p N operations in one call, updating entity counts once per
-  /// op but growing storage once. The online sequencer captures each
+  /// op but growing storage at most once — geometrically, so a capture of
+  /// many short runs stays linear overall. The online sequencer captures each
   /// drained batch through this, so the steady state has no per-event
   /// capture branch. Barriers are not allowed (use appendBarrier).
   void appendRun(const Operation *Ops, size_t N);
@@ -65,6 +66,7 @@ public:
 
   /// Reserves capacity for \p N operations.
   void reserve(size_t N) { Ops.reserve(N); }
+  size_t capacity() const { return Ops.capacity(); }
 
   /// Removes all operations and side tables.
   void clear();

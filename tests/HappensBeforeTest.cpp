@@ -1,6 +1,7 @@
 //===--- HappensBeforeTest.cpp - exact HB relation and race oracle --------===//
 
 #include "hb/RaceOracle.h"
+#include "trace/RandomTrace.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceValidator.h"
 
@@ -218,4 +219,42 @@ TEST(RaceOracle, ReadSharedThenOrderedWriteIsRaceFree) {
                 .rd(0, 0)
                 .take();
   EXPECT_TRUE(isRaceFree(T));
+}
+
+TEST(RaceOracle, LinearOracleMatchesRacyVarsOnRandomTraces) {
+  // Seeded random traces across the discipline spectrum: race-free,
+  // lightly and heavily chaotic, with volatiles, barriers and bursts.
+  size_t RacyTraces = 0;
+  for (uint64_t Seed = 1; Seed != 121; ++Seed) {
+    RandomTraceConfig Config;
+    Config.Seed = Seed;
+    Config.NumThreads = 2 + Seed % 4;
+    Config.NumVars = 4 + Seed % 13;
+    Config.ChaosProbability = (Seed % 4) * 0.05;
+    Config.BarrierProbability = Seed % 3 == 0 ? 0.05 : 0.0;
+    Config.MaxAccessBurst = 1 + Seed % 3;
+    Trace T = generateRandomTrace(Config);
+    std::vector<VarId> Expected = racyVars(T);
+    EXPECT_EQ(racyVarsLinear(T), Expected) << "seed " << Seed;
+    RacyTraces += !Expected.empty();
+  }
+  EXPECT_GT(RacyTraces, 30u) << "the sweep must exercise racy traces";
+}
+
+TEST(RaceOracle, LinearOracleSeesRacesBehindEarlierReads) {
+  // The write races with thread 1's read even though thread 2's later
+  // read is ordered before it (through lock 0): every thread's last read
+  // is checked, not just the latest one.
+  Trace T = TraceBuilder()
+                .fork(0, 1)
+                .fork(0, 2)
+                .rd(1, 0)
+                .acq(2, 0)
+                .rd(2, 0)
+                .rel(2, 0)
+                .acq(0, 0)
+                .wr(0, 0)
+                .take();
+  EXPECT_EQ(racyVars(T), std::vector<VarId>{0});
+  EXPECT_EQ(racyVarsLinear(T), racyVars(T));
 }

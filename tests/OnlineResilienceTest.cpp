@@ -71,8 +71,8 @@ TEST(OnlineResilience, RingStormWalksTheLadderWithoutHalting) {
   // for four producers hammering 16-slot rings. The only sustainable
   // response is to walk the ladder until accesses are shed.
   rt::FaultPlan Faults;
-  Faults.DelayFromTicket = 0;
-  Faults.DelayToTicket = rt::FaultPlan::None; // the whole session
+  Faults.DelayFromEvent = 0;
+  Faults.DelayToEvent = rt::FaultPlan::None; // the whole session
   Faults.DelayPerDeliveryUs = 2000;
 
   rt::OnlineOptions Options;
@@ -152,7 +152,7 @@ TEST(OnlineResilience, RingStormWalksTheLadderWithoutHalting) {
 
 TEST(OnlineResilience, StalledSequencerIsRestartedExactlyOnce) {
   rt::FaultPlan Faults;
-  Faults.StallAtTicket = 10;
+  Faults.StallAtEvent = 10;
   Faults.StallsArmed.store(1);
 
   rt::OnlineOptions Options;
@@ -168,8 +168,8 @@ TEST(OnlineResilience, StalledSequencerIsRestartedExactlyOnce) {
   rt::OnlineReport Report = Engine.finish();
 
   // The watchdog recovered the wedged sequencer; nothing was lost: the
-  // producer had already ticketed its events, and the successor resumed
-  // from the published watermark.
+  // producer's events were still in its ring, and the successor resumed
+  // from the published merge cursor.
   EXPECT_FALSE(Report.Halted);
   EXPECT_EQ(Report.SequencerRestarts, 1u);
   EXPECT_EQ(Report.EventsCaptured, 100u);
@@ -185,9 +185,53 @@ TEST(OnlineResilience, StalledSequencerIsRestartedExactlyOnce) {
   expectSameWarnings(Detector.warnings(), Offline.warnings());
 }
 
+TEST(OnlineResilience, StallOnASyncFreeStreamIsDetectedAndRestartedOnce) {
+  // Two workers write private variables with no synchronization: past
+  // their first events no ticket is outstanding, so a stall sensor that
+  // watched tickets would never fire. The sensor watches merged events
+  // against events pushed, so the wedge deep in the sync-free stretch is
+  // still caught and recovered exactly once.
+  constexpr int PerThread = 2000;
+  rt::FaultPlan Faults;
+  Faults.StallAtEvent = 1500;
+  Faults.StallsArmed.store(1);
+
+  rt::OnlineOptions Options;
+  Options.Faults = &Faults;
+  Options.Degrade.Enabled = false;
+  Options.RingCapacity = 4096; // nobody parks, so nothing is shed
+  Options.Supervise.TickMs = 5;
+  Options.Supervise.StallDeadlineMs = 30;
+
+  FastTrack Detector;
+  std::vector<rt::Shared<int>> Own(2);
+  rt::Engine Engine(Detector, Options);
+  {
+    std::vector<rt::Thread> Threads;
+    for (unsigned T = 0; T != 2; ++T)
+      Threads.emplace_back([&Own, T] {
+        for (int I = 0; I != PerThread; ++I)
+          FT_WRITE(Own[T], I);
+      });
+    for (rt::Thread &T : Threads)
+      T.join();
+  }
+  rt::OnlineReport Report = Engine.finish();
+
+  EXPECT_FALSE(Report.Halted);
+  EXPECT_EQ(Report.SequencerRestarts, 1u);
+  EXPECT_EQ(Report.EventsCaptured, 4u + 2u * PerThread);
+  EXPECT_EQ(Report.DroppedPostHalt, 0u);
+  EXPECT_EQ(Report.DroppedOverload, 0u);
+  EXPECT_EQ(Report.NumWarnings, 0u);
+  EXPECT_TRUE(anyDiagContains(Report.Diags, "stalled at merge position 1500"));
+  EXPECT_TRUE(anyDiagContains(Report.Diags, "sequencer restarted"));
+  EXPECT_TRUE(isFeasible(Report.Captured));
+}
+
 TEST(OnlineResilience, SecondStallDowngradesALadderRung) {
   rt::FaultPlan Faults;
-  Faults.StallAtTicket = 10;
+  Faults.StallAtEvent = 10;
   Faults.StallsArmed.store(2); // the restarted sequencer stalls again
 
   rt::OnlineOptions Options;
@@ -219,7 +263,7 @@ TEST(OnlineResilience, SecondStallDowngradesALadderRung) {
 
 TEST(OnlineResilience, ExhaustedRestartsHaltDetectionNotTheApplication) {
   rt::FaultPlan Faults;
-  Faults.StallAtTicket = 10;
+  Faults.StallAtEvent = 10;
   Faults.StallsArmed.store(100); // wedged for good
 
   rt::OnlineOptions Options;
@@ -458,7 +502,7 @@ TEST(OnlineResilience, JoinWhileRingNonemptyStallsSlotReuseNotCorrectness) {
   // drain, the watchdog recovers the sequencer, and only then does the
   // successor take the slot. Nothing is lost and nothing is reordered.
   rt::FaultPlan Faults;
-  Faults.StallAtTicket = 2; // the first child's second write
+  Faults.StallAtEvent = 2; // the first child's second write
   Faults.StallsArmed.store(1);
 
   rt::OnlineOptions Options;
@@ -474,10 +518,10 @@ TEST(OnlineResilience, JoinWhileRingNonemptyStallsSlotReuseNotCorrectness) {
 
   rt::Thread First([&X] {
     for (int I = 0; I != 3; ++I)
-      FT_WRITE(X, I); // tickets 1..3; the sequencer wedges merging 2
+      FT_WRITE(X, I); // positions 1..3; the sequencer wedges before 2
   });
   ThreadId FirstId = First.id();
-  First.join(); // retires the slot with tickets 2..3 still in its ring
+  First.join(); // retires the slot with positions 2..3 still in its ring
 
   // Only one child slot exists and it is still draining: this fork blocks
   // on the drain until the supervisor abandons and restarts the wedged

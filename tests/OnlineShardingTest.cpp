@@ -363,15 +363,15 @@ TEST(OnlineSharding, StalledShardIsRestartedWhileSiblingsKeepDetecting) {
 //===----------------------------------------------------------------------===//
 
 TEST(OnlineSharding, WatermarkResumesPerBatchWhateverTheBatchSize) {
-  // One producer thread → one deterministic ticket sequence. Wedge the
-  // router at ticket 40 and let the watchdog restart it, at several
-  // SequencerBatch sizes straddling the stall point. The per-batch
+  // One producer thread → one deterministic merge order. Wedge the
+  // router at merge position 40 and let the watchdog restart it, at
+  // several SequencerBatch sizes straddling the stall point. The per-batch
   // watermark contract says the successor resumes exactly where the
   // predecessor published: every capture must be byte-identical to the
   // unstalled baseline, with zero events lost or duplicated.
   auto RunOnce = [](size_t Batch, bool Stall) {
     rt::FaultPlan Faults;
-    Faults.StallAtTicket = 40;
+    Faults.StallAtEvent = 40;
     Faults.StallsArmed.store(Stall ? 1 : 0);
 
     rt::OnlineOptions Options;

@@ -14,15 +14,18 @@
 #include "core/FastTrack.h"
 #include "detectors/Eraser.h"
 #include "framework/Replay.h"
+#include "hb/RaceOracle.h"
 #include "runtime/FaultPlan.h"
 #include "runtime/Instrument.h"
 #include "support/MemoryTracker.h"
+#include "support/Rng.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceIO.h"
 #include "trace/TraceValidator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <mutex>
@@ -108,13 +111,19 @@ TEST(EventRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(rt::EventRing(1024).capacity(), 1024u);
 }
 
+/// Join gate for rings without joins: never consulted.
+static bool NoJoins(uint32_t) {
+  ADD_FAILURE() << "join gate consulted without a join";
+  return true;
+}
+
 TEST(EventRing, PopRunDrainsConsecutiveTickets) {
   rt::EventRing Ring(8);
   for (uint64_t I = 0; I != 5; ++I)
     Ring.push({I, OpKind::Read, static_cast<uint32_t>(I)});
   rt::OnlineEvent Out[8];
   uint64_t Next = 0;
-  size_t N = Ring.popRunInto(Next, Out, 8);
+  size_t N = Ring.popMergeable(Next, Out, 8, NoJoins);
   ASSERT_EQ(N, 5u);
   EXPECT_EQ(Next, 5u);
   for (uint64_t I = 0; I != 5; ++I) {
@@ -122,7 +131,7 @@ TEST(EventRing, PopRunDrainsConsecutiveTickets) {
     EXPECT_EQ(Out[I].Target, I);
   }
   EXPECT_TRUE(Ring.empty());
-  EXPECT_EQ(Ring.popRunInto(Next, Out, 8), 0u);
+  EXPECT_EQ(Ring.popMergeable(Next, Out, 8, NoJoins), 0u);
 }
 
 TEST(EventRing, PopRunRespectsMaxAndResumes) {
@@ -131,9 +140,9 @@ TEST(EventRing, PopRunRespectsMaxAndResumes) {
     Ring.push({I, OpKind::Write, 0});
   rt::OnlineEvent Out[4];
   uint64_t Next = 0;
-  EXPECT_EQ(Ring.popRunInto(Next, Out, 4), 4u);
+  EXPECT_EQ(Ring.popMergeable(Next, Out, 4, NoJoins), 4u);
   EXPECT_EQ(Next, 4u);
-  EXPECT_EQ(Ring.popRunInto(Next, Out, 4), 2u);
+  EXPECT_EQ(Ring.popMergeable(Next, Out, 4, NoJoins), 2u);
   EXPECT_EQ(Next, 6u);
   EXPECT_TRUE(Ring.empty());
 }
@@ -146,12 +155,12 @@ TEST(EventRing, PopRunStopsAtOutOfRunTicket) {
   Ring.push({8, OpKind::Read, 0});
   rt::OnlineEvent Out[8];
   uint64_t Next = 5;
-  EXPECT_EQ(Ring.popRunInto(Next, Out, 8), 2u);
+  EXPECT_EQ(Ring.popMergeable(Next, Out, 8, NoJoins), 2u);
   EXPECT_EQ(Next, 7u);
   ASSERT_NE(Ring.peek(), nullptr);
   EXPECT_EQ(Ring.peek()->Seq, 8u) << "out-of-run event must stay queued";
   Next = 8;
-  EXPECT_EQ(Ring.popRunInto(Next, Out, 8), 1u);
+  EXPECT_EQ(Ring.popMergeable(Next, Out, 8, NoJoins), 1u);
   EXPECT_TRUE(Ring.empty());
 }
 
@@ -162,13 +171,100 @@ TEST(EventRing, PopRunFreesSpaceForTheProducer) {
   for (uint64_t I = 0; I != 4; ++I)
     Ring.push({I, OpKind::Read, 0});
   EXPECT_FALSE(Ring.hasSpace());
-  EXPECT_EQ(Ring.popRunInto(Next, Out, 4), 4u);
+  EXPECT_EQ(Ring.popMergeable(Next, Out, 4, NoJoins), 4u);
   EXPECT_TRUE(Ring.hasSpace()) << "batch pop must release all slots";
   for (uint64_t I = 4; I != 8; ++I) {
     ASSERT_TRUE(Ring.hasSpace());
     Ring.push({I, OpKind::Read, 0});
   }
-  EXPECT_EQ(Ring.popRunInto(Next, Out, 4), 4u);
+  EXPECT_EQ(Ring.popMergeable(Next, Out, 4, NoJoins), 4u);
+  EXPECT_EQ(Next, 8u);
+}
+
+TEST(EventRing, UnticketedAccessesFlowBetweenTickets) {
+  // Accesses carry no ticket: they pass freely, in FIFO order, and only
+  // a ticketed event that is not next stops the run.
+  rt::EventRing Ring(16);
+  Ring.push({3, OpKind::Acquire, 0});
+  Ring.push({rt::NoTicket, OpKind::Write, 1});
+  Ring.push({rt::NoTicket, OpKind::Read, 2});
+  Ring.push({4, OpKind::Release, 0});
+  Ring.push({rt::NoTicket, OpKind::Write, 3});
+  Ring.push({7, OpKind::Acquire, 0}); // another ring holds 5 and 6
+  Ring.push({rt::NoTicket, OpKind::Write, 4});
+  rt::OnlineEvent Out[16];
+  uint64_t Next = 3;
+  ASSERT_EQ(Ring.popMergeable(Next, Out, 16, NoJoins), 5u);
+  EXPECT_EQ(Next, 5u);
+  const uint32_t Targets[] = {0, 1, 2, 0, 3};
+  for (size_t I = 0; I != 5; ++I)
+    EXPECT_EQ(Out[I].Target, Targets[I]) << "event " << I;
+  ASSERT_NE(Ring.peek(), nullptr);
+  EXPECT_EQ(Ring.peek()->Seq, 7u) << "future ticket must stay queued";
+
+  Next = 7;
+  ASSERT_EQ(Ring.popMergeable(Next, Out, 16, NoJoins), 2u);
+  EXPECT_EQ(Next, 8u);
+  EXPECT_EQ(Out[1].Seq, rt::NoTicket);
+  EXPECT_TRUE(Ring.empty());
+}
+
+TEST(EventRing, UnticketedRunRespectsMax) {
+  // A sync-free run is bounded by Max alone and resumes where it left.
+  rt::EventRing Ring(8);
+  for (uint32_t I = 0; I != 6; ++I)
+    Ring.push({rt::NoTicket, OpKind::Write, I});
+  rt::OnlineEvent Out[4];
+  uint64_t Next = 0;
+  EXPECT_EQ(Ring.popMergeable(Next, Out, 4, NoJoins), 4u);
+  EXPECT_EQ(Ring.popMergeable(Next, Out, 4, NoJoins), 2u);
+  EXPECT_EQ(Out[1].Target, 5u);
+  EXPECT_EQ(Next, 0u) << "unticketed events draw no ticket";
+  EXPECT_TRUE(Ring.empty());
+}
+
+TEST(EventRing, JoinWaitsForTheJoinedThreadsTrailingAccesses) {
+  // join(t, u) is next, but u's ring still holds unticketed accesses
+  // u made before it exited: they must merge first.
+  rt::EventRing Parent(8), Child(8);
+  Parent.push({5, OpKind::Join, 1});
+  Child.push({rt::NoTicket, OpKind::Write, 0});
+  Child.push({rt::NoTicket, OpKind::Read, 0});
+  auto ChildDone = [&](uint32_t U) {
+    EXPECT_EQ(U, 1u);
+    return Child.headTicketedOrEmpty();
+  };
+  rt::OnlineEvent Out[8];
+  uint64_t Next = 5;
+  EXPECT_EQ(Parent.popMergeable(Next, Out, 8, ChildDone), 0u);
+  EXPECT_EQ(Next, 5u) << "a gated join must not consume its ticket";
+  EXPECT_EQ(Child.popMergeable(Next, Out, 8, NoJoins), 2u);
+  EXPECT_EQ(Parent.popMergeable(Next, Out, 8, ChildDone), 1u);
+  EXPECT_EQ(Out[0].Kind, OpKind::Join);
+  EXPECT_EQ(Next, 6u);
+}
+
+TEST(EventRing, JoinGateOpensOnALaterIncarnationsTicketedHead) {
+  // A recycled slot: the next incarnation's first event is ticketed (it
+  // was forked after the join), so a ticketed head means the joined
+  // incarnation has fully drained — the gate must open, not deadlock
+  // waiting on an event that can only merge after the join.
+  rt::EventRing Parent(8), Slot(8);
+  Parent.push({5, OpKind::Join, 1});
+  Parent.push({6, OpKind::Fork, 1});
+  Slot.push({rt::NoTicket, OpKind::Write, 0}); // dead incarnation
+  Slot.push({7, OpKind::Write, 0});             // successor's first event
+  Slot.push({rt::NoTicket, OpKind::Write, 0});
+  auto SlotDone = [&](uint32_t) { return Slot.headTicketedOrEmpty(); };
+  rt::OnlineEvent Out[8];
+  uint64_t Next = 5;
+  EXPECT_EQ(Parent.popMergeable(Next, Out, 8, SlotDone), 0u);
+  // The successor's head is not mergeable yet, but the dead
+  // incarnation's access is.
+  EXPECT_EQ(Slot.popMergeable(Next, Out, 8, NoJoins), 1u);
+  EXPECT_EQ(Parent.popMergeable(Next, Out, 8, SlotDone), 2u);
+  EXPECT_EQ(Next, 7u);
+  EXPECT_EQ(Slot.popMergeable(Next, Out, 8, NoJoins), 2u);
   EXPECT_EQ(Next, 8u);
 }
 
@@ -558,8 +654,8 @@ TEST(OnlineEngine, BackpressureParkUnparkIsCountedNotLost) {
   // and unparking across producer/sequencer threads is the racy part.)
   FastTrack Detector;
   rt::FaultPlan Faults;
-  Faults.DelayFromTicket = 0;
-  Faults.DelayToTicket = 50; // storm over the first 50 tickets only
+  Faults.DelayFromEvent = 0;
+  Faults.DelayToEvent = 50; // storm over the first 50 merged events
   Faults.DelayPerDeliveryUs = 1000;
   rt::OnlineOptions Options;
   Options.RingCapacity = 4;
@@ -1014,4 +1110,356 @@ TEST(ThreadChurn, SoakTenThousandThreadsBoundedAndEquivalent) {
   // No warning differences: the same variables race, in the same order
   // (one per churn iteration; reporter thread/epoch are schedule-local).
   EXPECT_EQ(racedVars(Capped.warnings()), racedVars(Uncapped.warnings()));
+}
+
+//===----------------------------------------------------------------------===//
+// Sync-only tickets: the fork gate, the join gate, recycled slots, and
+// equivalence with the HB oracle over generated native programs
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Options for the gate tests: a wedge at merge position \p StallAt holds
+/// events in their rings until the supervisor restarts the sequencer;
+/// nothing may be shed meanwhile.
+rt::OnlineOptions stallAt(rt::FaultPlan &Faults, uint64_t StallAt) {
+  Faults.StallAtEvent = StallAt;
+  Faults.StallsArmed.store(1);
+  rt::OnlineOptions Options;
+  Options.Faults = &Faults;
+  Options.Degrade.Enabled = false;
+  Options.Supervise.TickMs = 5;
+  Options.Supervise.StallDeadlineMs = 30;
+  Options.Supervise.MaxParkMs = 60000;
+  Options.Supervise.PressureTicksToDegrade = 1u << 30;
+  return Options;
+}
+
+/// Index of the first operation matching \p Pred at or after \p From.
+template <typename Pred>
+size_t findOp(const Trace &T, Pred &&P, size_t From = 0) {
+  for (size_t I = From; I != T.size(); ++I)
+    if (P(T[I]))
+      return I;
+  return T.size();
+}
+
+/// Spins on an uninstrumented flag: the tests below order threads
+/// without giving the detector a happens-before edge.
+void await(const std::atomic<bool> &Flag) {
+  while (!Flag.load(std::memory_order_acquire))
+    std::this_thread::yield();
+}
+
+} // namespace
+
+TEST(OnlineEngine, ForkGateHoldsWhenTheChildsRingIsSweptFirst) {
+  // The merge sweeps rings in slot order. C reincarnates A's slot 1, so
+  // C's ring is swept before its parent B's (slot 2). The sequencer
+  // wedges just before fork(B, C); by the restart, C's accesses wait in
+  // slot 1's ring. Only C's ticketed first event keeps them behind the
+  // fork — unticketed, they would merge first and C would act before it
+  // exists.
+  constexpr int BWrites = 20, CWrites = 50;
+  rt::Shared<int> VarA, VarB, VarC;
+  std::atomic<bool> ReleaseA{false}, GoB{false};
+  rt::FaultPlan Faults;
+  // fork(0,A), wr A, fork(0,B), join(0,A), B's writes: then fork(B, C).
+  rt::OnlineOptions Options = stallAt(Faults, 4 + BWrites);
+  Options.MaxThreads = 3; // main, B, and one slot for A then C
+
+  FastTrack Detector;
+  ThreadId AId = rt::Engine::NoThread, CId = rt::Engine::NoThread;
+  rt::Engine Engine(Detector, Options);
+  {
+    rt::Thread A([&] {
+      FT_WRITE(VarA, 1);
+      await(ReleaseA);
+    });
+    AId = A.id();
+    rt::Thread B([&] {
+      await(GoB);
+      for (int I = 0; I != BWrites; ++I)
+        FT_WRITE(VarB, I);
+      rt::Thread C([&] {
+        for (int I = 0; I != CWrites; ++I)
+          FT_WRITE(VarC, I);
+      });
+      CId = C.id();
+      C.join();
+    });
+    ReleaseA.store(true, std::memory_order_release);
+    A.join();
+    GoB.store(true, std::memory_order_release);
+    B.join();
+  }
+  rt::OnlineReport Report = Engine.finish();
+
+  EXPECT_EQ(CId, AId) << "C must reincarnate A's slot";
+  EXPECT_EQ(Report.SequencerRestarts, 1u);
+  EXPECT_EQ(Report.ThreadsRecycled, 1u);
+  EXPECT_EQ(Report.EventsCaptured, 7u + BWrites + CWrites);
+  EXPECT_EQ(Report.NumWarnings, 0u);
+  for (const Diagnostic &D : Report.Diags)
+    EXPECT_NE(D.Sev, Severity::Error) << toString(D);
+  const Trace &Cap = Report.Captured;
+  EXPECT_TRUE(isFeasible(Cap, tidReuse()));
+  const size_t ForkC = findOp(Cap, [&](const Operation &Op) {
+    return Op.Kind == OpKind::Fork && Op.Target == CId && Op.Thread != 0;
+  });
+  ASSERT_LT(ForkC, Cap.size());
+  const size_t JoinA = findOp(Cap, [&](const Operation &Op) {
+    return Op.Kind == OpKind::Join && Op.Target == AId;
+  });
+  ASSERT_LT(JoinA, ForkC);
+  // Between A's join and C's fork, slot 1 does nothing.
+  EXPECT_EQ(findOp(Cap, [&](const Operation &Op) { return Op.Thread == CId; },
+                   JoinA),
+            ForkC + 1);
+  expectOfflineEquivalent(Detector, Cap);
+}
+
+TEST(OnlineEngine, JoinGateDrainsTheChildsTrailingAccessesFirst) {
+  // The sequencer wedges halfway through the child's writes; the child
+  // exits and main joins it while the rest of the writes sit unticketed
+  // in the child's ring. Main's ring is swept first, and its join ticket
+  // is next — the join gate must still let the child's ring drain before
+  // join(0, u) merges.
+  constexpr int Writes = 200;
+  rt::Shared<int> Own, Shared;
+  rt::FaultPlan Faults;
+  // fork(0,u) is position 0 and the child's writes 1..Writes.
+  rt::OnlineOptions Options = stallAt(Faults, 1 + Writes / 2);
+
+  FastTrack Detector;
+  ThreadId U = rt::Engine::NoThread;
+  rt::Engine Engine(Detector, Options);
+  {
+    rt::Thread Child([&] {
+      for (int I = 0; I != Writes; ++I)
+        FT_WRITE(I + 1 == Writes ? Shared : Own, I);
+    });
+    U = Child.id();
+    Child.join();
+  }
+  FT_WRITE(Shared, -1); // ordered after the child's last write by the join
+  rt::OnlineReport Report = Engine.finish();
+
+  EXPECT_EQ(Report.SequencerRestarts, 1u);
+  EXPECT_EQ(Report.EventsCaptured, 3u + Writes);
+  EXPECT_EQ(Report.NumWarnings, 0u) << "join ordered before child writes";
+  const Trace &Cap = Report.Captured;
+  EXPECT_TRUE(isFeasible(Cap));
+  const size_t Join = findOp(Cap, [](const Operation &Op) {
+    return Op.Kind == OpKind::Join;
+  });
+  ASSERT_LT(Join, Cap.size());
+  size_t LastChildOp = 0;
+  for (size_t I = 0; I != Cap.size(); ++I)
+    if (Cap[I].Thread == U)
+      LastChildOp = I;
+  EXPECT_EQ(LastChildOp + 1, Join) << "every child access precedes the join";
+  expectOfflineEquivalent(Detector, Cap);
+}
+
+TEST(ThreadChurn, RecycledSlotWaitsForItsPredecessorsAccesses) {
+  // The first incarnation leaves most of its (unticketed) accesses in the
+  // ring when it is joined — the sequencer is wedged. The successor's
+  // fork must wait for the drain, and the capture must keep the two
+  // lifetimes apart: old accesses, join, fork, new accesses.
+  constexpr int Writes = 300;
+  rt::Shared<int> X;
+  rt::FaultPlan Faults;
+  rt::OnlineOptions Options = stallAt(Faults, 3); // first child's 3rd write
+  Options.MaxThreads = 2;
+  Options.SlotDrainWaitMs = 5000;
+
+  FastTrack Detector;
+  rt::Engine Engine(Detector, Options);
+  ThreadId Ids[2];
+  for (int Life = 0; Life != 2; ++Life) {
+    rt::Thread T([&X, Life] {
+      for (int I = 0; I != Writes; ++I)
+        FT_WRITE(X, Life * Writes + I);
+    });
+    Ids[Life] = T.id();
+    T.join();
+  }
+  rt::OnlineReport Report = Engine.finish();
+
+  EXPECT_EQ(Ids[1], Ids[0]);
+  EXPECT_EQ(Report.SequencerRestarts, 1u);
+  EXPECT_EQ(Report.ThreadsRecycled, 1u);
+  EXPECT_EQ(Report.EventsCaptured, 2u * (2 + Writes));
+  EXPECT_EQ(Report.NumWarnings, 0u);
+  const Trace &Cap = Report.Captured;
+  EXPECT_TRUE(isFeasible(Cap, tidReuse()));
+  // fork, Writes accesses, join — twice, nothing interleaved.
+  ASSERT_EQ(Cap.size(), 2u * (2 + Writes));
+  for (size_t Life = 0; Life != 2; ++Life) {
+    const size_t Base = Life * (2 + Writes);
+    EXPECT_EQ(Cap[Base].Kind, OpKind::Fork);
+    for (size_t I = 1; I <= Writes; ++I)
+      EXPECT_EQ(Cap[Base + I].Thread, Ids[0]) << "op " << Base + I;
+    EXPECT_EQ(Cap[Base + Writes + 1].Kind, OpKind::Join);
+  }
+  expectOfflineEquivalent(Detector, Cap);
+}
+
+namespace {
+
+/// One step of a generated native program.
+struct NativeStep {
+  enum Kind : uint8_t { Read, Write, Locked, VolRead, VolWrite } K;
+  unsigned Target;
+  unsigned Lock;
+};
+
+/// A generated program: main touches every variable, forks the workers,
+/// joins them, and touches every variable again. Each worker owns a block
+/// of private variables and dips into a shared pool now and then.
+/// Sync-free programs give the workers accesses only; mixed ones add
+/// lock-protected updates (lock chosen per variable) and volatile
+/// traffic.
+struct NativeProgram {
+  static constexpr unsigned MaxWorkers = 4, PrivatePerWorker = 3,
+                            NumShared = 6, NumLocks = 2, NumVolatiles = 2;
+  static constexpr unsigned NumVars =
+      MaxWorkers * PrivatePerWorker + NumShared;
+  std::vector<std::vector<NativeStep>> Workers;
+
+  NativeProgram(uint64_t Seed, bool SyncFree) {
+    Xoshiro256StarStar Rng(Seed);
+    Workers.resize(2 + Rng.nextBelow(MaxWorkers - 1));
+    for (unsigned W = 0; W != Workers.size(); ++W) {
+      const size_t N = 50 + Rng.nextBelow(200);
+      for (size_t I = 0; I != N; ++I) {
+        NativeStep S{NativeStep::Read, 0, 0};
+        S.Target = Rng.nextBelow(100) < 4
+                       ? MaxWorkers * PrivatePerWorker +
+                             static_cast<unsigned>(Rng.nextBelow(NumShared))
+                       : W * PrivatePerWorker +
+                             static_cast<unsigned>(
+                                 Rng.nextBelow(PrivatePerWorker));
+        S.Lock = S.Target % NumLocks;
+        const uint64_t Roll = Rng.nextBelow(100);
+        if (Roll < 40)
+          S.K = NativeStep::Write;
+        else if (!SyncFree && Roll < 70)
+          S.K = NativeStep::Locked;
+        else if (!SyncFree && Roll < 80)
+          S.K = Roll % 2 ? NativeStep::VolRead : NativeStep::VolWrite;
+        Workers[W].push_back(S);
+      }
+    }
+  }
+
+  /// The racy variables of a sync-free program, whatever the schedule:
+  /// its workers share no edge, so a variable races iff one worker
+  /// writes it and another accesses it.
+  std::vector<VarId> syncFreeRaces() const {
+    std::vector<VarId> Racy;
+    for (unsigned X = 0; X != NumVars; ++X) {
+      int Writers = 0, Accessors = 0;
+      for (const std::vector<NativeStep> &Steps : Workers) {
+        bool Writes = false, Touches = false;
+        for (const NativeStep &S : Steps)
+          if (S.Target == X) {
+            Touches = true;
+            Writes |= S.K == NativeStep::Write;
+          }
+        Writers += Writes;
+        Accessors += Touches;
+      }
+      if (Writers >= 1 && Accessors >= 2)
+        Racy.push_back(X);
+    }
+    return Racy;
+  }
+
+  void run() const {
+    std::vector<rt::Shared<int>> Vars(NumVars);
+    std::vector<rt::Mutex> Locks(NumLocks);
+    std::vector<rt::Volatile<int>> Volatiles(NumVolatiles);
+    for (rt::Shared<int> &V : Vars) // intern ids 0..NumVars-1 in order
+      FT_WRITE(V, 0);
+    std::vector<rt::Thread> Threads;
+    for (const std::vector<NativeStep> &Steps : Workers)
+      Threads.emplace_back([&, &Steps = Steps] {
+        for (const NativeStep &S : Steps) {
+          rt::Shared<int> &V = Vars[S.Target];
+          switch (S.K) {
+          case NativeStep::Read:
+            (void)FT_READ(V);
+            break;
+          case NativeStep::Write:
+            FT_WRITE(V, 1);
+            break;
+          case NativeStep::Locked: {
+            std::lock_guard<rt::Mutex> Guard(Locks[S.Lock]);
+            FT_WRITE(V, FT_READ(V) + 1);
+            break;
+          }
+          case NativeStep::VolRead:
+            (void)Volatiles[S.Lock].read();
+            break;
+          case NativeStep::VolWrite:
+            Volatiles[S.Lock].write(1);
+            break;
+          }
+        }
+      });
+    for (rt::Thread &T : Threads)
+      T.join();
+    for (rt::Shared<int> &V : Vars)
+      (void)FT_READ(V);
+  }
+};
+
+std::vector<VarId> warnedVars(const std::vector<RaceWarning> &Warnings) {
+  std::vector<VarId> Vars;
+  for (const RaceWarning &W : Warnings)
+    Vars.push_back(W.Var);
+  std::sort(Vars.begin(), Vars.end());
+  Vars.erase(std::unique(Vars.begin(), Vars.end()), Vars.end());
+  return Vars;
+}
+
+} // namespace
+
+TEST(OnlineEquivalence, GeneratedProgramsMatchTheOracleAtEveryShardCount) {
+  // Accesses merge in whatever order the rings drain, so the capture is
+  // one HB-consistent linearization among many. Whatever it is, it must
+  // validate, the warned variables must be exactly the oracle's racy set
+  // on it, and an offline replay of it must reproduce the warnings byte
+  // for byte. Sync-free programs are schedule-independent, so their racy
+  // set is also known up front.
+  size_t RacyPrograms = 0, CleanVars = 0;
+  for (bool SyncFree : {true, false})
+    for (uint64_t Seed = 1; Seed != 9; ++Seed) {
+      const NativeProgram Program(Seed * 7919 + SyncFree, SyncFree);
+      for (unsigned Shards : {1u, 2u, 4u}) {
+        SCOPED_TRACE(testing::Message() << (SyncFree ? "sync-free" : "mixed")
+                                        << " seed " << Seed << " shards "
+                                        << Shards);
+        rt::OnlineOptions Options;
+        Options.Shards = Shards;
+        Options.ShardBlockVars = 2;
+        Options.RingCapacity = 64; // keep producers and merge interleaving
+        FastTrack Detector;
+        rt::OnlineReport Report = checkedSession(
+            Detector, [&] { Program.run(); }, Options);
+        EXPECT_EQ(Report.Shards, Shards);
+        const std::vector<VarId> Warned = warnedVars(Detector.warnings());
+        EXPECT_EQ(Warned, racyVarsLinear(Report.Captured));
+        if (SyncFree) {
+          EXPECT_EQ(Warned, Program.syncFreeRaces());
+        }
+        RacyPrograms += !Warned.empty();
+        CleanVars += NativeProgram::NumVars - Warned.size();
+      }
+    }
+  // The sweep must exercise both answers.
+  EXPECT_GT(RacyPrograms, 16u);
+  EXPECT_GT(CleanVars, 0u);
 }

@@ -81,6 +81,32 @@ TEST(Trace, ClearResetsEverything) {
   EXPECT_EQ(T.numBarrierSets(), 0u);
 }
 
+TEST(Trace, AppendRunGrowsGeometrically) {
+  // The online capture appends one run per merged batch, and a batch can
+  // be a single event. Growth must be geometric, or a capture of n
+  // one-event runs reallocates n times and copies O(n^2) operations.
+  Trace T;
+  constexpr size_t Runs = 100000;
+  size_t CapacityChanges = 0;
+  size_t LastCapacity = T.capacity();
+  for (size_t I = 0; I != Runs; ++I) {
+    const Operation Op(I % 2 ? OpKind::Read : OpKind::Write,
+                       static_cast<ThreadId>(I % 3),
+                       static_cast<uint32_t>(I % 7));
+    T.appendRun(&Op, 1);
+    if (T.capacity() != LastCapacity) {
+      ++CapacityChanges;
+      LastCapacity = T.capacity();
+    }
+  }
+  ASSERT_EQ(T.size(), Runs);
+  EXPECT_EQ(T[Runs - 1].Target, (Runs - 1) % 7);
+  EXPECT_EQ(T.numThreads(), 3u);
+  EXPECT_EQ(T.numVars(), 7u);
+  // log2(1e5) ~ 17: allow a small constant factor, nowhere near n.
+  EXPECT_LE(CapacityChanges, 2 * 17u) << "capacity changed per run";
+}
+
 TEST(TraceBuilder, BuildsThePaperSection22Trace) {
   // wr(0,x) rel(0,m) acq(1,m) wr(1,x) — the worked example of Section 2.2.
   Trace T = TraceBuilder().wr(0, 0).rel(0, 0).acq(1, 0).wr(1, 0).take();

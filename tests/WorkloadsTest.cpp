@@ -64,6 +64,12 @@ TEST_P(WorkloadSuite, OracleConfirmsGroundTruthRaceCount) {
   EXPECT_EQ(racyVars(T).size(), W.RealRacyVars) << W.Name;
 }
 
+TEST_P(WorkloadSuite, LinearOracleMatchesRacyVars) {
+  const Workload &W = workload();
+  Trace T = W.Generate(7, TestFactor);
+  EXPECT_EQ(racyVarsLinear(T), racyVars(T)) << W.Name;
+}
+
 TEST_P(WorkloadSuite, FastTrackFindsExactlyTheRealRaces) {
   const Workload &W = workload();
   Trace T = W.Generate(7, TestFactor);
