@@ -1,7 +1,6 @@
 #include "core/FastTrack.h"
 
-#include "framework/FastDispatch.h"
-#include "framework/Replay.h"
+#include "framework/FastPath.h"
 
 #include "support/ByteStream.h"
 
@@ -398,8 +397,5 @@ template class BasicFastTrack<Epoch>;
 template class BasicFastTrack<Epoch64>;
 } // namespace ft
 
-FT_REGISTER_FAST_REPLAY(::ft::FastTrack);
-FT_REGISTER_FAST_REPLAY(::ft::FastTrack64);
-
-FT_REGISTER_FAST_DISPATCH(::ft::FastTrack);
-FT_REGISTER_FAST_DISPATCH(::ft::FastTrack64);
+FT_REGISTER_FAST_PATH(::ft::FastTrack);
+FT_REGISTER_FAST_PATH(::ft::FastTrack64);

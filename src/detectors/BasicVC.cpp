@@ -1,6 +1,6 @@
 #include "detectors/BasicVC.h"
 
-#include "framework/Replay.h"
+#include "framework/FastPath.h"
 
 using namespace ft;
 
@@ -64,4 +64,4 @@ size_t BasicVC::shadowBytes() const {
   return Bytes;
 }
 
-FT_REGISTER_FAST_REPLAY(::ft::BasicVC);
+FT_REGISTER_FAST_PATH(::ft::BasicVC);

@@ -1,6 +1,6 @@
 #include "detectors/DjitPlus.h"
 
-#include "framework/Replay.h"
+#include "framework/FastPath.h"
 
 using namespace ft;
 
@@ -76,4 +76,4 @@ size_t DjitPlus::shadowBytes() const {
   return Bytes;
 }
 
-FT_REGISTER_FAST_REPLAY(::ft::DjitPlus);
+FT_REGISTER_FAST_PATH(::ft::DjitPlus);

@@ -1,9 +1,7 @@
 #include "detectors/EmptyTool.h"
 
-#include "framework/FastDispatch.h"
-#include "framework/Replay.h"
+#include "framework/FastPath.h"
 
-// EmptyTool is header-only; this file anchors it in the library.
+const char *ft::EmptyTool::name() const { return "Empty"; }
 
-FT_REGISTER_FAST_REPLAY(::ft::EmptyTool);
-FT_REGISTER_FAST_DISPATCH(::ft::EmptyTool);
+FT_REGISTER_FAST_PATH(::ft::EmptyTool);

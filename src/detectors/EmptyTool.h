@@ -23,7 +23,10 @@ namespace ft {
 /// Performs no analysis; exists to price the event-dispatch overhead.
 class EmptyTool : public Tool {
 public:
-  const char *name() const override { return "Empty"; }
+  /// Out of line on purpose: the key function puts the vtable in
+  /// EmptyTool.cpp, so every binary that constructs an EmptyTool links
+  /// that file and its FT_REGISTER_FAST_PATH line.
+  const char *name() const override;
 };
 
 } // namespace ft

@@ -1,7 +1,6 @@
 #include "detectors/Eraser.h"
 
-#include "framework/FastDispatch.h"
-#include "framework/Replay.h"
+#include "framework/FastPath.h"
 
 using namespace ft;
 
@@ -110,5 +109,4 @@ size_t Eraser::shadowBytes() const {
   return Bytes;
 }
 
-FT_REGISTER_FAST_REPLAY(::ft::Eraser);
-FT_REGISTER_FAST_DISPATCH(::ft::Eraser);
+FT_REGISTER_FAST_PATH(::ft::Eraser);

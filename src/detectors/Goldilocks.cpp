@@ -1,6 +1,6 @@
 #include "detectors/Goldilocks.h"
 
-#include "framework/Replay.h"
+#include "framework/FastPath.h"
 
 #include <algorithm>
 
@@ -201,4 +201,4 @@ size_t Goldilocks::shadowBytes() const {
   return Bytes;
 }
 
-FT_REGISTER_FAST_REPLAY(::ft::Goldilocks);
+FT_REGISTER_FAST_PATH(::ft::Goldilocks);

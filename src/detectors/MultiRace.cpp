@@ -1,6 +1,6 @@
 #include "detectors/MultiRace.h"
 
-#include "framework/Replay.h"
+#include "framework/FastPath.h"
 
 using namespace ft;
 
@@ -139,4 +139,4 @@ size_t MultiRace::shadowBytes() const {
   return Bytes;
 }
 
-FT_REGISTER_FAST_REPLAY(::ft::MultiRace);
+FT_REGISTER_FAST_PATH(::ft::MultiRace);

@@ -1,6 +1,6 @@
 #include "detectors/ThreadLocalFilter.h"
 
-#include "framework/Replay.h"
+#include "framework/FastPath.h"
 
 using namespace ft;
 
@@ -36,4 +36,4 @@ size_t ThreadLocalFilter::shadowBytes() const {
   return Owner.capacity() * sizeof(uint32_t);
 }
 
-FT_REGISTER_FAST_REPLAY(::ft::ThreadLocalFilter);
+FT_REGISTER_FAST_PATH(::ft::ThreadLocalFilter);

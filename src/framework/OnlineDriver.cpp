@@ -1,6 +1,6 @@
 #include "framework/OnlineDriver.h"
 
-#include "framework/FastDispatch.h"
+#include "framework/FastPath.h"
 #include "runtime/EventRing.h"
 #include "support/MemoryTracker.h"
 
@@ -14,7 +14,8 @@ OnlineDriver::OnlineDriver(Tool &Checker, const ToolContext &Capacity,
     : Checker(Checker), Capacity(Capacity), Options(std::move(Opts)),
       Reentrancy(Capacity.NumThreads, Capacity.NumLocks) {
   if (Options.Role != DriverRole::AdmissionOnly)
-    FastRun = resolveFastDispatch(Checker);
+    if (const FastPathEntry *Fast = findFastPath(Checker))
+      FastRun = Fast->DispatchRun;
   DegradePolicy &D = Options.Degrade;
   if (D.Enabled && D.Memory.Enabled) {
     // Offer self-governance to the tool before begin() (the policy takes

@@ -201,7 +201,7 @@ public:
   /// tool, hoisting the per-event halt/capacity/rung checks offer() pays
   /// out of the loop (they already ran on the admission side). Access
   /// events take a devirtualized per-run fast path when the tool's
-  /// concrete type registered one via FT_REGISTER_FAST_DISPATCH; sync
+  /// concrete type registered one via FT_REGISTER_FAST_PATH; sync
   /// events dispatch virtually one at a time. Each event's Seq is the raw
   /// op index admission assigned, so warnings carry single-sequencer
   /// indices. Returns false when a throwing tool halted the driver

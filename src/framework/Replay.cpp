@@ -1,5 +1,7 @@
 #include "framework/Replay.h"
 
+#include "framework/FastPath.h"
+
 using namespace ft;
 
 ToolContext ft::makeToolContext(const Trace &T, const GranularityMap &Map) {
@@ -54,38 +56,10 @@ void ft::dispatchSyncOp(Tool &Checker, const Trace &T, const Operation &Op,
   }
 }
 
-namespace {
-
-/// The fast-replay registry. Filled by FastReplayRegistrar static
-/// initializers (single-threaded, before main) and only read afterwards,
-/// so plain storage suffices. Fixed capacity: registrations past the cap
-/// are dropped, which only costs those tools the fast path.
-struct FastReplayRegistry {
-  static constexpr size_t MaxProbes = 32;
-  FastReplayProbeFn Probes[MaxProbes] = {};
-  size_t NumProbes = 0;
-};
-
-FastReplayRegistry &fastReplayRegistry() {
-  static FastReplayRegistry Registry;
-  return Registry;
-}
-
-} // namespace
-
-void ft::registerFastReplay(FastReplayProbeFn Probe) {
-  FastReplayRegistry &Registry = fastReplayRegistry();
-  if (Registry.NumProbes < FastReplayRegistry::MaxProbes)
-    Registry.Probes[Registry.NumProbes++] = Probe;
-}
-
 ReplayResult ft::replay(const Trace &T, Tool &Checker,
                         const ReplayOptions &Options) {
-  const FastReplayRegistry &Registry = fastReplayRegistry();
-  ReplayResult Result;
-  for (size_t I = 0; I != Registry.NumProbes; ++I)
-    if (Registry.Probes[I](T, Checker, Options, Result))
-      return Result;
+  if (const FastPathEntry *Fast = findFastPath(Checker))
+    return Fast->Replay(T, Checker, Options);
   return replayWithTool<Tool>(T, Checker, Options);
 }
 

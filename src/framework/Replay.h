@@ -249,50 +249,11 @@ ReplayResult replayWithTool(const Trace &T, ToolT &Checker,
   return Result;
 }
 
-/// A probe tried by replay() before falling back to virtual dispatch:
-/// returns true (and fills \p Result) when it recognizes the dynamic type
-/// of \p Checker and ran the devirtualized loop for it.
-using FastReplayProbeFn = bool (*)(const Trace &T, Tool &Checker,
-                                   const ReplayOptions &Options,
-                                   ReplayResult &Result);
-
-/// Adds \p Probe to the registry replay() consults. Called from static
-/// initializers in each tool's translation unit (so a tool that is linked
-/// in is automatically fast-pathed, and one that isn't costs nothing).
-void registerFastReplay(FastReplayProbeFn Probe);
-
-/// The generic probe for concrete tool \p ToolT: exact dynamic-type match
-/// only, so a subclass of a registered tool safely falls back to the
-/// virtual path.
-template <typename ToolT>
-bool fastReplayProbe(const Trace &T, Tool &Checker,
-                     const ReplayOptions &Options, ReplayResult &Result) {
-  if (typeid(Checker) != typeid(ToolT))
-    return false;
-  Result = replayWithTool(T, static_cast<ToolT &>(Checker), Options);
-  return true;
-}
-
-/// Registers fastReplayProbe<ToolT> at static-initialization time.
-struct FastReplayRegistrar {
-  explicit FastReplayRegistrar(FastReplayProbeFn Probe) {
-    registerFastReplay(Probe);
-  }
-};
-
-#define FT_FAST_REPLAY_CONCAT2(A, B) A##B
-#define FT_FAST_REPLAY_CONCAT(A, B) FT_FAST_REPLAY_CONCAT2(A, B)
-
-/// Place in the tool's own .cpp, where the access handlers' bodies are
-/// visible to the replayWithTool instantiation.
-#define FT_REGISTER_FAST_REPLAY(ToolT)                                         \
-  static ::ft::FastReplayRegistrar FT_FAST_REPLAY_CONCAT(                      \
-      FtFastReplayRegistrar_, __LINE__)(&::ft::fastReplayProbe<ToolT>)
-
-/// Replays \p T through \p Checker. Consults the fast-replay registry
-/// first: when \p Checker's exact type was registered, the devirtualized
-/// replayWithTool<ToolT> loop runs; otherwise the loop dispatches
-/// virtually. Results are identical either way.
+/// Replays \p T through \p Checker. Consults the devirtualization
+/// registry (FastPath.h) first: when \p Checker's exact type was
+/// registered, the devirtualized replayWithTool<ToolT> loop runs;
+/// otherwise the loop dispatches virtually. Results are identical either
+/// way.
 ReplayResult replay(const Trace &T, Tool &Checker,
                     const ReplayOptions &Options = ReplayOptions());
 

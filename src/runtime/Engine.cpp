@@ -78,10 +78,10 @@ OnlineDriverOptions driverOptions(const OnlineOptions &Options,
   return Driver;
 }
 
-/// How many shard sequencers this session actually runs. Shards > 1
-/// requires the ShardableTool clone/merge hooks; a tool without them
-/// falls back to the single-sequencer engine (the constructor attaches
-/// the explanatory Note).
+/// How many shards this session actually runs. Shards > 1 requires the
+/// ShardableTool clone/merge hooks; a tool without them runs at 1, its
+/// handlers dispatched inline (the constructor attaches the explanatory
+/// Note).
 unsigned resolveShardCount(const OnlineOptions &Options, Tool &Checker) {
   unsigned N = Options.Shards == 0 ? 1 : Options.Shards;
   N = std::min(N, 64u);
@@ -203,8 +203,9 @@ Engine::Engine(Tool &Checker, OnlineOptions Opts)
   if (Options.Shards > 1 && NumShards == 1)
     superviseNote(Severity::Note, StatusCode::ValidationError,
                   std::string("tool '") + Checker.name() +
-                      "' does not implement ShardableTool; falling back "
-                      "to the single-sequencer engine");
+                      "' does not implement ShardableTool; running "
+                      "without shard workers, the tool dispatched inline "
+                      "by the merge loop");
 
   if (NumShards > 1) {
     auto &Shardable = dynamic_cast<ShardableTool &>(Checker);
@@ -255,15 +256,11 @@ Engine::Engine(Tool &Checker, OnlineOptions Opts)
          "one online session at a time");
   CurrentEngine.store(this, std::memory_order_release);
 
-  if (NumShards > 1) {
-    for (std::unique_ptr<Shard> &S : ShardSet) {
-      Shard *P = S.get();
-      P->Worker = std::thread([this, P] { shardLoop(*P, 0); });
-    }
-    SequencerThread = std::thread([this] { routerLoop(0); });
-  } else {
-    SequencerThread = std::thread([this] { sequencerLoop(0); });
+  for (std::unique_ptr<Shard> &S : ShardSet) {
+    Shard *P = S.get();
+    P->Worker = std::thread([this, P] { shardLoop(*P, 0); });
   }
+  SequencerThread = std::thread([this] { mergeLoop(0); });
   if (Options.Supervise.Enabled)
     SupervisorThread = std::thread([this] { supervisorLoop(); });
 }
@@ -657,94 +654,6 @@ void Engine::endMerge(const MergeCursor &M) {
   SequencerClocks += clockStats();
 }
 
-void Engine::sequencerLoop(uint64_t Epoch) {
-  MergeCursor M = resumeMerge();
-  const size_t BatchCap = std::max<size_t>(1, Options.SequencerBatch);
-  std::vector<OnlineEvent> Batch(BatchCap);
-  std::vector<Operation> Delivered;
-  Delivered.reserve(BatchCap);
-  const FaultPlan *Faults = Options.Faults;
-  bool Abandoned = false;
-  while (!Abandoned) {
-    // Read before the sweep: the main thread's last accesses are
-    // unticketed, so only a clean sweep begun after finish() cleared
-    // Running proves every ring empty.
-    const bool Stopping = !Running.load(std::memory_order_acquire);
-    if (!beginSweep(M, Epoch))
-      break;
-    bool Progress = false;
-    for (Channel *Ch : M.Snapshot) {
-      // Drain this ring in batches: the events are copied out and their
-      // slots released in one Head store (so a parked producer unblocks
-      // early), then dispatched from the local buffer. A short batch
-      // means the ring is out of mergeable events, so move on; a ring's
-      // capacity per visit keeps one busy producer from starving the
-      // others.
-      for (size_t Taken = 0; Taken < Ch->Ring.capacity();) {
-        size_t Cap = BatchCap;
-        const uint64_t FirstPos = M.Pos;
-        size_t N = pullBatch(M, *Ch, Batch.data(), Cap, Epoch, Abandoned);
-        if (N == 0)
-          break;
-        Progress = true;
-        Taken += N;
-        Delivered.clear();
-        for (size_t I = 0; I != N; ++I) {
-          if (Halted.load(std::memory_order_relaxed)) {
-            // Emitted before the halt landed; discarded but counted —
-            // no silent loss (the relaxed load is fine: this thread set
-            // the flag itself or will re-check via the driver).
-            ++DiscardedPostHalt;
-            continue;
-          }
-          Operation Op(Batch[I].Kind, Ch->Id, Batch[I].Target);
-          OnlineDriver::DispatchOutcome Outcome = Driver.offer(Op);
-          if (Outcome == OnlineDriver::DispatchOutcome::Delivered) {
-            if (Capturing)
-              Delivered.push_back(Op);
-            if (Faults && Faults->inStorm(FirstPos + I))
-              std::this_thread::sleep_for(
-                  std::chrono::microseconds(Faults->DelayPerDeliveryUs));
-          } else if (Outcome == OnlineDriver::DispatchOutcome::Rejected) {
-            // Unrecoverable driver halt. Release pairs with the acquire
-            // in emit(): the driver's diagnostics are fully written
-            // before producers can observe the flag (see Halted).
-            Halted.store(true, std::memory_order_release);
-            ++DiscardedPostHalt;
-          }
-        }
-        if (!Delivered.empty()) {
-          // Batched capture (no per-event branch in the steady state):
-          // the whole delivered run lands in one appendRun / one
-          // segment write.
-          if (MemCapture)
-            Capture.appendRun(Delivered.data(), Delivered.size());
-          if (SegWriter)
-            SegWriter->append(Delivered.data(), Delivered.size());
-        }
-        // Publish the cursor per batch: the watchdog reads it for stall
-        // detection and a successor resumes from it.
-        M.Pos += N;
-        publishMerge(M);
-        if (N != Cap)
-          break;
-      }
-      if (Abandoned)
-        break;
-    }
-    if (Abandoned)
-      break;
-    if (Progress)
-      continue;
-    // Nothing mergeable: a ticket is in flight (drawn but not yet
-    // published — a handful of instructions), or nothing is happening.
-    if (Stopping && M.Next == Seq.load(std::memory_order_acquire))
-      break;
-    std::this_thread::yield();
-  }
-  endMerge(M);
-}
-
 unsigned Engine::shardIndexFor(uint32_t Target) const {
   // Block-cyclic on the POST-transform id. Routing after the admission
   // driver's coarse-rung remap is what keeps sharding exactly equivalent
@@ -782,72 +691,50 @@ ShadowGovernorStats Engine::shardGovernorStats() const {
   return Total;
 }
 
-bool Engine::routeToShard(Shard &S, const OnlineEvent &E) {
-  // The router must NEVER abandon an admitted event: it is already in the
-  // capture and owns a raw index, so dropping it would desync every
-  // shard's state from the capture the equivalence contract replays. A
-  // full ring is backpressure (the shard is behind) or a wedged worker —
-  // either way the fix is on the shard side, so the router parks and
-  // raises RouterBlockedOnShard, which (a) tells the supervisor its
-  // frozen merge position is the shard's fault and (b) keeps the supervisor
-  // from restarting a router it could never join. Only a halt lets the
-  // router give up, counted by the caller.
-  if (S.Ring.hasSpace()) {
-    S.Ring.push(E);
-    S.Routed.fetch_add(1, std::memory_order_release);
-    return true;
-  }
-  RouterBlockedOnShard.store(true, std::memory_order_release);
-  unsigned Spins = 0;
-  bool Pushed = false;
-  for (;;) {
-    if (S.Ring.hasSpace()) {
-      S.Ring.push(E);
-      S.Routed.fetch_add(1, std::memory_order_release);
-      Pushed = true;
-      break;
-    }
-    if (Halted.load(std::memory_order_acquire))
-      break;
-    if (++Spins < 64)
-      std::this_thread::yield();
-    else
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  RouterBlockedOnShard.store(false, std::memory_order_release);
-  return Pushed;
-}
-
-void Engine::routerLoop(uint64_t Epoch) {
-  // The sharded engine's first pipeline stage: sequencerLoop's merge and
-  // admission stages verbatim (same merge cursor and restart contract, same
-  // fault hooks, same capture), with tool dispatch replaced by routing —
-  // admitted accesses go to the shard owning their variable, admitted
-  // sync events to every shard (the cross-shard spine). The raw index the
-  // admission driver just assigned rides in OnlineEvent::Seq so shard
-  // tools see single-sequencer op indices.
+void Engine::mergeLoop(uint64_t Epoch) {
+  // The one merge loop, at every shard count. It merges the rings into one
+  // totally-ordered stream, admits each event through the primary driver,
+  // captures the delivered runs and publishes the merge cursor per batch.
+  // Only the delivery step depends on the shard count. Without shards the
+  // driver is Full: offer() has already dispatched the event to the tool,
+  // so the delivery step is the tool itself. With shards the driver is
+  // AdmissionOnly and the loop routes: an admitted access goes to the
+  // shard owning its variable, an admitted sync event to every shard (the
+  // cross-shard spine). The raw index the driver just assigned rides in
+  // OnlineEvent::Seq, so shard tools see single-stream op indices.
   MergeCursor M = resumeMerge();
   const size_t BatchCap = std::max<size_t>(1, Options.SequencerBatch);
   std::vector<OnlineEvent> Batch(BatchCap);
   std::vector<Operation> Delivered;
   Delivered.reserve(BatchCap);
-  // Routed accesses are staged per shard and flushed as whole runs
-  // (EventRing::pushRun: one release store per run, not one per event) —
-  // transport is what sharding pays over the single sequencer, so it is
-  // kept off the per-event path. Flushes happen when a stage fills,
-  // before any broadcast sync (per-shard ring order must match admission
-  // order), and before every cursor publish (a batch only counts as
-  // "routed" once its staged events are in the rings).
-  // Capped at 1024 events: past that the flush amortization is already
-  // total, and NumShards stage buffers at SequencerBatch size would cost
-  // more in cache footprint than the batching saves.
-  const size_t StageCap = std::max<size_t>(
-      1, std::min({BatchCap, ShardSet.front()->Ring.capacity() / 2,
-                   static_cast<size_t>(1024)}));
-  std::vector<std::vector<OnlineEvent>> Stage(NumShards);
+  const bool Routing = !ShardSet.empty();
+  // Routed events are staged per shard and flushed as whole runs
+  // (EventRing::pushRun: one release store per run, not one per event):
+  // transport is what sharding pays over inline dispatch, so it is kept
+  // off the per-event path. A stage flushes when it fills, right after a
+  // broadcast sync event joins it (per-shard ring order must match
+  // admission order), and before every cursor publish (a batch only
+  // counts as routed once its staged events are in the rings). Capped at
+  // 1024 events: past that the flush amortization is already total, and
+  // larger stages would cost more in cache footprint than they save.
+  size_t StageCap = 0;
+  if (Routing)
+    StageCap = std::max<size_t>(
+        1, std::min({BatchCap, ShardSet.front()->Ring.capacity() / 2,
+                     static_cast<size_t>(1024)}));
+  std::vector<std::vector<OnlineEvent>> Stage(ShardSet.size());
   for (std::vector<OnlineEvent> &Buf : Stage)
     Buf.reserve(StageCap);
   auto FlushShard = [&](unsigned SI) {
+    // An admitted event is NEVER abandoned: it is already in the capture
+    // and owns a raw index, so dropping it would desync every shard's
+    // state from the capture the equivalence contract replays. A full
+    // ring is backpressure (the shard is behind) or a wedged worker; the
+    // fix is on the shard side either way, so the loop parks and raises
+    // RouterBlockedOnShard, which (a) tells the supervisor the frozen
+    // merge position is the shard's fault and (b) keeps it from
+    // restarting a loop it could never join. Only a halt lets the loop
+    // give up, and what it gives up is counted.
     std::vector<OnlineEvent> &Buf = Stage[SI];
     if (Buf.empty())
       return;
@@ -863,7 +750,6 @@ void Engine::routerLoop(uint64_t Epoch) {
         Spins = 0;
         continue;
       }
-      // Full ring: same park-don't-drop contract as routeToShard.
       if (Halted.load(std::memory_order_acquire)) {
         DiscardedPostHalt += Buf.size() - Off;
         break;
@@ -881,15 +767,39 @@ void Engine::routerLoop(uint64_t Epoch) {
       RouterBlockedOnShard.store(false, std::memory_order_release);
     Buf.clear();
   };
+  auto Route = [&](const OnlineEvent &E) {
+    if (isAccess(E.Kind)) {
+      unsigned SI = shardIndexFor(E.Target);
+      Stage[SI].push_back(E);
+      if (Stage[SI].size() >= StageCap)
+        FlushShard(SI);
+      return;
+    }
+    // The spine: every shard sees every admitted sync event, in admission
+    // order, behind the accesses admitted before it. That shared
+    // subsequence is what makes a per-shard sync *ordinal* well defined
+    // without carrying an extra field.
+    for (unsigned SI = 0; SI != Stage.size(); ++SI) {
+      Stage[SI].push_back(E);
+      FlushShard(SI);
+    }
+  };
   const FaultPlan *Faults = Options.Faults;
-  unsigned IdlePolls = 0;
   bool Abandoned = false;
   while (!Abandoned) {
+    // Read before the sweep: the main thread's last accesses are
+    // unticketed, so only a clean sweep begun after finish() cleared
+    // Running proves every ring empty.
     const bool Stopping = !Running.load(std::memory_order_acquire);
     if (!beginSweep(M, Epoch))
       break;
     bool Progress = false;
     for (Channel *Ch : M.Snapshot) {
+      // Drain this ring in batches: the events are copied out and their
+      // slots released in one Head store (so a parked producer unblocks
+      // early), then admitted from the local buffer. A short batch means
+      // the ring is out of mergeable events, so move on; a ring's capacity
+      // per visit keeps one busy producer from starving the others.
       for (size_t Taken = 0; Taken < Ch->Ring.capacity();) {
         size_t Cap = BatchCap;
         const uint64_t FirstPos = M.Pos;
@@ -902,19 +812,22 @@ void Engine::routerLoop(uint64_t Epoch) {
         size_t I = 0;
         while (I != N) {
           if (Halted.load(std::memory_order_relaxed)) {
+            // Emitted before the halt landed; discarded but counted — no
+            // silent loss (the relaxed load is fine: this thread set the
+            // flag itself or will re-check via the driver).
             ++DiscardedPostHalt;
             ++I;
             continue;
           }
-          // Access stretches take the batched admission fast path: one
-          // admitAccessRun() call consumes the whole stretch's raw
+          // Routed access stretches take the batched admission fast path:
+          // one admitAccessRun() call consumes the whole stretch's raw
           // indices and events move straight from the merge batch into
-          // the shard stages, without materializing per-event Operations
-          // or paying offer()'s per-event checks. Anything that needs to
-          // look at events individually — a degraded rung, a pending
-          // budget probe, a capacity breach, armed faults — falls back to
-          // the per-event path below, which owns the exact semantics.
-          if (!Faults && isAccess(Batch[I].Kind)) {
+          // the shard stages, without per-event Operations or offer()'s
+          // per-event checks. Anything that needs to look at events
+          // individually — a degraded rung, a pending budget probe, a
+          // capacity breach, armed faults — falls back to the per-event
+          // path below, which owns the exact semantics.
+          if (Routing && !Faults && isAccess(Batch[I].Kind)) {
             size_t End = I + 1;
             while (End != N && isAccess(Batch[End].Kind))
               ++End;
@@ -925,15 +838,8 @@ void Engine::routerLoop(uint64_t Epoch) {
                 if (Capturing)
                   Delivered.push_back(
                       Operation(Batch[J].Kind, Ch->Id, Batch[J].Target));
-                OnlineEvent Routed;
-                Routed.Seq = Base + (J - I);
-                Routed.Kind = Batch[J].Kind;
-                Routed.Target = Batch[J].Target;
-                Routed.Thread = Ch->Id;
-                unsigned SI = shardIndexFor(Routed.Target);
-                Stage[SI].push_back(Routed);
-                if (Stage[SI].size() >= StageCap)
-                  FlushShard(SI);
+                Route({Base + (J - I), Batch[J].Kind, Batch[J].Target,
+                       Ch->Id});
               }
               I = End;
               continue;
@@ -944,52 +850,38 @@ void Engine::routerLoop(uint64_t Epoch) {
           if (Outcome == OnlineDriver::DispatchOutcome::Delivered) {
             if (Capturing)
               Delivered.push_back(Op);
-            OnlineEvent Routed;
-            Routed.Seq = Driver.rawOps() - 1; // the index just assigned
-            Routed.Kind = Op.Kind;
-            Routed.Target = Op.Target;
-            Routed.Thread = Ch->Id;
-            if (isAccess(Op.Kind)) {
-              unsigned SI = shardIndexFor(Op.Target);
-              Stage[SI].push_back(Routed);
-              if (Stage[SI].size() >= StageCap)
-                FlushShard(SI);
-            } else if (!Driver.lastAdmittedFiltered()) {
-              // The spine: every shard sees every admitted sync event, in
-              // admission order — that shared subsequence is what makes a
-              // per-shard sync *ordinal* well defined without carrying an
-              // extra field. Filter-stripped lock events are captured
-              // (they own raw indices) but never routed: shard drivers
-              // run with the filter off. Staged accesses flush first so
-              // every ring receives the sync after the accesses admitted
-              // before it.
-              for (unsigned SI = 0; SI != NumShards; ++SI)
-                FlushShard(SI);
-              for (std::unique_ptr<Shard> &S : ShardSet)
-                if (!routeToShard(*S, Routed))
-                  ++DiscardedPostHalt;
-            }
+            // Filter-stripped lock events are captured (they own raw
+            // indices) but never routed: shard drivers run with the
+            // filter off.
+            if (Routing && !Driver.lastAdmittedFiltered())
+              Route({Driver.rawOps() - 1, Op.Kind, Op.Target, Ch->Id});
             if (Faults && Faults->inStorm(FirstPos + I))
               std::this_thread::sleep_for(
                   std::chrono::microseconds(Faults->DelayPerDeliveryUs));
           } else if (Outcome == OnlineDriver::DispatchOutcome::Rejected) {
+            // Unrecoverable driver halt. Release pairs with the acquire
+            // in emit(): the driver's diagnostics are fully written
+            // before producers can observe the flag (see Halted).
             Halted.store(true, std::memory_order_release);
             ++DiscardedPostHalt;
           }
           ++I;
         }
         if (!Delivered.empty()) {
+          // Batched capture: the whole delivered run lands in one
+          // appendRun and one segment write.
           if (MemCapture)
             Capture.appendRun(Delivered.data(), Delivered.size());
           if (SegWriter)
             SegWriter->append(Delivered.data(), Delivered.size());
         }
-        // Same per-batch cursor contract as sequencerLoop: published
-        // only after the whole batch is admitted, captured, AND routed —
-        // staged events count as routed only once flushed into their
-        // rings — so a restarted router never re-admits (duplicate raw
-        // indices) or skips (holes in the capture) an event.
-        for (unsigned SI = 0; SI != NumShards; ++SI)
+        // Publish the cursor per batch, only after the whole batch is
+        // admitted, captured and routed (staged events count as routed
+        // once flushed into their rings): the watchdog reads it for stall
+        // detection, and a successor resumes from it without re-admitting
+        // (duplicate raw indices) or skipping (holes in the capture) an
+        // event.
+        for (unsigned SI = 0; SI != Stage.size(); ++SI)
           FlushShard(SI);
         M.Pos += N;
         publishMerge(M);
@@ -1001,18 +893,13 @@ void Engine::routerLoop(uint64_t Epoch) {
     }
     if (Abandoned)
       break;
-    if (Progress) {
-      IdlePolls = 0;
+    if (Progress)
       continue;
-    }
+    // Nothing mergeable: a ticket is in flight (drawn but not yet
+    // published — a handful of instructions), or nothing is happening.
     if (Stopping && M.Next == Seq.load(std::memory_order_acquire))
       break;
-    // Same idle backoff as the shard workers: on an oversubscribed host a
-    // yield-spinning router competes with the producers it is waiting on.
-    if (++IdlePolls < 64)
-      std::this_thread::yield();
-    else
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    std::this_thread::yield();
   }
   endMerge(M);
 }
@@ -1172,61 +1059,27 @@ void Engine::handleStall(uint64_t Position) {
           " past the " + std::to_string(Options.Supervise.StallDeadlineMs) +
           " ms deadline; unparking producers into drop-and-count mode");
   // Unpark blocked producers: parked accesses are shed and counted, sync
-  // events keep waiting for the restarted sequencer to drain.
+  // events keep waiting for the restarted merge loop to drain.
   DropAccesses.store(true, std::memory_order_release);
   if (StallsSeen >= 2 && Options.Degrade.Enabled) {
     PendingDegrade.fetch_add(1, std::memory_order_relaxed);
     superviseNote(Severity::Warning, StatusCode::Stalled,
                   "repeated sequencer stall: requested ladder downgrade");
   }
-  if (Restarts.load(std::memory_order_relaxed) >=
-      Options.Supervise.MaxRestarts) {
-    // The true last resort: stop pretending the sequencer will recover.
-    // The epoch bump releases a cooperatively-wedged thread (an injected
-    // stall); a thread wedged inside a tool handler cannot be recovered
-    // portably and would block this join — that failure mode is
-    // documented, not handled.
-    SequencerEpoch.fetch_add(1, std::memory_order_acq_rel);
-    if (SequencerThread.joinable())
-      SequencerThread.join();
-    superviseNote(Severity::Error, StatusCode::Stalled,
-                  "sequencer unrecoverable after " +
-                      std::to_string(
-                          Restarts.load(std::memory_order_relaxed)) +
-                      " restart(s); detection halted");
-    SequencerGaveUp.store(true, std::memory_order_release);
-    // Release: the diagnostics above are visible before the flag (see
-    // the Halted declaration).
-    Halted.store(true, std::memory_order_release);
-    return;
-  }
-  restartSequencerLocked();
-}
-
-void Engine::restartSequencerLocked() {
-  // Abandon the wedged thread: it notices the epoch bump between batches
-  // (or inside an injected stall loop) and exits. The successor resumes
-  // from the published cursor; the predecessor publishes only after
-  // completing a batch, so no event is lost or delivered twice.
-  uint64_t NewEpoch =
-      SequencerEpoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (SequencerThread.joinable())
-    SequencerThread.join();
-  Restarts.fetch_add(1, std::memory_order_relaxed);
-  superviseNote(Severity::Note, StatusCode::Stalled, "sequencer restarted");
-  if (NumShards > 1)
-    SequencerThread = std::thread([this, NewEpoch] { routerLoop(NewEpoch); });
-  else
-    SequencerThread =
-        std::thread([this, NewEpoch] { sequencerLoop(NewEpoch); });
+  // Giving up joins, then halts, so the merge position is final before
+  // the halt publishes. A loop wedged inside a tool handler cannot be
+  // recovered portably and would block the join; that failure mode is
+  // documented, not handled.
+  recoverLoop("sequencer", SequencerEpoch, SequencerThread, Restarts,
+              /*HaltBeforeJoin=*/false,
+              [this](uint64_t NewEpoch) { mergeLoop(NewEpoch); });
 }
 
 void Engine::handleShardStall(Shard &S) {
-  // The per-shard mirror of handleStall: a worker whose drain watermark
-  // froze with routed events pending, outside the spine barrier, past the
-  // deadline. Crucially only *this* shard is recycled — its siblings (and
-  // the router, which may be parked on this shard's full ring) never stop
-  // detecting.
+  // A worker whose drain watermark froze with routed events pending,
+  // outside the spine barrier, past the deadline. Only *this* shard is
+  // recycled: its siblings (and the merge loop, which may be parked on
+  // this shard's full ring) never stop detecting.
   superviseNote(
       Severity::Warning, StatusCode::Stalled,
       "shard " + std::to_string(S.Index) +
@@ -1234,30 +1087,50 @@ void Engine::handleShardStall(Shard &S) {
           std::to_string(S.Drained.load(std::memory_order_relaxed)) +
           " past the " + std::to_string(Options.Supervise.StallDeadlineMs) +
           " ms deadline; restarting");
-  if (S.Restarts.load(std::memory_order_relaxed) >=
-      Options.Supervise.MaxRestarts) {
-    superviseNote(
-        Severity::Error, StatusCode::Stalled,
-        "shard " + std::to_string(S.Index) + " sequencer unrecoverable after " +
-            std::to_string(S.Restarts.load(std::memory_order_relaxed)) +
-            " restart(s); detection halted");
+  // Giving up halts, then joins: siblings waiting at the spine barrier
+  // exit only on Halted.
+  Shard *P = &S;
+  recoverLoop("shard " + std::to_string(S.Index) + " sequencer", S.Epoch,
+              S.Worker, S.Restarts, /*HaltBeforeJoin=*/true,
+              [this, P](uint64_t NewEpoch) { shardLoop(*P, NewEpoch); });
+}
+
+void Engine::recoverLoop(const std::string &Who, std::atomic<uint64_t> &Epoch,
+                         std::thread &Loop, std::atomic<unsigned> &Count,
+                         bool HaltBeforeJoin,
+                         std::function<void(uint64_t)> Body) {
+  // Either way the epoch bump abandons the wedged thread: it notices
+  // between batches (or inside an injected stall loop) and exits. A
+  // successor resumes from the published cursor — its predecessor
+  // publishes only after completing a batch — so no event is lost or
+  // delivered twice.
+  const unsigned Done = Count.load(std::memory_order_relaxed);
+  if (Done >= Options.Supervise.MaxRestarts) {
+    // The true last resort: stop pretending the loop will recover.
+    auto Abandon = [&] {
+      Epoch.fetch_add(1, std::memory_order_acq_rel);
+      if (Loop.joinable())
+        Loop.join();
+    };
+    if (!HaltBeforeJoin)
+      Abandon();
+    superviseNote(Severity::Error, StatusCode::Stalled,
+                  Who + " unrecoverable after " + std::to_string(Done) +
+                      " restart(s); detection halted");
     SequencerGaveUp.store(true, std::memory_order_release);
+    // Release: the diagnostics above are visible before the flag (see
+    // the Halted declaration).
     Halted.store(true, std::memory_order_release);
-    // The halt flag (plus the epoch bump, for a cooperatively-wedged
-    // loop) makes the worker exit; join so finish() finds a quiet shard.
-    S.Epoch.fetch_add(1, std::memory_order_acq_rel);
-    if (S.Worker.joinable())
-      S.Worker.join();
+    if (HaltBeforeJoin)
+      Abandon();
     return;
   }
-  uint64_t NewEpoch = S.Epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (S.Worker.joinable())
-    S.Worker.join();
-  S.Restarts.fetch_add(1, std::memory_order_relaxed);
-  superviseNote(Severity::Note, StatusCode::Stalled,
-                "shard " + std::to_string(S.Index) + " sequencer restarted");
-  Shard *P = &S;
-  S.Worker = std::thread([this, P, NewEpoch] { shardLoop(*P, NewEpoch); });
+  const uint64_t NewEpoch = Epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
+  if (Loop.joinable())
+    Loop.join();
+  Count.fetch_add(1, std::memory_order_relaxed);
+  superviseNote(Severity::Note, StatusCode::Stalled, Who + " restarted");
+  Loop = std::thread(std::move(Body), NewEpoch);
 }
 
 void Engine::supervisorLoop() {
@@ -1385,8 +1258,8 @@ OnlineReport Engine::finish() {
     for (const std::unique_ptr<Shard> &S : ShardSet)
       S->Driver->finish();
     // Fold the shards back into the primary tool: warnings first, merged
-    // in raw-index order so the set AND order match a single-sequencer
-    // run byte for byte (each variable lives in exactly one shard, so the
+    // in raw-index order so the set AND order match a Shards=1 run byte
+    // for byte (each variable lives in exactly one shard, so the
     // one-warning-per-variable policy cannot collide across clones), then
     // the instrumentation counters via the ShardableTool hook.
     std::vector<RaceWarning> Merged;

@@ -42,28 +42,31 @@
 ///    SPSC ring (EventRing.h). Emit is wait-free until the ring fills; a
 ///    full ring parks the thread (bounded-queue backpressure), so the
 ///    application can never race unboundedly ahead of the detector.
-///  - **The sequencer.** One drain thread merges the rings into one
-///    totally-ordered stream (EventRing::popMergeable): each ring drains
-///    in FIFO order, unticketed accesses pass freely, a ticketed event
-///    passes only when its ticket is next, and join(t, u) additionally
-///    waits until u's trailing accesses have merged. The result keeps
-///    every thread's program order and the ticket order of sync events,
-///    so it has the execution's happens-before relation and the same
-///    racy variables — a legal linearization, not necessarily the real
-///    interleaving of accesses. The stream feeds the framework's
-///    OnlineDriver, which applies the serial replay loop's semantics
-///    (re-entrant lock filtering, raw op indices) to the unmodified Tool.
-///    Detection runs entirely off the application's critical path.
-///  - **Shards** (OnlineOptions::Shards > 1). The sequencer splits into
-///    a *router* (merge + admission + capture + routing) and N shard
-///    workers, each draining the accesses of the variables it owns into
-///    a shard-local tool clone; admitted sync events are broadcast to
-///    every shard as the cross-shard spine, paced by a ticket-watermark
-///    barrier (a shard may not dispatch sync ordinal k until every shard
-///    has finished ordinal k-1). Warnings and captures stay identical to
-///    the single-sequencer engine. The full protocol, including why the
-///    barrier is pacing rather than a precision requirement, is worked
-///    through in docs/RUNTIME.md.
+///  - **The sequencer.** One drain thread runs the one merge loop at
+///    every shard count. It merges the rings into one totally-ordered
+///    stream (EventRing::popMergeable): each ring drains in FIFO order,
+///    unticketed accesses pass freely, a ticketed event passes only when
+///    its ticket is next, and join(t, u) additionally waits until u's
+///    trailing accesses have merged. The result keeps every thread's
+///    program order and the ticket order of sync events, so it has the
+///    execution's happens-before relation and the same racy variables —
+///    a legal linearization, not necessarily the real interleaving of
+///    accesses. Each event is admitted by the framework's OnlineDriver,
+///    which applies the serial replay loop's semantics (re-entrant lock
+///    filtering, raw op indices), captured, and delivered. With one shard
+///    the delivery step is the unmodified Tool itself: the driver
+///    dispatches inline. Detection runs entirely off the application's
+///    critical path.
+///  - **Shards** (OnlineOptions::Shards > 1). The delivery step becomes
+///    routing (the sequencer is then called the router) to N shard
+///    workers, each draining the accesses of the variables it owns into a
+///    shard-local tool clone; admitted sync events are broadcast to every
+///    shard as the cross-shard spine, paced by a ticket-watermark barrier
+///    (a shard may not dispatch sync ordinal k until every shard has
+///    finished ordinal k-1). Warnings and captures stay identical to
+///    Shards=1. The full protocol, including why the barrier is pacing
+///    rather than a precision requirement, is worked through in
+///    docs/RUNTIME.md.
 ///  - **The flight recorder.** The merged stream is optionally captured
 ///    as a Trace and written as a .trc file on finish() — or, with
 ///    CaptureSegmentBytes set, streamed as sealed, fsynced segments
@@ -194,14 +197,15 @@ struct OnlineOptions {
   size_t RingCapacity = 1024;
 
   /// How many consecutive events the sequencer copies out of a ring per
-  /// batch before dispatching them (EventRing::popMergeable). Larger
-  /// batches amortize the ring's atomic hand-off and release backpressure
-  /// space in bulk; the merge rules are the same either way.
+  /// batch before admitting and delivering them (EventRing::popMergeable).
+  /// Larger batches amortize the ring's atomic hand-off and release
+  /// backpressure space in bulk; the merge rules are the same either way.
   ///
   /// **Watermark invariant** (pinned by OnlineShardingTest): the merge
   /// cursor — the sync-ticket watermark NextSeq and the merged-event
   /// count — is published once per *batch*, after every event of the
-  /// batch has been admitted, captured, and — with Shards > 1 — routed.
+  /// batch has been admitted, captured and delivered (with Shards > 1:
+  /// pushed into its shard rings).
   /// A sequencer the supervisor restarts therefore resumes exactly at its
   /// predecessor's last per-batch cursor, never mid-batch, so no event is
   /// lost or delivered twice whatever SequencerBatch is; the published
@@ -212,19 +216,19 @@ struct OnlineOptions {
   /// popped events are gone from the ring and exist nowhere else).
   size_t SequencerBatch = 256;
 
-  /// Per-shard sequencer threads — the PR 1 variable partitioning
-  /// brought online. 0 or 1 keeps the classic single sequencer,
-  /// bit-compatible with previous releases. With N > 1 the old sequencer
-  /// becomes a *router*: it still merges the rings and runs admission
-  /// (degradation ladder, capacity checks, lock filtering, raw-index
-  /// assignment, capture), then routes each admitted access to the shard
-  /// owning its variable — shardOf(x) = (x / ShardBlockVars) % N — and
-  /// every admitted sync event to all shards (the cross-shard spine).
-  /// Each shard drains its own ring into a shard-local clone of the tool
+  /// Shard workers — the offline variable partitioning brought online.
+  /// 0 or 1 runs none: the sequencer's merge loop delivers each admitted
+  /// event to the tool inline. With N > 1 the same loop (merge,
+  /// admission: degradation ladder, capacity checks, lock filtering,
+  /// raw-index assignment; capture) delivers by routing instead: each
+  /// admitted access goes to the shard owning its variable —
+  /// shardOf(x) = (x / ShardBlockVars) % N — and every admitted sync
+  /// event to all shards (the cross-shard spine). Each shard drains its
+  /// own ring into a shard-local clone of the tool
   /// (ShardableTool::cloneForShard), so warnings and captures are
-  /// byte-identical to the single-sequencer engine (asserted by the
-  /// determinism suite). A tool that does not implement ShardableTool
-  /// falls back to 1 with a Note diagnostic. Clamped to 64.
+  /// byte-identical to Shards=1 (asserted by the determinism suite). A
+  /// tool that does not implement ShardableTool runs at 1 with a Note
+  /// diagnostic. Clamped to 64.
   unsigned Shards = 1;
 
   /// Variables per routing block. Block-cyclic routing keeps neighboring
@@ -234,10 +238,10 @@ struct OnlineOptions {
   /// every cache line. Must not change mid-session. 0 is treated as 1.
   uint32_t ShardBlockVars = 64;
 
-  /// Capacity of each router→shard ring (rounded up to a power of two).
-  /// 0 derives max(RingCapacity, 4 × SequencerBatch) so a full admission
-  /// batch can always be routed without the router wedging on its own
-  /// batch size.
+  /// Capacity of each sequencer→shard ring (rounded up to a power of
+  /// two). 0 derives max(RingCapacity, 4 × SequencerBatch) so a full
+  /// admission batch can always be routed without the sequencer parking
+  /// on its own batch size.
   size_t ShardRingCapacity = 0;
 
   /// Reuse the slot (dense id + channel + VC column) of a fully joined
@@ -322,14 +326,15 @@ struct OnlineReport {
                                  ///< pushed into the rings, not yet
                                  ///< merged (MaxQueueDepth-style
                                  ///< pressure stat).
-  unsigned SequencerRestarts = 0; ///< Watchdog recoveries (router/sequencer).
+  unsigned SequencerRestarts = 0; ///< Watchdog recoveries of the sequencer.
   unsigned CaptureSegments = 0;  ///< Segments sealed (segmented recorder).
   std::vector<ThreadDropStats> PerThreadDrops; ///< Nonzero rows only.
 
   // --- sharded-engine telemetry (OnlineOptions::Shards) ---
-  unsigned Shards = 1;        ///< Shard sequencers actually used (1 =
-                              ///< single-sequencer engine, including the
-                              ///< non-ShardableTool fallback).
+  unsigned Shards = 1;        ///< Shards actually used (1 = no shard
+                              ///< workers, the tool dispatched inline;
+                              ///< includes the non-ShardableTool
+                              ///< fallback).
   unsigned ShardRestarts = 0; ///< Shard-worker watchdog recoveries,
                               ///< summed across shards.
 
@@ -479,7 +484,7 @@ private:
     std::atomic<uint64_t> Parks{0};
   };
 
-  /// One shard worker's whole world: its router→worker ring, its tool
+  /// One shard worker's whole world: its sequencer→worker ring, its tool
   /// clone and DispatchOnly driver, its watermarks and restart state.
   /// Defined in Engine.cpp.
   struct Shard;
@@ -495,7 +500,7 @@ private:
   void promoteDrainedLocked();
   void noteExhaustion(const char *Who);
   bool parkUntilSpace(Channel *Ch, OpKind Kind);
-  /// The merge state sequencerLoop and routerLoop share. A restarted
+  /// The merge loop's state, the same at every shard count. A restarted
   /// loop resumes Next and Pos from the published NextSeq and
   /// MergedEvents; the snapshot is rebuilt whenever a slot registers.
   struct MergeCursor {
@@ -519,17 +524,21 @@ private:
   void endMerge(const MergeCursor &M);
   /// Events ever pushed into any ring (Σ ring tails).
   uint64_t pushedEvents();
-  void sequencerLoop(uint64_t Epoch);
-  void routerLoop(uint64_t Epoch);
+  void mergeLoop(uint64_t Epoch);
   void shardLoop(Shard &S, uint64_t MyEpoch);
-  bool routeToShard(Shard &S, const OnlineEvent &E);
   unsigned shardIndexFor(uint32_t Target) const;
   uint64_t shardShadowBytes() const;
   ShadowGovernorStats shardGovernorStats() const;
   void supervisorLoop();
   void handleStall(uint64_t Position);
   void handleShardStall(Shard &S);
-  void restartSequencerLocked();
+  /// Restarts the stalled thread \p Loop (the merge loop or one shard
+  /// worker) by bumping \p Epoch and respawning \p Body at the new epoch,
+  /// or — once \p Count has reached MaxRestarts — gives up and halts
+  /// detection. \p Who names the thread in the diagnostics.
+  void recoverLoop(const std::string &Who, std::atomic<uint64_t> &Epoch,
+                   std::thread &Loop, std::atomic<unsigned> &Count,
+                   bool HaltBeforeJoin, std::function<void(uint64_t)> Body);
   void superviseNote(Severity Sev, StatusCode Code, std::string Message);
   void noteMaxBacklog(uint64_t Backlog);
 
@@ -539,13 +548,13 @@ private:
   EntityInterner Interner;
   /// Shard workers in use: resolved before Driver (declaration order
   /// matters — driverOptions() selects the admission-only role from it).
-  /// 1 means the single-sequencer engine, whether requested or the
-  /// non-ShardableTool fallback.
+  /// 1 means no shard workers (the tool is dispatched inline), whether
+  /// requested or the non-ShardableTool fallback.
   unsigned NumShards;
   /// Strength-reduced shardIndexFor: when ShardBlockVars and NumShards
   /// are both powers of two (the defaults and every shipped config), the
   /// block-cyclic map is a shift and a mask instead of two hardware
-  /// divisions on the router's per-access path. ~0u = not applicable.
+  /// divisions on the merge loop's per-access routing path. ~0u = not applicable.
   unsigned ShardDivShift = ~0u;
   uint32_t ShardIdxMask = 0;
   /// Shard clones accepted configureShadowPolicy (set during shard

@@ -47,17 +47,17 @@ constexpr uint64_t NoTicket = ~0ull;
 /// One instrumentation event in flight. The meaning of the fields depends
 /// on which leg of the pipeline the event is traveling:
 ///
-///  - In a *per-thread* ring (application thread → sequencer/router) the
+///  - In a *per-thread* ring (application thread → sequencer) the
 ///    producing thread is implied by the ring and Thread is unused. Seq
 ///    is the global sync ticket for a sync event — and for the first
 ///    event after the thread binds to its slot — and NoTicket for every
 ///    other access: the merge orders sync events by ticket and lets
 ///    accesses flow between them in per-thread order.
-///  - In a *per-shard* ring (router → shard sequencer, Shards > 1) the
-///    router has already merged and admitted the event: Thread is the
+///  - In a *per-shard* ring (sequencer → shard worker, Shards > 1) the
+///    sequencer has already merged and admitted the event: Thread is the
 ///    dense id of the emitting thread and Seq is the *raw op index* the
 ///    admission stage assigned — the OpIndex the shard's tool sees, so
-///    warnings carry the same indices a single-sequencer run would.
+///    warnings carry the same indices an unsharded run would.
 struct OnlineEvent {
   uint64_t Seq = 0;
   OpKind Kind = OpKind::Read;
@@ -107,10 +107,10 @@ public:
     Tail.store(T + 1, std::memory_order_release);
   }
 
-  /// Batch append for the router: copies in as many of the \p N events as
-  /// the ring has space for and publishes them with a single Tail store,
-  /// so a whole routed run costs one release operation instead of one per
-  /// event. Returns the number of events consumed from \p In (0 when the
+  /// Batch append for the sequencer's routing step: copies in as many of
+  /// the \p N events as the ring has space for and publishes them with a
+  /// single Tail store, so a whole routed run costs one release operation
+  /// instead of one per event. Returns the number of events consumed from \p In (0 when the
   /// ring is full — the caller parks and retries with the remainder).
   size_t pushRun(const OnlineEvent *In, size_t N) {
     uint64_t T = Tail.load(std::memory_order_relaxed);
@@ -150,7 +150,7 @@ public:
     Head.store(H + 1, std::memory_order_release);
   }
 
-  /// Merge drain for the sequencer/router: copies out up to \p Max events
+  /// Merge drain for the sequencer: copies out up to \p Max events
   /// in FIFO order and releases all consumed slots with a single Head
   /// store (so a parked producer sees the whole batch of space at once).
   /// Unticketed events (accesses) pass freely; a ticketed event passes
@@ -192,27 +192,6 @@ public:
   bool headTicketedOrEmpty() {
     const OnlineEvent *E = peek();
     return E == nullptr || E->Seq != NoTicket;
-  }
-
-  /// Batch drain for a *routed* ring (router → shard), where tickets are
-  /// the admission stage's raw indices and therefore not consecutive per
-  /// shard: copies out up to \p Max events in FIFO order regardless of
-  /// their Seq values, releasing all consumed slots with one Head store.
-  /// Returns the number of events written to \p Out.
-  size_t popInto(OnlineEvent *Out, size_t Max) {
-    uint64_t H = Head.load(std::memory_order_relaxed);
-    if (H == TailCache) {
-      TailCache = Tail.load(std::memory_order_acquire);
-      if (H == TailCache)
-        return 0;
-    }
-    size_t N = 0;
-    while (N != Max && H != TailCache) {
-      Out[N++] = Buffer[H & Mask];
-      ++H;
-    }
-    Head.store(H, std::memory_order_release);
-    return N;
   }
 
   /// Zero-copy batch consume for a routed ring: exposes the longest

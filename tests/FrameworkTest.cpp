@@ -4,8 +4,10 @@
 #include "detectors/EmptyTool.h"
 #include "detectors/Eraser.h"
 #include "detectors/ThreadLocalFilter.h"
+#include "framework/OnlineDriver.h"
 #include "framework/Replay.h"
 #include "framework/VectorClockToolBase.h"
+#include "runtime/EventRing.h"
 #include "trace/TraceBuilder.h"
 
 #include <gtest/gtest.h>
@@ -233,6 +235,21 @@ TEST(Replay, SubclassOfRegisteredToolFallsBackToVirtualDispatch) {
   FastTrack Plain;
   replay(T, Plain);
   EXPECT_EQ(Counting.warnings().size(), Plain.warnings().size());
+
+  // The same exact-type guard protects the online run loop: dispatchRun()
+  // must reach the overrides too, access for access.
+  CountingFastTrack Online;
+  OnlineDriverOptions DO;
+  DO.Role = DriverRole::DispatchOnly;
+  OnlineDriver Driver(Online, makeToolContext(T, GranularityMap()), DO);
+  std::vector<runtime::OnlineEvent> Events;
+  for (size_t I = 0; I != T.size(); ++I)
+    Events.push_back(
+        {static_cast<uint64_t>(I), T[I].Kind, T[I].Target, T[I].Thread});
+  ASSERT_TRUE(Driver.dispatchRun(Events.data(), Events.size()));
+  Driver.finish();
+  EXPECT_EQ(Online.Reads, Counting.Reads) << "override was bypassed online";
+  EXPECT_EQ(Online.Writes, Counting.Writes) << "override was bypassed online";
 }
 
 TEST(Tool, WarningDeduplicationPerVariable) {

@@ -10,32 +10,51 @@
 //    equivalent because every shard sees the full sync stream in order;
 //  - resilience is per shard: a wedged shard worker is restarted by the
 //    watchdog while its siblings (and the router) keep detecting, and a
-//    tool without ShardableTool falls back to the single sequencer with
+//    tool without ShardableTool runs at Shards=1, dispatched inline, with
 //    a Note rather than failing;
 //  - the SequencerBatch/watermark invariant: a restarted sequencer
 //    resumes from the last per-batch watermark, so the capture is
 //    byte-identical whatever the batch size and however often it was
 //    restarted mid-stream;
-//  - the building blocks: EventRing::popInto (FIFO, non-consecutive Seq)
-//    and OnlineDriver::dispatchRun (batched, devirtualized) agree with
-//    the per-event paths they replace.
+//  - backpressure between the stages: with two-slot shard rings the
+//    merge loop parks on a full shard ring for nearly every routed run
+//    and broadcast sync event, and the results stay exact;
+//  - the building blocks: EventRing::peekRun/release (the shard workers'
+//    zero-copy drain) and OnlineDriver::dispatchRun (batched,
+//    devirtualized for every registered tool) agree with the per-event
+//    paths they replace.
 //
-// The CI TSan job runs this binary: router, shard workers, supervisor,
-// and producers all exercise their real hand-off paths here.
+// The CI TSan and ASan+UBSan jobs run this binary: router, shard
+// workers, supervisor, and producers all exercise their real hand-off
+// paths here.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/FastTrack.h"
+#include "detectors/BasicVC.h"
+#include "detectors/DjitPlus.h"
+#include "detectors/EmptyTool.h"
+#include "detectors/Eraser.h"
+#include "detectors/Goldilocks.h"
+#include "detectors/MultiRace.h"
+#include "detectors/ThreadLocalFilter.h"
+#include "framework/FastPath.h"
 #include "framework/Replay.h"
+#include "hb/RaceOracle.h"
 #include "runtime/FaultPlan.h"
 #include "runtime/Instrument.h"
 #include "trace/TraceBuilder.h"
 #include "trace/TraceValidator.h"
 
+#include "NativePrograms.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <set>
+#include <typeindex>
 #include <vector>
 
 using namespace ft;
@@ -148,34 +167,74 @@ rt::OnlineReport runDeterminism(FastTrack &Detector, unsigned Shards,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Building blocks: popInto and dispatchRun
+// Building blocks: peekRun/release and dispatchRun
 //===----------------------------------------------------------------------===//
 
-TEST(EventRing, PopIntoDrainsFifoRegardlessOfSeq) {
-  // A routed ring carries raw op indices, which are not consecutive per
-  // shard — popInto must drain FIFO without looking at Seq at all.
+TEST(EventRing, PeekRunStopsAtTheWrapAndReleasesIncrementally) {
+  // The shard workers' zero-copy drain: peekRun() exposes the readable
+  // run in place, bounded by the buffer's wrap point, and release() hands
+  // slots back one dispatched prefix at a time. A routed ring carries raw
+  // op indices, which are not consecutive per shard, so nothing may look
+  // at Seq.
   rt::EventRing Ring(8);
-  const uint64_t Raw[] = {3, 7, 8, 100};
-  for (uint64_t S : Raw)
+  auto Push = [&Ring](uint64_t S) {
+    ASSERT_TRUE(Ring.hasSpace());
     Ring.push({S, OpKind::Write, static_cast<uint32_t>(S), 1});
-  rt::OnlineEvent Out[8];
-  ASSERT_EQ(Ring.popInto(Out, 3), 3u);
-  for (size_t I = 0; I != 3; ++I) {
-    EXPECT_EQ(Out[I].Seq, Raw[I]);
-    EXPECT_EQ(Out[I].Thread, 1u);
-  }
-  EXPECT_TRUE(Ring.hasSpace()) << "popInto must release the slots";
-  ASSERT_EQ(Ring.popInto(Out, 8), 1u);
-  EXPECT_EQ(Out[0].Seq, 100u);
+  };
+  const rt::OnlineEvent *Run = nullptr;
+  EXPECT_EQ(Ring.peekRun(Run), 0u);
+  // Move the head to slot 6, so the next five events wrap: 6 7 | 0 1 2.
+  for (uint64_t S = 0; S != 6; ++S)
+    Push(S);
+  ASSERT_EQ(Ring.peekRun(Run), 6u);
+  Ring.release(6);
   EXPECT_TRUE(Ring.empty());
-  EXPECT_EQ(Ring.popInto(Out, 8), 0u);
+  for (uint64_t S : {3u, 7u, 8u, 100u, 101u})
+    Push(S);
+
+  ASSERT_EQ(Ring.peekRun(Run), 2u) << "the run must stop at the wrap";
+  EXPECT_EQ(Run[0].Seq, 3u);
+  EXPECT_EQ(Run[1].Seq, 7u);
+  EXPECT_EQ(Run[1].Thread, 1u);
+  ASSERT_EQ(Ring.peekRun(Run), 2u) << "peeking must consume nothing";
+  EXPECT_EQ(Ring.size(), 5u);
+  Ring.release(1);
+  EXPECT_EQ(Ring.size(), 4u);
+  ASSERT_EQ(Ring.peekRun(Run), 1u);
+  EXPECT_EQ(Run[0].Seq, 7u);
+  Ring.release(1);
+  ASSERT_EQ(Ring.peekRun(Run), 3u) << "the rest starts at the buffer front";
+  EXPECT_EQ(Run[0].Seq, 8u);
+  EXPECT_EQ(Run[2].Seq, 101u);
+  Ring.release(2);
+  EXPECT_EQ(Ring.size(), 1u);
+
+  // Released slots go straight back to the producer: refill to capacity
+  // behind the one unreleased event, which must survive untouched. The
+  // consumer re-reads the tail only once its cached view is used up, so
+  // the new events show from the next peek on.
+  for (uint64_t S = 200; S != 207; ++S)
+    Push(S);
+  EXPECT_FALSE(Ring.hasSpace());
+  ASSERT_EQ(Ring.peekRun(Run), 1u);
+  EXPECT_EQ(Run[0].Seq, 101u);
+  Ring.release(1);
+  ASSERT_EQ(Ring.peekRun(Run), 5u);
+  EXPECT_EQ(Run[0].Seq, 200u);
+  EXPECT_EQ(Run[4].Seq, 204u);
+  Ring.release(5);
+  ASSERT_EQ(Ring.peekRun(Run), 2u);
+  EXPECT_EQ(Run[1].Seq, 206u);
+  Ring.release(2);
+  EXPECT_TRUE(Ring.empty());
+  EXPECT_EQ(Ring.peekRun(Run), 0u);
 }
 
 TEST(OnlineDriver, DispatchRunMatchesPerEventOffer) {
   // The same pre-admitted stream through offer() (Full role) and
-  // dispatchRun() (DispatchOnly role) must leave two FastTracks with
-  // identical warnings — batching and devirtualization are pure
-  // mechanism.
+  // dispatchRun() (DispatchOnly role) must leave two instances of every
+  // registered tool with identical warnings — batching and
+  // devirtualization are pure mechanism.
   TraceBuilder Builder;
   Builder.fork(0, 1);
   for (uint32_t I = 0; I != 64; ++I)
@@ -189,35 +248,66 @@ TEST(OnlineDriver, DispatchRunMatchesPerEventOffer) {
   Capacity.NumLocks = 4;
   Capacity.NumVolatiles = 4;
 
-  FastTrack PerEvent;
-  OnlineDriver Serial(PerEvent, Capacity);
-  for (Operation Op : Ops)
-    ASSERT_EQ(Serial.offer(Op), OnlineDriver::DispatchOutcome::Delivered);
-  Serial.finish();
-
-  FastTrack Batched;
-  OnlineDriverOptions BatchOpts;
-  BatchOpts.Role = DriverRole::DispatchOnly;
-  BatchOpts.FilterReentrantLocks = false;
-  OnlineDriver Runs(Batched, Capacity, BatchOpts);
   std::vector<rt::OnlineEvent> Events;
   for (size_t I = 0; I != Ops.size(); ++I)
     Events.push_back({static_cast<uint64_t>(I), Ops[I].Kind, Ops[I].Target,
                       Ops[I].Thread});
-  // Deliver in uneven chunks so runs straddle chunk boundaries.
-  size_t Pos = 0;
-  for (size_t Chunk : {1u, 7u, 64u, 3u, 1000u}) {
-    size_t N = std::min(Chunk, Events.size() - Pos);
-    ASSERT_TRUE(Runs.dispatchRun(Events.data() + Pos, N));
-    Pos += N;
-  }
-  ASSERT_EQ(Pos, Events.size());
-  Runs.finish();
 
-  EXPECT_GT(PerEvent.warnings().size(), 0u);
-  expectSameWarnings(PerEvent.warnings(), Batched.warnings());
-  EXPECT_EQ(Serial.dispatched(), Runs.dispatched());
-  EXPECT_EQ(Serial.accessesPassed(), Runs.accessesPassed());
+  struct Case {
+    std::function<std::unique_ptr<Tool>()> Make;
+    bool Warns;
+  };
+  const std::vector<Case> Cases = {
+      {[] { return std::make_unique<FastTrack>(); }, true},
+      {[] { return std::make_unique<FastTrack64>(); }, true},
+      {[] { return std::make_unique<DjitPlus>(); }, true},
+      {[] { return std::make_unique<BasicVC>(); }, true},
+      {[] { return std::make_unique<MultiRace>(); }, true},
+      {[] { return std::make_unique<Goldilocks>(); }, true},
+      {[] { return std::make_unique<Eraser>(); }, true},
+      {[] { return std::make_unique<ThreadLocalFilter>(); }, false},
+      {[] { return std::make_unique<EmptyTool>(); }, false},
+  };
+  std::set<std::type_index> Covered;
+  for (const Case &C : Cases) {
+    std::unique_ptr<Tool> PerEvent = C.Make();
+    std::unique_ptr<Tool> Batched = C.Make();
+    SCOPED_TRACE(PerEvent->name());
+    ASSERT_NE(findFastPath(*Batched), nullptr)
+        << "tool has no registered run loop";
+    const Tool &BatchedTool = *Batched;
+    Covered.insert(std::type_index(typeid(BatchedTool)));
+
+    OnlineDriver Serial(*PerEvent, Capacity);
+    for (Operation Op : Ops)
+      ASSERT_EQ(Serial.offer(Op), OnlineDriver::DispatchOutcome::Delivered);
+    Serial.finish();
+
+    OnlineDriverOptions BatchOpts;
+    BatchOpts.Role = DriverRole::DispatchOnly;
+    BatchOpts.FilterReentrantLocks = false;
+    OnlineDriver Runs(*Batched, Capacity, BatchOpts);
+    // Deliver in uneven chunks so runs straddle chunk boundaries.
+    size_t Pos = 0;
+    for (size_t Chunk : {1u, 7u, 64u, 3u, 1000u}) {
+      size_t N = std::min(Chunk, Events.size() - Pos);
+      ASSERT_TRUE(Runs.dispatchRun(Events.data() + Pos, N));
+      Pos += N;
+    }
+    ASSERT_EQ(Pos, Events.size());
+    Runs.finish();
+
+    if (C.Warns) {
+      EXPECT_GT(PerEvent->warnings().size(), 0u);
+    }
+    expectSameWarnings(PerEvent->warnings(), Batched->warnings());
+    EXPECT_EQ(Serial.dispatched(), Runs.dispatched());
+    EXPECT_EQ(Serial.accessesPassed(), Runs.accessesPassed());
+  }
+  // A newly registered tool must join the list above.
+  for (const FastPathEntry &Entry : fastPaths())
+    EXPECT_EQ(Covered.count(std::type_index(*Entry.Type)), 1u)
+        << Entry.Type->name() << " is registered but not covered";
 }
 
 //===----------------------------------------------------------------------===//
@@ -310,6 +400,63 @@ public:
 };
 
 } // namespace
+
+TEST(OnlineSharding, TinyShardRingsStayEquivalent) {
+  // Two-slot shard rings under the generated sync-heavy programs: nearly
+  // every staged run and every broadcast sync event finds some shard's
+  // ring full, so the merge loop spends the session on its one
+  // park-on-full-shard-ring path. Whatever the schedule, the capture must
+  // validate, the warnings must be exactly what the Shards=1 delivery step
+  // (a Full driver dispatching inline) reports on the same merged stream,
+  // and the warned variables must be the HB oracle's racy set.
+  ToolContext Capacity;
+  {
+    const rt::OnlineOptions Defaults;
+    Capacity.NumThreads = Defaults.MaxThreads;
+    Capacity.NumVars = Defaults.MaxVars;
+    Capacity.NumLocks = Defaults.MaxLocks;
+    Capacity.NumVolatiles = Defaults.MaxVolatiles;
+  }
+  size_t RacyPrograms = 0;
+  for (uint64_t Seed = 1; Seed != 9; ++Seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << Seed);
+    const NativeProgram Program(Seed * 7919, /*SyncFree=*/false);
+    rt::OnlineOptions Options;
+    Options.Shards = 4;
+    Options.ShardBlockVars = 2;
+    Options.ShardRingCapacity = 2;
+    Options.SequencerBatch = 4;
+    Options.RingCapacity = 64;
+    Options.Degrade.Enabled = false;
+    Options.Supervise.Enabled = false;
+
+    FastTrack Detector;
+    rt::OnlineReport Report;
+    {
+      rt::Engine Engine(Detector, std::move(Options));
+      Program.run();
+      Report = Engine.finish();
+    }
+    EXPECT_FALSE(Report.Halted);
+    EXPECT_EQ(Report.Shards, 4u);
+    for (const Diagnostic &D : Report.Diags)
+      ADD_FAILURE() << toString(D);
+    EXPECT_TRUE(isFeasible(Report.Captured));
+
+    FastTrack Inline;
+    OnlineDriver Full(Inline, Capacity);
+    for (Operation Op : Report.Captured)
+      ASSERT_EQ(Full.offer(Op), OnlineDriver::DispatchOutcome::Delivered);
+    Full.finish();
+    expectSameWarnings(Detector.warnings(), Inline.warnings());
+
+    const std::set<VarId> Warned = warnedVars(Detector.warnings());
+    EXPECT_EQ(std::vector<VarId>(Warned.begin(), Warned.end()),
+              racyVarsLinear(Report.Captured));
+    RacyPrograms += !Warned.empty();
+  }
+  EXPECT_GT(RacyPrograms, 0u) << "the sweep must exercise warnings";
+}
 
 TEST(OnlineSharding, NonShardableToolFallsBackToSingleSequencer) {
   rt::OnlineOptions Options;
