@@ -196,7 +196,7 @@ OnlineDriver::DispatchOutcome OnlineDriver::offer(Operation &Op) {
   // spine and pass through every rung untouched, keeping the ordering
   // relation exact however much access precision is shed.
   bool IsAccess = Op.Kind == OpKind::Read || Op.Kind == OpKind::Write;
-  if (Rung != 0 && IsAccess) {
+  if (IsAccess && transformsAccesses()) {
     if (SyncOnlyMode) {
       ++AccessesDropped;
       return DispatchOutcome::Dropped;
@@ -371,8 +371,9 @@ OnlineDriver::DispatchOutcome OnlineDriver::offer(Operation &Op) {
 
 bool OnlineDriver::admitAccessRun(ThreadId Thread,
                                   const runtime::OnlineEvent *Run, size_t N) {
-  if (Options.Role != DriverRole::AdmissionOnly || Halted || Rung != 0 ||
-      Raw >= NextProbe || NextProbe - Raw < N || Thread >= Capacity.NumThreads)
+  if (Options.Role != DriverRole::AdmissionOnly || Halted ||
+      transformsAccesses() || Raw >= NextProbe || NextProbe - Raw < N ||
+      Thread >= Capacity.NumThreads)
     return false;
   const uint32_t MaxVar = Capacity.NumVars;
   for (size_t I = 0; I != N; ++I) {

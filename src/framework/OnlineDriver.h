@@ -186,14 +186,14 @@ public:
   /// AdmissionOnly batched admission: the router-side complement of
   /// dispatchRun(). Admits \p N access events (all Read/Write — the caller
   /// guarantees it) emitted by thread \p Thread in one call when nothing
-  /// per-event can fire: the driver is un-halted, at the Full rung (no
-  /// transforms), every target is in capacity, and no budget probe falls
-  /// inside the run. Consumes N consecutive raw indices (the first is
-  /// rawOps() - N after the call) and counts N dispatched events — exactly
-  /// the state N Delivered offer() calls would leave. Returns false,
-  /// admitting nothing, when any condition fails; the caller falls back to
-  /// per-event offer(), which re-runs the checks and produces the exact
-  /// diagnostics and degradations.
+  /// per-event can fire: the driver is un-halted, at a rung that leaves
+  /// accesses untouched, every target is in capacity, and no budget probe
+  /// falls inside the run. Consumes N consecutive raw indices (the first
+  /// is rawOps() - N after the call) and counts N dispatched events —
+  /// exactly the state N Delivered offer() calls would leave. Returns
+  /// false, admitting nothing, when any condition fails; the caller falls
+  /// back to per-event offer(), which re-runs the checks and produces the
+  /// exact diagnostics and degradations.
   bool admitAccessRun(ThreadId Thread, const runtime::OnlineEvent *Run,
                       size_t N);
 
@@ -252,6 +252,11 @@ private:
   void halt(StatusCode Code, std::string Message);
   bool stepDown(StatusCode Code, const std::string &Reason);
   void applyRung();
+  /// The rung rewrites or sheds accesses. Not Rung != 0: the
+  /// ShadowSummarize rung leaves every access as it was.
+  bool transformsAccesses() const {
+    return Divisor != 1 || SampleEvery != 1 || SyncOnlyMode;
+  }
   void probeBudget();
   void drainWarnings();
 

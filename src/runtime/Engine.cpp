@@ -160,7 +160,6 @@ struct Engine::Shard {
   size_t BatchPos = 0;
   uint64_t SyncSeen = 0;    ///< Sync ordinals this worker has dispatched.
   uint64_t RefillCount = 0; ///< Throttles the shadow-size publish.
-  unsigned EmptyPolls = 0;  ///< Consecutive empty refills (idle backoff).
 };
 
 Engine::Engine(Tool &Checker, OnlineOptions Opts)
@@ -457,7 +456,6 @@ bool Engine::parkUntilSpace(Channel *Ch, OpKind Kind) {
   const uint64_t DeadlineNs =
       static_cast<uint64_t>(Options.Supervise.MaxParkMs) * 1000000ull;
   Stopwatch Park;
-  unsigned Spins = 0;
   bool GotSpace = false;
   for (;;) {
     if (Ch->Ring.hasSpace()) {
@@ -479,10 +477,7 @@ bool Engine::parkUntilSpace(Channel *Ch, OpKind Kind) {
         break;
       }
     }
-    if (++Spins < 64)
-      std::this_thread::yield();
-    else
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    std::this_thread::yield();
   }
   ProducersParked.fetch_sub(1, std::memory_order_relaxed);
   return GotSpace;
@@ -740,14 +735,12 @@ void Engine::mergeLoop(uint64_t Epoch) {
       return;
     Shard &S = *ShardSet[SI];
     size_t Off = 0;
-    unsigned Spins = 0;
     bool Flagged = false;
     while (Off != Buf.size()) {
       size_t K = S.Ring.pushRun(Buf.data() + Off, Buf.size() - Off);
       if (K != 0) {
         S.Routed.fetch_add(K, std::memory_order_release);
         Off += K;
-        Spins = 0;
         continue;
       }
       if (Halted.load(std::memory_order_acquire)) {
@@ -758,10 +751,7 @@ void Engine::mergeLoop(uint64_t Epoch) {
         Flagged = true;
         RouterBlockedOnShard.store(true, std::memory_order_release);
       }
-      if (++Spins < 64)
-        std::this_thread::yield();
-      else
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      std::this_thread::yield();
     }
     if (Flagged)
       RouterBlockedOnShard.store(false, std::memory_order_release);
@@ -956,16 +946,13 @@ void Engine::shardLoop(Shard &S, uint64_t MyEpoch) {
       if (S.BatchLen == 0) {
         if (RouterDone.load(std::memory_order_acquire) && S.Ring.empty())
           break;
-        // Idle backoff: a yield-spinning worker is harmless with spare
-        // cores but on an oversubscribed host N spinners steal the very
-        // quanta the producers and router need to refill this ring.
-        if (++S.EmptyPolls < 64)
-          std::this_thread::yield();
-        else
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        // Idle: yield, like the merge loop. Never sleep: a sleeping worker
+        // lets its ring fill, and the router, then the producers, park
+        // behind it in a convoy; yield() already cedes the core to
+        // runnable threads on an oversubscribed host.
+        std::this_thread::yield();
         continue;
       }
-      S.EmptyPolls = 0;
     }
     if (Halted.load(std::memory_order_acquire)) {
       // Routed before the halt landed; discarded but counted.

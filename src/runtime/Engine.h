@@ -164,10 +164,11 @@ struct SupervisorOptions {
   /// is restarted (the second stall also downgrades a ladder rung).
   unsigned StallDeadlineMs = 250;
 
-  /// Emit-side bound: an *access* event parked on a full ring this long
-  /// is dropped and counted rather than blocking the application
-  /// further. Sync events are never dropped this way (the HB spine must
-  /// stay exact); they wait for the supervisor to recover the sequencer.
+  /// Emit-side bound: an *access* event parked on a full ring (yielding,
+  /// never sleeping) this long is dropped and counted rather than
+  /// blocking the application further. Sync events are never dropped
+  /// this way (the HB spine must stay exact); they wait for the
+  /// supervisor to recover the sequencer.
   unsigned MaxParkMs = 200;
 
   /// Consecutive watchdog ticks observing park-deadline drops before the
@@ -405,7 +406,7 @@ public:
 
   /// Emits one event from the calling thread; sync events (and the
   /// thread's first event on its slot) draw the next global ticket.
-  /// Parks while the thread's ring is full (backpressure) — but
+  /// Parks, yielding, while the thread's ring is full (backpressure) — but
   /// never past the supervisor's bounds: a parked *access* is dropped and
   /// counted after MaxParkMs (or immediately in drop-and-count mode);
   /// sync events wait for the watchdog to recover the sequencer. Events
@@ -484,9 +485,9 @@ private:
     std::atomic<uint64_t> Parks{0};
   };
 
-  /// One shard worker's whole world: its sequencer→worker ring, its tool
-  /// clone and DispatchOnly driver, its watermarks and restart state.
-  /// Defined in Engine.cpp.
+  /// One shard worker's whole world: its merge-loop→worker ring, its tool
+  /// clone and DispatchOnly driver, its watermarks and restart state. An
+  /// idle worker yields, like the merge loop. Defined in Engine.cpp.
   struct Shard;
 
   Channel *channelForCurrentThread();

@@ -22,7 +22,10 @@
 //  - the building blocks: EventRing::peekRun/release (the shard workers'
 //    zero-copy drain) and OnlineDriver::dispatchRun (batched,
 //    devirtualized for every registered tool) agree with the per-event
-//    paths they replace.
+//    paths they replace, and batched admission stays on at the memory
+//    rung;
+//  - memory governance per shard: clones compress losslessly, and under
+//    a budget summarize pages with warnings coarsened, never missing.
 //
 // The CI TSan and ASan+UBSan jobs run this binary: router, shard
 // workers, supervisor, and producers all exercise their real hand-off
@@ -308,6 +311,42 @@ TEST(OnlineDriver, DispatchRunMatchesPerEventOffer) {
   for (const FastPathEntry &Entry : fastPaths())
     EXPECT_EQ(Covered.count(std::type_index(*Entry.Type)), 1u)
         << Entry.Type->name() << " is registered but not covered";
+}
+
+TEST(OnlineDriver, AdmitAccessRunStaysOnAtTheMemoryRung) {
+  // The ShadowSummarize rung folds pages inside the governed table and
+  // leaves every access as it was, so batched admission must stay on
+  // there; rungs that rewrite or shed accesses must send the router back
+  // to per-event offer().
+  ToolContext Capacity;
+  Capacity.NumThreads = 4;
+  Capacity.NumVars = 1024;
+  Capacity.NumLocks = 4;
+  Capacity.NumVolatiles = 4;
+  constexpr size_t N = 16; // well inside one BudgetCheckEveryOps window
+  std::vector<rt::OnlineEvent> Run;
+  for (uint32_t I = 0; I != N; ++I)
+    Run.push_back({0, I % 2 ? OpKind::Read : OpKind::Write, I * 3, 1});
+
+  auto Admit = [&](std::vector<DegradeStep> Ladder, unsigned StartRung,
+                   bool ExpectAdmitted) {
+    SCOPED_TRACE("StartRung " + std::to_string(StartRung));
+    OnlineDriverOptions Opts;
+    Opts.Role = DriverRole::AdmissionOnly;
+    Opts.Degrade.Memory.Enabled = true;
+    Opts.Degrade.Ladder = std::move(Ladder);
+    Opts.Degrade.StartRung = StartRung;
+    FastTrack Detector;
+    OnlineDriver Driver(Detector, Capacity, Opts);
+    ASSERT_EQ(Driver.rung(), StartRung);
+    EXPECT_EQ(Driver.admitAccessRun(1, Run.data(), N), ExpectAdmitted);
+    EXPECT_EQ(Driver.rawOps(), ExpectAdmitted ? N : 0u);
+    EXPECT_EQ(Driver.dispatched(), ExpectAdmitted ? N : 0u);
+  };
+  // Governance prepends the memory rung: [ShadowSummarize, coarse 8, ...].
+  Admit(defaultOnlineLadder(), 1, true);
+  Admit(defaultOnlineLadder(), 2, false);
+  Admit({{DegradeStep::Kind::AccessSampling, 8}}, 2, false);
 }
 
 //===----------------------------------------------------------------------===//
@@ -653,4 +692,59 @@ TEST(OnlineSharding, GovernedShardsCompressAndStayEquivalent) {
   FastTrack Offline;
   replay(Report.Captured, Offline);
   expectSameWarnings(Detector.warnings(), Offline.warnings());
+}
+
+TEST(OnlineSharding, BudgetedShardsStayEquivalentPastTheMemoryRung) {
+  // The budget soak of OnlineResilienceTest at two shards: each clone
+  // summarizes cold pages under its share of the budget, the router steps
+  // the memory rung once and keeps admitting accesses in batches, and the
+  // warnings keep the governed relation to the oracle — coarsened to the
+  // page region, never missing.
+  rt::OnlineOptions Options;
+  Options.Shards = 2;
+  Options.MaxVars = 256 * 1024;
+  Options.Degrade.Memory.Enabled = true;
+  Options.Degrade.Memory.BudgetBytes = 128 * 1024;
+  Options.Degrade.Memory.MaintainEveryAccesses = 512;
+  Options.Degrade.Memory.ColdAgeTicks = 1;
+  Options.Degrade.BudgetCheckEveryOps = 512;
+  // Only the memory rung may move in this session.
+  Options.RingCapacity = 8192;
+  Options.Supervise.MaxParkMs = 10000;
+  Options.Supervise.PressureTicksToDegrade = 1u << 30;
+
+  constexpr size_t Sweep = 100 * 1024; // ~200 page regions ≈ 800 KiB raw
+  FastTrack Detector;
+  std::vector<rt::Shared<int>> Vars(Sweep);
+  rt::Engine Engine(Detector, Options);
+  for (size_t I = 0; I != Sweep; ++I) {
+    // Read state makes the swept pages incompressible, so the budget is
+    // enforced by summarization.
+    FT_WRITE(Vars[I], 1);
+    (void)FT_READ(Vars[I]);
+  }
+  {
+    rt::Thread A([&] { FT_WRITE(Vars[0], 2); });
+    rt::Thread B([&] { FT_WRITE(Vars[0], 3); }); // concurrent with A
+    A.join();
+    B.join();
+  }
+  rt::OnlineReport Report = Engine.finish();
+
+  EXPECT_FALSE(Report.Halted);
+  EXPECT_EQ(Report.Shards, 2u);
+  EXPECT_EQ(Report.DegradeRung, 1u); // the memory rung, noted once
+  EXPECT_GE(Report.BudgetTrips, 1u);
+  EXPECT_GT(Report.PagesSummarized, 0u);
+  EXPECT_GE(Report.NumWarnings, 1u);
+  EXPECT_TRUE(isFeasible(Report.Captured));
+
+  const std::vector<VarId> Racy = racyVarsLinear(Report.Captured);
+  ASSERT_FALSE(Racy.empty());
+  std::set<VarId> RacyPages, WarnedPages;
+  for (VarId V : Racy)
+    RacyPages.insert(V / ShadowPageVars);
+  for (const RaceWarning &W : Detector.warnings())
+    WarnedPages.insert(W.Var / ShadowPageVars);
+  EXPECT_EQ(RacyPages, WarnedPages);
 }
