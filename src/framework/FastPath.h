@@ -16,8 +16,10 @@
 /// [FT READ/WRITE SAME EPOCH] paths inline straight into the loop):
 ///
 ///  - Replay: replayWithTool<ToolT>, which replay() runs offline;
-///  - DispatchRun: the access-run loop OnlineDriver::dispatchRun feeds the
-///    pre-admitted runs of the sharded online engine.
+///  - DispatchRun: the online access-run loop. It feeds both driver roles
+///    that call the tool: a Full driver's admitAccessRun (one thread's
+///    stretch as the merge loop pulled it off its ring, at Shards=1) and a
+///    DispatchOnly driver's dispatchRun (a shard worker's pre-admitted run).
 ///
 /// Lookup is by exact dynamic type. A subclass that overrides the handlers
 /// again fails the typeid match and safely falls back to virtual dispatch;
@@ -36,10 +38,30 @@
 #include "framework/Replay.h"
 #include "runtime/EventRing.h"
 
+#include <type_traits>
 #include <typeinfo>
 #include <vector>
 
 namespace ft {
+
+/// One access run (Read/Write events only) handed to a DispatchRun loop,
+/// and how far the loop got. With Thread == NoThread the run is
+/// pre-admitted: each event carries its thread, and its raw op index in
+/// Seq. Otherwise it is one thread's stretch as the merge loop pulled it:
+/// event I runs as Thread at raw index FirstRaw + I, and the loop stops
+/// before the first event whose Target is not below MaxVars.
+struct AccessRun {
+  static constexpr ThreadId NoThread = ~0u;
+  const runtime::OnlineEvent *Events;
+  size_t N;
+  ThreadId Thread;
+  uint64_t FirstRaw;
+  uint32_t MaxVars;
+  /// Out: events handled; if a handler threw, the index of the thrower.
+  size_t Done = 0;
+  /// Out: handled accesses whose handler returned the pass flag.
+  uint64_t Passed = 0;
+};
 
 /// The registered loops of one concrete tool type.
 struct FastPathEntry {
@@ -47,11 +69,9 @@ struct FastPathEntry {
   /// replayWithTool<ToolT> behind a type-erased signature.
   ReplayResult (*Replay)(const Trace &T, Tool &Checker,
                          const ReplayOptions &Options);
-  /// Dispatches a run of admitted *access* events (Read/Write only); each
-  /// event's Seq carries the raw op index assigned at admission. Returns
-  /// the number of accesses whose handler returned the pass flag.
-  uint64_t (*DispatchRun)(Tool &Checker, const runtime::OnlineEvent *Run,
-                          size_t N);
+  /// fastDispatchRun<ToolT>: dispatches \p Run and fills in its Done and
+  /// Passed, also when a handler throws (the exception propagates).
+  void (*DispatchRun)(Tool &Checker, AccessRun &Run);
 };
 
 /// Every registered entry, in registration order. Filled by static
@@ -70,20 +90,46 @@ ReplayResult fastReplay(const Trace &T, Tool &Checker,
   return replayWithTool(T, static_cast<ToolT &>(Checker), Options);
 }
 
-template <typename ToolT>
-uint64_t fastDispatchRun(Tool &Base, const runtime::OnlineEvent *Run,
-                         size_t N) {
-  ToolT &Checker = static_cast<ToolT &>(Base);
+/// The access-run loop against \p ToolT; the qualified calls pin ToolT's
+/// handlers so they inline. Instantiated on Tool itself the calls stay
+/// virtual: OnlineDriver's fallback for unregistered types.
+template <typename ToolT, bool OneThread>
+void accessRunLoop(ToolT &Checker, AccessRun &R) {
+  // A copy: the handlers write memory the compiler cannot prove disjoint
+  // from R, so reading R's fields would reload them every event.
+  const AccessRun In = R;
   uint64_t Passed = 0;
-  for (size_t I = 0; I != N; ++I) {
-    const runtime::OnlineEvent &E = Run[I];
-    Passed += E.Kind == OpKind::Read
-                  ? Checker.ToolT::onRead(E.Thread, E.Target,
-                                          static_cast<size_t>(E.Seq))
-                  : Checker.ToolT::onWrite(E.Thread, E.Target,
-                                           static_cast<size_t>(E.Seq));
+  size_t I = 0;
+  try {
+    for (; I != In.N; ++I) {
+      const runtime::OnlineEvent &E = In.Events[I];
+      if (OneThread && E.Target >= In.MaxVars)
+        break;
+      const ThreadId T = OneThread ? In.Thread : E.Thread;
+      const size_t Idx = OneThread ? In.FirstRaw + I : E.Seq;
+      if constexpr (std::is_same_v<ToolT, Tool>)
+        Passed += E.Kind == OpKind::Read ? Checker.onRead(T, E.Target, Idx)
+                                         : Checker.onWrite(T, E.Target, Idx);
+      else
+        Passed += E.Kind == OpKind::Read
+                      ? Checker.ToolT::onRead(T, E.Target, Idx)
+                      : Checker.ToolT::onWrite(T, E.Target, Idx);
+    }
+  } catch (...) {
+    // Exact progress for the caller's rollback, free until a throw.
+    R.Done = I;
+    R.Passed = Passed;
+    throw;
   }
-  return Passed;
+  R.Done = I;
+  R.Passed = Passed;
+}
+
+template <typename ToolT> void fastDispatchRun(Tool &Base, AccessRun &R) {
+  if (R.Thread == AccessRun::NoThread)
+    accessRunLoop<ToolT, false>(static_cast<ToolT &>(Base), R);
+  else
+    accessRunLoop<ToolT, true>(static_cast<ToolT &>(Base), R);
 }
 
 /// Registers \p ToolT's loops at static-initialization time.

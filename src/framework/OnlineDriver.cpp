@@ -13,9 +13,8 @@ OnlineDriver::OnlineDriver(Tool &Checker, const ToolContext &Capacity,
                            OnlineDriverOptions Opts)
     : Checker(Checker), Capacity(Capacity), Options(std::move(Opts)),
       Reentrancy(Capacity.NumThreads, Capacity.NumLocks) {
-  if (Options.Role != DriverRole::AdmissionOnly)
-    if (const FastPathEntry *Fast = findFastPath(Checker))
-      FastRun = Fast->DispatchRun;
+  const FastPathEntry *Fast = findFastPath(Checker);
+  FastRun = Fast ? Fast->DispatchRun : &fastDispatchRun<Tool>;
   DegradePolicy &D = Options.Degrade;
   if (D.Enabled && D.Memory.Enabled) {
     // Offer self-governance to the tool before begin() (the policy takes
@@ -45,6 +44,22 @@ OnlineDriver::OnlineDriver(Tool &Checker, const ToolContext &Capacity,
 
 void OnlineDriver::halt(std::string Message) {
   halt(StatusCode::ResourceExhausted, std::move(Message));
+}
+
+void OnlineDriver::toolFault(uint64_t At, const char *During) {
+  // Called from a catch block: the rethrow reads the exception in flight.
+  Raw = At;
+  try {
+    throw;
+  } catch (const std::exception &E) {
+    halt(StatusCode::ToolFault, std::string("tool '") + Checker.name() +
+                                    "' threw during " + During + ": " +
+                                    E.what());
+  } catch (...) {
+    halt(StatusCode::ToolFault, std::string("tool '") + Checker.name() +
+                                    "' threw a non-std exception during " +
+                                    During);
+  }
 }
 
 void OnlineDriver::halt(StatusCode Code, std::string Message) {
@@ -281,111 +296,128 @@ OnlineDriver::DispatchOutcome OnlineDriver::offer(Operation &Op) {
   }
 
   size_t I = Raw++;
-  if (Options.Role == DriverRole::AdmissionOnly) {
-    // Admission ends here: the event is part of the delivered stream (the
-    // caller captures it and routes it to a shard driver), but the tool is
-    // never called from this instance. The re-entrant lock filter still
-    // runs so filtered events own a raw index — they belong in the capture
-    // for offline-replay index fidelity — while lastAdmittedFiltered()
-    // tells the router not to route them (shard drivers run with the
-    // filter off; routing would double-apply the stripped semantics).
-    LastFiltered =
-        (Op.Kind == OpKind::Acquire && Options.FilterReentrantLocks &&
-         !Reentrancy.onAcquire(Op.Thread, Op.Target)) ||
-        (Op.Kind == OpKind::Release && Options.FilterReentrantLocks &&
-         !Reentrancy.onRelease(Op.Thread, Op.Target));
-    if (!LastFiltered)
-      ++Dispatched;
+  // The re-entrant lock filter runs in both roles, so a filtered event
+  // owns a raw index: it belongs in the capture for offline-replay index
+  // fidelity. lastAdmittedFiltered() tells the router not to route it
+  // (shard drivers run with the filter off; routing would double-apply
+  // the stripped semantics).
+  LastFiltered =
+      Options.FilterReentrantLocks &&
+      ((Op.Kind == OpKind::Acquire &&
+        !Reentrancy.onAcquire(Op.Thread, Op.Target)) ||
+       (Op.Kind == OpKind::Release &&
+        !Reentrancy.onRelease(Op.Thread, Op.Target)));
+  if (LastFiltered)
     return DispatchOutcome::Delivered;
-  }
+  ++Dispatched;
+  // Admission ends here: the caller captures the event and routes it to a
+  // shard driver; the tool is never called from this instance.
+  if (Options.Role == DriverRole::AdmissionOnly)
+    return DispatchOutcome::Delivered;
   // A tool that throws must not unwind into the sequencer thread (that
   // would terminate the host process — the one outcome the online runtime
   // exists to avoid). The op is rolled back out of the stream: its shadow
   // effects may be torn, so the analysis halts with a ToolFault.
   try {
-    switch (Op.Kind) {
-    case OpKind::Read:
-      ++Dispatched;
+    if (Op.Kind == OpKind::Read)
       AccessesPassed += Checker.onRead(Op.Thread, Op.Target, I);
-      break;
-    case OpKind::Write:
-      ++Dispatched;
+    else if (Op.Kind == OpKind::Write)
       AccessesPassed += Checker.onWrite(Op.Thread, Op.Target, I);
-      break;
-    case OpKind::Acquire:
-      if (Options.FilterReentrantLocks &&
-          !Reentrancy.onAcquire(Op.Thread, Op.Target))
-        break;
-      ++Dispatched;
-      Checker.onAcquire(Op.Thread, Op.Target, I);
-      break;
-    case OpKind::Release:
-      if (Options.FilterReentrantLocks &&
-          !Reentrancy.onRelease(Op.Thread, Op.Target))
-        break;
-      ++Dispatched;
-      Checker.onRelease(Op.Thread, Op.Target, I);
-      break;
-    case OpKind::Fork:
-      ++Dispatched;
-      Checker.onFork(Op.Thread, Op.Target, I);
-      break;
-    case OpKind::Join:
-      ++Dispatched;
-      Checker.onJoin(Op.Thread, Op.Target, I);
-      break;
-    case OpKind::VolatileRead:
-      ++Dispatched;
-      Checker.onVolatileRead(Op.Thread, Op.Target, I);
-      break;
-    case OpKind::VolatileWrite:
-      ++Dispatched;
-      Checker.onVolatileWrite(Op.Thread, Op.Target, I);
-      break;
-    case OpKind::AtomicBegin:
-      ++Dispatched;
-      Checker.onAtomicBegin(Op.Thread, I);
-      break;
-    case OpKind::AtomicEnd:
-      ++Dispatched;
-      Checker.onAtomicEnd(Op.Thread, I);
-      break;
-    case OpKind::Barrier:
-      break; // unreachable: rejected above
-    }
+    else
+      dispatchSync(Op.Kind, Op.Thread, Op.Target, I);
     drainWarnings();
-  } catch (const std::exception &E) {
-    --Raw;
-    halt(StatusCode::ToolFault, std::string("tool '") + Checker.name() +
-                                    "' threw during dispatch: " + E.what());
-    return DispatchOutcome::Rejected;
   } catch (...) {
-    --Raw;
-    halt(StatusCode::ToolFault, std::string("tool '") + Checker.name() +
-                                    "' threw a non-std exception during "
-                                    "dispatch");
+    --Dispatched;
+    toolFault(I, "dispatch");
     return DispatchOutcome::Rejected;
   }
   return DispatchOutcome::Delivered;
 }
 
+void OnlineDriver::dispatchSync(OpKind Kind, ThreadId T, uint32_t Target,
+                                size_t Idx) {
+  switch (Kind) {
+  case OpKind::Acquire:
+    Checker.onAcquire(T, Target, Idx);
+    break;
+  case OpKind::Release:
+    Checker.onRelease(T, Target, Idx);
+    break;
+  case OpKind::Fork:
+    Checker.onFork(T, Target, Idx);
+    break;
+  case OpKind::Join:
+    Checker.onJoin(T, Target, Idx);
+    break;
+  case OpKind::VolatileRead:
+    Checker.onVolatileRead(T, Target, Idx);
+    break;
+  case OpKind::VolatileWrite:
+    Checker.onVolatileWrite(T, Target, Idx);
+    break;
+  case OpKind::AtomicBegin:
+    Checker.onAtomicBegin(T, Idx);
+    break;
+  case OpKind::AtomicEnd:
+    Checker.onAtomicEnd(T, Idx);
+    break;
+  case OpKind::Read:
+  case OpKind::Write:
+  case OpKind::Barrier:
+    break; // unreachable: accesses dispatch elsewhere; barriers are rejected
+  }
+}
+
+size_t OnlineDriver::runAccesses(const runtime::OnlineEvent *Run, size_t N,
+                                 ThreadId Thread) {
+  AccessRun R{Run, N, Thread, Raw, Capacity.NumVars};
+  try {
+    FastRun(Checker, R);
+  } catch (...) {
+    // The events before the thrower stay dispatched, as they would one
+    // offer() at a time; the fault is anchored at the thrower's raw index,
+    // which rawOps() stops just before.
+    Dispatched += R.Done;
+    AccessesPassed += R.Passed;
+    toolFault(Thread == AccessRun::NoThread ? Run[R.Done].Seq : Raw + R.Done,
+              "dispatch");
+    return R.Done;
+  }
+  Dispatched += R.Done;
+  AccessesPassed += R.Passed;
+  if (Thread != AccessRun::NoThread)
+    Raw += R.Done;
+  return R.Done;
+}
+
 bool OnlineDriver::admitAccessRun(ThreadId Thread,
                                   const runtime::OnlineEvent *Run, size_t N) {
-  if (Options.Role != DriverRole::AdmissionOnly || Halted ||
+  assert(std::all_of(Run, Run + N,
+                     [](const runtime::OnlineEvent &E) {
+                       return isAccess(E.Kind);
+                     }) &&
+         "admitAccessRun fed a non-access event");
+  if (Options.Role == DriverRole::DispatchOnly || Halted ||
       transformsAccesses() || Raw >= NextProbe || NextProbe - Raw < N ||
       Thread >= Capacity.NumThreads)
     return false;
-  const uint32_t MaxVar = Capacity.NumVars;
-  for (size_t I = 0; I != N; ++I) {
-    assert((Run[I].Kind == OpKind::Read || Run[I].Kind == OpKind::Write) &&
-           "admitAccessRun fed a non-access event");
-    if (Run[I].Target >= MaxVar)
-      return false;
+  if (Options.Role == DriverRole::AdmissionOnly) {
+    size_t Done = 0;
+    while (Done != N && Run[Done].Target < Capacity.NumVars)
+      ++Done;
+    Raw += Done;
+    Dispatched += Done;
+    return Done == N;
   }
-  Raw += N;
-  Dispatched += N;
-  LastFiltered = false;
-  return true;
+  // One pass: the run loop checks capacity, stamps the thread and raw
+  // index, and dispatches, stopping short at an over-capacity target.
+  const size_t Done = runAccesses(Run, N, Thread);
+  try {
+    drainWarnings();
+  } catch (...) {
+    toolFault(Raw, "dispatch");
+  }
+  return Done == N;
 }
 
 bool OnlineDriver::dispatchRun(const runtime::OnlineEvent *Run, size_t N) {
@@ -393,85 +425,35 @@ bool OnlineDriver::dispatchRun(const runtime::OnlineEvent *Run, size_t N) {
     return false;
   // Events arrive pre-admitted: capacity, rung transforms, and lock
   // filtering already ran on the admission side, so this loop pays none of
-  // offer()'s per-event checks. Access stretches go through the
-  // devirtualized run loop when one is registered for the tool's concrete
-  // type; sync events dispatch virtually one at a time (they are rare and
-  // their handlers do real vector-clock work anyway).
+  // offer()'s per-event checks. Access stretches go through the run loop
+  // (devirtualized when the tool's concrete type registered one); sync
+  // events dispatch virtually one at a time (they are rare and their
+  // handlers do real vector-clock work anyway).
   size_t I = 0;
-  try {
-    while (I != N) {
-      const runtime::OnlineEvent &E = Run[I];
-      if (E.Kind == OpKind::Read || E.Kind == OpKind::Write) {
-        size_t End = I + 1;
-        while (End != N && (Run[End].Kind == OpKind::Read ||
-                            Run[End].Kind == OpKind::Write))
-          ++End;
-        const size_t Len = End - I;
-        if (FastRun) {
-          AccessesPassed += FastRun(Checker, Run + I, Len);
-        } else {
-          for (size_t J = I; J != End; ++J) {
-            const runtime::OnlineEvent &A = Run[J];
-            AccessesPassed +=
-                A.Kind == OpKind::Read
-                    ? Checker.onRead(A.Thread, A.Target,
-                                     static_cast<size_t>(A.Seq))
-                    : Checker.onWrite(A.Thread, A.Target,
-                                      static_cast<size_t>(A.Seq));
-          }
-        }
-        Dispatched += Len;
-        I = End;
-        continue;
-      }
-      const size_t Idx = static_cast<size_t>(E.Seq);
-      switch (E.Kind) {
-      case OpKind::Acquire:
-        Checker.onAcquire(E.Thread, E.Target, Idx);
-        break;
-      case OpKind::Release:
-        Checker.onRelease(E.Thread, E.Target, Idx);
-        break;
-      case OpKind::Fork:
-        Checker.onFork(E.Thread, E.Target, Idx);
-        break;
-      case OpKind::Join:
-        Checker.onJoin(E.Thread, E.Target, Idx);
-        break;
-      case OpKind::VolatileRead:
-        Checker.onVolatileRead(E.Thread, E.Target, Idx);
-        break;
-      case OpKind::VolatileWrite:
-        Checker.onVolatileWrite(E.Thread, E.Target, Idx);
-        break;
-      case OpKind::AtomicBegin:
-        Checker.onAtomicBegin(E.Thread, Idx);
-        break;
-      case OpKind::AtomicEnd:
-        Checker.onAtomicEnd(E.Thread, Idx);
-        break;
-      case OpKind::Barrier:
-      case OpKind::Read:
-      case OpKind::Write:
-        break; // unreachable: admission rejects barriers; accesses above
-      }
-      ++Dispatched;
-      ++I;
+  while (I != N) {
+    const runtime::OnlineEvent &E = Run[I];
+    if (isAccess(E.Kind)) {
+      size_t End = I + 1;
+      while (End != N && isAccess(Run[End].Kind))
+        ++End;
+      I += runAccesses(Run + I, End - I, AccessRun::NoThread);
+      if (Halted)
+        return false;
+      continue;
     }
+    try {
+      dispatchSync(E.Kind, E.Thread, E.Target, static_cast<size_t>(E.Seq));
+    } catch (...) {
+      toolFault(E.Seq, "dispatch");
+      return false;
+    }
+    ++Dispatched;
+    ++I;
+  }
+  try {
     drainWarnings();
-  } catch (const std::exception &E) {
-    // Anchor the fault at the raw index of the group that threw (for an
-    // access run, its first event — the thrower's exact index is lost to
-    // the batched loop).
-    Raw = Run[I].Seq;
-    halt(StatusCode::ToolFault, std::string("tool '") + Checker.name() +
-                                    "' threw during dispatch: " + E.what());
-    return false;
   } catch (...) {
-    Raw = Run[I].Seq;
-    halt(StatusCode::ToolFault, std::string("tool '") + Checker.name() +
-                                    "' threw a non-std exception during "
-                                    "dispatch");
+    toolFault(N != 0 ? Run[N - 1].Seq + 1 : Raw, "dispatch");
     return false;
   }
   return true;
@@ -484,13 +466,7 @@ void OnlineDriver::finish() {
   try {
     Checker.end();
     drainWarnings();
-  } catch (const std::exception &E) {
-    halt(StatusCode::ToolFault,
-         std::string("tool '") + Checker.name() + "' threw during end(): " +
-             E.what());
   } catch (...) {
-    halt(StatusCode::ToolFault, std::string("tool '") + Checker.name() +
-                                    "' threw a non-std exception during "
-                                    "end()");
+    toolFault(Raw, "end()");
   }
 }

@@ -63,6 +63,7 @@
 
 namespace ft {
 
+struct AccessRun;
 namespace runtime {
 struct OnlineEvent;
 } // namespace runtime
@@ -183,29 +184,34 @@ public:
   /// lock semantics the filter stripped).
   bool lastAdmittedFiltered() const { return LastFiltered; }
 
-  /// AdmissionOnly batched admission: the router-side complement of
-  /// dispatchRun(). Admits \p N access events (all Read/Write — the caller
-  /// guarantees it) emitted by thread \p Thread in one call when nothing
-  /// per-event can fire: the driver is un-halted, at a rung that leaves
-  /// accesses untouched, every target is in capacity, and no budget probe
-  /// falls inside the run. Consumes N consecutive raw indices (the first
-  /// is rawOps() - N after the call) and counts N dispatched events —
-  /// exactly the state N Delivered offer() calls would leave. Returns
-  /// false, admitting nothing, when any condition fails; the caller falls
-  /// back to per-event offer(), which re-runs the checks and produces the
-  /// exact diagnostics and degradations.
+  /// Batched admission of a run of one thread's accesses: the merge
+  /// loop's path for every access stretch, at every shard count. Admits
+  /// the \p N events (all Read/Write — the caller guarantees it) emitted
+  /// by \p Thread in one call when nothing per-event can fire: the driver
+  /// is un-halted, at a rung that leaves accesses untouched, and no budget
+  /// probe falls inside the run; otherwise it admits nothing. Admission
+  /// stops just before an over-capacity target. Event I takes raw index
+  /// rawOps() + I and counts as dispatched: the state the same Delivered
+  /// offer() calls would leave. An AdmissionOnly driver stops there (the
+  /// router routes the run). A Full driver also dispatches the run, in one
+  /// pass through the tool's run loop, and drains warnings once per run;
+  /// a tool that throws halts it with a ToolFault anchored at the
+  /// thrower, and rawOps() and dispatched() stop just before it. A
+  /// DispatchOnly driver never admits. Returns true iff all N events were
+  /// admitted; the caller feeds the rest to per-event offer(), which owns
+  /// the exact diagnostics and degradations.
   bool admitAccessRun(ThreadId Thread, const runtime::OnlineEvent *Run,
                       size_t N);
 
   /// DispatchOnly batched dispatch: feeds \p N pre-admitted events to the
   /// tool, hoisting the per-event halt/capacity/rung checks offer() pays
   /// out of the loop (they already ran on the admission side). Access
-  /// events take a devirtualized per-run fast path when the tool's
-  /// concrete type registered one via FT_REGISTER_FAST_PATH; sync
+  /// stretches go through the same run loop as admitAccessRun; sync
   /// events dispatch virtually one at a time. Each event's Seq is the raw
   /// op index admission assigned, so warnings carry single-sequencer
   /// indices. Returns false when a throwing tool halted the driver
-  /// mid-run (the remainder of the run is discarded).
+  /// mid-run: the fault is anchored at the throwing event's Seq, the
+  /// events before it stay dispatched, and the rest are discarded.
   bool dispatchRun(const runtime::OnlineEvent *Run, size_t N);
 
   /// Steps one rung down the ladder on behalf of an external overload
@@ -259,14 +265,24 @@ private:
   }
   void probeBudget();
   void drainWarnings();
+  /// Halts with a ToolFault for the exception in flight, anchored at raw
+  /// index \p At. Call only from a catch block.
+  void toolFault(uint64_t At, const char *During);
+  void dispatchSync(OpKind Kind, ThreadId T, uint32_t Target, size_t Idx);
+  /// The access-run helper both roles share: dispatches \p Run through
+  /// FastRun (see AccessRun for \p Thread) and returns the events
+  /// handled. On a throw it halts, anchored at the thrower.
+  size_t runAccesses(const runtime::OnlineEvent *Run, size_t N,
+                     ThreadId Thread);
 
   Tool &Checker;
   ToolContext Capacity;
   OnlineDriverOptions Options;
   ReentrancyFilter Reentrancy;
-  /// Devirtualized access-run loop for Checker's exact dynamic type, or
-  /// nullptr (virtual fallback). Resolved once at construction.
-  uint64_t (*FastRun)(Tool &, const runtime::OnlineEvent *, size_t) = nullptr;
+  /// Access-run loop: devirtualized for Checker's exact dynamic type when
+  /// one is registered, else the virtual instantiation. Resolved once at
+  /// construction.
+  void (*FastRun)(Tool &, AccessRun &);
   std::vector<Diagnostic> Diags;
   uint64_t Raw = 0;
   uint64_t Dispatched = 0;

@@ -691,12 +691,13 @@ void Engine::mergeLoop(uint64_t Epoch) {
   // totally-ordered stream, admits each event through the primary driver,
   // captures the delivered runs and publishes the merge cursor per batch.
   // Only the delivery step depends on the shard count. Without shards the
-  // driver is Full: offer() has already dispatched the event to the tool,
-  // so the delivery step is the tool itself. With shards the driver is
-  // AdmissionOnly and the loop routes: an admitted access goes to the
-  // shard owning its variable, an admitted sync event to every shard (the
-  // cross-shard spine). The raw index the driver just assigned rides in
-  // OnlineEvent::Seq, so shard tools see single-stream op indices.
+  // driver is Full: admission already dispatched the event to the tool (a
+  // whole access run per call), so the delivery step is the tool itself.
+  // With shards the driver is AdmissionOnly and the loop routes: an
+  // admitted access goes to the shard owning its variable, an admitted
+  // sync event to every shard (the cross-shard spine). The raw index the
+  // driver just assigned rides in OnlineEvent::Seq, so shard tools see
+  // single-stream op indices.
   MergeCursor M = resumeMerge();
   const size_t BatchCap = std::max<size_t>(1, Options.SequencerBatch);
   std::vector<OnlineEvent> Batch(BatchCap);
@@ -800,6 +801,7 @@ void Engine::mergeLoop(uint64_t Epoch) {
         Taken += N;
         Delivered.clear();
         size_t I = 0;
+        size_t PerEventTo = 0; // the declined rest of an access stretch
         while (I != N) {
           if (Halted.load(std::memory_order_relaxed)) {
             // Emitted before the halt landed; discarded but counted — no
@@ -809,31 +811,33 @@ void Engine::mergeLoop(uint64_t Epoch) {
             ++I;
             continue;
           }
-          // Routed access stretches take the batched admission fast path:
-          // one admitAccessRun() call consumes the whole stretch's raw
-          // indices and events move straight from the merge batch into
-          // the shard stages, without per-event Operations or offer()'s
-          // per-event checks. Anything that needs to look at events
-          // individually — a degraded rung, a pending budget probe, a
-          // capacity breach, armed faults — falls back to the per-event
-          // path below, which owns the exact semantics.
-          if (Routing && !Faults && isAccess(Batch[I].Kind)) {
+          // Access stretches take the batched path: one admitAccessRun()
+          // call consumes the stretch's raw indices (and at Shards=1
+          // dispatches it to the tool) without per-event Operations or
+          // offer()'s per-event checks; routed events move straight from
+          // the merge batch into the shard stages. What the run path
+          // declines — a degraded rung, a pending budget probe, a capacity
+          // breach, a throwing tool — and everything under armed faults
+          // goes per event below, which owns the exact semantics.
+          if (!Faults && I >= PerEventTo && isAccess(Batch[I].Kind)) {
             size_t End = I + 1;
             while (End != N && isAccess(Batch[End].Kind))
               ++End;
-            const size_t Len = End - I;
-            if (Driver.admitAccessRun(Ch->Id, &Batch[I], Len)) {
-              const uint64_t Base = Driver.rawOps() - Len;
-              for (size_t J = I; J != End; ++J) {
+            const uint64_t Base = Driver.rawOps();
+            Driver.admitAccessRun(Ch->Id, &Batch[I], End - I);
+            const size_t Done = static_cast<size_t>(Driver.rawOps() - Base);
+            if (Capturing || Routing)
+              for (size_t J = 0; J != Done; ++J) {
+                const OnlineEvent &E = Batch[I + J];
                 if (Capturing)
-                  Delivered.push_back(
-                      Operation(Batch[J].Kind, Ch->Id, Batch[J].Target));
-                Route({Base + (J - I), Batch[J].Kind, Batch[J].Target,
-                       Ch->Id});
+                  Delivered.push_back(Operation(E.Kind, Ch->Id, E.Target));
+                if (Routing)
+                  Route({Base + J, E.Kind, E.Target, Ch->Id});
               }
-              I = End;
+            I += Done;
+            if (I == End)
               continue;
-            }
+            PerEventTo = End;
           }
           Operation Op(Batch[I].Kind, Ch->Id, Batch[I].Target);
           OnlineDriver::DispatchOutcome Outcome = Driver.offer(Op);

@@ -55,8 +55,9 @@
 ///    which applies the serial replay loop's semantics (re-entrant lock
 ///    filtering, raw op indices), captured, and delivered. With one shard
 ///    the delivery step is the unmodified Tool itself: the driver
-///    dispatches inline. Detection runs entirely off the application's
-///    critical path.
+///    dispatches each sync event inline and each run of one thread's
+///    accesses in one call (OnlineDriver::admitAccessRun). Detection runs
+///    entirely off the application's critical path.
 ///  - **Shards** (OnlineOptions::Shards > 1). The delivery step becomes
 ///    routing (the sequencer is then called the router) to N shard
 ///    workers, each draining the accesses of the variables it owns into a

@@ -233,34 +233,36 @@ TEST(EventRing, PeekRunStopsAtTheWrapAndReleasesIncrementally) {
   EXPECT_EQ(Ring.peekRun(Run), 0u);
 }
 
-TEST(OnlineDriver, DispatchRunMatchesPerEventOffer) {
-  // The same pre-admitted stream through offer() (Full role) and
-  // dispatchRun() (DispatchOnly role) must leave two instances of every
-  // registered tool with identical warnings — batching and
-  // devirtualization are pure mechanism.
+namespace {
+
+/// The driver-level equivalence stream: racy write pairs that alternate
+/// threads on every access, then a lock round trip and the join.
+Trace driverEquivalenceStream() {
   TraceBuilder Builder;
   Builder.fork(0, 1);
   for (uint32_t I = 0; I != 64; ++I)
     Builder.wr(0, I % 8).wr(1, I % 8); // racy pairs
   Builder.acq(0, 0).rel(0, 0).join(0, 1);
-  Trace Ops = Builder.take();
+  return Builder.take();
+}
 
+ToolContext driverTestCapacity() {
   ToolContext Capacity;
   Capacity.NumThreads = 4;
   Capacity.NumVars = 16;
   Capacity.NumLocks = 4;
   Capacity.NumVolatiles = 4;
+  return Capacity;
+}
 
-  std::vector<rt::OnlineEvent> Events;
-  for (size_t I = 0; I != Ops.size(); ++I)
-    Events.push_back({static_cast<uint64_t>(I), Ops[I].Kind, Ops[I].Target,
-                      Ops[I].Thread});
+struct ToolCase {
+  std::function<std::unique_ptr<Tool>()> Make;
+  bool Warns;
+};
 
-  struct Case {
-    std::function<std::unique_ptr<Tool>()> Make;
-    bool Warns;
-  };
-  const std::vector<Case> Cases = {
+/// One case per tool with a registered run loop.
+std::vector<ToolCase> registeredToolCases() {
+  return {
       {[] { return std::make_unique<FastTrack>(); }, true},
       {[] { return std::make_unique<FastTrack64>(); }, true},
       {[] { return std::make_unique<DjitPlus>(); }, true},
@@ -271,8 +273,25 @@ TEST(OnlineDriver, DispatchRunMatchesPerEventOffer) {
       {[] { return std::make_unique<ThreadLocalFilter>(); }, false},
       {[] { return std::make_unique<EmptyTool>(); }, false},
   };
+}
+
+} // namespace
+
+TEST(OnlineDriver, DispatchRunMatchesPerEventOffer) {
+  // The same pre-admitted stream through offer() (Full role) and
+  // dispatchRun() (DispatchOnly role) must leave two instances of every
+  // registered tool with identical warnings — batching and
+  // devirtualization are pure mechanism.
+  Trace Ops = driverEquivalenceStream();
+  const ToolContext Capacity = driverTestCapacity();
+
+  std::vector<rt::OnlineEvent> Events;
+  for (size_t I = 0; I != Ops.size(); ++I)
+    Events.push_back({static_cast<uint64_t>(I), Ops[I].Kind, Ops[I].Target,
+                      Ops[I].Thread});
+
   std::set<std::type_index> Covered;
-  for (const Case &C : Cases) {
+  for (const ToolCase &C : registeredToolCases()) {
     std::unique_ptr<Tool> PerEvent = C.Make();
     std::unique_ptr<Tool> Batched = C.Make();
     SCOPED_TRACE(PerEvent->name());
@@ -311,6 +330,169 @@ TEST(OnlineDriver, DispatchRunMatchesPerEventOffer) {
   for (const FastPathEntry &Entry : fastPaths())
     EXPECT_EQ(Covered.count(std::type_index(*Entry.Type)), 1u)
         << Entry.Type->name() << " is registered but not covered";
+}
+
+TEST(OnlineDriver, FullAccessRunMatchesPerEventOffer) {
+  // At Shards=1 the merge loop hands each same-thread access stretch to a
+  // Full driver through admitAccessRun(), and sync events through
+  // offer(). Fed that way, every registered tool must end exactly as a
+  // driver fed one offer() per event: same warnings, same counters. The
+  // shared stream has runs of one access; the second has long runs.
+  TraceBuilder Long;
+  Long.fork(0, 1);
+  for (uint32_t R = 0; R != 8; ++R) {
+    for (uint32_t V = 0; V != 8; ++V)
+      Long.rd(0, (R + V) % 16).wr(0, (R + 2 * V) % 16);
+    for (uint32_t V = 0; V != 8; ++V)
+      Long.wr(1, (R + V) % 16);
+    Long.acq(1, 1).rel(1, 1);
+  }
+  Long.join(0, 1);
+  const ToolContext Capacity = driverTestCapacity();
+
+  for (const Trace &Ops : {driverEquivalenceStream(), Long.take()}) {
+    for (const ToolCase &C : registeredToolCases()) {
+      std::unique_ptr<Tool> PerEvent = C.Make();
+      std::unique_ptr<Tool> Batched = C.Make();
+      SCOPED_TRACE(PerEvent->name());
+
+      OnlineDriver Serial(*PerEvent, Capacity);
+      for (Operation Op : Ops)
+        ASSERT_EQ(Serial.offer(Op), OnlineDriver::DispatchOutcome::Delivered);
+      Serial.finish();
+
+      OnlineDriver Runs(*Batched, Capacity);
+      for (size_t I = 0; I != Ops.size();) {
+        if (!isAccess(Ops[I].Kind)) {
+          Operation Op = Ops[I++];
+          ASSERT_EQ(Runs.offer(Op), OnlineDriver::DispatchOutcome::Delivered);
+          continue;
+        }
+        // Events as the merge loop pulls them off a ring: a ticket (or
+        // none) in Seq and no thread. The driver stamps both.
+        const ThreadId T = Ops[I].Thread;
+        std::vector<rt::OnlineEvent> Run;
+        for (; I != Ops.size() && isAccess(Ops[I].Kind) && Ops[I].Thread == T;
+             ++I)
+          Run.push_back({rt::NoTicket, Ops[I].Kind, Ops[I].Target, 0});
+        ASSERT_TRUE(Runs.admitAccessRun(T, Run.data(), Run.size()));
+      }
+      Runs.finish();
+
+      if (C.Warns) {
+        EXPECT_GT(PerEvent->warnings().size(), 0u);
+      }
+      expectSameWarnings(PerEvent->warnings(), Batched->warnings());
+      EXPECT_EQ(Serial.rawOps(), Runs.rawOps());
+      EXPECT_EQ(Serial.dispatched(), Runs.dispatched());
+      EXPECT_EQ(Serial.accessesPassed(), Runs.accessesPassed());
+    }
+  }
+}
+
+TEST(OnlineDriver, FullAccessRunDeclinesWhatOnlyOfferHandles) {
+  // The run path admits nothing where per-event offer() must act: a rung
+  // that rewrites or sheds accesses, a budget probe due inside the run,
+  // an over-capacity target. An over-capacity target mid-run stops
+  // admission just before it, so offer() meets it in stream order.
+  ToolContext Capacity = driverTestCapacity();
+  Capacity.NumVars = 1024;
+  constexpr size_t N = 16; // well inside one default probe window
+  std::vector<rt::OnlineEvent> Run;
+  for (uint32_t I = 0; I != N; ++I)
+    Run.push_back({rt::NoTicket, I % 2 ? OpKind::Read : OpKind::Write, I * 3,
+                   0});
+
+  auto Admit = [&](const char *What, OnlineDriverOptions Opts,
+                   std::vector<rt::OnlineEvent> Events, size_t Expect) {
+    SCOPED_TRACE(What);
+    FastTrack Detector;
+    OnlineDriver Driver(Detector, Capacity, Opts);
+    EXPECT_EQ(Driver.admitAccessRun(1, Events.data(), Events.size()),
+              Expect == Events.size());
+    EXPECT_EQ(Driver.rawOps(), Expect);
+    EXPECT_EQ(Driver.dispatched(), Expect);
+    EXPECT_FALSE(Driver.halted());
+    EXPECT_TRUE(Driver.diags().empty());
+  };
+  Admit("full fidelity", OnlineDriverOptions(), Run, N);
+
+  OnlineDriverOptions Coarse;
+  Coarse.Degrade.StartRung = 1; // coarse granularity, divisor 8
+  Admit("coarse rung", Coarse, Run, 0);
+
+  OnlineDriverOptions Sampling;
+  Sampling.Degrade.Ladder = {{DegradeStep::Kind::AccessSampling, 8}};
+  Sampling.Degrade.StartRung = 1;
+  Admit("sampling rung", Sampling, Run, 0);
+
+  OnlineDriverOptions Probe;
+  Probe.Degrade.ShadowBudgetBytes = 1ull << 40;
+  Probe.Degrade.BudgetCheckEveryOps = N / 2;
+  Admit("budget probe inside the run", Probe, Run, 0);
+
+  std::vector<rt::OnlineEvent> Wide = Run;
+  Wide[0].Target = Capacity.NumVars;
+  Admit("over-capacity first target", OnlineDriverOptions(), Wide, 0);
+  Wide = Run;
+  Wide[5].Target = Capacity.NumVars + 7;
+  Admit("over-capacity target mid-run", OnlineDriverOptions(), Wide, 5);
+
+  // Other roles: a DispatchOnly driver never admits.
+  OnlineDriverOptions Dispatch;
+  Dispatch.Role = DriverRole::DispatchOnly;
+  Admit("DispatchOnly", Dispatch, Run, 0);
+}
+
+TEST(OnlineDriver, FullAccessRunRollsBackAtTheThrowingEvent) {
+  // A tool that throws mid-run halts the driver exactly as per-event
+  // offer() would have: the fault is anchored at the throwing event, and
+  // the events before it stay admitted and dispatched.
+  FastTrack Inner;
+  rt::ThrowAfterTool Bomb(Inner, 2); // third access throws
+  OnlineDriver Driver(Bomb, driverTestCapacity());
+  std::vector<rt::OnlineEvent> Run;
+  for (uint32_t I = 0; I != 5; ++I)
+    Run.push_back({rt::NoTicket, OpKind::Write, I, 0});
+
+  EXPECT_FALSE(Driver.admitAccessRun(0, Run.data(), Run.size()));
+  EXPECT_TRUE(Driver.halted());
+  ASSERT_FALSE(Driver.diags().empty());
+  EXPECT_EQ(Driver.diags()[0].Code, StatusCode::ToolFault);
+  EXPECT_EQ(Driver.diags()[0].OpIndex, 2u);
+  EXPECT_EQ(Driver.rawOps(), 2u);
+  EXPECT_EQ(Driver.dispatched(), 2u);
+  EXPECT_EQ(Bomb.accessesSeen(), 3u);
+
+  // Halted: nothing more is admitted, and offer() rejects.
+  EXPECT_FALSE(Driver.admitAccessRun(0, Run.data(), Run.size()));
+  Operation Op(OpKind::Write, 0, 0);
+  EXPECT_EQ(Driver.offer(Op), OnlineDriver::DispatchOutcome::Rejected);
+  EXPECT_EQ(Driver.rawOps(), 2u);
+  EXPECT_EQ(Driver.diags().size(), 1u);
+}
+
+TEST(OnlineDriver, DispatchRunAnchorsToolFaultAtTheThrowingEvent) {
+  // A shard worker's run carries non-consecutive raw indices from several
+  // threads; a fault mid-run is anchored at the thrower's own index.
+  FastTrack Inner;
+  rt::ThrowAfterTool Bomb(Inner, 2); // third access throws
+  OnlineDriverOptions Opts;
+  Opts.Role = DriverRole::DispatchOnly;
+  Opts.FilterReentrantLocks = false;
+  OnlineDriver Driver(Bomb, driverTestCapacity(), Opts);
+  const std::vector<rt::OnlineEvent> Run = {{10, OpKind::Write, 0, 0},
+                                            {13, OpKind::Read, 1, 1},
+                                            {17, OpKind::Write, 2, 0},
+                                            {20, OpKind::Write, 3, 1},
+                                            {31, OpKind::Read, 4, 0}};
+
+  EXPECT_FALSE(Driver.dispatchRun(Run.data(), Run.size()));
+  EXPECT_TRUE(Driver.halted());
+  ASSERT_FALSE(Driver.diags().empty());
+  EXPECT_EQ(Driver.diags()[0].Code, StatusCode::ToolFault);
+  EXPECT_EQ(Driver.diags()[0].OpIndex, Run[2].Seq);
+  EXPECT_EQ(Driver.dispatched(), 2u);
 }
 
 TEST(OnlineDriver, AdmitAccessRunStaysOnAtTheMemoryRung) {
