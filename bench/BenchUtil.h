@@ -11,7 +11,9 @@
 ///
 /// Knobs:
 ///   FT_BENCH_SIZE  — workload size factor (default 1.0)
-///   FT_BENCH_REPS  — timing repetitions, best-of (default 3)
+///   FT_BENCH_REPS  — timing repetitions (default 3); benches report the
+///                    best of them, or the median with min and max
+///                    (Spread) where they say so
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +23,7 @@
 #include "framework/Replay.h"
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -60,6 +63,26 @@ inline ReplayResult timedReplay(const Trace &T, Tool &Checker,
   return Best;
 }
 
+/// Median, min and max of a set of timings.
+struct Spread {
+  double Median = 0;
+  double Min = 0;
+  double Max = 0;
+};
+
+inline Spread spreadOf(std::vector<double> Samples) {
+  Spread Out;
+  if (Samples.empty())
+    return Out;
+  std::sort(Samples.begin(), Samples.end());
+  size_t Mid = Samples.size() / 2;
+  Out.Median = Samples.size() % 2 ? Samples[Mid]
+                                  : (Samples[Mid - 1] + Samples[Mid]) / 2;
+  Out.Min = Samples.front();
+  Out.Max = Samples.back();
+  return Out;
+}
+
 /// Prints a section banner.
 inline void banner(const std::string &Title) {
   std::printf("\n==== %s ====\n\n", Title.c_str());
@@ -87,6 +110,15 @@ public:
   void metric(const std::string &MetricName, double Value,
               const std::string &Unit = std::string()) {
     Metrics.push_back({MetricName, Value, Unit});
+  }
+
+  /// Records \p S as three metrics: \p MetricName (the median) plus
+  /// MetricName_min and MetricName_max.
+  void spread(const std::string &MetricName, const Spread &S,
+              const std::string &Unit = std::string()) {
+    metric(MetricName, S.Median, Unit);
+    metric(MetricName + "_min", S.Min, Unit);
+    metric(MetricName + "_max", S.Max, Unit);
   }
 
   /// Writes the document when --json was requested. Returns false on I/O

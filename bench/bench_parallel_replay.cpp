@@ -6,14 +6,14 @@
 // synchronization points, so offline replay can shard variables across
 // worker threads (docs/ARCHITECTURE.md, "Sharded replay"). This harness
 // measures the serial engine against 1/2/4/8-shard parallel replay on a
-// compute-bound workload, for every sharding-capable detector, in the
-// style of E2: absolute seconds plus speedup over serial.
+// compute-bound workload, for every sharding-capable detector. Each cell
+// is the median wall time over FT_BENCH_REPS interleaved repetitions,
+// with min and max: one repetition runs serial and every shard count
+// back to back, so drift on a shared machine hits every column alike.
 //
-// Expected on an N-core machine: speedup approaching min(shards, N) for
-// the access-dominated detectors (BasicVC has the most work per access
-// and scales best); 1-shard parallel ≈ serial plus pre-pass overhead.
-// On a single-core machine every column is ≈ 1.0x — the table then
-// documents the engine's overhead, not its scaling.
+// Every worker scans the whole trace and dispatches every sync event, so
+// the speedup is bounded by the sync and scan work all workers repeat,
+// not only by min(shards, cores). 1 shard is the serial engine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,31 +36,22 @@ using namespace ft::bench;
 
 namespace {
 
-/// Best-of-reps parallel replay through a fresh clone-capable tool named
-/// \p ToolName (fresh instance per rep so rule counters never mix).
-ParallelReplayResult timedParallel(const Trace &T, const std::string &ToolName,
-                                   unsigned Shards) {
+/// Wall time of one replay of \p T through a fresh instance of
+/// \p ToolName (fresh per run so rule counters never mix); Shards == 0
+/// runs the serial engine.
+double timedRun(const Trace &T, const std::string &ToolName,
+                unsigned Shards) {
+  auto Checker = createTool(ToolName);
+  if (Shards == 0)
+    return replay(T, *Checker).Seconds;
   ParallelReplayOptions Options;
   Options.NumShards = Shards;
-  ParallelReplayResult Best;
-  for (unsigned Rep = 0, Reps = repetitions(); Rep != Reps; ++Rep) {
-    auto Checker = createTool(ToolName);
-    ParallelReplayResult Result = parallelReplay(T, *Checker, Options);
-    if (Rep == 0 || Result.Total.Seconds < Best.Total.Seconds)
-      Best = Result;
-  }
-  return Best;
+  return parallelReplay(T, *Checker, Options).Total.Seconds;
 }
 
-double timedSerial(const Trace &T, const std::string &ToolName) {
-  double Best = 0;
-  for (unsigned Rep = 0, Reps = repetitions(); Rep != Reps; ++Rep) {
-    auto Checker = createTool(ToolName);
-    double Seconds = replay(T, *Checker).Seconds;
-    if (Rep == 0 || Seconds < Best)
-      Best = Seconds;
-  }
-  return Best;
+std::string cell(const Spread &S) {
+  return fixed(S.Median * 1e3, 1) + " (" + fixed(S.Min * 1e3, 1) + "-" +
+         fixed(S.Max * 1e3, 1) + ")";
 }
 
 } // namespace
@@ -85,8 +76,8 @@ int main(int argc, char **argv) {
   Config.MaxAccessBurst = 4;
   // Array-sweep kernels barely lock: mostly thread-local and read-shared
   // slices, with a thin lock-protected reduction. Keeping sync events
-  // rare also keeps the serial pre-pass (Amdahl's bound on any multicore
-  // speedup) a small fraction of the work.
+  // rare also keeps the sync work every worker repeats (the bound on any
+  // multicore speedup) a small fraction of the work.
   Config.ThreadLocalShare = 0.55;
   Config.ReadSharedShare = 0.30;
   Trace T = generateRandomTrace(Config);
@@ -96,58 +87,43 @@ int main(int argc, char **argv) {
               withCommas(T.size()).c_str(), T.numThreads(), T.numVars(),
               std::thread::hardware_concurrency());
 
-  const unsigned ShardCounts[] = {1, 2, 4, 8};
+  // Column 0 is the serial engine; the rest are shard counts.
+  const unsigned Columns[] = {0, 1, 2, 4, 8};
   const char *Tools[] = {"eraser", "basicvc", "djit+", "fasttrack",
                          "fasttrack64"};
 
+  std::printf("cells: median wall ms (min-max) over %u interleaved reps\n\n",
+              repetitions());
   Table Out;
   Out.addHeader({"Tool", "Serial", "1 shard", "2 shards", "4 shards",
-                 "8 shards", "Speedup@4", "Mode"});
+                 "8 shards", "Speedup@4"});
   for (const char *Name : Tools) {
-    double SerialSeconds = timedSerial(T, Name);
-    Report.metric(std::string(Name) + "_serial_seconds", SerialSeconds, "s");
-    std::vector<std::string> Row = {createTool(Name)->name(),
-                                    fixed(SerialSeconds * 1e3, 1) + "ms"};
-    double At4 = 0;
-    const char *Mode = "serial";
-    for (unsigned Shards : ShardCounts) {
-      ParallelReplayResult Result = timedParallel(T, Name, Shards);
-      Row.push_back(fixed(Result.Total.Seconds * 1e3, 1) + "ms");
-      if (Shards == 4)
-        At4 = Result.Total.Seconds;
-      Report.metric(std::string(Name) + "_shards" + std::to_string(Shards) +
-                        "_seconds",
-                    Result.Total.Seconds, "s");
-      if (Result.Sharded)
-        Mode = Result.Mode == ShardMode::SpineDriven ? "spine" : "sync-replay";
+    std::vector<std::vector<double>> Samples(std::size(Columns));
+    for (unsigned Rep = 0, Reps = repetitions(); Rep != Reps; ++Rep)
+      for (size_t C = 0; C != std::size(Columns); ++C)
+        Samples[C].push_back(timedRun(T, Name, Columns[C]));
+
+    std::vector<std::string> Row = {createTool(Name)->name()};
+    Spread Serial, At4;
+    for (size_t C = 0; C != std::size(Columns); ++C) {
+      Spread S = spreadOf(Samples[C]);
+      Row.push_back(cell(S));
+      std::string Column =
+          Columns[C] == 0 ? "serial" : "shards" + std::to_string(Columns[C]);
+      Report.spread(std::string(Name) + "_" + Column + "_seconds", S, "s");
+      if (Columns[C] == 0)
+        Serial = S;
+      if (Columns[C] == 4)
+        At4 = S;
     }
-    Row.push_back(slowdown(At4 > 0 ? SerialSeconds / At4 : 0));
-    Report.metric(std::string(Name) + "_speedup_at4",
-                  At4 > 0 ? SerialSeconds / At4 : 0, "x");
-    Row.push_back(Mode);
+    double Speedup = At4.Median > 0 ? Serial.Median / At4.Median : 0;
+    Row.push_back(slowdown(Speedup));
+    Report.metric(std::string(Name) + "_speedup_at4", Speedup, "x");
     Out.addRow(Row);
   }
   std::fputs(Out.render().c_str(), stdout);
-
-  // Pre-pass cost, once (it is tool-independent per mode). Sync-replay
-  // mode collects the sync schedule only; spine-driven mode additionally
-  // simulates it into the spine. The pre-pass is the serial fraction
-  // that bounds any multicore speedup (Amdahl), so both are reported.
-  ParallelReplayResult PlanOnly = timedParallel(T, "eraser", 4);
-  ParallelReplayResult Spined = timedParallel(T, "fasttrack", 4);
-  std::printf("\npre-pass at 4 shards: sync schedule %.1fms (%s); "
-              "+ sync spine %.1fms (%s,\n%zu updates) — %.1f%% of "
-              "the spine-driven total\n",
-              PlanOnly.PrePassSeconds * 1e3,
-              humanBytes(PlanOnly.PlanBytes).c_str(),
-              (Spined.PrePassSeconds - PlanOnly.PrePassSeconds) * 1e3,
-              humanBytes(Spined.SpineBytes).c_str(), Spined.SpineUpdates,
-              Spined.Total.Seconds > 0
-                  ? 100.0 * Spined.PrePassSeconds / Spined.Total.Seconds
-                  : 0);
-  std::printf("\nExpected shape: speedup grows toward min(shards, cores) "
-              "for the access-dominated\ndetectors; identical warnings and "
-              "rule counters to serial replay in every cell\n(asserted by "
+  std::printf("\nExpected shape: warnings and rule counters identical to "
+              "serial replay in every\ncell (asserted by "
               "tests/ParallelReplayTest.cpp).\n");
   return Report.write() ? 0 : 1;
 }

@@ -9,7 +9,8 @@
 //   miniconc_racecheck               # run the two built-in demo programs
 //   miniconc_racecheck FILE.mc [N]   # check FILE across N seeds (def. 10)
 //   miniconc_racecheck --shards S ...  # sharded parallel replay across S
-//                                      # workers (0 = all cores)
+//                                      # workers (0 = all cores; at
+//                                      # most 64)
 //   miniconc_racecheck --dump-analysis ...  # print the static elision
 //                                      # classification per access site
 //   miniconc_racecheck --no-elide ...  # keep every access instrumented

@@ -9,7 +9,8 @@
 //                                       #      fasttrack eraser djit+
 //   trace_file_tool --shards N FILE.trc [tool...]
 //                                       # sharded parallel replay across
-//                                       # N workers (0 = all cores)
+//                                       # N workers (0 = all cores; at
+//                                       # most 64)
 //   trace_file_tool --salvage FILE.trc  # skip malformed records instead
 //                                       # of aborting on the first error
 //   trace_file_tool --stats FILE.trc    # operation mix + instrumentation
@@ -54,13 +55,6 @@ bool StatsFlag = false;
 uint64_t CheckpointEvery = 0;   // 0 = checkpointing off
 std::string CheckpointFile;     // empty = derive from the trace path
 uint64_t MemBudget = 0;         // 0 = unlimited
-
-const char *modeName(const ParallelReplayResult &Result) {
-  if (!Result.Sharded)
-    return "serial";
-  return Result.Mode == ShardMode::SpineDriven ? "spine-driven"
-                                               : "sync-replay";
-}
 
 void printDiags(const std::vector<Diagnostic> &Diags) {
   for (const Diagnostic &D : Diags)
@@ -164,13 +158,12 @@ int analyze(const std::string &Path, const std::vector<std::string> &Tools) {
       Options.WatchdogTimeoutMs = 10000;
       ParallelReplayResult Result = parallelReplay(T, *Detector, Options);
       printDiags(Result.Diags);
-      std::printf("\n[%s] %zu warning(s) in %.3fs (%s", Detector->name(),
-                  Detector->warnings().size(), Result.Total.Seconds,
-                  modeName(Result));
+      std::printf("\n[%s] %zu warning(s) in %.3fs ", Detector->name(),
+                  Detector->warnings().size(), Result.Total.Seconds);
       if (Result.Sharded)
-        std::printf(", %u shards, pre-pass %.3fs", Result.Shards,
-                    Result.PrePassSeconds);
-      std::printf(")\n");
+        std::printf("(%u shards)\n", Result.Shards);
+      else
+        std::printf("(serial)\n");
     }
     for (const RaceWarning &W : Detector->warnings())
       std::printf("  %s\n", toString(W).c_str());

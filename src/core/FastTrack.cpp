@@ -8,17 +8,12 @@ using namespace ft;
 
 namespace {
 
-/// Checkpoint shadow-section format (see snapshotShadow below).
-///
-/// v1 (legacy, pre-paged-shadow): u32 variable count, then a dense
-/// record per variable. Kept readable so old images resume on the paged
-/// layout.
-///
-/// v2: the u32 slot holds kShadowFormatV2 (never a valid v1 count — it
-/// would mean 2^32-1 variables), then a u64 variable count (million-
-/// variable-plus tables snapshot safely), then one record per *page*
-/// with a compact kind byte, so image size is proportional to touched
-/// pages — and within them to inflated state — not to NumVars.
+/// Checkpoint shadow-section format (see snapshotShadow below): a u32
+/// tag kShadowFormatV2, then a u64 variable count (million-variable-plus
+/// tables snapshot safely), then one record per *page* with a compact
+/// kind byte, so image size is proportional to touched pages — and
+/// within them to inflated state — not to NumVars. Any other tag (such
+/// as the pre-paged v1 format's u32 variable count) is rejected.
 constexpr uint32_t kShadowFormatV2 = 0xffffffffu;
 
 /// Page kinds, chosen purely from logical content so a snapshot is a
@@ -312,75 +307,48 @@ bool BasicFastTrack<EpochT>::restoreShadow(ByteReader &Reader) {
     return false;
   Shadow.reset(Shadow.numVars()); // drop any state from a partial restore
 
-  const uint32_t Head = Reader.u32();
-  if (Reader.failed())
+  if (Reader.u32() != kShadowFormatV2 || Reader.u64() != Shadow.numVars())
     return false;
-
-  if (Head == kShadowFormatV2) {
-    if (Reader.u64() != Shadow.numVars())
+  // Mirror of snapshotShadow's writeEpochOrClock: the READ_SHARED
+  // sentinel re-inflates into a freshly assigned side-store handle
+  // (the ungated internal path — restore must not consume injected
+  // fault ordinals, hence no policy-gated inflate()).
+  auto readEpochOrClock = [&](EpochT &Out) {
+    EpochT E = EpochT::fromRaw(static_cast<RawT>(Reader.u64()));
+    if (E == EpochT::readShared()) {
+      Out = Shadow.inflateForRestore();
+      return readClock(Reader, Shadow.clockFor(Out));
+    }
+    Out = E;
+    return !Reader.failed();
+  };
+  for (size_t PI = 0, E = Shadow.numPages(); PI != E; ++PI) {
+    const uint8_t Kind = Reader.u8();
+    if (Reader.failed() || Kind > kPageSummarized)
       return false;
-    // Mirror of snapshotShadow's writeEpochOrClock: the READ_SHARED
-    // sentinel re-inflates into a freshly assigned side-store handle
-    // (the ungated internal path — restore must not consume injected
-    // fault ordinals, hence no policy-gated inflate()).
-    auto readEpochOrClock = [&](EpochT &Out) {
-      EpochT E = EpochT::fromRaw(static_cast<RawT>(Reader.u64()));
-      if (E == EpochT::readShared()) {
-        Out = Shadow.inflateForRestore();
-        return readClock(Reader, Shadow.clockFor(Out));
-      }
-      Out = E;
-      return !Reader.failed();
-    };
-    for (size_t PI = 0, E = Shadow.numPages(); PI != E; ++PI) {
-      const uint8_t Kind = Reader.u8();
-      if (Reader.failed() || Kind > kPageSummarized)
+    if (Kind == kPageAbsent)
+      continue;
+    if (Kind == kPageSummarized) {
+      if (!Shadow.paged())
+        return false; // summaries cannot exist in an eager table
+      typename Table::Slot Sum;
+      if (!readEpochOrClock(Sum.W) || !readEpochOrClock(Sum.R))
         return false;
-      if (Kind == kPageAbsent)
+      Shadow.installSummary(PI, Sum);
+      continue;
+    }
+    const uint32_t Used = Shadow.slotsInPage(PI);
+    const VarId Base = static_cast<VarId>(PI << Table::PageShift);
+    for (uint32_t I = 0; I != Used; ++I) {
+      typename Table::Slot &S = Shadow.slot(Base + I);
+      S.W = EpochT::fromRaw(static_cast<RawT>(Reader.u64()));
+      if (Kind == kPageWriteOnly)
         continue;
-      if (Kind == kPageSummarized) {
-        if (!Shadow.paged())
-          return false; // summaries cannot exist in an eager table
-        typename Table::Slot Sum;
-        if (!readEpochOrClock(Sum.W) || !readEpochOrClock(Sum.R))
-          return false;
-        Shadow.installSummary(PI, Sum);
-        continue;
-      }
-      const uint32_t Used = Shadow.slotsInPage(PI);
-      const VarId Base = static_cast<VarId>(PI << Table::PageShift);
-      for (uint32_t I = 0; I != Used; ++I) {
-        typename Table::Slot &S = Shadow.slot(Base + I);
-        S.W = EpochT::fromRaw(static_cast<RawT>(Reader.u64()));
-        if (Kind == kPageWriteOnly)
-          continue;
-        if (!readEpochOrClock(S.R))
-          return false;
-      }
-      if (Reader.failed())
+      if (!readEpochOrClock(S.R))
         return false;
     }
-  } else {
-    // v1 (legacy dense image): u32 count already consumed into Head.
-    if (Head != Shadow.numVars())
+    if (Reader.failed())
       return false;
-    for (VarId X = 0; X != Head; ++X) {
-      EpochT W = EpochT::fromRaw(static_cast<RawT>(Reader.u64()));
-      EpochT R = EpochT::fromRaw(static_cast<RawT>(Reader.u64()));
-      if (Reader.failed())
-        return false;
-      if (R == EpochT::readShared()) {
-        typename Table::Slot &S = Shadow.slot(X);
-        S.W = W;
-        S.R = Shadow.inflateForRestore();
-        if (!readClock(Reader, Shadow.clockFor(S.R)))
-          return false;
-      } else if (W.raw() != 0 || R.raw() != 0) {
-        typename Table::Slot &S = Shadow.slot(X);
-        S.W = W;
-        S.R = R;
-      } // else: still ⊥ — leave the region absent.
-    }
   }
   Rules.ReadSameEpoch = Reader.u64();
   Rules.ReadShared = Reader.u64();

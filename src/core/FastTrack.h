@@ -121,7 +121,7 @@ struct FastTrackOptions {
 /// The FastTrack analysis over epoch representation \p EpochT. Accesses
 /// touch only the accessed variable's VarState plus the thread clocks,
 /// and the clocks evolve by the Figure 3 rules alone — so the detector
-/// shards by variable under spine-driven parallel replay.
+/// shards by variable under parallel replay.
 template <typename EpochT>
 class BasicFastTrack : public VectorClockToolBase, public ShardableTool {
 public:
@@ -152,9 +152,7 @@ public:
   /// Number of read states currently inflated to vector clocks.
   uint64_t inflatedReadStates() const;
 
-  // ShardableTool: FastTrack's sync behaviour is exactly Figure 3, so
-  // shard workers run off the precomputed sync spine.
-  ShardMode shardMode() const override { return ShardMode::SpineDriven; }
+  // ShardableTool.
   std::unique_ptr<Tool> cloneForShard() const override {
     return std::make_unique<BasicFastTrack<EpochT>>(Options);
   }

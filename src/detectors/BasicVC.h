@@ -27,7 +27,7 @@ namespace ft {
 ///   write wr(t,x):  check Wx ⊑ Ct and Rx ⊑ Ct; Wx(t) := Ct(t)
 ///
 /// Sync behaviour is pure Figure 3, so BasicVC shards by variable under
-/// spine-driven parallel replay (no counters to merge).
+/// parallel replay (no counters to merge).
 class BasicVC : public VectorClockToolBase, public ShardableTool {
 public:
   const char *name() const override { return "BasicVC"; }
@@ -38,7 +38,6 @@ public:
   size_t shadowBytes() const override;
 
   // ShardableTool.
-  ShardMode shardMode() const override { return ShardMode::SpineDriven; }
   std::unique_ptr<Tool> cloneForShard() const override {
     return std::make_unique<BasicVC>();
   }

@@ -51,7 +51,7 @@ struct DjitRuleStats {
 /// The DJIT+ analysis. R and W vector clocks are allocated lazily per
 /// variable on first use, which is what Table 2's allocation counts
 /// measure. Sync behaviour is pure Figure 3, so DJIT+ shards by variable
-/// under spine-driven parallel replay.
+/// under parallel replay.
 class DjitPlus : public VectorClockToolBase, public ShardableTool {
 public:
   const char *name() const override { return "DJIT+"; }
@@ -64,7 +64,6 @@ public:
   const DjitRuleStats &ruleStats() const { return Rules; }
 
   // ShardableTool.
-  ShardMode shardMode() const override { return ShardMode::SpineDriven; }
   std::unique_ptr<Tool> cloneForShard() const override {
     return std::make_unique<DjitPlus>();
   }

@@ -71,9 +71,7 @@ public:
            Vars[X].Candidates.empty();
   }
 
-  // ShardableTool: lockset bookkeeping is not vector-clock shaped, so
-  // each worker replays the sync schedule through its own clone.
-  ShardMode shardMode() const override { return ShardMode::SyncReplay; }
+  // ShardableTool.
   std::unique_ptr<Tool> cloneForShard() const override {
     return std::make_unique<Eraser>(BarrierAware);
   }

@@ -1,10 +1,7 @@
 #include "framework/ParallelReplay.h"
 
-#include "framework/SyncSpine.h"
-#include "framework/VectorClockToolBase.h"
 #include "support/Stopwatch.h"
 #include "trace/ReentrancyFilter.h"
-#include "trace/ShardPartition.h"
 
 #include <algorithm>
 #include <atomic>
@@ -20,6 +17,7 @@ namespace {
 /// whole engine is clean under -fsanitize=thread).
 struct WorkerReport {
   double Seconds = 0;
+  uint64_t SyncDispatched = 0; ///< Identical in every shard.
   uint64_t AccessesSeen = 0;
   uint64_t AccessesPassed = 0;
   ClockStats Clocks; ///< The worker thread's counter delta.
@@ -47,67 +45,16 @@ inline bool heartbeat(WatchdogState *Dog, unsigned Shard, uint32_t I) {
 }
 
 /// Workers scan the whole (immutable, shared) trace and filter their own
-/// accesses with this pure membership test — the access schedules are
-/// never materialized, so the filtering is parallel work, not a serial
-/// pre-pass. Granularity-mapped ids keep whole objects in one shard.
+/// accesses with this pure membership test, so the filtering is parallel
+/// work. Granularity-mapped ids keep whole objects in one shard.
 inline bool ownsAccess(VarId Mapped, unsigned Shard, unsigned NumShards) {
   return Mapped % NumShards == Shard;
 }
 
-void runSpineWorker(const Trace &T, const SyncSpine &Spine,
-                    const GranularityMap &Map, const ToolContext &Context,
-                    Tool &Clone, unsigned Shard, unsigned NumShards,
-                    WatchdogState *Dog, WorkerReport &Report) {
-  ClockStats Before = clockStats();
-  Stopwatch Watch;
-  Clone.begin(Context);
-
-  // The access rules read only the accessing thread's clock, so spine
-  // updates are installed lazily: at an access by thread t, fast-forward
-  // t's cursor past every update that precedes the access and install
-  // just the latest one (a pointer store — the spine is immutable).
-  // Skipped intermediate updates cost a pointer bump, and threads that
-  // never touch this shard cost nothing.
-  auto &VC = static_cast<VectorClockToolBase &>(Clone);
-  std::vector<size_t> Cursor(Spine.PerThread.size(), 0);
-  for (uint32_t I = 0, E = static_cast<uint32_t>(T.size()); I != E; ++I) {
-    if (heartbeat(Dog, Shard, I))
-      break; // Cancelled; the engine discards this shard's results.
-    const Operation &Op = T[I];
-    if (Op.Kind != OpKind::Read && Op.Kind != OpKind::Write)
-      continue;
-    VarId X = Map.map(Op.Target);
-    if (!ownsAccess(X, Shard, NumShards))
-      continue;
-
-    const std::vector<SpineUpdate> &Ups = Spine.PerThread[Op.Thread];
-    size_t &Cur = Cursor[Op.Thread];
-    size_t Next = Cur;
-    while (Next != Ups.size() && Ups[Next].OpIndex < I)
-      ++Next;
-    if (Next != Cur) {
-      VC.applySpineClock(Op.Thread, Ups[Next - 1].Clock);
-      Cur = Next;
-    }
-
-    ++Report.AccessesSeen;
-    Report.AccessesPassed += Op.Kind == OpKind::Read
-                                 ? Clone.onRead(Op.Thread, X, I)
-                                 : Clone.onWrite(Op.Thread, X, I);
-  }
-
-  Clone.end();
-  if (Dog)
-    Dog->Progress[Shard].store(WatchdogState::Done, std::memory_order_relaxed);
-  Report.Seconds = Watch.seconds();
-  Report.Clocks = clockStats() - Before;
-}
-
-void runSyncReplayWorker(const Trace &T, const GranularityMap &Map,
-                         const ToolContext &Context, Tool &Clone,
-                         unsigned Shard, unsigned NumShards,
-                         bool FilterReentrantLocks, WatchdogState *Dog,
-                         WorkerReport &Report) {
+void runWorker(const Trace &T, const GranularityMap &Map,
+               const ToolContext &Context, Tool &Clone, unsigned Shard,
+               unsigned NumShards, bool FilterReentrantLocks,
+               WatchdogState *Dog, WorkerReport &Report) {
   ClockStats Before = clockStats();
   Stopwatch Watch;
   Clone.begin(Context);
@@ -143,6 +90,7 @@ void runSyncReplayWorker(const Trace &T, const GranularityMap &Map,
     default:
       break;
     }
+    ++Report.SyncDispatched;
     dispatchSyncOp(Clone, T, Op, I);
   }
 
@@ -170,6 +118,7 @@ ParallelReplayResult ft::parallelReplay(const Trace &T, Tool &Primary,
   unsigned Shards = Options.NumShards;
   if (Shards == 0)
     Shards = std::max(1u, std::thread::hardware_concurrency());
+  Shards = std::min(Shards, MaxShards);
 
   auto *Shardable = dynamic_cast<ShardableTool *>(&Primary);
   if (!Shardable || Shards <= 1 || T.empty()) {
@@ -187,32 +136,7 @@ ParallelReplayResult ft::parallelReplay(const Trace &T, Tool &Primary,
   for (unsigned K = 0; K != Shards; ++K)
     Clones.push_back(Shardable->cloneForShard());
 
-  // SpineDriven requires the clone to expose applySpineClock; degrade to
-  // SyncReplay otherwise (a misdeclared tool stays correct, just slower).
-  ShardMode Mode = Shardable->shardMode();
-  if (Mode == ShardMode::SpineDriven &&
-      !dynamic_cast<VectorClockToolBase *>(Clones.front().get()))
-    Mode = ShardMode::SyncReplay;
-
-  // --- 1. Serial pre-pass: the dispatched sync schedule, and the spine
-  // for vector-clock tools. This is the Amdahl bound on speedup; all
-  // per-access work happens in the workers.
-  Stopwatch PrePassWatch;
-  std::vector<uint32_t> SyncOps;
-  SyncSpine Spine;
-  if (Mode == ShardMode::SpineDriven) {
-    SpinePrePass Pre = buildSyncSpine(T, Options.Replay.FilterReentrantLocks);
-    SyncOps = std::move(Pre.SyncOps);
-    Spine = std::move(Pre.Spine);
-  } else {
-    SyncOps = collectSyncOps(T, Options.Replay.FilterReentrantLocks);
-  }
-  Result.PrePassSeconds = PrePassWatch.seconds();
-  Result.PlanBytes = SyncOps.capacity() * sizeof(uint32_t);
-  Result.SpineBytes = Spine.memoryBytes();
-  Result.SpineUpdates = Spine.numUpdates();
-
-  // --- 2. Sharded replay. ----------------------------------------------
+  // --- 1. Sharded replay: every worker scans the whole trace. ---------
   bool Filter = Options.Replay.FilterReentrantLocks;
   std::vector<WorkerReport> Reports(Shards);
   std::vector<std::thread> Workers;
@@ -259,15 +183,9 @@ ParallelReplayResult ft::parallelReplay(const Trace &T, Tool &Primary,
     WorkerReport &Report = Reports[K];
     if (DogPtr && Options.InjectStallShard == static_cast<int>(K))
       Workers.emplace_back([&] { runStalledWorker(Dog); });
-    else if (Mode == ShardMode::SpineDriven)
-      Workers.emplace_back([&, K] {
-        runSpineWorker(T, Spine, Map, Context, Clone, K, Shards, DogPtr,
-                       Report);
-      });
     else
       Workers.emplace_back([&, K] {
-        runSyncReplayWorker(T, Map, Context, Clone, K, Shards, Filter, DogPtr,
-                            Report);
+        runWorker(T, Map, Context, Clone, K, Shards, Filter, DogPtr, Report);
       });
   }
   for (std::thread &Worker : Workers)
@@ -293,7 +211,7 @@ ParallelReplayResult ft::parallelReplay(const Trace &T, Tool &Primary,
     return Result;
   }
 
-  // --- 3. Deterministic merge. -----------------------------------------
+  // --- 2. Deterministic merge. -----------------------------------------
   uint64_t Accesses = 0;
   std::vector<RaceWarning> Merged;
   for (unsigned K = 0; K != Shards; ++K) {
@@ -317,9 +235,9 @@ ParallelReplayResult ft::parallelReplay(const Trace &T, Tool &Primary,
     Shardable->mergeShard(*Clones[K]);
 
   Result.Sharded = true;
-  Result.Mode = Mode;
   Result.Shards = Shards;
-  Result.Total.Events = SyncOps.size() + Accesses;
+  // Every shard dispatches the same sync events, so count them once.
+  Result.Total.Events = Reports[0].SyncDispatched + Accesses;
   Result.Total.NumWarnings = Primary.warnings().size();
   Result.Total.Clocks = clockStats() - Before;
   Result.Total.Seconds = TotalWatch.seconds();

@@ -12,16 +12,13 @@
 /// partitioned *by variable* and replayed on many cores.
 ///
 /// Pipeline:
-///   1. Serial pre-pass: collectSyncOps extracts the dispatched sync
-///      schedule; for spine-driven tools, buildSyncSpine additionally
-///      precomputes every thread clock at every sync point. Access
-///      schedules are never materialized — shard membership is the pure
-///      test mapped-var % N, evaluated by the workers in parallel.
-///   2. N workers, each owning a cloneForShard() of the tool, scan the
-///      shared immutable trace, replaying their shard's accesses in
-///      trace order — installing spine clocks (SpineDriven) or replaying
-///      the sync schedule (SyncReplay) in between.
-///   3. Deterministic merge: warnings are sorted back into trace order
+///   1. N workers, each owning a cloneForShard() of the tool, scan the
+///      shared immutable trace. Each dispatches every sync event through
+///      its own clone (after the same re-entrant lock filtering the
+///      serial engine applies) and the accesses it owns — the pure test
+///      mapped-var % N == shard — in trace order. As in the online
+///      engine, every shard sees every sync event.
+///   2. Deterministic merge: warnings are sorted back into trace order
 ///      (op indices are unique, and the one-warning-per-variable dedup
 ///      is shard-local by construction), rule counters fold via
 ///      ShardableTool::mergeShard, and worker clock-op counts fold into
@@ -49,7 +46,8 @@ struct ParallelReplayOptions {
   ReplayOptions Replay;
 
   /// Worker count. 0 picks std::thread::hardware_concurrency(); 1 (or a
-  /// tool without ShardableTool) runs the serial engine.
+  /// tool without ShardableTool) runs the serial engine. Clamped to
+  /// MaxShards.
   unsigned NumShards = 0;
 
   /// Stall watchdog: when nonzero, a monitor thread samples per-worker
@@ -72,31 +70,17 @@ struct ParallelReplayOptions {
 struct ParallelReplayResult {
   /// Aggregated measurements, field-compatible with serial replay():
   /// Events and AccessesPassed match the serial run exactly; Seconds is
-  /// the end-to-end wall time (pre-pass + slowest worker + merge);
-  /// Clocks sums all threads' vector-clock activity (pre-pass included),
-  /// so it exceeds the serial count by the per-worker spine/sync cost.
+  /// the end-to-end wall time (clone setup + slowest worker + merge);
+  /// Clocks sums all threads' vector-clock activity, so it exceeds the
+  /// serial count by the sync work every extra worker repeats.
   ReplayResult Total;
 
   /// False when the engine fell back to serial replay (tool not
   /// shardable, or an effective shard count of 1).
   bool Sharded = false;
 
-  /// How workers reconstructed sync state (meaningful when Sharded).
-  ShardMode Mode = ShardMode::SyncReplay;
-
   /// Effective worker count (1 when not Sharded).
   unsigned Shards = 1;
-
-  /// Wall time of the serial pre-pass (partition + spine build).
-  double PrePassSeconds = 0;
-
-  /// Heap footprint of the pre-pass artifacts (sync-schedule index and,
-  /// in spine-driven mode, the recorded spine clocks).
-  size_t PlanBytes = 0;
-  size_t SpineBytes = 0;
-
-  /// Clock changes recorded by the spine (0 in sync-replay mode).
-  size_t SpineUpdates = 0;
 
   /// Per-worker replay-loop wall times (empty when not Sharded).
   std::vector<double> ShardSeconds;

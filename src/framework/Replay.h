@@ -113,8 +113,7 @@ private:
 ToolContext makeToolContext(const Trace &T, const GranularityMap &Map);
 
 /// Dispatches one non-access operation to \p Checker. Shared by the
-/// serial loop, the pipeline loop, and the sharded engine's sync-replay
-/// workers.
+/// serial loop, the pipeline loop, and the sharded engine's workers.
 void dispatchSyncOp(Tool &Checker, const Trace &T, const Operation &Op,
                     size_t I);
 

@@ -30,31 +30,16 @@ class ByteReader;
 class ByteWriter;
 class Tool;
 
-/// How a shard worker reconstructs the synchronization state a tool's
-/// access handlers read.
-enum class ShardMode : uint8_t {
-  /// Every worker replays the full sync schedule through its own clone
-  /// (plus its shard's accesses). Right for tools with cheap, non-VC
-  /// sync state — e.g. Eraser's locks-held sets.
-  SyncReplay,
-
-  /// Workers never see sync events: the engine precomputes the per-thread
-  /// vector clocks at every sync point once (the "sync spine") and
-  /// installs them into each clone via
-  /// VectorClockToolBase::applySpineClock. Requires the tool's sync
-  /// behaviour to be exactly VectorClockToolBase's Figure 3 rules; the
-  /// engine verifies the clone is a VectorClockToolBase and otherwise
-  /// degrades to SyncReplay.
-  SpineDriven,
-};
+/// The most shards either engine runs (offline parallelReplay and the
+/// online Engine). Each shard is one worker thread with its own tool
+/// clone, so a larger request is clamped rather than honored.
+constexpr unsigned MaxShards = 64;
 
 /// Interface a Tool additionally implements (multiple inheritance) to
 /// participate in ParallelReplay.
 class ShardableTool {
 public:
   virtual ~ShardableTool();
-
-  virtual ShardMode shardMode() const = 0;
 
   /// Returns a fresh, un-begun instance configured identically to this
   /// tool (same options/flags). One clone is created per shard.

@@ -7,11 +7,9 @@ using namespace ft;
 void VectorClockToolBase::begin(const ToolContext &Context) {
   C.assign(Context.NumThreads, VectorClock());
   ClockCache.assign(Context.NumThreads, 0);
-  View.assign(Context.NumThreads, nullptr);
   // σ0: C = λt.inc_t(⊥V) — every thread starts at clock 1 in its own entry.
   for (ThreadId T = 0; T != Context.NumThreads; ++T) {
     C[T].inc(T);
-    View[T] = &C[T]; // C is fully sized; its elements never move again
     refreshClock(T);
   }
   L.assign(Context.NumLocks, VectorClock());
@@ -127,7 +125,6 @@ bool VectorClockToolBase::restoreClocks(ByteReader &Reader) {
   for (ThreadId T = 0; T != C.size(); ++T) {
     if (!readClock(Reader, C[T]))
       return false;
-    View[T] = &C[T];
     refreshClock(T);
   }
   if (Reader.u32() != L.size())
@@ -152,6 +149,5 @@ size_t VectorClockToolBase::shadowBytes() const {
   for (const VectorClock &Clock : LVolatile)
     Bytes += sizeof(VectorClock) + Clock.memoryBytes();
   Bytes += ClockCache.capacity() * sizeof(ClockValue);
-  Bytes += View.capacity() * sizeof(const VectorClock *);
   return Bytes;
 }

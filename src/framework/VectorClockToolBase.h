@@ -49,20 +49,6 @@ public:
                  size_t OpIndex) override;
   size_t shadowBytes() const override;
 
-  /// Sharded-replay support: points Ct at a clock precomputed by the
-  /// sync spine (and refreshes the cached Ct(t)). In spine-driven mode
-  /// this replaces dispatching the sync event itself, so a worker
-  /// observes exactly the thread clocks the serial engine would have at
-  /// the same trace position. Zero-copy: the spine is immutable and
-  /// outlives the workers, so installing is a pointer store. Only
-  /// ParallelReplay should call this; afterwards the Figure 3 handlers
-  /// must not run on this tool (they mutate C, which Ct no longer
-  /// tracks) — the spine-driven worker loop dispatches accesses only.
-  void applySpineClock(ThreadId T, const VectorClock &Clock) {
-    View[T] = &Clock;
-    ClockCache[T] = Clock.get(T);
-  }
-
 protected:
   /// Checkpoint support (framework/Checkpoint.h): serializes the C, L,
   /// and volatile-L clocks. Derived tools call this from their
@@ -70,8 +56,8 @@ protected:
   void snapshotClocks(ByteWriter &Writer) const;
 
   /// Restores what snapshotClocks wrote. begin() must already have run
-  /// with the original ToolContext (it sizes the vectors); the View and
-  /// clock-cache are re-pointed at the restored C. \returns false on a
+  /// with the original ToolContext (it sizes the vectors); the clock
+  /// cache is refreshed from the restored C. \returns false on a
   /// malformed image.
   bool restoreClocks(ByteReader &Reader);
 
@@ -82,7 +68,7 @@ protected:
   static bool readClock(ByteReader &Reader, VectorClock &Clock);
 
   /// Ct: the current vector clock of thread \p T.
-  const VectorClock &threadClock(ThreadId T) const { return *View[T]; }
+  const VectorClock &threadClock(ThreadId T) const { return C[T]; }
 
   /// Ct(t): the current clock of thread \p T (cached, O(1)). Derived
   /// detectors pack this into their epoch representation — 32- or 64-bit
@@ -98,10 +84,6 @@ private:
   std::vector<VectorClock> L;          ///< Per-lock clocks.
   std::vector<VectorClock> LVolatile;  ///< Per-volatile clocks (extended L).
   std::vector<ClockValue> ClockCache;  ///< Ct(t), kept in sync with Ct.
-  /// Where Ct currently lives: &C[t] normally; a spine clock after
-  /// applySpineClock. One indirection on the (rare, already O(n)) paths
-  /// that read whole thread clocks; the epoch fast paths use ClockCache.
-  std::vector<const VectorClock *> View;
 };
 
 } // namespace ft

@@ -84,7 +84,7 @@ OnlineDriverOptions driverOptions(const OnlineOptions &Options,
 /// Note).
 unsigned resolveShardCount(const OnlineOptions &Options, Tool &Checker) {
   unsigned N = Options.Shards == 0 ? 1 : Options.Shards;
-  N = std::min(N, 64u);
+  N = std::min(N, MaxShards);
   if (N > 1 && dynamic_cast<ShardableTool *>(&Checker) == nullptr)
     return 1;
   return N;

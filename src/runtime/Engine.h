@@ -230,7 +230,7 @@ struct OnlineOptions {
   /// (ShardableTool::cloneForShard), so warnings and captures are
   /// byte-identical to Shards=1 (asserted by the determinism suite). A
   /// tool that does not implement ShardableTool runs at 1 with a Note
-  /// diagnostic. Clamped to 64.
+  /// diagnostic. Clamped to MaxShards (64).
   unsigned Shards = 1;
 
   /// Variables per routing block. Block-cyclic routing keeps neighboring

@@ -7,9 +7,9 @@
 /// \file
 /// Tracks per-(thread, lock) nesting depth to strip redundant re-entrant
 /// acquire/release pairs, as RoadRunner does before events reach tools
-/// (Section 4, "ROADRUNNER"). Shared by the serial replay loop and the
-/// shard-partition pre-pass so both engines dispatch exactly the same
-/// lock events.
+/// (Section 4, "ROADRUNNER"). Shared by the serial replay loop and every
+/// parallel-replay worker so both engines dispatch exactly the same lock
+/// events.
 ///
 //===----------------------------------------------------------------------===//
 

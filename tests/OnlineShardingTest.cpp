@@ -699,6 +699,24 @@ TEST(OnlineSharding, NonShardableToolFallsBackToSingleSequencer) {
                               "does not implement ShardableTool"));
 }
 
+TEST(OnlineSharding, ShardCountIsCapped) {
+  rt::OnlineOptions Options;
+  Options.Shards = MaxShards + 1;
+  Options.Degrade.Enabled = false;
+  Options.Supervise.Enabled = false;
+
+  FastTrack Detector;
+  rt::Shared<int> X;
+  rt::Engine Engine(Detector, std::move(Options));
+  for (int I = 0; I != 10; ++I)
+    FT_WRITE(X, I);
+  rt::OnlineReport Report = Engine.finish();
+
+  EXPECT_EQ(Report.Shards, 64u);
+  EXPECT_FALSE(Report.Halted);
+  EXPECT_TRUE(Detector.warnings().empty());
+}
+
 TEST(OnlineSharding, StalledShardIsRestartedWhileSiblingsKeepDetecting) {
   // Wedge shard 1's worker mid-stream. The watchdog must restart exactly
   // that worker — the router and the other three shards never stop — and

@@ -6,9 +6,9 @@
 // same warnings in the same order with the same fields, the same rule
 // counters, the same event and pass counts. These tests enforce that
 // contract over seeded RandomTrace sweeps (including chaotic, racy
-// configurations), the MiniConc example-program corpus, both granularity
-// modes, and every shard mode — plus unit tests for the partition plan,
-// the merge cursor, and the sync spine that back the engine.
+// configurations), the MiniConc example-program corpus and both
+// granularity modes — plus the event accounting under re-entrant lock
+// filtering and the shard-count cap.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,10 +18,8 @@
 #include "detectors/DjitPlus.h"
 #include "detectors/Eraser.h"
 #include "framework/ParallelReplay.h"
-#include "framework/SyncSpine.h"
 #include "lang/Interp.h"
 #include "trace/RandomTrace.h"
-#include "trace/ShardPartition.h"
 #include "trace/TraceBuilder.h"
 
 #include <gtest/gtest.h>
@@ -187,17 +185,6 @@ TEST(ParallelReplay, CoarseGranularityMatchesSerial) {
     expectDeterministic(T, Name, "coarse granularity", Coarse);
 }
 
-TEST(ParallelReplay, ShardModesAreAsDeclared) {
-  Trace T = generateRandomTrace(chaoticConfig(5));
-  ParallelReplayOptions Options;
-  Options.NumShards = 4;
-
-  FastTrack VC;
-  EXPECT_EQ(parallelReplay(T, VC, Options).Mode, ShardMode::SpineDriven);
-  Eraser LockSet;
-  EXPECT_EQ(parallelReplay(T, LockSet, Options).Mode, ShardMode::SyncReplay);
-}
-
 //===----------------------------------------------------------------------===//
 // Serial fallback
 //===----------------------------------------------------------------------===//
@@ -264,31 +251,10 @@ TEST(ParallelReplay, MatchesSerialOnCorpusPrograms) {
 }
 
 //===----------------------------------------------------------------------===//
-// Unit tests: partition plan, merge cursor, sync spine
+// Event accounting and the shard-count cap
 //===----------------------------------------------------------------------===//
 
-TEST(ShardPartition, CollectsDispatchedSyncSchedule) {
-  Trace T = generateRandomTrace(chaoticConfig(4));
-  std::vector<uint32_t> SyncOps = collectSyncOps(T, true);
-  ASSERT_FALSE(SyncOps.empty());
-  uint32_t Prev = 0;
-  for (size_t J = 0; J != SyncOps.size(); ++J) {
-    uint32_t I = SyncOps[J];
-    if (J) {
-      EXPECT_LT(Prev, I);
-    }
-    Prev = I;
-    EXPECT_TRUE(T[I].Kind != OpKind::Read && T[I].Kind != OpKind::Write);
-  }
-  // Every non-access event appears, except filtered re-entrant lock ops.
-  size_t NonAccess = 0;
-  for (size_t I = 0; I != T.size(); ++I)
-    NonAccess += T[I].Kind != OpKind::Read && T[I].Kind != OpKind::Write;
-  EXPECT_LE(SyncOps.size(), NonAccess);
-  EXPECT_EQ(collectSyncOps(T, false).size(), NonAccess);
-}
-
-TEST(ShardPartition, ReentrantLockOpsAreFiltered) {
+TEST(ParallelReplay, ReentrantLockOpsAreFiltered) {
   Trace T = TraceBuilder()
                 .acq(0, 0)
                 .acq(0, 0) // re-entrant: filtered
@@ -296,44 +262,37 @@ TEST(ShardPartition, ReentrantLockOpsAreFiltered) {
                 .rel(0, 0) // inner release: filtered
                 .rel(0, 0)
                 .take();
-  EXPECT_EQ(collectSyncOps(T, true), (std::vector<uint32_t>{0, 4}));
-  EXPECT_EQ(collectSyncOps(T, false), (std::vector<uint32_t>{0, 1, 3, 4}));
+  for (bool Filter : {true, false}) {
+    ReplayOptions Replay;
+    Replay.FilterReentrantLocks = Filter;
+    FastTrack Serial;
+    ReplayResult Reference = replay(T, Serial, Replay);
+    EXPECT_EQ(Reference.Events, Filter ? 3u : 5u);
+    for (unsigned Shards : {2u, 4u}) {
+      FastTrack Checker;
+      ParallelReplayOptions Options;
+      Options.Replay = Replay;
+      Options.NumShards = Shards;
+      ParallelReplayResult Result = parallelReplay(T, Checker, Options);
+      EXPECT_TRUE(Result.Sharded) << Shards;
+      EXPECT_EQ(Result.Total.Events, Reference.Events)
+          << "filter " << Filter << " @" << Shards;
+    }
+  }
 }
 
-TEST(SyncSpineTest, RecordsLazilyAtFirstAccessAfterClockChange) {
-  Trace T = TraceBuilder()
-                .fork(0, 1)      // 0: both clocks change
-                .acq(1, 0)       // 1: no-op join (lock still ⊥) — no entry
-                .wr(1, 0)        // 2: t1 records its fork-time clock (@0)
-                .rel(1, 0)       // 3: t1 clock changes
-                .wr(1, 1)        // 4: t1 records its release clock (@3)
-                .barrier({0, 1}) // 5: both clocks change
-                .wr(0, 0)        // 6: t0 records — fork + barrier collapse
-                .join(0, 1)      // 7: both change; never accessed again
-                .take();
-  SpinePrePass Pre = buildSyncSpine(T, true);
-  const SyncSpine &Spine = Pre.Spine;
+TEST(ParallelReplay, ShardCountIsCapped) {
+  Trace T = generateRandomTrace(chaoticConfig(9));
+  FastTrack Serial;
+  replay(T, Serial);
+  ASSERT_FALSE(Serial.warnings().empty());
 
-  // The dispatched sync schedule excludes only access events here.
-  EXPECT_EQ(Pre.SyncOps, (std::vector<uint32_t>{0, 1, 3, 5, 7}));
-
-  ASSERT_EQ(Spine.PerThread.size(), 2u);
-  // Deferred recording: a clock is copied only at the owning thread's
-  // next data access, so t0's fork-time change is never materialized
-  // (the barrier superseded it) and the join updates don't exist at all.
-  ASSERT_EQ(Spine.PerThread[0].size(), 1u);
-  ASSERT_EQ(Spine.PerThread[1].size(), 2u);
-  EXPECT_EQ(Spine.numUpdates(), 3u);
-  EXPECT_EQ(Spine.PerThread[0][0].OpIndex, 5u);
-  EXPECT_EQ(Spine.PerThread[1][0].OpIndex, 0u);
-  EXPECT_EQ(Spine.PerThread[1][1].OpIndex, 3u);
-  EXPECT_GT(Spine.memoryBytes(), 0u);
-
-  // The recorded clocks carry the happens-before content: t1's release
-  // clock advances its own entry past its fork-time clock, and t0's
-  // barrier clock dominates both of t1's recorded states.
-  EXPECT_GT(Spine.PerThread[1][1].Clock.get(1),
-            Spine.PerThread[1][0].Clock.get(1));
-  EXPECT_GE(Spine.PerThread[0][0].Clock.get(1),
-            Spine.PerThread[1][1].Clock.get(1));
+  FastTrack Checker;
+  ParallelReplayOptions Options;
+  Options.NumShards = MaxShards + 1;
+  ParallelReplayResult Result = parallelReplay(T, Checker, Options);
+  EXPECT_TRUE(Result.Sharded);
+  EXPECT_EQ(Result.Shards, 64u);
+  EXPECT_EQ(Result.ShardSeconds.size(), 64u);
+  expectSameWarnings(Serial.warnings(), Checker.warnings(), "capped");
 }

@@ -63,13 +63,11 @@ void expectSameWarnings(const std::vector<RaceWarning> &Expected,
   }
 }
 
-/// Exposes the protected static clock codec and the clocks-section length
-/// of a serialized image (needed to transcode images byte-level).
+/// Exposes the clocks-section length of a serialized image (needed to
+/// splice images byte-level).
 class ClockCodec : public VectorClockToolBase {
 public:
   const char *name() const override { return "ClockCodec"; }
-  using VectorClockToolBase::readClock;
-  using VectorClockToolBase::writeClock;
 
   /// Length in bytes of the C/L clocks section at the head of a
   /// FastTrack shadow image for \p T.
@@ -341,62 +339,6 @@ TEST(ShadowTable, SnapshotIsCanonicalUnderHandlePermutation) {
   EXPECT_EQ(shadowImage(Restored), shadowImage(Live));
 }
 
-TEST(ShadowTable, LegacyDenseImageRestoresOntoPagedLayout) {
-  // Transcode a current image into the pre-paged v1 format (u32 count +
-  // one dense record per variable) at the byte level, restore it, and
-  // demand the re-snapshot reproduce the v2 image exactly.
-  RandomTraceConfig Config;
-  Config.Seed = 41;
-  Config.NumThreads = 4;
-  Config.NumVars = 2 * ShadowPageVars + 37; // partial last page
-  Config.OpsPerThread = 250;
-  Config.ChaosProbability = 0.25;
-  Trace T = generateRandomTrace(Config);
-
-  FastTrack Reference;
-  replay(T, Reference);
-  std::string V2 = shadowImage(Reference);
-
-  const size_t ClocksLen = ClockCodec::clocksSectionLength(T, V2);
-  ByteReader In(std::string_view(V2).substr(ClocksLen));
-  ASSERT_EQ(In.u32(), 0xffffffffu); // v2 format tag
-  const uint64_t NumVars = In.u64();
-  ASSERT_EQ(NumVars, T.numVars());
-
-  ByteWriter Out;
-  ASSERT_LT(NumVars, (1ull << 32)); // v1's headroom — hence the v2 header
-  Out.u32(static_cast<uint32_t>(NumVars));
-  const uint64_t SharedRaw = Epoch::readShared().raw();
-  for (uint64_t X = 0; X != NumVars;) {
-    const uint8_t Kind = In.u8();
-    ASSERT_FALSE(In.failed());
-    uint64_t Left = NumVars - X;
-    uint64_t Used = Left < ShadowPageVars ? Left : ShadowPageVars;
-    for (uint64_t I = 0; I != Used; ++I, ++X) {
-      uint64_t W = Kind == 0 ? 0 : In.u64();
-      uint64_t R = Kind == 2 ? In.u64() : 0;
-      Out.u64(W);
-      Out.u64(R);
-      if (R == SharedRaw) {
-        VectorClock Rvc;
-        ASSERT_TRUE(ClockCodec::readClock(In, Rvc));
-        ClockCodec::writeClock(Out, Rvc);
-      }
-    }
-  }
-  for (int I = 0; I != 7; ++I) // rule counters are unchanged across formats
-    Out.u64(In.u64());
-  ASSERT_FALSE(In.failed());
-  ASSERT_EQ(In.remaining(), 0u);
-
-  std::string V1 = V2.substr(0, ClocksLen) + Out.bytes();
-  FastTrack Restored;
-  Restored.begin(contextFor(T));
-  ByteReader Reader(V1);
-  ASSERT_TRUE(Restored.restoreShadow(Reader));
-  EXPECT_EQ(shadowImage(Restored), V2);
-}
-
 TEST(ShadowTable, MalformedImagesAreRejected) {
   TraceBuilder B;
   B.fork(0, 1).wr(1, 0).rd(1, 1).join(0, 1);
@@ -413,7 +355,7 @@ TEST(ShadowTable, MalformedImagesAreRejected) {
     EXPECT_FALSE(Fresh.restoreShadow(Reader)) << "len " << Len;
   }
 
-  // A v1 image whose count disagrees with the trace is rejected.
+  // An image carrying a v1 (pre-paged) variable count is rejected.
   const size_t ClocksLen = ClockCodec::clocksSectionLength(T, Image);
   ByteWriter Wrong;
   Wrong.u32(T.numVars() + 1);

@@ -76,10 +76,8 @@ public:
 
   /// Step 6 (optional) — sharding. Per-variable state depends only on
   /// that variable's accesses plus the locks-held sets, which are a
-  /// function of the sync schedule alone, so MiniLockSet is shard-safe.
-  /// It is not vector-clock shaped, so each worker replays the (cheap)
-  /// sync events through its own clone: ShardMode::SyncReplay.
-  ShardMode shardMode() const override { return ShardMode::SyncReplay; }
+  /// function of the sync schedule alone, so MiniLockSet is shard-safe:
+  /// each worker replays every sync event through its own clone.
   std::unique_ptr<Tool> cloneForShard() const override {
     return std::make_unique<MiniLockSet>();
   }
@@ -199,7 +197,6 @@ TEST(ToolAuthoring, GuideExampleShardsDeterministically) {
     Options.NumShards = Shards;
     ParallelReplayResult Result = parallelReplay(T, Sharded, Options);
     EXPECT_TRUE(Result.Sharded);
-    EXPECT_EQ(Result.Mode, ShardMode::SyncReplay);
     ASSERT_EQ(Sharded.warnings().size(), Serial.warnings().size());
     for (size_t I = 0; I != Serial.warnings().size(); ++I) {
       EXPECT_EQ(Sharded.warnings()[I].Var, Serial.warnings()[I].Var);
