@@ -76,25 +76,14 @@ ThreadId BasicFastTrack<EpochT>::concurrentReader(const VectorClock &Rvc,
 }
 
 template <typename EpochT>
-bool BasicFastTrack<EpochT>::onRead(ThreadId T, VarId X, size_t OpIndex) {
-  // The governance tick runs before the slot reference is taken, so page
-  // compression/shedding never runs under an in-flight rule.
-  if (__builtin_expect(MaintainCountdown != 0, 0) &&
-      --MaintainCountdown == 0) {
-    MaintainCountdown = Options.Memory.MaintainEveryAccesses;
-    Shadow.maintain();
-  }
-  Slot &S = Shadow.slot(X);
-  EpochT Et = epochOf(T);
+void BasicFastTrack<EpochT>::maintenanceTick() {
+  MaintainCountdown = Options.Memory.MaintainEveryAccesses;
+  Shadow.maintain();
+}
 
-  // [FT READ SAME EPOCH]: single epoch comparison on the hot W/R pair,
-  // 63.4 % of reads. A tagged handle never equals a real epoch (its tid
-  // is the reserved tag), so no extra branch distinguishes them here.
-  if (Options.SameEpochFastPath && S.R == Et) {
-    ++Rules.ReadSameEpoch;
-    return false;
-  }
-
+template <typename EpochT>
+bool BasicFastTrack<EpochT>::readSlow(ThreadId T, VarId X, size_t OpIndex,
+                                      Slot &S, EpochT Et) {
   bool Shared = ShadowTable<EpochT>::isInflated(S.R);
 
   // Optional extension (Section 3): same-epoch hit on read-shared data.
@@ -151,23 +140,8 @@ bool BasicFastTrack<EpochT>::onRead(ThreadId T, VarId X, size_t OpIndex) {
 }
 
 template <typename EpochT>
-bool BasicFastTrack<EpochT>::onWrite(ThreadId T, VarId X, size_t OpIndex) {
-  if (__builtin_expect(MaintainCountdown != 0, 0) &&
-      --MaintainCountdown == 0) {
-    MaintainCountdown = Options.Memory.MaintainEveryAccesses;
-    Shadow.maintain();
-  }
-  Slot &S = Shadow.slot(X);
-  EpochT Et = epochOf(T);
-
-  // [FT WRITE SAME EPOCH]: 71.0 % of writes. A summarized region's
-  // inflated W never equals a real epoch (its tid is the reserved tag),
-  // so the fast path needs no extra branch.
-  if (Options.SameEpochFastPath && S.W == Et) {
-    ++Rules.WriteSameEpoch;
-    return false;
-  }
-
+bool BasicFastTrack<EpochT>::writeSlow(ThreadId T, VarId X, size_t OpIndex,
+                                       Slot &S, EpochT Et) {
   const VectorClock &Ct = threadClock(T);
 
   // Write-write race check: Wx ≼ Ct, O(1). All prior writes are totally

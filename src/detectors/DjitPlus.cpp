@@ -34,13 +34,8 @@ void DjitPlus::reportAccessRace(ThreadId T, VarId X, size_t OpIndex,
   reportRace(std::move(W));
 }
 
-bool DjitPlus::onRead(ThreadId T, VarId X, size_t OpIndex) {
-  VarState &State = Vars[X];
-  // [DJIT+ READ SAME EPOCH]: 78.0 % of reads in the paper's benchmarks.
-  if (State.R.get(T) == currentClock(T)) {
-    ++Rules.ReadSameEpoch;
-    return false;
-  }
+bool DjitPlus::readSlow(ThreadId T, VarId X, size_t OpIndex,
+                        VarState &State) {
   // [DJIT+ READ]: O(n) comparison Wx ⊑ Ct.
   ++Rules.ReadGeneral;
   if (!State.W.leq(threadClock(T)))
@@ -49,13 +44,8 @@ bool DjitPlus::onRead(ThreadId T, VarId X, size_t OpIndex) {
   return true;
 }
 
-bool DjitPlus::onWrite(ThreadId T, VarId X, size_t OpIndex) {
-  VarState &State = Vars[X];
-  // [DJIT+ WRITE SAME EPOCH]: 71.0 % of writes.
-  if (State.W.get(T) == currentClock(T)) {
-    ++Rules.WriteSameEpoch;
-    return false;
-  }
+bool DjitPlus::writeSlow(ThreadId T, VarId X, size_t OpIndex,
+                         VarState &State) {
   // [DJIT+ WRITE]: two O(n) comparisons.
   ++Rules.WriteGeneral;
   const VectorClock &Ct = threadClock(T);

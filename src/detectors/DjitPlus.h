@@ -57,6 +57,9 @@ public:
   const char *name() const override { return "DJIT+"; }
 
   void begin(const ToolContext &Context) override;
+  /// The handlers hold only the same-epoch rules and are defined inline
+  /// below, so the registered loops (DjitPlus.cpp) inline them; [DJIT+
+  /// READ] and [DJIT+ WRITE] live in the out-of-line readSlow/writeSlow.
   bool onRead(ThreadId T, VarId X, size_t OpIndex) override;
   bool onWrite(ThreadId T, VarId X, size_t OpIndex) override;
   size_t shadowBytes() const override;
@@ -80,9 +83,35 @@ private:
     VectorClock R;
     VectorClock W;
   };
+  /// [DJIT+ READ] / [DJIT+ WRITE] for \p State, X's shadow state.
+  [[gnu::noinline]] bool readSlow(ThreadId T, VarId X, size_t OpIndex,
+                                  VarState &State);
+  [[gnu::noinline]] bool writeSlow(ThreadId T, VarId X, size_t OpIndex,
+                                   VarState &State);
+
   std::vector<VarState> Vars;
   DjitRuleStats Rules;
 };
+
+inline bool DjitPlus::onRead(ThreadId T, VarId X, size_t OpIndex) {
+  VarState &State = Vars[X];
+  // [DJIT+ READ SAME EPOCH]: 78.0 % of reads in the paper's benchmarks.
+  if (State.R.get(T) == currentClock(T)) {
+    ++Rules.ReadSameEpoch;
+    return false;
+  }
+  return readSlow(T, X, OpIndex, State);
+}
+
+inline bool DjitPlus::onWrite(ThreadId T, VarId X, size_t OpIndex) {
+  VarState &State = Vars[X];
+  // [DJIT+ WRITE SAME EPOCH]: 71.0 % of writes.
+  if (State.W.get(T) == currentClock(T)) {
+    ++Rules.WriteSameEpoch;
+    return false;
+  }
+  return writeSlow(T, X, OpIndex, State);
+}
 
 } // namespace ft
 

@@ -12,8 +12,11 @@
 /// indirect call per event and hides the tool's same-epoch fast path from
 /// the inliner. A tool's own translation unit therefore registers, with
 /// one FT_REGISTER_FAST_PATH line, two loops instantiated against its
-/// concrete type (the qualified calls pin the overrides, so FastTrack's
-/// [FT READ/WRITE SAME EPOCH] paths inline straight into the loop):
+/// concrete type. The qualified calls pin the overrides; they inline only
+/// when the handler is small, so a registered tool defines its handlers
+/// `inline` with just the O(1) part (FastTrack's [FT READ/WRITE SAME
+/// EPOCH]) and moves the rest into `[[gnu::noinline]]` members. CI checks
+/// FastTrack's and DJIT+'s loops with scripts/check_fast_path_inlining.py:
 ///
 ///  - Replay: replayWithTool<ToolT>, which replay() runs offline;
 ///  - DispatchRun: the online access-run loop. It feeds both driver roles

@@ -74,28 +74,27 @@ PipelineResult ft::replayFiltered(const Trace &T, Tool &Filter,
   Stopwatch Watch;
   Filter.begin(Context);
   Downstream.begin(Context);
-  Result.Total.StoppedAtOp = detail::replayLoop(
+  detail::replayLoop(
       T, Options, Map,
       [&](OpKind Kind, ThreadId Thread, VarId X, size_t I) {
         ++Result.AccessesSeen;
         if (Kind == OpKind::Read) {
           if (!Filter.onRead(Thread, X, I))
-            return;
-          ++Result.AccessesForwarded;
+            return false;
           Downstream.onRead(Thread, X, I);
         } else {
           if (!Filter.onWrite(Thread, X, I))
-            return;
-          ++Result.AccessesForwarded;
+            return false;
           Downstream.onWrite(Thread, X, I);
         }
+        return true;
       },
       [&](const Operation &Op, size_t I) {
         dispatchSyncOp(Filter, T, Op, I);
         dispatchSyncOp(Downstream, T, Op, I);
       },
       [&] { return Filter.shadowBytes() + Downstream.shadowBytes(); },
-      Result.Total.Events, Result.Total.BudgetExceeded);
+      Result.Total);
   Filter.end();
   Downstream.end();
   Result.Total.Seconds = Watch.seconds();
@@ -104,6 +103,6 @@ PipelineResult ft::replayFiltered(const Trace &T, Tool &Filter,
   Result.Total.ShadowBytes = Filter.shadowBytes() + Downstream.shadowBytes();
   Result.Total.NumWarnings =
       Filter.warnings().size() + Downstream.warnings().size();
-  Result.Total.AccessesPassed = Result.AccessesForwarded;
+  Result.AccessesForwarded = Result.Total.AccessesPassed;
   return Result;
 }

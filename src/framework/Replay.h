@@ -135,22 +135,29 @@ struct ReplayResult {
 
 namespace detail {
 
-/// The shared replay loop. \p ForEachAccess receives the access events and
-/// decides what "passed" means; sync events are dispatched via \p Sync.
-/// \p Probe reports the tool-side shadow bytes for the budget governor.
-/// \returns the trace index after the last processed operation — T.size()
-/// on completion, earlier (with \p BudgetExceeded set) on a budget stop.
+/// The shared replay loop. \p Access receives the access events and
+/// returns whether the access "passed"; sync events are dispatched via
+/// \p Sync. \p Probe reports the tool-side shadow bytes for the budget
+/// governor. Fills in \p Result's Events, AccessesPassed, BudgetExceeded
+/// and StoppedAtOp — the trace index after the last processed operation:
+/// T.size() on completion, earlier (with BudgetExceeded set) on a budget
+/// stop.
 ///
 /// Reads and writes dominate every workload in the suite (the paper's
 /// benchmarks run ~96% accesses), so the loop is arranged with the access
 /// dispatch as the predicted-taken straight-line path: one branch on
 /// isAccess(), then the sync switch only for the rare remainder. The
 /// budget probe is a single equality test against a precomputed next-fire
-/// index rather than a modulo per event.
+/// index rather than a modulo per event. Everything the access path reads
+/// per event — the trace's operations, the identity-map flag, the two
+/// counters and the access closure (taken by value) — is a local: the
+/// handlers' out-of-line slow paths write memory the compiler cannot prove
+/// disjoint from the caller's objects, which would otherwise be reloaded
+/// after every call.
 template <typename AccessFn, typename SyncFn, typename ProbeFn>
-size_t replayLoop(const Trace &T, const ReplayOptions &Options,
-                  const GranularityMap &Map, AccessFn &&Access, SyncFn &&Sync,
-                  ProbeFn &&Probe, uint64_t &Events, bool &BudgetExceeded) {
+void replayLoop(const Trace &T, const ReplayOptions &Options,
+                const GranularityMap &Map, AccessFn Access, SyncFn &&Sync,
+                ProbeFn &&Probe, ReplayResult &Result) {
   ReentrancyFilter Reentrancy(T.numThreads(), T.numLocks());
   const bool FilterLocks = Options.FilterReentrantLocks;
   const uint64_t Budget = Options.ShadowBudgetBytes;
@@ -158,6 +165,14 @@ size_t replayLoop(const Trace &T, const ReplayOptions &Options,
   const size_t CheckEvery = std::max(1u, Options.BudgetCheckEveryOps);
   size_t NextProbe =
       Probing ? CheckEvery : std::numeric_limits<size_t>::max();
+  const Operation *Ops = T.operations().data();
+  const bool Identity = Map.identity();
+  uint64_t Events = 0, Passed = 0;
+  auto Stop = [&](size_t At) {
+    Result.Events = Events;
+    Result.AccessesPassed = Passed;
+    Result.StoppedAtOp = At;
+  };
 
   for (size_t I = 0, E = T.size(); I != E; ++I) {
     if (I == NextProbe) {
@@ -166,14 +181,16 @@ size_t replayLoop(const Trace &T, const ReplayOptions &Options,
       if (Options.BudgetTracker)
         Options.BudgetTracker->sampleLive(Live);
       if (Budget != 0 && Live > Budget) {
-        BudgetExceeded = true;
-        return I;
+        Result.BudgetExceeded = true;
+        Stop(I);
+        return;
       }
     }
-    const Operation &Op = T[I];
+    const Operation &Op = Ops[I];
     if (isAccess(Op.Kind)) {
       ++Events;
-      Access(Op.Kind, Op.Thread, Map.map(Op.Target), I);
+      Passed += Access(Op.Kind, Op.Thread,
+                       Identity ? Op.Target : Map.map(Op.Target), I);
       continue;
     }
     if (FilterLocks) {
@@ -187,14 +204,16 @@ size_t replayLoop(const Trace &T, const ReplayOptions &Options,
     ++Events;
     Sync(Op, I);
   }
-  return T.size();
+  Stop(T.size());
 }
 
 /// Dispatches onRead non-virtually when the concrete tool type is known
-/// at compile time (the qualified call pins the override, which lets the
-/// compiler inline FastTrack's same-epoch fast path straight into the
-/// replay loop). The ToolT == Tool instantiation keeps the virtual call
-/// for type-erased callers.
+/// at compile time. The qualified call pins the override, so the
+/// compiler may inline it; it does so only for a small inline handler,
+/// which is why FastTrack's onRead holds just the same-epoch rule and
+/// calls an out-of-line readSlow for the rest (FastPath.h). The
+/// ToolT == Tool instantiation keeps the virtual call for type-erased
+/// callers.
 template <typename ToolT>
 inline bool callOnRead(ToolT &Checker, ThreadId T, VarId X, size_t I) {
   if constexpr (std::is_same_v<ToolT, Tool>)
@@ -228,17 +247,15 @@ ReplayResult replayWithTool(const Trace &T, ToolT &Checker,
 
   Stopwatch Watch;
   Checker.begin(makeToolContext(T, Map));
-  Result.StoppedAtOp = detail::replayLoop(
+  detail::replayLoop(
       T, Options, Map,
-      [&](OpKind Kind, ThreadId Thread, VarId X, size_t I) {
-        bool Passed = Kind == OpKind::Read
-                          ? detail::callOnRead(Checker, Thread, X, I)
-                          : detail::callOnWrite(Checker, Thread, X, I);
-        Result.AccessesPassed += Passed;
+      [&Checker](OpKind Kind, ThreadId Thread, VarId X, size_t I) {
+        return Kind == OpKind::Read
+                   ? detail::callOnRead(Checker, Thread, X, I)
+                   : detail::callOnWrite(Checker, Thread, X, I);
       },
       [&](const Operation &Op, size_t I) { dispatchSyncOp(Checker, T, Op, I); },
-      [&] { return Checker.shadowBytes(); }, Result.Events,
-      Result.BudgetExceeded);
+      [&] { return Checker.shadowBytes(); }, Result);
   Checker.end();
   Result.Seconds = Watch.seconds();
 

@@ -1,6 +1,7 @@
 //===--- FrameworkTest.cpp - replay dispatcher, granularity, pipelines ----===//
 
 #include "core/FastTrack.h"
+#include "detectors/DjitPlus.h"
 #include "detectors/EmptyTool.h"
 #include "detectors/Eraser.h"
 #include "detectors/ThreadLocalFilter.h"
@@ -174,35 +175,107 @@ void expectSameReplayResults(const ReplayResult &A, const ReplayResult &B) {
   EXPECT_EQ(A.Clocks.CopyOps, B.Clocks.CopyOps);
 }
 
+void expectSameRules(const FastTrackRuleStats &A, const FastTrackRuleStats &B) {
+  EXPECT_EQ(A.ReadSameEpoch, B.ReadSameEpoch);
+  EXPECT_EQ(A.ReadShared, B.ReadShared);
+  EXPECT_EQ(A.ReadExclusive, B.ReadExclusive);
+  EXPECT_EQ(A.ReadShare, B.ReadShare);
+  EXPECT_EQ(A.WriteSameEpoch, B.WriteSameEpoch);
+  EXPECT_EQ(A.WriteExclusive, B.WriteExclusive);
+  EXPECT_EQ(A.WriteShared, B.WriteShared);
+}
+
+void expectSameRules(const DjitRuleStats &A, const DjitRuleStats &B) {
+  EXPECT_EQ(A.ReadSameEpoch, B.ReadSameEpoch);
+  EXPECT_EQ(A.ReadGeneral, B.ReadGeneral);
+  EXPECT_EQ(A.WriteSameEpoch, B.WriteSameEpoch);
+  EXPECT_EQ(A.WriteGeneral, B.WriteGeneral);
+}
+
+/// Replays \p T through a registered \p ToolT twice — once via replay()
+/// (the registry's devirtualized loop, with the inlined handlers) and once
+/// via the forced-virtual replayWithTool<Tool> — and expects identical
+/// results, rule counts and warning lists. \returns the devirtualized run.
+template <typename ToolT>
+ReplayResult expectDevirtualizedMatchesVirtual(const Trace &T,
+                                               const ReplayOptions &Options,
+                                               ToolT &Fast) {
+  ReplayResult FastResult = replay(T, Fast, Options);
+
+  ToolT Virt;
+  Tool &Erased = Virt;
+  ReplayResult VirtResult = replayWithTool<Tool>(T, Erased, Options);
+
+  expectSameReplayResults(FastResult, VirtResult);
+  EXPECT_EQ(FastResult.BudgetExceeded, VirtResult.BudgetExceeded);
+  expectSameRules(Fast.ruleStats(), Virt.ruleStats());
+  const std::vector<RaceWarning> &FW = Fast.warnings();
+  const std::vector<RaceWarning> &VW = Virt.warnings();
+  EXPECT_EQ(FW.size(), VW.size());
+  for (size_t I = 0; I != std::min(FW.size(), VW.size()); ++I)
+    EXPECT_EQ(toString(FW[I]), toString(VW[I])) << "warning " << I;
+  return FastResult;
+}
+
+template <typename ToolT> void expectFullReplayMatches() {
+  ToolT Fast;
+  expectDevirtualizedMatchesVirtual(devirtWorkload(), ReplayOptions(), Fast);
+  EXPECT_GT(Fast.warnings().size(), 0u) << "workload must contain races";
+}
+
+/// A budget stop leaves the loop early: its locally kept counters must
+/// reach the result on that exit too.
+template <typename ToolT> void expectBudgetStopMatches() {
+  ReplayOptions Options;
+  Options.ShadowBudgetBytes = 1;
+  Options.BudgetCheckEveryOps = 8;
+  ToolT Fast;
+  ReplayResult R =
+      expectDevirtualizedMatchesVirtual(devirtWorkload(), Options, Fast);
+  EXPECT_TRUE(R.BudgetExceeded);
+  // The first 8 operations: fork, fork, acq wr rel (thread 0), acq rd rel
+  // (thread 1) — all dispatched, both accesses first-in-epoch.
+  EXPECT_EQ(R.StoppedAtOp, 8u);
+  EXPECT_EQ(R.Events, 8u);
+  EXPECT_EQ(R.AccessesPassed, 2u);
+}
+
+/// Coarse granularity takes the loop's non-identity remapping branch.
+template <typename ToolT> void expectCoarseReplayMatches() {
+  ReplayOptions Options;
+  Options.Gran = Granularity::Coarse;
+  ToolT Fast;
+  expectDevirtualizedMatchesVirtual(devirtWorkload(), Options, Fast);
+  ASSERT_GT(Fast.warnings().size(), 0u) << "workload must contain races";
+  // Variables 0-3, 10 and 11 fold into objects 0 and 1 (8 fields each).
+  for (const RaceWarning &W : Fast.warnings())
+    EXPECT_LT(W.Var, 2u) << "access dispatched without remapping";
+}
+
 } // namespace
 
 TEST(Replay, DevirtualizedPathMatchesVirtualPathExactly) {
-  Trace T = devirtWorkload();
+  expectFullReplayMatches<FastTrack>();
+}
 
-  FastTrack Fast;
-  ReplayResult FastResult = replay(T, Fast); // registry: devirtualized
+TEST(Replay, DevirtualizedBudgetStopMatchesVirtualPath) {
+  expectBudgetStopMatches<FastTrack>();
+}
 
-  FastTrack Virt;
-  Tool &Erased = Virt;
-  ReplayResult VirtResult = replayWithTool<Tool>(T, Erased); // forced virtual
+TEST(Replay, DevirtualizedCoarseReplayMatchesVirtualPath) {
+  expectCoarseReplayMatches<FastTrack>();
+}
 
-  expectSameReplayResults(FastResult, VirtResult);
-  ASSERT_EQ(Fast.warnings().size(), Virt.warnings().size());
-  EXPECT_GT(Fast.warnings().size(), 0u) << "workload must contain races";
-  for (size_t I = 0; I != Fast.warnings().size(); ++I) {
-    EXPECT_EQ(Fast.warnings()[I].Var, Virt.warnings()[I].Var);
-    EXPECT_EQ(Fast.warnings()[I].OpIndex, Virt.warnings()[I].OpIndex);
-    EXPECT_EQ(Fast.warnings()[I].Detail, Virt.warnings()[I].Detail);
-  }
-  const FastTrackRuleStats &FR = Fast.ruleStats();
-  const FastTrackRuleStats &VR = Virt.ruleStats();
-  EXPECT_EQ(FR.ReadSameEpoch, VR.ReadSameEpoch);
-  EXPECT_EQ(FR.ReadShared, VR.ReadShared);
-  EXPECT_EQ(FR.ReadExclusive, VR.ReadExclusive);
-  EXPECT_EQ(FR.ReadShare, VR.ReadShare);
-  EXPECT_EQ(FR.WriteSameEpoch, VR.WriteSameEpoch);
-  EXPECT_EQ(FR.WriteExclusive, VR.WriteExclusive);
-  EXPECT_EQ(FR.WriteShared, VR.WriteShared);
+TEST(Replay, DevirtualizedDjitPlusMatchesVirtualPathExactly) {
+  expectFullReplayMatches<DjitPlus>();
+}
+
+TEST(Replay, DevirtualizedDjitPlusBudgetStopMatchesVirtualPath) {
+  expectBudgetStopMatches<DjitPlus>();
+}
+
+TEST(Replay, DevirtualizedDjitPlusCoarseReplayMatchesVirtualPath) {
+  expectCoarseReplayMatches<DjitPlus>();
 }
 
 namespace {
