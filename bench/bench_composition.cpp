@@ -45,12 +45,10 @@ std::unique_ptr<Tool> makeFilter(const std::string &Name) {
   if (Name == "DJIT+")
     return std::make_unique<DjitPlus>();
   if (Name == "FastTrack") {
-    // As a prefilter, FastTrack uses the Section 3 extension (same-epoch
+    // FastTrack's defaults include the Section 3 extension (same-epoch
     // hits on read-shared data), matching DJIT+'s 78% same-epoch read
-    // coverage so redundant shared reads are filtered too.
-    FastTrackOptions Options;
-    Options.ExtendedSharedSameEpoch = true;
-    return std::make_unique<FastTrack>(Options);
+    // coverage, so redundant shared reads are filtered too.
+    return std::make_unique<FastTrack>();
   }
   return nullptr; // NONE
 }

@@ -10,6 +10,9 @@
 //   FastTrack writes: SAME EPOCH 71.0%, EXCLUSIVE 28.9%, SHARED 0.1%;
 //   DJIT+: READ SAME EPOCH 78.0%, WRITE SAME EPOCH 71.0%.
 // Constant-time fast paths handle upwards of 96% of all operations.
+// The [FT READ SHARED] row counts the same-epoch re-reads of read-shared
+// data too (the Section 3 extension, on by default), so it reads like
+// the paper's split; the row under it shows the extension's share.
 //
 //===----------------------------------------------------------------------===//
 
@@ -53,14 +56,7 @@ int main(int argc, char **argv) {
 
     FastTrack FtTool;
     replay(T, FtTool);
-    const FastTrackRuleStats &R = FtTool.ruleStats();
-    Ft.ReadSameEpoch += R.ReadSameEpoch;
-    Ft.ReadShared += R.ReadShared;
-    Ft.ReadExclusive += R.ReadExclusive;
-    Ft.ReadShare += R.ReadShare;
-    Ft.WriteSameEpoch += R.WriteSameEpoch;
-    Ft.WriteExclusive += R.WriteExclusive;
-    Ft.WriteShared += R.WriteShared;
+    Ft += FtTool.ruleStats();
 
     DjitPlus DjitTool;
     replay(T, DjitTool);
@@ -86,7 +82,11 @@ int main(int argc, char **argv) {
   Rules.addHeader({"Rule", "Measured", "Paper"});
   Rules.addRow({"[FT READ SAME EPOCH]", pct(Ft.ReadSameEpoch, Ft.reads()),
                 "63.4%"});
-  Rules.addRow({"[FT READ SHARED]", pct(Ft.ReadShared, Ft.reads()), "20.8%"});
+  Rules.addRow({"[FT READ SHARED]",
+                pct(Ft.ReadShared + Ft.ReadSharedSameEpoch, Ft.reads()),
+                "20.8%"});
+  Rules.addRow({"  of which same-epoch (extension)",
+                pct(Ft.ReadSharedSameEpoch, Ft.reads()), "-"});
   Rules.addRow({"[FT READ EXCLUSIVE]", pct(Ft.ReadExclusive, Ft.reads()),
                 "15.7%"});
   Rules.addRow({"[FT READ SHARE]", pct(Ft.ReadShare, Ft.reads()), "0.1%"});
@@ -122,6 +122,8 @@ int main(int argc, char **argv) {
   Report.metric("sync_pct", frac(Mix.syncOps(), Mix.total()), "%");
   Report.metric("ft_read_same_epoch_pct", frac(Ft.ReadSameEpoch, Ft.reads()),
                 "%");
+  Report.metric("ft_read_shared_same_epoch_pct",
+                frac(Ft.ReadSharedSameEpoch, Ft.reads()), "%");
   Report.metric("ft_write_same_epoch_pct", frac(Ft.WriteSameEpoch, Ft.writes()),
                 "%");
   Report.metric("fast_path_pct", frac(FastPath, Accesses), "%");

@@ -17,10 +17,15 @@
 //   FastTrack 8.5/4.1≈2.1 — i.e. FastTrack ≈ Eraser, ≈2.3x faster than
 //   DJIT+, ≈10x faster than BasicVC.
 //
+// FastTrack runs with its defaults, the Section 3 same-epoch extension
+// for read-shared data included; the "FastTrack (paper default)" column
+// turns the extension off.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
+#include "core/FastTrack.h"
 #include "core/ToolRegistry.h"
 #include "support/Table.h"
 #include "workloads/Workload.h"
@@ -44,15 +49,25 @@ int main(int argc, char **argv) {
   BenchReport Report("bench_table1_slowdown", argc, argv);
   banner("Table 1 (left): slowdown relative to the Empty tool");
 
-  const std::vector<std::string> Tools = {"empty",      "eraser", "multirace",
-                                          "goldilocks", "basicvc", "djit+",
-                                          "fasttrack"};
+  // Registry names, except "fasttrack_paper": FastTrack with the
+  // extension off.
+  const std::vector<std::string> Tools = {
+      "empty",   "eraser", "multirace", "goldilocks",
+      "basicvc", "djit+",  "fasttrack", "fasttrack_paper"};
+  auto makeTool = [](const std::string &Name) -> std::unique_ptr<Tool> {
+    if (Name != "fasttrack_paper")
+      return createTool(Name);
+    FastTrackOptions Paper;
+    Paper.ExtendedSharedSameEpoch = false;
+    return std::make_unique<FastTrack>(Paper);
+  };
   const unsigned Reps = repetitions();
   std::printf("cells: median slowdown (min-max) over %u interleaved reps\n\n",
               Reps);
   Table Out;
   Out.addHeader({"Program", "Events", "Empty(ms)", "Eraser", "MultiRace",
-                 "Goldilocks", "BasicVC", "DJIT+", "FastTrack"});
+                 "Goldilocks", "BasicVC", "DJIT+", "FastTrack",
+                 "FastTrack (paper default)"});
 
   std::vector<double> GeoSum(Tools.size(), 0.0);
   unsigned GeoCount = 0;
@@ -66,7 +81,7 @@ int main(int argc, char **argv) {
     for (unsigned Rep = 0; Rep != Reps; ++Rep)
       for (size_t K = 0; K != Tools.size(); ++K) {
         size_t I = (K + Rep) % Tools.size();
-        ReplayResult Result = replay(T, *createTool(Tools[I]));
+        ReplayResult Result = replay(T, *makeTool(Tools[I]));
         Seconds[I].push_back(Result.Seconds);
         Events = Result.Events;
       }

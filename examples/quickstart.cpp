@@ -27,11 +27,12 @@ static void check(const char *Title, const Trace &T) {
     std::printf("  %s\n", toString(W).c_str());
   const FastTrackRuleStats &Rules = Detector.ruleStats();
   std::printf("  rule firings: rd same-epoch %llu, exclusive %llu, shared "
-              "%llu, share %llu | wr same-epoch %llu, exclusive %llu, "
-              "shared %llu\n\n",
+              "%llu (same-epoch %llu), share %llu | wr same-epoch %llu, "
+              "exclusive %llu, shared %llu\n\n",
               (unsigned long long)Rules.ReadSameEpoch,
               (unsigned long long)Rules.ReadExclusive,
               (unsigned long long)Rules.ReadShared,
+              (unsigned long long)Rules.ReadSharedSameEpoch,
               (unsigned long long)Rules.ReadShare,
               (unsigned long long)Rules.WriteSameEpoch,
               (unsigned long long)Rules.WriteExclusive,

@@ -9,12 +9,14 @@ using namespace ft;
 namespace {
 
 /// Checkpoint shadow-section format (see snapshotShadow below): a u32
-/// tag kShadowFormatV2, then a u64 variable count (million-variable-plus
+/// tag kShadowFormatV3, then a u64 variable count (million-variable-plus
 /// tables snapshot safely), then one record per *page* with a compact
 /// kind byte, so image size is proportional to touched pages — and
-/// within them to inflated state — not to NumVars. Any other tag (such
-/// as the pre-paged v1 format's u32 variable count) is rejected.
-constexpr uint32_t kShadowFormatV2 = 0xffffffffu;
+/// within them to inflated state — not to NumVars, then the eight Figure
+/// 2 rule counters. Any other tag is rejected: the pre-paged v1 format's
+/// u32 variable count, and v2 (0xffffffff), whose counters lack
+/// ReadSharedSameEpoch.
+constexpr uint32_t kShadowFormatV3 = 0xfffffffeu;
 
 /// Page kinds, chosen purely from logical content so a snapshot is a
 /// function of shadow *state*, never of fault-in history — that is what
@@ -82,17 +84,66 @@ void BasicFastTrack<EpochT>::maintenanceTick() {
 }
 
 template <typename EpochT>
+inline bool BasicFastTrack<EpochT>::readSummary(ThreadId T, VarId X,
+                                                size_t OpIndex, Slot &S) {
+  // [FT READ EXCLUSIVE] when W and R are epochs that happen before this
+  // read (the common case on a summary); races and read-sharing go to
+  // readSlow.
+  const VectorClock &Ct = threadClock(T);
+  if (Options.EpochReads && !ShadowTable<EpochT>::isInflated(S.W) &&
+      !ShadowTable<EpochT>::isInflated(S.R) && Ct.epochLeq(S.W) &&
+      Ct.epochLeq(S.R)) {
+    ++Rules.ReadExclusive;
+    S.R = epochOf(T);
+    return true;
+  }
+  return readSlow(T, X, OpIndex, S, epochOf(T));
+}
+
+template <typename EpochT>
+inline bool BasicFastTrack<EpochT>::writeSummary(ThreadId T, VarId X,
+                                                 size_t OpIndex, Slot &S) {
+  // [FT WRITE EXCLUSIVE] when W and R are epochs that happen before this
+  // write; races and an inflated history go to writeSlow.
+  const VectorClock &Ct = threadClock(T);
+  if (!ShadowTable<EpochT>::isInflated(S.W) &&
+      !ShadowTable<EpochT>::isInflated(S.R) && Ct.epochLeq(S.W) &&
+      Ct.epochLeq(S.R)) {
+    ++Rules.WriteExclusive;
+    S.W = epochOf(T);
+    return true;
+  }
+  return writeSlow(T, X, OpIndex, S, epochOf(T));
+}
+
+template <typename EpochT>
+bool BasicFastTrack<EpochT>::readCold(ThreadId T, VarId X, size_t OpIndex) {
+  if (Slot *Summary = Shadow.summarySlot(X))
+    return readSummary(T, X, OpIndex, *Summary);
+  Slot &S = Shadow.slot(X);
+  // An injected allocation failure summarizes the page in place of
+  // faulting it in.
+  if (Slot *Summary = Shadow.summarySlot(X))
+    return readSummary(T, X, OpIndex, *Summary);
+  return readResident(T, X, OpIndex, S);
+}
+
+template <typename EpochT>
+bool BasicFastTrack<EpochT>::writeCold(ThreadId T, VarId X, size_t OpIndex) {
+  if (Slot *Summary = Shadow.summarySlot(X))
+    return writeSummary(T, X, OpIndex, *Summary);
+  Slot &S = Shadow.slot(X);
+  // An injected allocation failure summarizes the page in place of
+  // faulting it in.
+  if (Slot *Summary = Shadow.summarySlot(X))
+    return writeSummary(T, X, OpIndex, *Summary);
+  return writeResident(T, X, OpIndex, S);
+}
+
+template <typename EpochT>
 bool BasicFastTrack<EpochT>::readSlow(ThreadId T, VarId X, size_t OpIndex,
                                       Slot &S, EpochT Et) {
   bool Shared = ShadowTable<EpochT>::isInflated(S.R);
-
-  // Optional extension (Section 3): same-epoch hit on read-shared data.
-  if (Options.ExtendedSharedSameEpoch && Shared &&
-      Shadow.clockFor(S.R).get(T) == Et.clock()) {
-    ++Rules.ReadSameEpoch;
-    return false;
-  }
-
   const VectorClock &Ct = threadClock(T);
 
   // Write-read race check: Wx ≼ Ct, O(1), same cache line as the R just
@@ -110,7 +161,9 @@ bool BasicFastTrack<EpochT>::readSlow(ThreadId T, VarId X, size_t OpIndex,
   }
 
   if (Shared) {
-    // [FT READ SHARED]: O(1) update of this thread's side-store entry.
+    // [FT READ SHARED] in the cases the inline rule leaves: after a
+    // race, when t has no entry yet (the update grows the clock), and on
+    // a summary.
     ++Rules.ReadShared;
     Shadow.clockFor(S.R).set(T, Ct.get(T));
     return true;
@@ -208,7 +261,7 @@ void BasicFastTrack<EpochT>::snapshotShadow(ByteWriter &Writer) const {
   if (Options.SortSideStoreOnSnapshot)
     const_cast<Table &>(Shadow).compactSideStore();
   snapshotClocks(Writer);
-  Writer.u32(kShadowFormatV2);
+  Writer.u32(kShadowFormatV3);
   Writer.u64(Shadow.numVars());
   // Epochs-or-sentinel encoding shared by dense records and summary
   // slots: an inflated value serializes as the canonical READ_SHARED
@@ -265,6 +318,7 @@ void BasicFastTrack<EpochT>::snapshotShadow(ByteWriter &Writer) const {
     }
   }
   Writer.u64(Rules.ReadSameEpoch);
+  Writer.u64(Rules.ReadSharedSameEpoch);
   Writer.u64(Rules.ReadShared);
   Writer.u64(Rules.ReadExclusive);
   Writer.u64(Rules.ReadShare);
@@ -281,7 +335,7 @@ bool BasicFastTrack<EpochT>::restoreShadow(ByteReader &Reader) {
     return false;
   Shadow.reset(Shadow.numVars()); // drop any state from a partial restore
 
-  if (Reader.u32() != kShadowFormatV2 || Reader.u64() != Shadow.numVars())
+  if (Reader.u32() != kShadowFormatV3 || Reader.u64() != Shadow.numVars())
     return false;
   // Mirror of snapshotShadow's writeEpochOrClock: the READ_SHARED
   // sentinel re-inflates into a freshly assigned side-store handle
@@ -325,6 +379,7 @@ bool BasicFastTrack<EpochT>::restoreShadow(ByteReader &Reader) {
       return false;
   }
   Rules.ReadSameEpoch = Reader.u64();
+  Rules.ReadSharedSameEpoch = Reader.u64();
   Rules.ReadShared = Reader.u64();
   Rules.ReadExclusive = Reader.u64();
   Rules.ReadShare = Reader.u64();

@@ -20,14 +20,19 @@
 ///
 ///   [FT READ SAME EPOCH]   Rx = E(t)                        (63.4 % reads)
 ///   [FT READ SHARED]       Rx ∈ VC: Wx ≼ Ct; Rx(t) := Ct(t) (20.8 %)
+///                          — including its same-epoch re-read,
+///                          Rx(t) = Ct(t), the Section 3 extension
+///                          (on by default, counted apart)
 ///   [FT READ EXCLUSIVE]    Rx ≼ Ct; Wx ≼ Ct; Rx := E(t)     (15.7 %)
 ///   [FT READ SHARE]        inflate Rx to a VC                ( 0.1 %)
 ///   [FT WRITE SAME EPOCH]  Wx = E(t)                        (71.0 % writes)
 ///   [FT WRITE EXCLUSIVE]   Rx ≼ Ct; Wx ≼ Ct; Wx := E(t)     (28.9 %)
 ///   [FT WRITE SHARED]      Rx ⊑ Ct (slow); Wx := E(t); Rx := ⊥e (0.1 %)
 ///
-/// Every rule except the two "shared-write/share" slow paths is O(1).
-/// The synchronization rules (Figure 3) live in VectorClockToolBase.
+/// Every rule except the two "shared-write/share" slow paths is O(1),
+/// and every O(1) read rule except [FT READ EXCLUSIVE] runs inline in
+/// onRead. The synchronization rules (Figure 3) live in
+/// VectorClockToolBase.
 ///
 /// The detector is parameterized by the epoch representation (Section 4:
 /// "switching to 64-bit epochs would enable FastTrack to handle large
@@ -54,6 +59,10 @@ namespace ft {
 /// annotations of Figure 2 (experiment E1).
 struct FastTrackRuleStats {
   uint64_t ReadSameEpoch = 0;
+  /// Same-epoch re-reads of read-shared data (Rx ∈ VC, Rx(t) = Ct(t)):
+  /// the Section 3 extension's share of [FT READ SHARED], kept apart so
+  /// E1 can still print the paper's Figure 2 split.
+  uint64_t ReadSharedSameEpoch = 0;
   uint64_t ReadShared = 0;
   uint64_t ReadExclusive = 0;
   uint64_t ReadShare = 0;
@@ -62,7 +71,8 @@ struct FastTrackRuleStats {
   uint64_t WriteShared = 0;
 
   uint64_t reads() const {
-    return ReadSameEpoch + ReadShared + ReadExclusive + ReadShare;
+    return ReadSameEpoch + ReadSharedSameEpoch + ReadShared + ReadExclusive +
+           ReadShare;
   }
   uint64_t writes() const {
     return WriteSameEpoch + WriteExclusive + WriteShared;
@@ -76,6 +86,7 @@ struct FastTrackRuleStats {
   /// Pointwise accumulation (sharded replay folds per-shard counters).
   FastTrackRuleStats &operator+=(const FastTrackRuleStats &Other) {
     ReadSameEpoch += Other.ReadSameEpoch;
+    ReadSharedSameEpoch += Other.ReadSharedSameEpoch;
     ReadShared += Other.ReadShared;
     ReadExclusive += Other.ReadExclusive;
     ReadShare += Other.ReadShare;
@@ -86,12 +97,13 @@ struct FastTrackRuleStats {
   }
 };
 
-/// Configuration knobs. The defaults implement the published algorithm;
-/// the flags exist for the ablation study (experiment E8) and the
-/// same-epoch extension discussed in Section 3.
+/// Configuration knobs. The defaults implement the published algorithm
+/// plus the same-epoch extension Section 3 discusses for read-shared
+/// data, which changes no warning; the flags exist for the ablation study
+/// (experiment E8), whose `paper-default` column turns the extension off.
 struct FastTrackOptions {
   /// Rule [FT READ/WRITE SAME EPOCH]. Disabling forces every access down
-  /// the general path.
+  /// the general path (the read-shared same-epoch extension included).
   bool SameEpochFastPath = true;
 
   /// Epoch representation for read histories. Disabling keeps every
@@ -101,8 +113,12 @@ struct FastTrackOptions {
 
   /// The extension mentioned in Section 3: treat a same-epoch read of
   /// read-shared data (Rx ∈ VC and Rx(t) = Ct(t)) as a same-epoch hit,
-  /// covering 78 % of reads like DJIT+'s same-epoch rule.
-  bool ExtendedSharedSameEpoch = false;
+  /// covering 78 % of reads like DJIT+'s same-epoch rule. Counted in
+  /// FastTrackRuleStats::ReadSharedSameEpoch. On by default: t's
+  /// earlier read in the same epoch already made the checks, so the hit
+  /// changes no warning, and turning it off (the paper's default) changes
+  /// counters and speed only.
+  bool ExtendedSharedSameEpoch = true;
 
   /// Shadow-memory governance (shadow/ShadowPolicy.h): page temperature
   /// tracking, lossless cold-page compression, and watermark-driven
@@ -133,9 +149,11 @@ public:
   }
 
   void begin(const ToolContext &Context) override;
-  /// The access handlers hold only the O(1) same-epoch rules and are
-  /// defined inline below, so the registered loops (FastTrack.cpp) inline
-  /// them; every other rule lives in the out-of-line readSlow/writeSlow.
+  /// The access handlers hold the O(1) same-epoch rules and the
+  /// [FT READ SHARED] update and are defined inline below, so the
+  /// registered loops (FastTrack.cpp) inline them; every other rule lives
+  /// in the out-of-line readSlow/writeSlow, and non-resident shadow
+  /// regions go through the out-of-line readCold/writeCold.
   bool onRead(ThreadId T, VarId X, size_t OpIndex) override;
   bool onWrite(ThreadId T, VarId X, size_t OpIndex) override;
   size_t shadowBytes() const override;
@@ -200,9 +218,31 @@ private:
   /// E(t) = Ct(t)@t, packed into this instantiation's epoch layout.
   EpochT epochOf(ThreadId T) const { return EpochT::make(T, currentClock(T)); }
 
-  /// The rest of Figure 2 once the same-epoch test has missed: \p S is
-  /// X's slot and \p Et is E(t). Kept out of line so the handlers stay
-  /// small enough to inline into the registered loops.
+  /// The inline rules on a slot of a resident page (onRead/onWrite's
+  /// body once the slot is found); misses fall through to readSlow/
+  /// writeSlow.
+  bool readResident(ThreadId T, VarId X, size_t OpIndex, Slot &S);
+  bool writeResident(ThreadId T, VarId X, size_t OpIndex, Slot &S);
+
+  /// The access on a region with no resident page: faults or expands the
+  /// page, then runs the inline rules. A summarized region takes
+  /// readSummary/writeSummary instead: its slot folds the histories of
+  /// every variable on the page, so R = E(t) or W = E(t) may come from
+  /// another variable and no same-epoch rule may skip the check of the
+  /// other history there.
+  [[gnu::noinline]] bool readCold(ThreadId T, VarId X, size_t OpIndex);
+  [[gnu::noinline]] bool writeCold(ThreadId T, VarId X, size_t OpIndex);
+
+  /// The exclusive rules on a page summary, checked in full, inline in
+  /// readCold/writeCold: nearly every access to a summary takes them, and
+  /// a call to readSlow/writeSlow on each made those accesses a fifth
+  /// slower. Everything else goes to readSlow/writeSlow.
+  bool readSummary(ThreadId T, VarId X, size_t OpIndex, Slot &S);
+  bool writeSummary(ThreadId T, VarId X, size_t OpIndex, Slot &S);
+
+  /// The rest of Figure 2 once the inline rules have missed: \p S is X's
+  /// slot and \p Et is E(t). Kept out of line so the handlers stay small
+  /// enough to inline into the registered loops.
   [[gnu::noinline]] bool readSlow(ThreadId T, VarId X, size_t OpIndex,
                                   Slot &S, EpochT Et);
   [[gnu::noinline]] bool writeSlow(ThreadId T, VarId X, size_t OpIndex,
@@ -233,7 +273,15 @@ inline bool BasicFastTrack<EpochT>::onRead(ThreadId T, VarId X,
   // compression/shedding never runs under an in-flight rule.
   if (__builtin_expect(MaintainCountdown != 0, 0) && --MaintainCountdown == 0)
     maintenanceTick();
-  Slot &S = Shadow.slot(X);
+  Slot *S = Shadow.residentSlot(X);
+  if (__builtin_expect(S == nullptr, 0))
+    return readCold(T, X, OpIndex);
+  return readResident(T, X, OpIndex, *S);
+}
+
+template <typename EpochT>
+inline bool BasicFastTrack<EpochT>::readResident(ThreadId T, VarId X,
+                                                 size_t OpIndex, Slot &S) {
   EpochT Et = epochOf(T);
 
   // [FT READ SAME EPOCH]: single epoch comparison on the hot W/R pair,
@@ -243,6 +291,29 @@ inline bool BasicFastTrack<EpochT>::onRead(ThreadId T, VarId X,
     ++Rules.ReadSameEpoch;
     return false;
   }
+
+  // Read-shared data. Only summaries hold an inflated W, and summaries
+  // are never resident (readCold serves them), so W is an epoch here.
+  if (ShadowTable<EpochT>::isInflated(S.R)) {
+    assert(!ShadowTable<EpochT>::isInflated(S.W));
+    VectorClock &Rvc = Shadow.clockFor(S.R);
+    // Both rules need t's entry in the clock already; growing it is the
+    // slow path's job.
+    if (T < Rvc.size()) {
+      // The Section 3 extension: Rx(t) = Ct(t), a same-epoch re-read.
+      if (Options.SameEpochFastPath && Options.ExtendedSharedSameEpoch &&
+          Rvc.get(T) == Et.clock()) {
+        ++Rules.ReadSharedSameEpoch;
+        return false;
+      }
+      // [FT READ SHARED]: Wx ≼ Ct, then the O(1) update of Rx(t).
+      if (threadClock(T).epochLeq(S.W)) {
+        ++Rules.ReadShared;
+        Rvc.set(T, currentClock(T));
+        return true;
+      }
+    }
+  }
   return readSlow(T, X, OpIndex, S, Et);
 }
 
@@ -251,12 +322,18 @@ inline bool BasicFastTrack<EpochT>::onWrite(ThreadId T, VarId X,
                                             size_t OpIndex) {
   if (__builtin_expect(MaintainCountdown != 0, 0) && --MaintainCountdown == 0)
     maintenanceTick();
-  Slot &S = Shadow.slot(X);
+  Slot *S = Shadow.residentSlot(X);
+  if (__builtin_expect(S == nullptr, 0))
+    return writeCold(T, X, OpIndex);
+  return writeResident(T, X, OpIndex, *S);
+}
+
+template <typename EpochT>
+inline bool BasicFastTrack<EpochT>::writeResident(ThreadId T, VarId X,
+                                                  size_t OpIndex, Slot &S) {
   EpochT Et = epochOf(T);
 
-  // [FT WRITE SAME EPOCH]: 71.0 % of writes. A summarized region's
-  // inflated W never equals a real epoch (its tid is the reserved tag),
-  // so the fast path needs no extra branch.
+  // [FT WRITE SAME EPOCH]: 71.0 % of writes.
   if (Options.SameEpochFastPath && S.W == Et) {
     ++Rules.WriteSameEpoch;
     return false;

@@ -18,43 +18,18 @@ ThreadId BasicVC::conflictingThread(const VectorClock &Prior,
   return UnknownThread;
 }
 
-bool BasicVC::onRead(ThreadId T, VarId X, size_t OpIndex) {
-  VarState &State = Vars[X];
-  const VectorClock &Ct = threadClock(T);
-  if (!State.W.leq(Ct)) {
-    RaceWarning W;
-    W.Var = X;
-    W.OpIndex = OpIndex;
-    W.CurrentThread = T;
-    W.CurrentKind = OpKind::Read;
-    W.PriorThread = conflictingThread(State.W, T);
-    W.PriorKind = OpKind::Write;
-    W.Detail = "write-read race";
-    reportRace(std::move(W));
-  }
-  State.R.set(T, currentClock(T));
-  return true;
-}
-
-bool BasicVC::onWrite(ThreadId T, VarId X, size_t OpIndex) {
-  VarState &State = Vars[X];
-  const VectorClock &Ct = threadClock(T);
-  bool WriteRace = !State.W.leq(Ct);
-  bool ReadRace = !State.R.leq(Ct);
-  if (WriteRace || ReadRace) {
-    RaceWarning W;
-    W.Var = X;
-    W.OpIndex = OpIndex;
-    W.CurrentThread = T;
-    W.CurrentKind = OpKind::Write;
-    W.PriorThread =
-        conflictingThread(WriteRace ? State.W : State.R, T);
-    W.PriorKind = WriteRace ? OpKind::Write : OpKind::Read;
-    W.Detail = WriteRace ? "write-write race" : "read-write race";
-    reportRace(std::move(W));
-  }
-  State.W.set(T, currentClock(T));
-  return true;
+void BasicVC::reportAccessRace(ThreadId T, VarId X, size_t OpIndex,
+                               OpKind Kind, const VectorClock &Prior,
+                               OpKind PriorKind, const char *Detail) {
+  RaceWarning W;
+  W.Var = X;
+  W.OpIndex = OpIndex;
+  W.CurrentThread = T;
+  W.CurrentKind = Kind;
+  W.PriorThread = conflictingThread(Prior, T);
+  W.PriorKind = PriorKind;
+  W.Detail = Detail;
+  reportRace(std::move(W));
 }
 
 size_t BasicVC::shadowBytes() const {

@@ -33,6 +33,9 @@ public:
   const char *name() const override { return "BasicVC"; }
 
   void begin(const ToolContext &Context) override;
+  /// The handlers are defined inline below, so the registered loops
+  /// (BasicVC.cpp) inline the ⊑ checks and the update; only the warning
+  /// construction is out of line.
   bool onRead(ThreadId T, VarId X, size_t OpIndex) override;
   bool onWrite(ThreadId T, VarId X, size_t OpIndex) override;
   size_t shadowBytes() const override;
@@ -47,6 +50,11 @@ private:
   /// Finds a thread whose entry of \p Prior exceeds Ct, i.e. a concurrent
   /// prior access, for error reporting.
   ThreadId conflictingThread(const VectorClock &Prior, ThreadId T) const;
+  /// Builds and records the warning (out of line; see onRead).
+  [[gnu::noinline]] void reportAccessRace(ThreadId T, VarId X, size_t OpIndex,
+                                          OpKind Kind, const VectorClock &Prior,
+                                          OpKind PriorKind,
+                                          const char *Detail);
 
   struct VarState {
     VectorClock R;
@@ -54,6 +62,30 @@ private:
   };
   std::vector<VarState> Vars;
 };
+
+inline bool BasicVC::onRead(ThreadId T, VarId X, size_t OpIndex) {
+  VarState &State = Vars[X];
+  if (!State.W.leq(threadClock(T)))
+    reportAccessRace(T, X, OpIndex, OpKind::Read, State.W, OpKind::Write,
+                     "write-read race");
+  State.R.set(T, currentClock(T));
+  return true;
+}
+
+inline bool BasicVC::onWrite(ThreadId T, VarId X, size_t OpIndex) {
+  VarState &State = Vars[X];
+  const VectorClock &Ct = threadClock(T);
+  bool WriteRace = !State.W.leq(Ct);
+  bool ReadRace = !State.R.leq(Ct);
+  if (WriteRace)
+    reportAccessRace(T, X, OpIndex, OpKind::Write, State.W, OpKind::Write,
+                     "write-write race");
+  else if (ReadRace)
+    reportAccessRace(T, X, OpIndex, OpKind::Write, State.R, OpKind::Read,
+                     "read-write race");
+  State.W.set(T, currentClock(T));
+  return true;
+}
 
 } // namespace ft
 

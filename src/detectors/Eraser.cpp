@@ -43,8 +43,8 @@ void Eraser::warnIfUnprotected(const VarShadow &Shadow, ThreadId T, VarId X,
   reportRace(std::move(W));
 }
 
-bool Eraser::onRead(ThreadId T, VarId X, size_t OpIndex) {
-  VarShadow &Shadow = Vars[X];
+bool Eraser::readSlow(ThreadId T, VarId X, size_t OpIndex,
+                      VarShadow &Shadow) {
   refresh(Shadow);
   switch (Shadow.State) {
   case EraserVarState::Virgin:
@@ -74,8 +74,8 @@ bool Eraser::onRead(ThreadId T, VarId X, size_t OpIndex) {
   return true;
 }
 
-bool Eraser::onWrite(ThreadId T, VarId X, size_t OpIndex) {
-  VarShadow &Shadow = Vars[X];
+bool Eraser::writeSlow(ThreadId T, VarId X, size_t OpIndex,
+                       VarShadow &Shadow) {
   refresh(Shadow);
   switch (Shadow.State) {
   case EraserVarState::Virgin:

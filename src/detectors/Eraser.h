@@ -53,6 +53,10 @@ public:
   const char *name() const override { return "Eraser"; }
 
   void begin(const ToolContext &Context) override;
+  /// The handlers hold only the generation-current Virgin and owner-
+  /// Exclusive transitions and are defined inline below, so the
+  /// registered loops (Eraser.cpp) inline them; every other transition
+  /// lives in the out-of-line readSlow/writeSlow.
   bool onRead(ThreadId T, VarId X, size_t OpIndex) override;
   bool onWrite(ThreadId T, VarId X, size_t OpIndex) override;
   void onAcquire(ThreadId T, LockId M, size_t OpIndex) override;
@@ -87,6 +91,25 @@ private:
     LockSet Candidates;
   };
 
+  /// True when \p Shadow is current and a read or write by \p T changes
+  /// no lockset: a Virgin variable becomes T's Exclusive one, and T's own
+  /// Exclusive variable stays so. Applies that transition.
+  bool ownAccess(VarShadow &Shadow, ThreadId T) {
+    if (Shadow.Generation != Generation)
+      return false;
+    if (Shadow.State == EraserVarState::Virgin) {
+      Shadow.State = EraserVarState::Exclusive;
+      Shadow.Owner = T;
+      return true;
+    }
+    return Shadow.State == EraserVarState::Exclusive && Shadow.Owner == T;
+  }
+  /// The rest of the state machine for \p Shadow, X's shadow state.
+  [[gnu::noinline]] bool readSlow(ThreadId T, VarId X, size_t OpIndex,
+                                  VarShadow &Shadow);
+  [[gnu::noinline]] bool writeSlow(ThreadId T, VarId X, size_t OpIndex,
+                                   VarShadow &Shadow);
+
   /// Lazily resets \p Shadow if it predates the current barrier phase.
   void refresh(VarShadow &Shadow);
   void warnIfUnprotected(const VarShadow &Shadow, ThreadId T, VarId X,
@@ -97,6 +120,20 @@ private:
   HeldLocks Held;
   std::vector<VarShadow> Vars;
 };
+
+inline bool Eraser::onRead(ThreadId T, VarId X, size_t OpIndex) {
+  VarShadow &Shadow = Vars[X];
+  if (ownAccess(Shadow, T))
+    return false;
+  return readSlow(T, X, OpIndex, Shadow);
+}
+
+inline bool Eraser::onWrite(ThreadId T, VarId X, size_t OpIndex) {
+  VarShadow &Shadow = Vars[X];
+  if (ownAccess(Shadow, T))
+    return false;
+  return writeSlow(T, X, OpIndex, Shadow);
+}
 
 } // namespace ft
 

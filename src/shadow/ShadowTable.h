@@ -124,9 +124,10 @@ enum class ShadowPageState : uint8_t {
 /// **Governed tables may hand out an inflated W.** A summarized page
 /// whose cold writes came from multiple threads joins them into a
 /// side-store vector clock, tagged into W exactly like a read-shared R.
-/// Detectors must branch on isInflated(W) before epoch-comparing it; the
-/// same-epoch fast path needs no change (a tagged handle never equals a
-/// real epoch).
+/// Detectors must branch on isInflated(W) before epoch-comparing it. A
+/// summary's W and R fold every variable of the page, so W = E(t) or
+/// R = E(t) there may come from another variable: detectors must not
+/// apply same-epoch rules to a summary. residentSlot() never returns one.
 template <typename EpochT> class ShadowTable {
 public:
   using RawT = decltype(EpochT().raw());
@@ -215,25 +216,34 @@ public:
       Stats.ShadowBytesHighWater = Bytes;
   }
 
-  /// The hot-path accessor: returns the slot for \p X. Small tables take
-  /// the flat path — identical address arithmetic to the dense layout
-  /// behind one always-predicted branch. Large tables pay one extra
-  /// (cache-resident) directory load, faulting the page in on first
-  /// touch; the directory is 8 bytes per 512 variables. Compressed and
-  /// summarized regions route through the cold path: compressed pages
-  /// re-expand bit-identically, summarized regions serve their single
-  /// page-granularity slot.
-  Slot &slot(VarId X) {
+  /// The hot-path accessor: returns the slot for \p X, or null when X's
+  /// region holds no resident page (never accessed, compressed or
+  /// summarized). Small tables take the flat path — identical address
+  /// arithmetic to the dense layout behind one always-predicted branch.
+  /// Large tables pay one extra (cache-resident) directory load; the
+  /// directory is 8 bytes per 512 variables. A non-null slot is never a
+  /// page summary, so callers may apply per-variable rules to it.
+  Slot *residentSlot(VarId X) {
     assert(X < Vars && "variable id outside the shadow table");
     if (__builtin_expect(FlatSlots != nullptr, 1))
-      return FlatSlots[X];
+      return &FlatSlots[X];
     const size_t PI = X >> PageShift;
     Page *P = Dir[PI];
     if (__builtin_expect(P == nullptr, 0))
-      return coldSlot(X, PI);
+      return nullptr;
     if (__builtin_expect(Governed, 0))
       Meta[PI].LastTouch = Gen;
-    return P->Slots[X & PageMask];
+    return &P->Slots[X & PageMask];
+  }
+
+  /// Returns the slot for \p X, faulting the page in on first touch.
+  /// Compressed and summarized regions route through the cold path:
+  /// compressed pages re-expand bit-identically, summarized regions serve
+  /// their single page-granularity slot.
+  Slot &slot(VarId X) {
+    if (Slot *S = residentSlot(X); __builtin_expect(S != nullptr, 1))
+      return *S;
+    return coldSlot(X, X >> PageShift);
   }
 
   /// One governance maintenance tick. Call cadence defines the
@@ -346,6 +356,18 @@ public:
   /// \returns false when the page has no per-slot content (Untouched or
   /// Summarized).
   bool readPageContent(size_t PI, Slot *Out) const;
+
+  /// The summary slot serving \p X when X's page is Summarized, touched
+  /// as slot() touches it; null otherwise. The detectors' cold path
+  /// serves summaries through this without slot()'s call to coldSlot.
+  Slot *summarySlot(VarId X) {
+    const size_t PI = X >> PageShift;
+    if (Meta.empty() || Meta[PI].State != ShadowPageState::Summarized)
+      return nullptr;
+    if (Governed)
+      Meta[PI].LastTouch = Gen;
+    return &Meta[PI].Summary;
+  }
 
   /// The page-granularity summary slot of a Summarized page.
   const Slot &summaryAt(size_t PI) const {

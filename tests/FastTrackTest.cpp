@@ -304,21 +304,81 @@ TEST(FastTrack, AblationNoEpochReadsUsesVectorClocks) {
 }
 
 TEST(FastTrack, ExtendedSharedSameEpochCountsAsFastPath) {
-  FastTrackOptions Options;
-  Options.ExtendedSharedSameEpoch = true;
   Trace T = TraceBuilder()
                 .fork(0, 1)
                 .rd(0, 0)
                 .rd(1, 0) // inflate
                 .rd(1, 0) // same epoch on shared data
                 .take();
-  FtRun R(T, Options);
-  EXPECT_EQ(R.rules().ReadSameEpoch, 1u);
+  // The Section 3 extension is on by default: the re-read is a
+  // same-epoch hit on read-shared data, counted apart from the paper's
+  // [FT READ SAME EPOCH].
+  FtRun R(T);
+  EXPECT_EQ(R.rules().ReadSharedSameEpoch, 1u);
+  EXPECT_EQ(R.rules().ReadSameEpoch, 0u);
   EXPECT_EQ(R.rules().ReadShared, 0u);
 
-  // Without the extension the read takes the Shared rule.
-  FtRun R2(T);
+  // The paper's default (extension off): the read takes the Shared rule.
+  FastTrackOptions Paper;
+  Paper.ExtendedSharedSameEpoch = false;
+  FtRun R2(T, Paper);
   EXPECT_EQ(R2.rules().ReadShared, 1u);
+  EXPECT_EQ(R2.rules().ReadSharedSameEpoch, 0u);
+}
+
+TEST(FastTrack, ReadSharedReReadAcrossEpochsUpdatesInline) {
+  // Thread 1's re-read after a release is in a new epoch: Rx(1) is
+  // stale, Wx = ⊥ ≼ C1, so [FT READ SHARED] updates Rx(1) in place; the
+  // next re-read in that epoch is then a same-epoch hit.
+  Trace T = TraceBuilder()
+                .fork(0, 1)
+                .rd(0, 0)
+                .rd(1, 0) // inflate
+                .acq(1, 0)
+                .rel(1, 0) // ends thread 1's epoch
+                .rd(1, 0)  // [FT READ SHARED], Rx(1) := C1(1)
+                .rd(1, 0)  // same epoch on shared data
+                .take();
+  FtRun R(T);
+  EXPECT_EQ(R.warningCount(), 0u);
+  EXPECT_EQ(R.rules().ReadShare, 1u);
+  EXPECT_EQ(R.rules().ReadShared, 1u);
+  EXPECT_EQ(R.rules().ReadSharedSameEpoch, 1u);
+  EXPECT_EQ(R.Tool.inflatedReadStates(), 1u);
+}
+
+TEST(FastTrack, RacyReadOfReadSharedDataStillWarns) {
+  // x's read clock reuses y's deflated side-store buffer, which keeps its
+  // width: thread 1 has a (zero) entry in Rx without ever having read x.
+  // Its read races with thread 4's write, so it must not take the inline
+  // update, and the slow path must warn.
+  Trace T = TraceBuilder()
+                .fork(0, 1)
+                .fork(0, 2)
+                .fork(0, 3)
+                .rd(2, 1)
+                .rd(3, 1) // y inflates; its clock is 4 entries wide
+                .join(0, 2)
+                .join(0, 3)
+                .wr(0, 1) // y deflates, parking handle and buffer
+                .fork(0, 4)
+                .acq(4, 0)
+                .wr(4, 0)
+                .rel(4, 0)
+                .acq(0, 0)
+                .rd(0, 0) // ordered after the write: exclusive
+                .rel(0, 0)
+                .rd(4, 0) // concurrent reads: x inflates, recycling y's clock
+                .rd(1, 0) // unordered with wr(4, x): write-read race
+                .take();
+  FtRun R(T);
+  EXPECT_EQ(R.rules().ReadShare, 2u);
+  ASSERT_EQ(R.warningCount(), 1u);
+  const RaceWarning &W = R.Tool.warnings()[0];
+  EXPECT_EQ(W.Var, 0u);
+  EXPECT_EQ(W.CurrentThread, 1u);
+  EXPECT_EQ(W.PriorThread, 4u);
+  EXPECT_EQ(W.Detail, "write-read race");
 }
 
 //===----------------------------------------------------------------------===//

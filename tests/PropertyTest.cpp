@@ -111,9 +111,9 @@ TEST_P(RandomTraceProperty, AblatedFastTrackKeepsPrecision) {
   FastTrack B(NoEpochReads);
   EXPECT_EQ(warnedVars(B, T), Expected) << "seed " << GetParam();
 
-  FastTrackOptions Extended;
-  Extended.ExtendedSharedSameEpoch = true;
-  FastTrack C(Extended);
+  FastTrackOptions PaperDefault;
+  PaperDefault.ExtendedSharedSameEpoch = false;
+  FastTrack C(PaperDefault);
   EXPECT_EQ(warnedVars(C, T), Expected) << "seed " << GetParam();
 }
 

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace ft;
 
 namespace {
@@ -690,5 +692,139 @@ TEST(ShadowTable, PagedMatchesDenseReferenceOnRandomTraces) {
     replay(T, Paged);
     replay(T, Dense);
     expectSameWarnings(Dense.warnings(), Paged.warnings(), "random trace");
+  }
+}
+
+TEST(ShadowTable, CheckpointCarriesReadSharedSameEpochCounter) {
+  // Read-shared re-reads on both sides of the cut: the resumed run must
+  // end with the same image, counters included.
+  TraceBuilder B;
+  B.fork(0, 1).fork(0, 2);
+  B.rd(1, 7).rd(2, 7).rd(1, 7).rd(2, 7); // inflate, then two hits
+  const size_t Cut = 6;
+  B.rd(1, 7).acq(1, 0).rel(1, 0).rd(1, 7).rd(1, 7);
+  B.join(0, 1).join(0, 2);
+  Trace T = B.take();
+
+  FastTrack Reference;
+  Reference.begin(contextFor(T));
+  drive(Reference, T, 0, Cut);
+  ASSERT_EQ(Reference.ruleStats().ReadSharedSameEpoch, 2u);
+  std::string Mid = shadowImage(Reference);
+  drive(Reference, T, Cut, T.size());
+  Reference.end();
+  EXPECT_EQ(Reference.ruleStats().ReadSharedSameEpoch, 4u);
+
+  FastTrack Resumed;
+  Resumed.begin(contextFor(T));
+  ByteReader Reader(Mid);
+  ASSERT_TRUE(Resumed.restoreShadow(Reader));
+  EXPECT_EQ(Resumed.ruleStats().ReadSharedSameEpoch, 2u);
+  drive(Resumed, T, Cut, T.size());
+  Resumed.end();
+  EXPECT_EQ(shadowImage(Resumed), shadowImage(Reference));
+  EXPECT_EQ(Resumed.ruleStats().ReadSharedSameEpoch, 4u);
+  EXPECT_EQ(Resumed.ruleStats().ReadShared, Reference.ruleStats().ReadShared);
+}
+
+TEST(ShadowTable, PreCounterV2ImagesAreRejected) {
+  // v2 images (tag 0xffffffff) end with seven rule counters, not eight;
+  // the tag alone must turn them away.
+  TraceBuilder B;
+  B.fork(0, 1).wr(1, 0).rd(1, 1).join(0, 1);
+  Trace T = B.take();
+  FastTrack Tool;
+  replay(T, Tool);
+  std::string Image = shadowImage(Tool);
+
+  const size_t ClocksLen = ClockCodec::clocksSectionLength(T, Image);
+  ByteWriter V2Tag;
+  V2Tag.u32(0xffffffffu);
+  std::string V2 = Image;
+  V2.replace(ClocksLen, V2Tag.bytes().size(), V2Tag.bytes());
+  ASSERT_NE(V2, Image);
+  FastTrack Fresh;
+  Fresh.begin(contextFor(T));
+  ByteReader Reader(V2);
+  EXPECT_FALSE(Fresh.restoreShadow(Reader));
+}
+
+namespace {
+
+/// Replays \p T through an ungoverned FastTrack and through one whose
+/// tiny budget summarizes cold pages, and returns both warned-variable
+/// sets (plain first).
+std::pair<std::vector<VarId>, std::vector<VarId>>
+plainAndSummarizedWarnedVars(const Trace &T) {
+  FastTrackOptions Gov;
+  Gov.Memory.Enabled = true;
+  Gov.Memory.BudgetBytes = 24 * 1024;
+  Gov.Memory.MaintainEveryAccesses = 32;
+  Gov.Memory.ColdAgeTicks = 1;
+  FastTrack Governed(Gov);
+  FastTrack Plain;
+  replay(T, Governed);
+  replay(T, Plain);
+  EXPECT_GT(Governed.shadowGovernorStats().PagesSummarized, 0u);
+  auto vars = [](const FastTrack &Tool) {
+    std::vector<VarId> Vars;
+    for (const RaceWarning &W : Tool.warnings())
+      Vars.push_back(W.Var);
+    std::sort(Vars.begin(), Vars.end());
+    return Vars;
+  };
+  return {vars(Plain), vars(Governed)};
+}
+
+/// Thread 1 writes one variable on each of 120 other pages, so the pages
+/// touched before cool and get summarized under the budget, then hammers
+/// page 0 to keep the maintenance ticks running.
+void coolEarlierPages(TraceBuilder &B) {
+  for (unsigned PI = 10; PI != 130; ++PI)
+    B.wr(1, PI * ShadowPageVars + (PI % 7));
+  B.wr(1, 140 * ShadowPageVars - 1);
+  for (int I = 0; I != 200; ++I)
+    B.wr(1, 3);
+}
+
+} // namespace
+
+TEST(ShadowTable, SummarizedPagesNeverSkipChecksThroughSameEpochRules) {
+  // A summary folds a page's W and R from different variables, so in
+  // each case below the summary holds E(1) from thread 1's access to y,
+  // and thread 1's access to x in that same epoch must still be checked
+  // against thread 2's access to x. Coarsened, never missing: the
+  // governed warnings cover every variable the ungoverned detector warns.
+  constexpr VarId X = 5 * ShadowPageVars, Y = X + 3;
+  struct Case {
+    const char *Name;
+    void (*Setup)(TraceBuilder &);
+    void (*Access)(TraceBuilder &);
+  };
+  const Case Cases[] = {
+      {"read: R = E(1)",
+       [](TraceBuilder &B) { B.wr(2, X).rd(1, Y); },
+       [](TraceBuilder &B) { B.rd(1, X); }},
+      {"write: W = E(1)",
+       [](TraceBuilder &B) { B.rd(2, X).wr(1, Y); },
+       [](TraceBuilder &B) { B.wr(1, X); }},
+      {"read-shared: R(1) = C1(1)",
+       [](TraceBuilder &B) { B.wr(2, X).rd(1, Y).rd(3, Y); },
+       [](TraceBuilder &B) { B.rd(1, X); }},
+  };
+  for (const Case &C : Cases) {
+    TraceBuilder B;
+    B.fork(0, 1).fork(0, 2).fork(0, 3);
+    C.Setup(B);
+    coolEarlierPages(B);
+    C.Access(B);
+    B.join(0, 1).join(0, 2).join(0, 3);
+    Trace T = B.take();
+
+    auto [Plain, Governed] = plainAndSummarizedWarnedVars(T);
+    ASSERT_EQ(Plain, std::vector<VarId>{X}) << C.Name;
+    EXPECT_TRUE(std::includes(Governed.begin(), Governed.end(), Plain.begin(),
+                              Plain.end()))
+        << C.Name << ": governed run misses a race";
   }
 }
