@@ -19,6 +19,11 @@
 // writes from an unordered thread across the swept space — every race
 // lands on a page that is compressed or summarized by the time it fires.
 //
+// ns/event is the median (min-max) over FT_BENCH_REPS reps. Within a rep
+// each config replays the trace once through a fresh detector, and the
+// order rotates from rep to rep, so drift on a shared machine lands on
+// every config alike.
+//
 // Acceptance: the ungoverned footprint exceeds the governed high water
 // by >= 4x, compressed warnings match ungoverned warning-for-warning,
 // and the governed run still reports every race's page region.
@@ -34,6 +39,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <vector>
 
 using namespace ft;
@@ -44,12 +50,6 @@ namespace {
 constexpr VarId Space = 1u << 20;            // 2048 shadow pages
 constexpr uint64_t BudgetBytes = 1u << 20;   // 1 MiB governed budget
 constexpr unsigned PlantedRaces = 8;
-
-std::string fixed1(double Value) {
-  char Buffer[32];
-  std::snprintf(Buffer, sizeof(Buffer), "%.1f", Value);
-  return Buffer;
-}
 
 /// The shared E16 trace (see file header). Thread 1 streams the space;
 /// thread 2 is forked before the sweep and never synchronizes with it,
@@ -79,25 +79,31 @@ Trace streamingWorkload(unsigned ChurnPasses) {
 struct ConfigResult {
   const char *Name;
   const char *JsonPrefix;
-  ReplayResult Replay;
+  ShadowMemoryPolicy Policy;
+  std::vector<double> NsPerEvent = {}; ///< One sample per rep.
+  // Deterministic outcomes, identical in every rep.
   size_t ShadowBytes = 0;
-  ShadowGovernorStats Gov;
-  std::vector<RaceWarning> Warnings;
+  ShadowGovernorStats Gov = {};
+  std::vector<RaceWarning> Warnings = {};
 };
 
-ConfigResult run(const char *Name, const char *JsonPrefix, const Trace &T,
-                 const ShadowMemoryPolicy &Policy) {
+/// One rep of \p R's config, through a fresh detector.
+void runOnce(ConfigResult &R, const Trace &T) {
   FastTrackOptions Options;
-  Options.Memory = Policy;
+  Options.Memory = R.Policy;
   FastTrack Tool(Options);
-  ConfigResult R;
-  R.Name = Name;
-  R.JsonPrefix = JsonPrefix;
-  R.Replay = timedReplay(T, Tool);
+  ReplayResult Replay = replay(T, Tool);
+  R.NsPerEvent.push_back(Replay.Seconds * 1e9 /
+                         static_cast<double>(Replay.Events));
   R.ShadowBytes = Tool.shadowBytes();
   R.Gov = Tool.shadowGovernorStats();
   R.Warnings = Tool.warnings();
-  return R;
+}
+
+/// "9.0 (8.8-9.3)": the median with its min and max.
+std::string cell(const Spread &S) {
+  return fixed(S.Median, 1) + " (" + fixed(S.Min, 1) + "-" + fixed(S.Max, 1) +
+         ")";
 }
 
 bool sameWarnings(const std::vector<RaceWarning> &A,
@@ -148,33 +154,37 @@ int main(int argc, char **argv) {
   Budget.ColdAgeTicks = 1;
 
   ConfigResult Results[] = {
-      run("ungoverned", "ungoverned", T, Off),
-      run("compressed", "compressed", T, Compress),
-      run("governed-1MiB", "governed", T, Budget),
+      {"ungoverned", "ungoverned", Off},
+      {"compressed", "compressed", Compress},
+      {"governed-1MiB", "governed", Budget},
   };
+  constexpr size_t NumConfigs = std::size(Results);
+  const unsigned Reps = repetitions();
+  for (unsigned Rep = 0; Rep != Reps; ++Rep)
+    for (size_t K = 0; K != NumConfigs; ++K)
+      runOnce(Results[(K + Rep) % NumConfigs], T);
   const ConfigResult &Dense = Results[0];
   const ConfigResult &Packed = Results[1];
   const ConfigResult &Gov = Results[2];
 
+  std::printf("ns/event: median (min-max) over %u interleaved reps\n\n",
+              Reps);
   Table Out;
   Out.addHeader({"Config", "ns/event", "Shadow bytes", "High water",
                  "Compressed", "Summarized", "Trips", "Warnings"});
   for (const ConfigResult &R : Results) {
-    double NsPerEvent = R.Replay.Events
-                            ? R.Replay.Seconds * 1e9 /
-                                  static_cast<double>(R.Replay.Events)
-                            : 0;
+    const Spread NsPerEvent = spreadOf(R.NsPerEvent);
     uint64_t HighWater =
         R.Gov.ShadowBytesHighWater ? R.Gov.ShadowBytesHighWater
                                    : R.ShadowBytes;
-    Out.addRow({R.Name, fixed1(NsPerEvent), withCommas(R.ShadowBytes),
+    Out.addRow({R.Name, cell(NsPerEvent), withCommas(R.ShadowBytes),
                 withCommas(HighWater), withCommas(R.Gov.PagesCompressed),
                 withCommas(R.Gov.PagesSummarized),
                 withCommas(R.Gov.BudgetTrips),
                 withCommas(R.Warnings.size())});
 
     std::string Prefix = R.JsonPrefix;
-    Report.metric(Prefix + "_ns_per_event", NsPerEvent, "ns");
+    Report.spread(Prefix + "_ns_per_event", NsPerEvent, "ns");
     Report.metric(Prefix + "_shadow_bytes",
                   static_cast<double>(R.ShadowBytes), "bytes");
     Report.metric(Prefix + "_high_water", static_cast<double>(HighWater),
@@ -211,7 +221,7 @@ int main(int argc, char **argv) {
               "(%sx).\n",
               withCommas(BudgetBytes).c_str(),
               withCommas(GovHighWater).c_str(),
-              withCommas(Dense.ShadowBytes).c_str(), fixed1(Ratio).c_str());
+              withCommas(Dense.ShadowBytes).c_str(), fixed(Ratio, 1).c_str());
   std::printf("Lossless compression warning-for-warning equal: %s; "
               "governed run covers every raced page region: %s.\n",
               LosslessEqual ? "yes" : "NO", Sound ? "yes" : "NO");

@@ -21,16 +21,18 @@
 //                                       # last checkpoint (default P:
 //                                       # FILE.trc.ckpt)
 //   trace_file_tool --mem-budget BYTES FILE.trc
-//                                       # shadow-memory budget; breaching
-//                                       # it degrades granularity instead
-//                                       # of dying (suffix K/M/G ok)
+//                                       # shadow-memory budget held by the
+//                                       # tool's governed shadow table:
+//                                       # cold pages are summarized to
+//                                       # page granularity instead of
+//                                       # dying (suffix K/M/G ok)
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/ToolRegistry.h"
 #include "framework/Checkpoint.h"
 #include "framework/ParallelReplay.h"
-#include "framework/ResourceGovernor.h"
+#include "shadow/ShadowTable.h"
 #include "support/Format.h"
 #include "support/MemoryTracker.h"
 #include "trace/TraceBuilder.h"
@@ -133,21 +135,42 @@ int analyze(const std::string &Path, const std::vector<std::string> &Tools) {
       std::printf("%llu checkpoint(s) written)\n",
                   static_cast<unsigned long long>(Result.CheckpointsWritten));
     } else if (MemBudget != 0) {
+      // The budget is the tool's own governed shadow table. It has no
+      // effect when the tool declines the policy, or when the variable
+      // space is small enough for the eagerly backed (ungoverned) table:
+      // say so, and report the peak a probe observed instead.
+      ShadowMemoryPolicy Policy;
+      Policy.Enabled = true;
+      Policy.BudgetBytes = MemBudget;
+      const bool Accepted = Detector->configureShadowPolicy(Policy);
+      const bool Governed = Accepted && T.numVars() > ShadowEagerVarLimit;
       MemoryTracker Tracker;
-      GovernorOptions Gov;
-      Gov.ShadowBudgetBytes = MemBudget;
-      Gov.Tracker = &Tracker;
-      GovernedReplayResult Result = replayGoverned(T, *Detector, {}, Gov);
-      printDiags(Result.Diags);
-      std::printf("\n[%s] %zu warning(s) in %.3fs (", Detector->name(),
-                  Detector->warnings().size(), Result.Result.Seconds);
-      if (Result.FinalGran == Granularity::Fine)
-        std::printf("fine granularity");
-      else
-        std::printf("degraded %u time(s) to coarse, %u fields/object",
-                    Result.Degradations, Result.FinalFieldsPerObject);
-      std::printf(", peak shadow %llu bytes)\n",
-                  static_cast<unsigned long long>(Tracker.peakBytes()));
+      ReplayOptions Options;
+      if (!Governed)
+        Options.BudgetTracker = &Tracker;
+      ReplayResult Result = replay(T, *Detector, Options);
+      std::printf("\n[%s] %zu warning(s) in %.3fs ", Detector->name(),
+                  Detector->warnings().size(), Result.Seconds);
+      if (Governed) {
+        const ShadowGovernorStats S = Detector->shadowGovernorStats();
+        std::printf("(shadow governor: %llu budget trip(s), %llu page(s) "
+                    "summarized, high water %llu bytes)\n",
+                    static_cast<unsigned long long>(S.BudgetTrips),
+                    static_cast<unsigned long long>(S.PagesSummarized),
+                    static_cast<unsigned long long>(S.ShadowBytesHighWater));
+      } else {
+        Tracker.sampleLive(Result.ShadowBytes); // the probes may miss the end
+        std::printf("(peak shadow %llu bytes)\n",
+                    static_cast<unsigned long long>(Tracker.peakBytes()));
+        if (!Accepted)
+          std::printf("note: --mem-budget not enforced: %s does not "
+                      "govern its shadow memory\n",
+                      Detector->name());
+        else
+          std::printf("note: --mem-budget not enforced: %u variables fit "
+                      "the eagerly backed shadow table (at most %zu)\n",
+                      T.numVars(), ShadowEagerVarLimit);
+      }
     } else if (ShardsFlag < 0) {
       ReplayResult Result = replay(T, *Detector);
       std::printf("\n[%s] %zu warning(s) in %.3fs\n", Detector->name(),

@@ -41,9 +41,9 @@
 /// Tools opt in via ShardableTool::supportsCheckpoint(); for others the
 /// driver degrades to a plain uncheckpointed replay and says so. The
 /// global clock-operation counters (Table 2 instrumentation) are
-/// measurement, not analysis state, and report this run's delta only;
-/// ReplayOptions::ShadowBudgetBytes is likewise ignored here — budgeted
-/// runs go through replayGoverned() instead.
+/// measurement, not analysis state, and report this run's delta only.
+/// A shadow budget is the tool's own ShadowMemoryPolicy
+/// (Tool::configureShadowPolicy) and needs nothing from this driver.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -5,16 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The degradation ladder, shared by every governor in the repository.
+/// The degradation ladder and the one shadow-memory budget.
 ///
-/// Three subsystems shed precision under pressure: the offline resource
-/// governor (framework/ResourceGovernor.h) restarts replay at coarser
-/// granularity, the online driver (framework/OnlineDriver.h) transforms
-/// the live stream rung by rung, and the governed shadow table
-/// (shadow/ShadowPolicy.h) summarizes cold pages in place. All three walk
-/// the same divisor ladder — fine → 8 → 64 → ShadowPageVars — so this
-/// header is the single source of truth for the rung constants, the rung
-/// descriptions, and the memory-driven rung the shadow governor adds.
+/// Two subsystems shed precision under pressure: the governed shadow
+/// table (shadow/ShadowPolicy.h) summarizes cold pages in place, offline
+/// and online, and the online driver (framework/OnlineDriver.h)
+/// transforms the live stream rung by rung. Both fold onto the same
+/// divisor ladder — fine → 8 → 64 → ShadowPageVars, a summarized page
+/// being the last rung applied locally — so this header is the single
+/// source of truth for the rung constants, the rung descriptions, and
+/// the memory-driven rung the shadow governor adds.
+///
+/// There is one budget knob, DegradePolicy::Memory.BudgetBytes (a
+/// ShadowMemoryPolicy). A tool that accepts Tool::configureShadowPolicy
+/// holds it in-table. For a tool that declines, the online driver's
+/// shadowBytes() probe steps one ladder rung per breached probe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,8 +47,8 @@ inline constexpr unsigned DegradeDivisorLadder[] = {8, 64, ShadowPageVars};
 struct DegradeStep {
   enum class Kind : uint8_t {
     /// Map variable ids through a widening divisor (fields-per-object),
-    /// like ResourceGovernor's 8/64/512 rungs. Divisors are absolute,
-    /// not cumulative: the step's Param replaces any earlier divisor.
+    /// the DegradeDivisorLadder rungs. Divisors are absolute, not
+    /// cumulative: the step's Param replaces any earlier divisor.
     CoarseGranularity,
     /// Deliver a deterministic 1 in Param accesses; drop the rest.
     AccessSampling,
@@ -61,12 +66,6 @@ struct DegradeStep {
   Kind K = Kind::CoarseGranularity;
   unsigned Param = 8;
 };
-
-/// The offline governor's default divisor rungs as a vector (its ladder
-/// is divisors only; restart-based degradation has no sampling rung).
-inline std::vector<unsigned> defaultDivisorLadder() {
-  return {std::begin(DegradeDivisorLadder), std::end(DegradeDivisorLadder)};
-}
 
 /// The online driver's default ladder: the shared divisor rungs, then
 /// access shedding.
@@ -94,15 +93,13 @@ struct DegradePolicy {
   /// stream transform.
   std::vector<DegradeStep> Ladder = defaultOnlineLadder();
 
-  /// Shadow-memory budget in bytes; 0 disables the budget trigger. The
-  /// driver probes Tool::shadowBytes() every BudgetCheckEveryOps raw ops
-  /// and steps down one rung per breached probe. Once the ladder is
-  /// exhausted the run continues unbudgeted (with a Note diagnostic),
-  /// exactly like the governor's final rung.
-  uint64_t ShadowBudgetBytes = 0;
+  /// Raw ops between the driver's shadowBytes() probes. A probe runs
+  /// when Memory.BudgetBytes is set for a tool that declined the policy,
+  /// when the tool governs itself (to surface its first shed as the
+  /// ShadowSummarize rung), or when a Tracker is installed.
   unsigned BudgetCheckEveryOps = 4096;
 
-  /// Optional tracker observing every budget probe (live/peak bytes).
+  /// Optional tracker observing every probe (live/peak bytes).
   MemoryTracker *Tracker = nullptr;
 
   /// Ladder steps pre-applied at construction (0 = start Full). Lets the
@@ -110,11 +107,14 @@ struct DegradePolicy {
   unsigned StartRung = 0;
 
   /// Shadow-table self-governance (temperature tracking, cold-page
-  /// compression, watermark shedding). Offered to the tool via
-  /// Tool::configureShadowPolicy before begin(); tools without a governed
-  /// table decline and the driver falls back to ladder-only budgeting.
-  /// When Memory.BudgetBytes is 0 but ShadowBudgetBytes is set, the
-  /// driver forwards the latter so one knob governs both layers.
+  /// compression, watermark shedding) and the session's one byte budget,
+  /// Memory.BudgetBytes. When Memory.Enabled, the policy is offered to
+  /// the tool via Tool::configureShadowPolicy before begin(). A tool that
+  /// accepts sheds in-table and nowhere else. For a tool that declines
+  /// (or when Memory.Enabled is off) a nonzero BudgetBytes is enforced
+  /// by the driver's probe instead: each breached probe steps one ladder
+  /// rung, and once the ladder is exhausted the run continues
+  /// unbudgeted with a Note diagnostic.
   ShadowMemoryPolicy Memory;
 };
 

@@ -18,12 +18,9 @@ OnlineDriver::OnlineDriver(Tool &Checker, const ToolContext &Capacity,
   DegradePolicy &D = Options.Degrade;
   if (D.Enabled && D.Memory.Enabled) {
     // Offer self-governance to the tool before begin() (the policy takes
-    // effect at the table's next reset). One budget knob governs both
-    // layers: an unset table budget inherits the ladder's.
-    ShadowMemoryPolicy M = D.Memory;
-    if (M.BudgetBytes == 0)
-      M.BudgetBytes = D.ShadowBudgetBytes;
-    MemoryGoverned = Checker.configureShadowPolicy(M);
+    // effect at the table's next reset). A tool that accepts holds the
+    // budget in-table; the probe below enforces it only for decliners.
+    MemoryGoverned = Checker.configureShadowPolicy(D.Memory);
     if (MemoryGoverned)
       // The first memory-pressure transition is the in-table fold, taken
       // before any stream transform (see DegradeStep::Kind::ShadowSummarize).
@@ -36,7 +33,7 @@ OnlineDriver::OnlineDriver(Tool &Checker, const ToolContext &Capacity,
     applyRung();
   }
   if (D.Enabled &&
-      (D.ShadowBudgetBytes != 0 || MemoryGoverned ||
+      (D.Memory.BudgetBytes != 0 || MemoryGoverned || D.Tracker ||
        Options.ForceBudgetBreachAtRawOp != OnlineDriverOptions::NoFault))
     NextProbe = std::max<unsigned>(1, D.BudgetCheckEveryOps);
   Checker.begin(Capacity);
@@ -139,10 +136,16 @@ bool OnlineDriver::requestStepDown(StatusCode Code, const std::string &Reason) {
 
 void OnlineDriver::probeBudget() {
   const DegradePolicy &D = Options.Degrade;
-  uint64_t Live =
-      Options.ShadowBytes ? Options.ShadowBytes() : Checker.shadowBytes();
-  if (D.Tracker)
-    D.Tracker->sampleLive(Live);
+  // The probe's byte budget: a governed tool holds Memory.BudgetBytes
+  // in-table, so only a decliner is stepped down the ladder for it.
+  const uint64_t Budget = MemoryGoverned ? 0 : D.Memory.BudgetBytes;
+  // shadowBytes() walks the shadow state: read it only when it is used.
+  uint64_t Live = 0;
+  if (Budget != 0 || D.Tracker) {
+    Live = Options.ShadowBytes ? Options.ShadowBytes() : Checker.shadowBytes();
+    if (D.Tracker)
+      D.Tracker->sampleLive(Live);
+  }
 
   // Memory-governed tools shed for themselves (watermark summarization,
   // denied-allocation fallbacks); the probe's job is to surface the first
@@ -170,7 +173,7 @@ void OnlineDriver::probeBudget() {
     }
   }
 
-  bool Breach = D.ShadowBudgetBytes != 0 && Live > D.ShadowBudgetBytes;
+  bool Breach = Budget != 0 && Live > Budget;
   if (Options.ForceBudgetBreachAtRawOp != OnlineDriverOptions::NoFault &&
       Raw >= Options.ForceBudgetBreachAtRawOp) {
     Breach = true;
@@ -180,9 +183,9 @@ void OnlineDriver::probeBudget() {
   if (Breach &&
       !stepDown(StatusCode::ResourceExhausted,
                 "shadow memory " + std::to_string(Live) + " bytes over budget " +
-                    std::to_string(D.ShadowBudgetBytes) + " bytes")) {
-    // Ladder exhausted: keep running unbudgeted (the governor's final-rung
-    // rule) and stop probing — detection beats death.
+                    std::to_string(Budget) + " bytes")) {
+    // Ladder exhausted: keep running unbudgeted and stop probing —
+    // detection beats death.
     Diags.push_back({StatusCode::ResourceExhausted, Severity::Note, 0, Raw,
                      "shadow budget still breached at final rung; continuing "
                      "unbudgeted"});

@@ -25,9 +25,9 @@
 ///
 /// Unlike the original (PR 3) driver, an over-capacity variable or a
 /// shadow-memory budget breach no longer kills detection outright: the
-/// driver carries an *overload degradation ladder* (the online analogue
-/// of framework/ResourceGovernor.h, following SmartTrack's philosophy of
-/// degrading work per event rather than giving up):
+/// driver carries an *overload degradation ladder* (framework/Degrade.h,
+/// following SmartTrack's philosophy of degrading work per event rather
+/// than giving up):
 ///
 ///   Full → CoarseGranularity(8) → CoarseGranularity(64)
 ///        → CoarseGranularity(512) → AccessSampling(1-in-8) → SyncOnly
@@ -298,8 +298,9 @@ private:
   unsigned SampleEvery = 1;
   bool SyncOnlyMode = false;
   bool LastFiltered = false;
-  /// The tool accepted configureShadowPolicy: budget probes also poll its
-  /// governor telemetry to surface the memory-driven rung.
+  /// The tool accepted configureShadowPolicy: it holds Memory.BudgetBytes
+  /// in-table, and probes poll its governor telemetry to surface the
+  /// memory-driven rung instead of stepping down on shadowBytes().
   bool MemoryGoverned = false;
   /// The ShadowSummarize transition was already taken/noted (the table
   /// governs itself continuously; the ladder records it exactly once).

@@ -57,22 +57,15 @@ struct ReplayOptions {
   /// Strip redundant re-entrant lock acquires/releases before dispatch.
   bool FilterReentrantLocks = true;
 
-  /// Soft shadow-memory budget in bytes; 0 (the default) is unlimited.
-  /// When set, the replay loop probes the tool's shadowBytes() every
-  /// BudgetCheckEveryOps operations and stops early — setting
-  /// ReplayResult::BudgetExceeded — on breach. Callers that want
-  /// degrade-instead-of-die semantics use replayGoverned()
-  /// (framework/ResourceGovernor.h), which retries at coarser
-  /// granularity instead of surfacing the truncated run.
-  uint64_t ShadowBudgetBytes = 0;
-
-  /// How often (in trace operations) the budget probe runs. Probes cost
-  /// an O(state) shadowBytes() walk, so they are amortized.
+  /// How often (in trace operations) the BudgetTracker probe runs.
+  /// Probes cost an O(state) shadowBytes() walk, so they are amortized.
   unsigned BudgetCheckEveryOps = 4096;
 
-  /// Optional tracker that receives every budget probe via sampleLive(),
-  /// so callers observe live/peak shadow bytes across the replay. Not
-  /// consulted for the budget itself (ShadowBudgetBytes is).
+  /// Optional tracker that receives a shadowBytes() probe via
+  /// sampleLive() every BudgetCheckEveryOps operations, so callers
+  /// observe live/peak shadow bytes across the replay. The replay never
+  /// stops on it: a shadow budget is the tool's own
+  /// ShadowMemoryPolicy::BudgetBytes (Tool::configureShadowPolicy).
   MemoryTracker *BudgetTracker = nullptr;
 };
 
@@ -126,10 +119,9 @@ struct ReplayResult {
   size_t ShadowBytes = 0;        ///< Tool-reported shadow state at end.
   size_t NumWarnings = 0;        ///< Warnings after the replay.
 
-  /// True when the replay stopped early because ShadowBudgetBytes was
-  /// breached; StoppedAtOp then holds the trace index after the last
-  /// processed operation (== trace size on a completed run).
-  bool BudgetExceeded = false;
+  /// The trace index after the last processed operation: the trace size
+  /// on a completed run, earlier when a checkpointed replay is killed by
+  /// fault injection (framework/Checkpoint.h).
   size_t StoppedAtOp = 0;
 };
 
@@ -137,17 +129,15 @@ namespace detail {
 
 /// The shared replay loop. \p Access receives the access events and
 /// returns whether the access "passed"; sync events are dispatched via
-/// \p Sync. \p Probe reports the tool-side shadow bytes for the budget
-/// governor. Fills in \p Result's Events, AccessesPassed, BudgetExceeded
-/// and StoppedAtOp — the trace index after the last processed operation:
-/// T.size() on completion, earlier (with BudgetExceeded set) on a budget
-/// stop.
+/// \p Sync. \p Probe reports the tool-side shadow bytes for
+/// Options.BudgetTracker. Fills in \p Result's Events, AccessesPassed and
+/// StoppedAtOp (T.size()).
 ///
 /// Reads and writes dominate every workload in the suite (the paper's
 /// benchmarks run ~96% accesses), so the loop is arranged with the access
 /// dispatch as the predicted-taken straight-line path: one branch on
 /// isAccess(), then the sync switch only for the rare remainder. The
-/// budget probe is a single equality test against a precomputed next-fire
+/// tracker probe is a single equality test against a precomputed next-fire
 /// index rather than a modulo per event. Everything the access path reads
 /// per event — the trace's operations, the identity-map flag, the two
 /// counters and the access closure (taken by value) — is a local: the
@@ -160,31 +150,18 @@ void replayLoop(const Trace &T, const ReplayOptions &Options,
                 ProbeFn &&Probe, ReplayResult &Result) {
   ReentrancyFilter Reentrancy(T.numThreads(), T.numLocks());
   const bool FilterLocks = Options.FilterReentrantLocks;
-  const uint64_t Budget = Options.ShadowBudgetBytes;
-  const bool Probing = Budget != 0 || Options.BudgetTracker != nullptr;
+  MemoryTracker *const Tracker = Options.BudgetTracker;
   const size_t CheckEvery = std::max(1u, Options.BudgetCheckEveryOps);
   size_t NextProbe =
-      Probing ? CheckEvery : std::numeric_limits<size_t>::max();
+      Tracker ? CheckEvery : std::numeric_limits<size_t>::max();
   const Operation *Ops = T.operations().data();
   const bool Identity = Map.identity();
   uint64_t Events = 0, Passed = 0;
-  auto Stop = [&](size_t At) {
-    Result.Events = Events;
-    Result.AccessesPassed = Passed;
-    Result.StoppedAtOp = At;
-  };
 
   for (size_t I = 0, E = T.size(); I != E; ++I) {
     if (I == NextProbe) {
       NextProbe += CheckEvery;
-      uint64_t Live = Probe();
-      if (Options.BudgetTracker)
-        Options.BudgetTracker->sampleLive(Live);
-      if (Budget != 0 && Live > Budget) {
-        Result.BudgetExceeded = true;
-        Stop(I);
-        return;
-      }
+      Tracker->sampleLive(Probe());
     }
     const Operation &Op = Ops[I];
     if (isAccess(Op.Kind)) {
@@ -204,7 +181,9 @@ void replayLoop(const Trace &T, const ReplayOptions &Options,
     ++Events;
     Sync(Op, I);
   }
-  Stop(T.size());
+  Result.Events = Events;
+  Result.AccessesPassed = Passed;
+  Result.StoppedAtOp = T.size();
 }
 
 /// Dispatches onRead non-virtually when the concrete tool type is known

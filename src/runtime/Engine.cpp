@@ -33,7 +33,7 @@ ToolContext capacityContext(const OnlineOptions &Options) {
 /// The session's shadow-governance policy: the configured one, with the
 /// FaultPlan's real allocation failures folded in (arming either shadow
 /// fault forces governance on — the gates live inside the governed
-/// table), and an unset table budget inheriting the ladder's.
+/// table).
 ShadowMemoryPolicy effectiveMemoryPolicy(const OnlineOptions &Options) {
   ShadowMemoryPolicy M = Options.Degrade.Memory;
   if (Options.Faults) {
@@ -46,8 +46,6 @@ ShadowMemoryPolicy effectiveMemoryPolicy(const OnlineOptions &Options) {
       M.FailInflateAt = Options.Faults->FailSideStoreInflateAt;
     }
   }
-  if (M.Enabled && M.BudgetBytes == 0)
-    M.BudgetBytes = Options.Degrade.ShadowBudgetBytes;
   return M;
 }
 
@@ -912,11 +910,13 @@ void Engine::shardLoop(Shard &S, uint64_t MyEpoch) {
   // inside it is a sibling's victim).
   OnlineDriver &D = *S.Driver;
   const FaultPlan *Faults = Options.Faults;
-  // Mirrors the primary driver's own probe gate (OnlineDriver.cpp): with
-  // no budget and no tracker nobody reads ShadowPublished; without
-  // governed clones nobody reads the governor publishes.
-  const bool ShadowProbeNeeded = Options.Degrade.ShadowBudgetBytes != 0 ||
-                                 Options.Degrade.Tracker != nullptr;
+  // Mirrors the primary driver's own probe (OnlineDriver.cpp): it reads
+  // ShadowPublished only for a tracker, or for a budget the clones do not
+  // hold in-table; without governed clones nobody reads the governor
+  // publishes.
+  const bool ShadowProbeNeeded =
+      (Options.Degrade.Memory.BudgetBytes != 0 && !ShardMemoryGoverned) ||
+      Options.Degrade.Tracker != nullptr;
   const bool GovernorProbeNeeded = ShardMemoryGoverned;
   for (;;) {
     if (S.Epoch.load(std::memory_order_acquire) != MyEpoch)

@@ -66,7 +66,7 @@
 ///     stream 6x less shadow memory;
 ///   - sharded clones fault in only the pages their shard's variables
 ///     live on, making per-shard shadow an LLC-friendly slice for free;
-///   - the resource governor's final coarse-granularity rung folds
+///   - the degradation ladder's final coarse-granularity rung folds
 ///     exactly one shadow page region onto one shadow slot
 ///     (ShadowPageVars fields per object, framework/Degrade.h), so both
 ///     the degraded shadow and a summarized page are one slot per page

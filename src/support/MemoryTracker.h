@@ -23,10 +23,10 @@
 namespace ft {
 
 /// Tracks live and peak bytes charged by an analysis tool, optionally
-/// against a budget. The resource governor (framework/ResourceGovernor.h)
-/// samples a tool's shadowBytes() into a tracker between events and
-/// degrades analysis granularity when the budget is breached, instead of
-/// letting a long replay die to OOM.
+/// against a budget. The replay loop (ReplayOptions::BudgetTracker) and
+/// the online driver (DegradePolicy::Tracker) sample a tool's
+/// shadowBytes() into a tracker between events, so callers observe the
+/// live and peak footprint of a run.
 class MemoryTracker {
 public:
   /// Charges \p Bytes to the tracker.
@@ -42,8 +42,8 @@ public:
 
   /// Replaces the live-byte reading with a fresh sample of externally
   /// owned state (e.g. a tool's shadowBytes()), updating the peak. Used
-  /// by the governor's periodic probes, where state is resampled whole
-  /// rather than charged allocation by allocation.
+  /// by the periodic probes, where state is resampled whole rather than
+  /// charged allocation by allocation.
   void sampleLive(uint64_t Bytes) {
     Live = Bytes;
     if (Live > Peak)

@@ -5,9 +5,9 @@
 //     mismatched traces (framework/Checkpoint.h) — resumed runs must be
 //     bit-identical to uninterrupted ones, invalid images must only ever
 //     cost time;
-//   - shadow-memory budgets and the degradation ladder
-//     (framework/ResourceGovernor.h) — a starved replay completes at
-//     coarser granularity with a warning instead of dying;
+//   - shadow-memory budgets (ShadowMemoryPolicy::BudgetBytes offered
+//     through Tool::configureShadowPolicy) — a starved replay completes
+//     with cold pages summarized, never missing a raced page region;
 //   - stalled parallel-replay workers (framework/ParallelReplay.h) — the
 //     watchdog cancels the sharded attempt and the serial fallback
 //     produces the same warnings.
@@ -17,7 +17,6 @@
 #include "core/FastTrack.h"
 #include "framework/Checkpoint.h"
 #include "framework/ParallelReplay.h"
-#include "framework/ResourceGovernor.h"
 #include "framework/ToolGroup.h"
 #include "runtime/FaultPlan.h"
 #include "support/ByteStream.h"
@@ -25,8 +24,11 @@
 #include "trace/RandomTrace.h"
 #include "trace/TraceBuilder.h"
 
+#include "GovernanceTrace.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -86,6 +88,23 @@ bool fileExists(const std::string &Path) {
     return true;
   }
   return false;
+}
+
+/// The CLI's --mem-budget path: offers the one budget knob through
+/// configureShadowPolicy, then runs a plain replay.
+ReplayResult replayUnderBudget(const Trace &T, FastTrack &Tool,
+                               uint64_t BudgetBytes,
+                               MemoryTracker *Tracker = nullptr) {
+  ShadowMemoryPolicy Policy;
+  Policy.Enabled = true;
+  Policy.BudgetBytes = BudgetBytes;
+  Policy.MaintainEveryAccesses = 32;
+  Policy.ColdAgeTicks = 1;
+  EXPECT_TRUE(Tool.configureShadowPolicy(Policy));
+  ReplayOptions Options;
+  Options.BudgetTracker = Tracker;
+  Options.BudgetCheckEveryOps = 16;
+  return replay(T, Tool, Options);
 }
 
 bool hasDiag(const std::vector<Diagnostic> &Diags, StatusCode Code) {
@@ -313,66 +332,52 @@ TEST(Checkpoint, NonCheckpointableToolDegradesGracefully) {
 }
 
 TEST(Governor, BudgetBreachDegradesAndCompletes) {
-  // Starve a fine-granularity replay: the governor must walk the ladder
-  // and finish at coarse granularity with warnings, never die.
-  Trace T = makeRacyTrace(19);
+  // Starve a governed replay: the table must summarize cold pages and
+  // finish, never die, and never lose a raced page region.
+  Trace T = governanceTrace(19);
+  ASSERT_GT(T.numVars(), ShadowEagerVarLimit); // paged, so governable
   FastTrack Tool;
-  GovernorOptions Gov;
-  Gov.ShadowBudgetBytes = 2048; // far below fine-granularity needs
-  Gov.BudgetCheckEveryOps = 16;
   MemoryTracker Tracker;
-  Gov.Tracker = &Tracker;
-
-  GovernedReplayResult Result = replayGoverned(T, Tool, {}, Gov);
-  EXPECT_TRUE(Result.St.ok());
-  EXPECT_GE(Result.Degradations, 1u);
-  EXPECT_EQ(Result.FinalGran, Granularity::Coarse);
-  EXPECT_FALSE(Result.Result.BudgetExceeded);
-  EXPECT_EQ(Result.Result.StoppedAtOp, T.size());
-  EXPECT_TRUE(hasDiag(Result.Diags, StatusCode::ResourceExhausted));
+  ReplayResult Result = replayUnderBudget(T, Tool, 8 * 1024, &Tracker);
+  EXPECT_EQ(Result.StoppedAtOp, T.size());
+  EXPECT_GE(Tool.shadowGovernorStats().BudgetTrips, 1u);
+  EXPECT_GT(Tool.shadowGovernorStats().PagesSummarized, 0u);
   EXPECT_GT(Tracker.peakBytes(), 0u);
 
-  // The completed attempt equals a from-scratch run at that granularity.
-  ReplayOptions Coarse;
-  Coarse.Gran = Granularity::Coarse;
-  Coarse.DefaultFieldsPerObject = Result.FinalFieldsPerObject;
+  // Coarsened to the page region, never missing: every page region the
+  // ungoverned run warns on is warned by the governed run too.
   FastTrack Reference;
-  replay(T, Reference, Coarse);
-  expectSameWarnings(Reference.warnings(), Tool.warnings(), "degraded");
-  expectSameRuleStats(Reference.ruleStats(), Tool.ruleStats(), "degraded");
+  replay(T, Reference);
+  ASSERT_FALSE(Reference.warnings().empty());
+  std::vector<VarId> Regions;
+  for (const RaceWarning &W : Tool.warnings())
+    Regions.push_back(W.Var >> ShadowPageShift);
+  std::sort(Regions.begin(), Regions.end());
+  for (const RaceWarning &W : Reference.warnings())
+    EXPECT_TRUE(std::binary_search(Regions.begin(), Regions.end(),
+                                   W.Var >> ShadowPageShift))
+        << "race on x" << W.Var << " lost from its page region";
 }
 
 TEST(Governor, UnlimitedBudgetNeverDegrades) {
-  Trace T = makeRacyTrace(20);
+  // Governance without a budget only compresses, losslessly.
+  Trace T = governanceTrace(20);
   FastTrack Governed, Plain;
-  GovernedReplayResult Result = replayGoverned(T, Governed);
+  replayUnderBudget(T, Governed, 0);
   replay(T, Plain);
-  EXPECT_EQ(Result.Degradations, 0u);
-  EXPECT_EQ(Result.FinalGran, Granularity::Fine);
-  EXPECT_TRUE(Result.Diags.empty());
+  EXPECT_EQ(Governed.shadowGovernorStats().BudgetTrips, 0u);
+  EXPECT_EQ(Governed.shadowGovernorStats().PagesSummarized, 0u);
   expectSameWarnings(Plain.warnings(), Governed.warnings(), "unlimited");
 }
 
 TEST(Governor, AmpleBudgetStaysFine) {
-  Trace T = makeRacyTrace(21);
-  FastTrack Tool;
-  GovernorOptions Gov;
-  Gov.ShadowBudgetBytes = 1ull << 30;
-  GovernedReplayResult Result = replayGoverned(T, Tool, {}, Gov);
-  EXPECT_EQ(Result.Degradations, 0u);
-  EXPECT_EQ(Result.FinalGran, Granularity::Fine);
-}
-
-TEST(Replay, BudgetStopsEarlyAtProbeBoundary) {
-  Trace T = makeRacyTrace(22);
-  FastTrack Tool;
-  ReplayOptions Options;
-  Options.ShadowBudgetBytes = 1; // impossible: first probe breaches
-  Options.BudgetCheckEveryOps = 8;
-  ReplayResult Result = replay(T, Tool, Options);
-  EXPECT_TRUE(Result.BudgetExceeded);
-  EXPECT_LT(Result.StoppedAtOp, T.size());
-  EXPECT_EQ(Result.StoppedAtOp % 8, 0u);
+  Trace T = governanceTrace(21);
+  FastTrack Governed, Plain;
+  replayUnderBudget(T, Governed, 1ull << 30);
+  replay(T, Plain);
+  EXPECT_EQ(Governed.shadowGovernorStats().BudgetTrips, 0u);
+  EXPECT_EQ(Governed.shadowGovernorStats().PagesSummarized, 0u);
+  expectSameWarnings(Plain.warnings(), Governed.warnings(), "ample");
 }
 
 TEST(Replay, BudgetTrackerObservesPeakWithoutBudget) {
@@ -383,7 +388,6 @@ TEST(Replay, BudgetTrackerObservesPeakWithoutBudget) {
   Options.BudgetTracker = &Tracker;
   Options.BudgetCheckEveryOps = 16;
   ReplayResult Result = replay(T, Tool, Options);
-  EXPECT_FALSE(Result.BudgetExceeded);
   EXPECT_EQ(Result.StoppedAtOp, T.size());
   EXPECT_GT(Tracker.peakBytes(), 0u);
 }

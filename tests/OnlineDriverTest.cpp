@@ -1,9 +1,11 @@
 //===--- OnlineDriverTest.cpp - push-mode dispatch vs the replay loop -----===//
 
 #include "core/FastTrack.h"
+#include "detectors/DjitPlus.h"
 #include "detectors/Eraser.h"
 #include "framework/OnlineDriver.h"
 #include "framework/Replay.h"
+#include "support/MemoryTracker.h"
 #include "trace/TraceBuilder.h"
 
 #include <gtest/gtest.h>
@@ -256,7 +258,7 @@ TEST(OnlineDriver, ForcedBudgetBreachStepsDownOnceAtTheProbe) {
 TEST(OnlineDriver, BudgetBreachWalksLadderThenContinuesUnbudgeted) {
   FastTrack Checker;
   OnlineDriverOptions Options;
-  Options.Degrade.ShadowBudgetBytes = 1; // always breached
+  Options.Degrade.Memory.BudgetBytes = 1; // always breached
   Options.Degrade.BudgetCheckEveryOps = 1;
   OnlineDriver Driver(Checker, capacity(), Options);
   // Sync ops keep consuming raw indices even on the SyncOnly rung, so the
@@ -273,6 +275,63 @@ TEST(OnlineDriver, BudgetBreachWalksLadderThenContinuesUnbudgeted) {
                   D.Message.find("unbudgeted") != std::string::npos;
   EXPECT_TRUE(Unbudgeted);
   Driver.finish();
+}
+
+TEST(OnlineDriver, DecliningToolWalksDivisorRungsUnderMemoryBudget) {
+  // DJIT+ declines configureShadowPolicy, so the one budget knob is
+  // enforced by the driver's probe: one ladder rung per breached probe,
+  // starting with the divisor rungs and no in-table summarize rung.
+  DjitPlus Checker;
+  OnlineDriverOptions Options;
+  Options.Degrade.Memory.Enabled = true;
+  Options.Degrade.Memory.BudgetBytes = 1; // always breached
+  Options.Degrade.BudgetCheckEveryOps = 1;
+  OnlineDriver Driver(Checker, capacity(), Options);
+  for (int I = 0; I != 16; ++I) {
+    Driver.dispatch(wr(0, static_cast<VarId>(I)));
+    Driver.dispatch(acq(0, 0));
+    Driver.dispatch(rel(0, 0));
+  }
+  EXPECT_FALSE(Driver.halted());
+  EXPECT_EQ(Driver.rung(), 5u); // full default ladder exhausted
+  std::vector<std::string> Steps;
+  bool Unbudgeted = false;
+  for (const Diagnostic &D : Driver.diags()) {
+    if (D.Sev == Severity::Warning)
+      Steps.push_back(D.Message);
+    Unbudgeted |= D.Sev == Severity::Note &&
+                  D.Message.find("unbudgeted") != std::string::npos;
+  }
+  ASSERT_EQ(Steps.size(), 5u);
+  EXPECT_NE(Steps[0].find("divisor 8)"), std::string::npos) << Steps[0];
+  EXPECT_NE(Steps[1].find("divisor 64)"), std::string::npos) << Steps[1];
+  EXPECT_NE(Steps[2].find("divisor 512)"), std::string::npos) << Steps[2];
+  EXPECT_TRUE(Unbudgeted);
+  Driver.finish();
+}
+
+TEST(OnlineDriver, TrackerAloneSamplesShadowBytes) {
+  // A tracker with no budget still gets the probe's samples, for a tool
+  // that governs itself and for one that declines alike.
+  auto PeakOf = [](Tool &Checker, bool Governed) {
+    MemoryTracker Tracker;
+    OnlineDriverOptions Options;
+    Options.Degrade.Memory.Enabled = Governed;
+    Options.Degrade.Tracker = &Tracker;
+    Options.Degrade.BudgetCheckEveryOps = 4;
+    OnlineDriver Driver(Checker, capacity(), Options);
+    for (VarId X = 0; X != 64; ++X)
+      Driver.dispatch(wr(0, X));
+    EXPECT_EQ(Driver.rung(), 0u);
+    EXPECT_TRUE(Driver.diags().empty());
+    Driver.finish();
+    return Tracker.peakBytes();
+  };
+  FastTrack Plain, Governed;
+  DjitPlus Djit;
+  EXPECT_GT(PeakOf(Plain, false), 0u);
+  EXPECT_GT(PeakOf(Governed, true), 0u);
+  EXPECT_GT(PeakOf(Djit, false), 0u);
 }
 
 TEST(OnlineDriver, RequestStepDownHonorsPinnedOffLadder) {

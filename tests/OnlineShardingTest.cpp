@@ -427,7 +427,7 @@ TEST(OnlineDriver, FullAccessRunDeclinesWhatOnlyOfferHandles) {
   Admit("sampling rung", Sampling, Run, 0);
 
   OnlineDriverOptions Probe;
-  Probe.Degrade.ShadowBudgetBytes = 1ull << 40;
+  Probe.Degrade.Memory.BudgetBytes = 1ull << 40;
   Probe.Degrade.BudgetCheckEveryOps = N / 2;
   Admit("budget probe inside the run", Probe, Run, 0);
 

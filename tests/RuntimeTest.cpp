@@ -1068,14 +1068,12 @@ TEST(ThreadChurn, SoakTenThousandThreadsBoundedAndEquivalent) {
     return Engine.finish();
   };
 
-  // Capped run: 8 slots, recycling on, memory tracked (a huge budget so
-  // the probe samples without ever breaching).
+  // Capped run: 8 slots, recycling on, memory tracked.
   FastTrack Capped;
   MemoryTracker Tracker;
   rt::OnlineOptions CappedOptions;
   CappedOptions.MaxThreads = 8;
   CappedOptions.Degrade.Enabled = true;
-  CappedOptions.Degrade.ShadowBudgetBytes = 1ull << 40;
   CappedOptions.Degrade.Tracker = &Tracker;
   rt::OnlineReport CappedReport = runChurn(Capped, CappedOptions);
 
