@@ -46,6 +46,8 @@ namespace {
 struct RunResult {
   double Seconds = 0;
   uint64_t Events = 0; // instrumentation events generated (0 for native)
+  // Merge-loop polling counters of the kept session (E17).
+  uint64_t MergeSweeps = 0, MergeEmptyPolls = 0, MergePacedWaits = 0;
 };
 
 /// The workload: \p NumThreads threads, each performing \p Iters rounds of
@@ -123,7 +125,12 @@ RunResult timeOnline(Tool &Detector, unsigned NumThreads, int Iters,
     if (Report.Halted)
       std::fprintf(stderr, "warning: online session halted mid-bench\n");
     R.Events = Report.EventsDispatched; // capture is off; count delivered ops
-    R.Seconds = best(R.Seconds, Seconds);
+    if (R.Seconds == 0 || Seconds < R.Seconds) {
+      R.Seconds = Seconds;
+      R.MergeSweeps = Report.MergeSweeps;
+      R.MergeEmptyPolls = Report.MergeEmptyPolls;
+      R.MergePacedWaits = Report.MergePacedWaits;
+    }
   }
   return R;
 }
@@ -139,6 +146,39 @@ rt::OnlineOptions fullFidelity() {
   rt::OnlineOptions Options;
   Options.Degrade.Enabled = false;
   return Options;
+}
+
+// --- cross-core round trip (E17) ----------------------------------------
+//
+// The hardware floor under every ring hand-off, and the scale of the merge
+// loop's pace: two threads bounce a counter through one cache line, each
+// waiting for the other's store. A waiter that spins too long yields, so a
+// host that puts both threads on one CPU still finishes (and reads slow).
+
+double roundTripNs() {
+  constexpr int Trips = 20000;
+  std::atomic<int> Ball{0};
+  auto WaitFor = [&Ball](int V) {
+    for (unsigned Spins = 0; Ball.load(std::memory_order_acquire) != V;)
+      if (++Spins > 4096)
+        std::this_thread::yield();
+  };
+  std::thread Partner([&] {
+    for (int I = 0; I != Trips; ++I) {
+      WaitFor(2 * I + 1);
+      Ball.store(2 * I + 2, std::memory_order_release);
+    }
+  });
+  Ball.store(1, std::memory_order_release); // untimed: the partner starts
+  WaitFor(2);
+  Stopwatch Watch;
+  for (int I = 1; I != Trips; ++I) {
+    Ball.store(2 * I + 1, std::memory_order_release);
+    WaitFor(2 * I + 2);
+  }
+  const double Seconds = Watch.seconds();
+  Partner.join();
+  return 1e9 * Seconds / (Trips - 1);
 }
 
 // --- shard scaling (E12 extension) -------------------------------------
@@ -386,6 +426,11 @@ int main(int argc, char **argv) {
       Report.metric(Prefix + "fasttrack_ns_per_event",
                     1e9 * FTRun.Seconds / double(FTRun.Events), "ns");
       Report.metric(Prefix + "events", double(FTRun.Events));
+      Report.metric(Prefix + "merge_sweeps", double(FTRun.MergeSweeps));
+      Report.metric(Prefix + "merge_empty_polls",
+                    double(FTRun.MergeEmptyPolls));
+      Report.metric(Prefix + "merge_paced_waits",
+                    double(FTRun.MergePacedWaits));
     }
     Report.metric(Prefix + "fasttrack_coarse64_ns_per_event",
                   1e9 * CoarseRun.Seconds / Emitted, "ns");
@@ -393,6 +438,15 @@ int main(int argc, char **argv) {
                   1e9 * SampleRun.Seconds / Emitted, "ns");
   }
   std::printf("%s", Out.render().c_str());
+
+  std::vector<double> Trips;
+  for (unsigned Rep = 0; Rep != 11; ++Rep)
+    Trips.push_back(roundTripNs());
+  const Spread RoundTrip = spreadOf(Trips);
+  std::printf("\ncross-core round trip: %.0f ns median (%.0f-%.0f), 11 "
+              "reps\n",
+              RoundTrip.Median, RoundTrip.Min, RoundTrip.Max);
+  Report.spread("xcore_round_trip_ns", RoundTrip, "ns");
 
   // The shard-scaling series: aggregate FastTrack throughput with the
   // detection state partitioned across per-shard sequencers.

@@ -135,6 +135,9 @@ int analyze(const std::string &Path, const std::vector<std::string> &Tools) {
       std::printf("%llu checkpoint(s) written)\n",
                   static_cast<unsigned long long>(Result.CheckpointsWritten));
     } else if (MemBudget != 0) {
+      if (ShardsFlag >= 0)
+        std::fprintf(stderr, "warning: --shards is ignored under "
+                             "--mem-budget (governed replay is serial)\n");
       // The budget is the tool's own governed shadow table. It has no
       // effect when the tool declines the policy, or when the variable
       // space is small enough for the eagerly backed (ungoverned) table:
@@ -158,6 +161,13 @@ int analyze(const std::string &Path, const std::vector<std::string> &Tools) {
                     static_cast<unsigned long long>(S.BudgetTrips),
                     static_cast<unsigned long long>(S.PagesSummarized),
                     static_cast<unsigned long long>(S.ShadowBytesHighWater));
+        if (S.ShadowBytesHighWater > MemBudget)
+          std::printf("note: --mem-budget not held: the table peaked at "
+                      "%llu bytes, over the %llu-byte budget; it cannot "
+                      "shed below its directory and page metadata, nor "
+                      "pages touched since the last maintenance tick\n",
+                      static_cast<unsigned long long>(S.ShadowBytesHighWater),
+                      static_cast<unsigned long long>(MemBudget));
       } else {
         Tracker.sampleLive(Result.ShadowBytes); // the probes may miss the end
         std::printf("(peak shadow %llu bytes)\n",

@@ -21,6 +21,41 @@ std::atomic<Engine *> CurrentEngine{nullptr};
 /// matches a real generation.
 std::atomic<uint64_t> GenerationCounter{0};
 
+/// The merge loop's pace (EXPERIMENTS.md E17, "temporal slipping" after
+/// FastForward, PPoPP 2008). A sweep that merges only a few events found
+/// its producers' rings nearly empty, so it read the Tail and slot lines
+/// the producers are still writing; sweeping again at once steals those
+/// lines back every time, and each steal stalls a producer behind its
+/// next locked instruction. After such a sweep the loop waits about one
+/// cross-core round trip (about 200 ns on the E17 host), timed from the
+/// sweep's end, so the producers fill a few more slots first. Longer
+/// waits cost more than they save (E17: 1.1 µs reads slower than no
+/// wait). Sweeps that merge PaceBelowEvents or more never wait.
+constexpr uint64_t PaceBelowEvents = 16;
+constexpr std::chrono::nanoseconds PaceWait{250};
+constexpr unsigned PausesPerClockRead = 4;
+
+/// One spin-wait hint: x86 `pause`, AArch64 `yield`, else a compiler
+/// barrier. Its latency varies ~10x across CPUs, which is why the pace
+/// is bounded by the clock, not by a pause count.
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#else
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+}
+
+void paceMerge() {
+  const auto Until = std::chrono::steady_clock::now() + PaceWait;
+  do {
+    for (unsigned I = 0; I != PausesPerClockRead; ++I)
+      cpuRelax();
+  } while (std::chrono::steady_clock::now() < Until);
+}
+
 ToolContext capacityContext(const OnlineOptions &Options) {
   ToolContext Context;
   Context.NumThreads = Options.MaxThreads;
@@ -645,6 +680,9 @@ void Engine::endMerge(const MergeCursor &M) {
   // sharded engine, where shard workers can exit concurrently.
   std::lock_guard<std::mutex> Guard(ClocksMu);
   SequencerClocks += clockStats();
+  Report.MergeSweeps += M.Sweeps;
+  Report.MergeEmptyPolls += M.EmptyPolls;
+  Report.MergePacedWaits += M.PacedWaits;
 }
 
 unsigned Engine::shardIndexFor(uint32_t Target) const {
@@ -782,20 +820,22 @@ void Engine::mergeLoop(uint64_t Epoch) {
     const bool Stopping = !Running.load(std::memory_order_acquire);
     if (!beginSweep(M, Epoch))
       break;
-    bool Progress = false;
+    uint64_t Merged = 0;
     for (Channel *Ch : M.Snapshot) {
       // Drain this ring in batches: the events are copied out and their
       // slots released in one Head store (so a parked producer unblocks
       // early), then admitted from the local buffer. A short batch means
       // the ring is out of mergeable events, so move on; a ring's capacity
       // per visit keeps one busy producer from starving the others.
-      for (size_t Taken = 0; Taken < Ch->Ring.capacity();) {
+      size_t Taken = 0;
+      while (Taken < Ch->Ring.capacity()) {
         size_t Cap = BatchCap;
         const uint64_t FirstPos = M.Pos;
         size_t N = pullBatch(M, *Ch, Batch.data(), Cap, Epoch, Abandoned);
-        if (N == 0)
+        if (N == 0) {
+          M.EmptyPolls += Taken == 0;
           break;
-        Progress = true;
+        }
         Taken += N;
         Delivered.clear();
         size_t I = 0;
@@ -880,13 +920,20 @@ void Engine::mergeLoop(uint64_t Epoch) {
         if (N != Cap)
           break;
       }
+      Merged += Taken;
       if (Abandoned)
         break;
     }
     if (Abandoned)
       break;
-    if (Progress)
+    if (Merged >= PaceBelowEvents)
       continue;
+    if (Merged != 0) {
+      // A thin sweep: let the producers get ahead before the next one.
+      ++M.PacedWaits;
+      paceMerge();
+      continue;
+    }
     // Nothing mergeable: a ticket is in flight (drawn but not yet
     // published — a handful of instructions), or nothing is happening.
     if (Stopping && M.Next == Seq.load(std::memory_order_acquire))

@@ -57,7 +57,11 @@
 ///    the delivery step is the unmodified Tool itself: the driver
 ///    dispatches each sync event inline and each run of one thread's
 ///    accesses in one call (OnlineDriver::admitAccessRun). Detection runs
-///    entirely off the application's critical path.
+///    entirely off the application's critical path. The loop is paced: a
+///    sweep that merged only a few events waits about one cross-core
+///    round trip before the next, so it stops stealing back the ring
+///    lines its producers are still writing (docs/RUNTIME.md, Merge;
+///    EXPERIMENTS.md E17).
 ///  - **Shards** (OnlineOptions::Shards > 1). The delivery step becomes
 ///    routing (the sequencer is then called the router) to N shard
 ///    workers, each draining the accesses of the variables it owns into a
@@ -329,6 +333,12 @@ struct OnlineReport {
                                  ///< merged (MaxQueueDepth-style
                                  ///< pressure stat).
   unsigned SequencerRestarts = 0; ///< Watchdog recoveries of the sequencer.
+  // Merge-loop polling (EXPERIMENTS.md E17), summed across restarts.
+  uint64_t MergeSweeps = 0;     ///< Sweeps over every ring.
+  uint64_t MergeEmptyPolls = 0; ///< Ring visits that pulled nothing.
+  uint64_t MergePacedWaits = 0; ///< Sweeps that merged a few events and
+                                ///< then waited about one cross-core
+                                ///< round trip before the next sweep.
   unsigned CaptureSegments = 0;  ///< Segments sealed (segmented recorder).
   std::vector<ThreadDropStats> PerThreadDrops; ///< Nonzero rows only.
 
@@ -511,6 +521,8 @@ private:
     std::vector<Channel *> Snapshot;
     size_t Known = 0;  ///< NumChannels the snapshot reflects.
     uint64_t Sweeps = 0;
+    uint64_t EmptyPolls = 0; ///< Ring visits that pulled nothing.
+    uint64_t PacedWaits = 0; ///< Thin sweeps followed by a pace.
     uint64_t MaxBacklog = 0; ///< Sampled every 16th sweep.
   };
   MergeCursor resumeMerge() const;
@@ -657,8 +669,9 @@ private:
                                        ///< join would deadlock against
                                        ///< the park).
   std::mutex SinkMu;   ///< Serializes OnWarning across shard workers.
-  std::mutex ClocksMu; ///< Guards SequencerClocks folds: shard workers
-                       ///< and the router can exit concurrently.
+  std::mutex ClocksMu; ///< Guards SequencerClocks and merge-counter
+                       ///< folds: shard workers and the router can exit
+                       ///< concurrently.
 
   std::thread SequencerThread;
   std::thread SupervisorThread;

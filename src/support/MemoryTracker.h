@@ -22,11 +22,11 @@
 
 namespace ft {
 
-/// Tracks live and peak bytes charged by an analysis tool, optionally
-/// against a budget. The replay loop (ReplayOptions::BudgetTracker) and
-/// the online driver (DegradePolicy::Tracker) sample a tool's
-/// shadowBytes() into a tracker between events, so callers observe the
-/// live and peak footprint of a run.
+/// Tracks live and peak bytes charged by an analysis tool. The replay
+/// loop (ReplayOptions::BudgetTracker) and the online driver
+/// (DegradePolicy::Tracker) sample a tool's shadowBytes() into a tracker
+/// between events, so callers observe the live and peak footprint of a
+/// run.
 class MemoryTracker {
 public:
   /// Charges \p Bytes to the tracker.
@@ -50,15 +50,6 @@ public:
       Peak = Live;
   }
 
-  /// Sets the byte budget; 0 (the default) means unlimited.
-  void setBudget(uint64_t Bytes) { Budget = Bytes; }
-
-  /// Returns the configured budget (0 = unlimited).
-  uint64_t budgetBytes() const { return Budget; }
-
-  /// True when live bytes exceed a nonzero budget.
-  bool overBudget() const { return Budget != 0 && Live > Budget; }
-
   /// Returns bytes currently charged.
   uint64_t liveBytes() const { return Live; }
 
@@ -68,15 +59,13 @@ public:
   /// Returns the cumulative bytes ever charged (ignores releases).
   uint64_t totalBytes() const { return Total; }
 
-  /// Resets all counters to zero (the budget is configuration, not a
-  /// counter, and survives).
+  /// Resets all counters to zero.
   void reset() { Live = Peak = Total = 0; }
 
 private:
   uint64_t Live = 0;
   uint64_t Peak = 0;
   uint64_t Total = 0;
-  uint64_t Budget = 0;
 };
 
 /// Returns the process-wide tracker used when no per-tool tracker is bound.

@@ -13,6 +13,7 @@
 
 #include "core/FastTrack.h"
 #include "detectors/Eraser.h"
+#include "framework/ParallelReplay.h"
 #include "framework/Replay.h"
 #include "hb/RaceOracle.h"
 #include "runtime/FaultPlan.h"
@@ -1354,4 +1355,84 @@ TEST(OnlineEquivalence, GeneratedProgramsMatchTheOracleAtEveryShardCount) {
   // The sweep must exercise both answers.
   EXPECT_GT(RacyPrograms, 16u);
   EXPECT_GT(CleanVars, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The merge loop's pace (EXPERIMENTS.md E17)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The lock_heavy loop: two producers lock, read, write and unlock 4
+/// striped counters, with the supervisor on. Rings of 4 slots cap a sweep
+/// at 12 events (main's ring and two producers'), below the merge loop's
+/// pace threshold, so every sweep that merges anything waits before the
+/// next one, on any core count. With \p DropLock the second producer never
+/// takes stripe 0's lock. Both producers start on stripe 0, and neither
+/// has acquired a lock the other released before its first access there,
+/// so those two accesses race on every schedule.
+rt::OnlineReport runStripedLockLoop(FastTrack &Detector, bool DropLock) {
+  constexpr unsigned Stripes = 4;
+  constexpr int Iters = 1000;
+  rt::OnlineOptions Options;
+  Options.RingCapacity = 4;
+  // No shedding, so the capture holds every access: no ladder, and a
+  // parked access waits rather than being dropped at the park deadline.
+  Options.Degrade.Enabled = false;
+  Options.Supervise.MaxParkMs = 60000;
+  rt::Engine Engine(Detector, Options);
+  rt::Mutex Locks[Stripes];
+  rt::Shared<int> Cells[Stripes];
+  auto Loop = [&](unsigned T) {
+    for (int I = 0; I != Iters; ++I) {
+      const unsigned S = static_cast<unsigned>(I) % Stripes;
+      const bool Locked = !(DropLock && T == 1 && S == 0);
+      if (Locked)
+        Locks[S].lock();
+      FT_WRITE(Cells[S], FT_READ(Cells[S]) + 1);
+      if (Locked)
+        Locks[S].unlock();
+    }
+  };
+  rt::Thread A([&] { Loop(0); });
+  rt::Thread B([&] { Loop(1); });
+  A.join();
+  B.join();
+  return Engine.finish();
+}
+
+/// The paced path's contract: it paced, nothing restarted, and the
+/// capture replays offline to the online warnings at every shard count.
+void expectPacedAndExact(FastTrack &Detector, const rt::OnlineReport &Report) {
+  EXPECT_FALSE(Report.Halted);
+  EXPECT_EQ(Report.SequencerRestarts, 0u);
+  EXPECT_GT(Report.MergePacedWaits, 0u);
+  EXPECT_LE(Report.MergePacedWaits, Report.MergeSweeps);
+  EXPECT_TRUE(isFeasible(Report.Captured));
+  for (unsigned Shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "offline shards " << Shards);
+    FastTrack Offline;
+    ParallelReplayOptions ReplayOpts;
+    ReplayOpts.NumShards = Shards;
+    parallelReplay(Report.Captured, Offline, ReplayOpts);
+    expectSameWarnings(Detector.warnings(), Offline.warnings());
+  }
+}
+
+} // namespace
+
+TEST(PacedMerge, LockHeavyLoopStaysExact) {
+  FastTrack Detector;
+  rt::OnlineReport Report = runStripedLockLoop(Detector, false);
+  expectPacedAndExact(Detector, Report);
+  EXPECT_EQ(Report.NumWarnings, 0u);
+}
+
+TEST(PacedMerge, DroppedLockIsStillReported) {
+  FastTrack Detector;
+  rt::OnlineReport Report = runStripedLockLoop(Detector, true);
+  expectPacedAndExact(Detector, Report);
+  const std::vector<VarId> Warned = warnedVars(Detector.warnings());
+  EXPECT_EQ(Warned.size(), 1u); // stripe 0's counter, and only it
+  EXPECT_EQ(Warned, racyVarsLinear(Report.Captured));
 }

@@ -171,34 +171,6 @@ TEST(MemoryTracker, SampleLiveReplacesReadingAndUpdatesPeak) {
   EXPECT_EQ(Tracker.peakBytes(), 500u);
 }
 
-TEST(MemoryTracker, BudgetBreachDetection) {
-  MemoryTracker Tracker;
-  EXPECT_FALSE(Tracker.overBudget()); // 0 budget = unlimited
-  Tracker.sampleLive(1u << 20);
-  EXPECT_FALSE(Tracker.overBudget());
-  Tracker.setBudget(1000);
-  EXPECT_EQ(Tracker.budgetBytes(), 1000u);
-  EXPECT_TRUE(Tracker.overBudget());
-  Tracker.sampleLive(1000);
-  EXPECT_FALSE(Tracker.overBudget()); // at the budget, not over it
-  Tracker.sampleLive(1001);
-  EXPECT_TRUE(Tracker.overBudget());
-}
-
-TEST(MemoryTracker, BudgetSurvivesReset) {
-  // The budget is configuration, not a counter: the governor resets the
-  // counters between degraded attempts but the limit stays.
-  MemoryTracker Tracker;
-  Tracker.setBudget(64);
-  Tracker.sampleLive(100);
-  Tracker.reset();
-  EXPECT_EQ(Tracker.liveBytes(), 0u);
-  EXPECT_EQ(Tracker.budgetBytes(), 64u);
-  EXPECT_FALSE(Tracker.overBudget());
-  Tracker.sampleLive(65);
-  EXPECT_TRUE(Tracker.overBudget());
-}
-
 TEST(Stopwatch, MeasuresNonNegativeTime) {
   Stopwatch Watch;
   EXPECT_GE(Watch.seconds(), 0.0);
