@@ -278,8 +278,8 @@ RunResult runShardedOnce(unsigned Shards, unsigned NumThreads,
 }
 
 /// Options pinning the session at one degraded rung (StartRung skips the
-/// overload trigger; the one-rung ladder is exhausted, so the session
-/// runs the whole workload there).
+/// space trigger; the one-rung ladder is exhausted, so the session runs
+/// the whole workload there).
 rt::OnlineOptions pinnedRung(DegradeStep Step) {
   rt::OnlineOptions Options;
   Options.Degrade.Ladder = {Step};
@@ -383,17 +383,14 @@ int main(int argc, char **argv) {
     FastTrack FT;
     RunResult FTRun = timeOnline(FT, NumThreads, Iters, fullFidelity());
     // The degraded-rung series: FastTrack pinned at coarse granularity
-    // (divisor 64: every access still delivered, ids remapped) and at
-    // 1-in-8 access sampling (7/8 of accesses shed before dispatch) —
-    // what an overloaded session actually pays after stepping down.
+    // (divisor 64: every access still delivered, ids remapped) — what a
+    // space-degraded session pays. A rung that rewrites accesses gives up
+    // batched admission (OnlineDriver::admitAccessRun), so this buys no
+    // time; the ladder answers space only.
     FastTrack FTCoarse;
     RunResult CoarseRun = timeOnline(
         FTCoarse, NumThreads, Iters,
         pinnedRung({DegradeStep::Kind::CoarseGranularity, 64}));
-    FastTrack FTSample;
-    RunResult SampleRun = timeOnline(
-        FTSample, NumThreads, Iters,
-        pinnedRung({DegradeStep::Kind::AccessSampling, 8}));
 
     auto Row = [&](const char *Name, const RunResult &R, double VsEmpty) {
       Out.addRow({std::to_string(NumThreads), Name, fixed(R.Seconds, 3),
@@ -406,12 +403,10 @@ int main(int argc, char **argv) {
     Row("EMPTY", EmptyRun, 0);
     Row("FASTTRACK", FTRun, FTRun.Seconds / EmptyRun.Seconds);
     Row("FT coarse64", CoarseRun, CoarseRun.Seconds / EmptyRun.Seconds);
-    Row("FT sample8", SampleRun, SampleRun.Seconds / EmptyRun.Seconds);
     Out.addSeparator();
 
-    // Degraded rungs shed work, so normalize them by the events the
-    // application *emitted* (4 per iteration), not by the shrunken
-    // delivered count — that is the per-op price the application pays.
+    // Normalize the degraded rung by the events the application *emitted*
+    // (4 per iteration) — the per-op price the application pays.
     const double Emitted = 4.0 * double(Iters) * double(NumThreads);
 
     const std::string Prefix = "t" + std::to_string(NumThreads) + "_";
@@ -434,8 +429,6 @@ int main(int argc, char **argv) {
     }
     Report.metric(Prefix + "fasttrack_coarse64_ns_per_event",
                   1e9 * CoarseRun.Seconds / Emitted, "ns");
-    Report.metric(Prefix + "fasttrack_sample8_ns_per_event",
-                  1e9 * SampleRun.Seconds / Emitted, "ns");
   }
   std::printf("%s", Out.render().c_str());
 

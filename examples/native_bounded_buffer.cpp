@@ -119,11 +119,12 @@ int main(int argc, char **argv) {
   std::printf("consumed = %d (expect 150), produced = %d items\n", Consumed,
               Buffer.Produced.read());
   std::printf("%llu events captured, %llu dispatched (%llu elided by "
-              "annotation), %zu warning(s) online, %.3fs\n",
+              "annotation), %zu warning(s) online, %s to the oracle, "
+              "%.3fs\n",
               (unsigned long long)Report.EventsCaptured,
               (unsigned long long)Report.EventsDispatched,
               (unsigned long long)Report.EventsElided, Report.NumWarnings,
-              Report.Seconds);
+              toString(Report.relation()), Report.Seconds);
   if (Options.CaptureSegmentBytes != 0)
     std::printf("flight recorder: %u sealed segment(s), "
                 "native_bounded_buffer.segNNNNNN.trc (%zu ops)\n\n",

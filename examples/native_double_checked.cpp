@@ -110,9 +110,9 @@ rt::OnlineReport check(const char *Title, const char *CapturePath,
                   !Report.Halted && Report.Diags.empty();
 
   std::printf("getInstance() = %d; %llu events, %zu warning(s) online, "
-              "offline replay %s\n\n",
+              "%s to the oracle, offline replay %s\n\n",
               Value, (unsigned long long)Report.EventsCaptured,
-              Report.NumWarnings,
+              Report.NumWarnings, toString(Report.relation()),
               EquivalenceOk ? "identical" : "MISMATCH");
   return Report;
 }

@@ -7,14 +7,20 @@
 /// \file
 /// The degradation ladder and the one shadow-memory budget.
 ///
-/// Two subsystems shed precision under pressure: the governed shadow
-/// table (shadow/ShadowPolicy.h) summarizes cold pages in place, offline
-/// and online, and the online driver (framework/OnlineDriver.h)
-/// transforms the live stream rung by rung. Both fold onto the same
-/// divisor ladder — fine → 8 → 64 → ShadowPageVars, a summarized page
-/// being the last rung applied locally — so this header is the single
-/// source of truth for the rung constants, the rung descriptions, and
-/// the memory-driven rung the shadow governor adds.
+/// Two subsystems coarsen precision when space runs out: the governed
+/// shadow table (shadow/ShadowPolicy.h) summarizes cold pages in place,
+/// offline and online, and the online driver (framework/OnlineDriver.h)
+/// remaps the live stream's variable ids rung by rung. Both fold onto the
+/// same divisor ladder — fine → 8 → 64 → ShadowPageVars, a summarized
+/// page being the last rung applied locally — so this header is the
+/// single source of truth for the rung constants, the rung descriptions,
+/// and the memory-driven rung the shadow governor adds.
+///
+/// Every rung coarsens and none sheds: a race on a variable is still
+/// reported, possibly against its bucket's representative id. The ladder
+/// answers space only (an over-capacity variable id, a budget breach);
+/// the online runtime's one answer to time is the counted drop at emit
+/// (runtime/Engine.h, SupervisorOptions::MaxParkMs).
 ///
 /// There is one budget knob, DegradePolicy::Memory.BudgetBytes (a
 /// ShadowMemoryPolicy). A tool that accepts Tool::configureShadowPolicy
@@ -43,17 +49,13 @@ class MemoryTracker;
 /// shadow governor's page summarization applies in place.
 inline constexpr unsigned DegradeDivisorLadder[] = {8, 64, ShadowPageVars};
 
-/// One rung of the overload-degradation ladder.
+/// One rung of the space-degradation ladder.
 struct DegradeStep {
   enum class Kind : uint8_t {
     /// Map variable ids through a widening divisor (fields-per-object),
     /// the DegradeDivisorLadder rungs. Divisors are absolute, not
     /// cumulative: the step's Param replaces any earlier divisor.
     CoarseGranularity,
-    /// Deliver a deterministic 1 in Param accesses; drop the rest.
-    AccessSampling,
-    /// Drop every access; only the sync spine reaches the tool.
-    SyncOnly,
     /// The memory-driven rung: the governed shadow table has summarized
     /// cold pages to page-granularity slots (warnings may coarsen to the
     /// page region; no race is missed). The stream is *not* transformed —
@@ -67,21 +69,17 @@ struct DegradeStep {
   unsigned Param = 8;
 };
 
-/// The online driver's default ladder: the shared divisor rungs, then
-/// access shedding.
+/// The online driver's default ladder: the shared divisor rungs.
 inline std::vector<DegradeStep> defaultOnlineLadder() {
   std::vector<DegradeStep> Ladder;
   for (unsigned Divisor : DegradeDivisorLadder)
     Ladder.push_back({DegradeStep::Kind::CoarseGranularity, Divisor});
-  Ladder.push_back({DegradeStep::Kind::AccessSampling, 8});
-  Ladder.push_back({DegradeStep::Kind::SyncOnly, 0});
   return Ladder;
 }
 
-/// Policy for stepping down under overload instead of halting. The
-/// effective configuration at rung R is the cumulative result of applying
-/// ladder steps [0, R): the latest coarse divisor, the latest sampling
-/// modulus, and whether a SyncOnly step was crossed.
+/// Policy for coarsening under space pressure instead of halting. The
+/// effective configuration at rung R is the latest coarse divisor among
+/// ladder steps [0, R).
 struct DegradePolicy {
   /// Pin the whole ladder off: every trigger that would have degraded
   /// halts instead (the pre-PR-5 behavior).
@@ -103,7 +101,7 @@ struct DegradePolicy {
   MemoryTracker *Tracker = nullptr;
 
   /// Ladder steps pre-applied at construction (0 = start Full). Lets the
-  /// benches measure a pinned rung without manufacturing overload.
+  /// benches measure a pinned rung without manufacturing a breach.
   unsigned StartRung = 0;
 
   /// Shadow-table self-governance (temperature tracking, cold-page

@@ -72,20 +72,12 @@ void OnlineDriver::halt(StatusCode Code, std::string Message) {
 /// Recomputes the effective transform from ladder steps [0, Rung).
 void OnlineDriver::applyRung() {
   Divisor = 1;
-  SampleEvery = 1;
-  SyncOnlyMode = false;
   const std::vector<DegradeStep> &Ladder = Options.Degrade.Ladder;
   for (unsigned I = 0; I != Rung && I < Ladder.size(); ++I) {
     const DegradeStep &S = Ladder[I];
     switch (S.K) {
     case DegradeStep::Kind::CoarseGranularity:
       Divisor = std::max(1u, S.Param);
-      break;
-    case DegradeStep::Kind::AccessSampling:
-      SampleEvery = std::max(1u, S.Param);
-      break;
-    case DegradeStep::Kind::SyncOnly:
-      SyncOnlyMode = true;
       break;
     case DegradeStep::Kind::ShadowSummarize:
       // No stream transform: the precision fold happened inside the
@@ -108,12 +100,6 @@ bool OnlineDriver::stepDown(StatusCode Code, const std::string &Reason) {
   case DegradeStep::Kind::CoarseGranularity:
     What = "coarse granularity (divisor " + std::to_string(Divisor) + ")";
     break;
-  case DegradeStep::Kind::AccessSampling:
-    What = "access sampling (1 in " + std::to_string(SampleEvery) + ")";
-    break;
-  case DegradeStep::Kind::SyncOnly:
-    What = "sync-only (all accesses shed)";
-    break;
   case DegradeStep::Kind::ShadowSummarize:
     What = "shadow summarization (page-granularity cold shadow)";
     break;
@@ -126,12 +112,6 @@ bool OnlineDriver::stepDown(StatusCode Code, const std::string &Reason) {
                  std::to_string(D.Ladder.size()) + ": " + What + " — " + Reason;
   Diags.push_back(std::move(Diag));
   return true;
-}
-
-bool OnlineDriver::requestStepDown(StatusCode Code, const std::string &Reason) {
-  if (Halted)
-    return false;
-  return stepDown(Code, Reason);
 }
 
 void OnlineDriver::probeBudget() {
@@ -210,22 +190,12 @@ OnlineDriver::DispatchOutcome OnlineDriver::offer(Operation &Op) {
   if (Raw >= NextProbe)
     probeBudget();
 
-  // Degraded transforms apply to accesses only — sync events are the HB
-  // spine and pass through every rung untouched, keeping the ordering
-  // relation exact however much access precision is shed.
-  bool IsAccess = Op.Kind == OpKind::Read || Op.Kind == OpKind::Write;
-  if (IsAccess && transformsAccesses()) {
-    if (SyncOnlyMode) {
-      ++AccessesDropped;
-      return DispatchOutcome::Dropped;
-    }
-    if (SampleEvery != 1 && (AccessCounter++ % SampleEvery) != 0) {
-      ++AccessesDropped;
-      return DispatchOutcome::Dropped;
-    }
-    if (Divisor != 1)
-      Op.Target /= Divisor;
-  }
+  // Coarse rungs remap accesses only — sync events are the HB spine and
+  // pass through every rung untouched, keeping the ordering relation
+  // exact however coarse the access ids become.
+  if ((Op.Kind == OpKind::Read || Op.Kind == OpKind::Write) &&
+      transformsAccesses())
+    Op.Target /= Divisor;
 
   // Capacity checks before the index is consumed: a rejected operation is
   // not part of the stream (the flight recorder must drop it too, so a
@@ -240,8 +210,9 @@ OnlineDriver::DispatchOutcome OnlineDriver::offer(Operation &Op) {
   case OpKind::Read:
   case OpKind::Write: {
     // An over-capacity variable is the one breach a coarse rung can
-    // absorb: widen the divisor until the mapped id fits (or accesses are
-    // shed entirely). Only when the ladder cannot help does it halt.
+    // absorb: widen the divisor until the mapped id fits. Only when the
+    // ladder cannot help (pinned off, or the widest divisor is still too
+    // narrow) does it halt.
     const uint32_t Orig = Op.Target * Divisor; // lower bound of its bucket
     while (Op.Target >= Capacity.NumVars) {
       if (!stepDown(StatusCode::ResourceExhausted,
@@ -252,10 +223,6 @@ OnlineDriver::DispatchOutcome OnlineDriver::offer(Operation &Op) {
              " exceeds declared capacity (" +
              std::to_string(Capacity.NumVars) + " variables)");
         return DispatchOutcome::Rejected;
-      }
-      if (SyncOnlyMode) {
-        ++AccessesDropped;
-        return DispatchOutcome::Dropped;
       }
       Op.Target = Orig / Divisor;
     }

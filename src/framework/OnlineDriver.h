@@ -25,28 +25,31 @@
 ///
 /// Unlike the original (PR 3) driver, an over-capacity variable or a
 /// shadow-memory budget breach no longer kills detection outright: the
-/// driver carries an *overload degradation ladder* (framework/Degrade.h,
-/// following SmartTrack's philosophy of degrading work per event rather
-/// than giving up):
+/// driver carries a *coarsening ladder* (framework/Degrade.h, following
+/// SmartTrack's philosophy of cutting work per event rather than giving
+/// up):
 ///
 ///   Full → CoarseGranularity(8) → CoarseGranularity(64)
-///        → CoarseGranularity(512) → AccessSampling(1-in-8) → SyncOnly
+///        → CoarseGranularity(512)
 ///
-/// Coarse rungs fold variable ids through a widening divisor (the
-/// GranularityMap mapping of replay()); sampling delivers a deterministic
-/// 1-in-N subset of accesses; SyncOnly drops all accesses. Sync events
-/// (acquire/release/fork/join/volatiles) are *never* degraded, so the
+/// (a governed tool's ladder starts with the in-table ShadowSummarize
+/// rung). Coarse rungs fold variable ids through a widening divisor (the
+/// GranularityMap mapping of replay()), so every rung coarsens and none
+/// drops an event: a race is still reported, possibly against its
+/// bucket's representative id. Sync events
+/// (acquire/release/fork/join/volatiles) are never remapped, so the
 /// happens-before spine stays exact on every rung. Each transition emits
 /// a Warning diagnostic anchored to the raw op index. Halting remains
 /// only for the failures no rung can absorb: thread/lock/volatile
-/// capacity breaches, barriers, and tools that throw mid-dispatch.
+/// capacity breaches, a variable id too large for the widest divisor,
+/// barriers, and tools that throw mid-dispatch.
 ///
 /// The equivalence contract survives degradation because the transform is
 /// applied *before* the flight recorder sees the op: offer() remaps the
 /// operation in place and tells the caller whether it is part of the
 /// delivered stream. Replaying a degraded capture offline therefore
 /// reproduces the online warnings byte for byte — the capture *is* the
-/// delivered subsequence.
+/// delivered stream.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -120,7 +123,7 @@ struct OnlineDriverOptions {
   /// Called from whichever thread calls dispatch(); may be empty.
   std::function<void(const RaceWarning &)> WarningSink;
 
-  /// Overload-degradation policy (see DegradePolicy).
+  /// Space-degradation policy (see DegradePolicy).
   DegradePolicy Degrade;
 
   /// Fault injection: the first budget probe at or after this raw op
@@ -143,9 +146,6 @@ public:
     /// A flight recorder must capture the operation as offer() left it
     /// (coarse rungs remap the variable id in place).
     Delivered,
-    /// Shed by a degraded rung (sampling or SyncOnly). Not part of the
-    /// delivered stream; must not be captured.
-    Dropped,
     /// The driver is halted — by this operation or an earlier one.
     /// Nothing was consumed; must not be captured.
     Rejected,
@@ -171,7 +171,7 @@ public:
 
   /// Compatibility shim over offer(): true iff the operation was
   /// Delivered. Callers that capture the stream should use offer() to
-  /// distinguish Dropped from Rejected and to see the remapped id.
+  /// see the remapped id.
   bool dispatch(const Operation &Op) {
     Operation Copy = Op;
     return offer(Copy) == DispatchOutcome::Delivered;
@@ -214,13 +214,6 @@ public:
   /// events before it stay dispatched, and the rest are discarded.
   bool dispatchRun(const runtime::OnlineEvent *Run, size_t N);
 
-  /// Steps one rung down the ladder on behalf of an external overload
-  /// signal (the runtime's supervisor: sustained ring pressure, repeated
-  /// sequencer stalls). \returns false when degradation is pinned off or
-  /// the ladder is exhausted; the caller decides what to do then — the
-  /// driver does not halt, because shedding continues at the final rung.
-  bool requestStepDown(StatusCode Code, const std::string &Reason);
-
   /// Calls Checker.end() and flushes the warning sink. A throwing end()
   /// is absorbed into a ToolFault diagnostic. Idempotent.
   void finish();
@@ -237,9 +230,6 @@ public:
 
   /// Accesses whose handler returned the pass flag.
   uint64_t accessesPassed() const { return AccessesPassed; }
-
-  /// Accesses shed by sampling/SyncOnly rungs (not in the capture).
-  uint64_t accessesDropped() const { return AccessesDropped; }
 
   /// Current ladder position: 0 = Full, N = ladder step N-1 applied.
   unsigned rung() const { return Rung; }
@@ -258,11 +248,9 @@ private:
   void halt(StatusCode Code, std::string Message);
   bool stepDown(StatusCode Code, const std::string &Reason);
   void applyRung();
-  /// The rung rewrites or sheds accesses. Not Rung != 0: the
-  /// ShadowSummarize rung leaves every access as it was.
-  bool transformsAccesses() const {
-    return Divisor != 1 || SampleEvery != 1 || SyncOnlyMode;
-  }
+  /// The rung rewrites accesses. Not Rung != 0: the ShadowSummarize
+  /// rung leaves every access as it was.
+  bool transformsAccesses() const { return Divisor != 1; }
   void probeBudget();
   void drainWarnings();
   /// Halts with a ToolFault for the exception in flight, anchored at raw
@@ -287,16 +275,12 @@ private:
   uint64_t Raw = 0;
   uint64_t Dispatched = 0;
   uint64_t AccessesPassed = 0;
-  uint64_t AccessesDropped = 0;
-  uint64_t AccessCounter = 0; ///< Accesses seen by the sampling gate.
   uint64_t NextProbe = ~0ull; ///< Raw index of the next budget probe.
   size_t SinkCursor = 0;
   unsigned Rung = 0;
   unsigned Degradations = 0;
   // Effective configuration at the current rung (derived by applyRung).
   uint32_t Divisor = 1;
-  unsigned SampleEvery = 1;
-  bool SyncOnlyMode = false;
   bool LastFiltered = false;
   /// The tool accepted configureShadowPolicy: it holds Memory.BudgetBytes
   /// in-table, and probes poll its governor telemetry to surface the

@@ -393,9 +393,8 @@ Engine::Channel *Engine::acquireSlot(bool ForeignThread) {
 
 void Engine::noteExhaustion(const char *Who) {
   ForksRejected.fetch_add(1, std::memory_order_relaxed);
-  // One diagnostic and one ladder request however many threads bounce:
-  // shedding a rung helps retiring rings drain faster, but no amount of
-  // degradation conjures slots, so repeating the request is noise.
+  // One diagnostic however many threads bounce; the ladder is not asked
+  // to step: no coarser variable id conjures slots.
   if (ExhaustionNoted.exchange(true, std::memory_order_acq_rel))
     return;
   superviseNote(Severity::Warning, StatusCode::ResourceExhausted,
@@ -403,8 +402,6 @@ void Engine::noteExhaustion(const char *Who) {
                     std::to_string(Options.MaxThreads) +
                     " slots all live or undrained); over-cap threads run "
                     "untracked, their events dropped and counted");
-  if (Options.Degrade.Enabled)
-    PendingDegrade.fetch_add(1, std::memory_order_relaxed);
 }
 
 Engine::Channel *Engine::channelForCurrentThread() {
@@ -484,7 +481,6 @@ bool Engine::parkUntilSpace(Channel *Ch, OpKind Kind) {
   // within its own deadline, so even they cannot wait unboundedly unless
   // supervision is pinned off.
   Ch->Parks.fetch_add(1, std::memory_order_relaxed);
-  ProducersParked.fetch_add(1, std::memory_order_relaxed);
   const bool Droppable = isAccess(Kind) && Options.Supervise.Enabled;
   const uint64_t DeadlineNs =
       static_cast<uint64_t>(Options.Supervise.MaxParkMs) * 1000000ull;
@@ -506,13 +502,11 @@ bool Engine::parkUntilSpace(Channel *Ch, OpKind Kind) {
       }
       if (Park.nanoseconds() >= DeadlineNs) {
         Ch->DroppedOverload.fetch_add(1, std::memory_order_relaxed);
-        DeadlineDrops.fetch_add(1, std::memory_order_relaxed);
         break;
       }
     }
     std::this_thread::yield();
   }
-  ProducersParked.fetch_sub(1, std::memory_order_relaxed);
   return GotSpace;
 }
 
@@ -520,10 +514,10 @@ Status Engine::tryForkThread(ThreadId &Child) {
   Child = NoThread;
   Channel *Slot = acquireSlot(/*ForeignThread=*/false);
   if (!Slot) {
-    // Max-live genuinely exceeds the cap: a structured error, a one-time
-    // supervisor diagnostic, and (when enabled) one ladder downgrade —
-    // the production answer to "out of slots", where PR 3's fixed table
-    // made the driver halt detection on the first over-cap thread id.
+    // Max-live genuinely exceeds the cap: a structured error and a
+    // one-time supervisor diagnostic — the production answer to "out of
+    // slots", where PR 3's fixed table made the driver halt detection on
+    // the first over-cap thread id.
     noteExhaustion("forkThread");
     return Status::error(StatusCode::ResourceExhausted,
                          "thread-slot table exhausted (" +
@@ -599,15 +593,6 @@ Engine::MergeCursor Engine::resumeMerge() const {
 bool Engine::beginSweep(MergeCursor &M, uint64_t Epoch) {
   if (SequencerEpoch.load(std::memory_order_acquire) != Epoch)
     return false;
-  // Rung downgrades requested by the supervisor are applied here: the
-  // driver is single-threaded, so only the sequencer may touch it.
-  if (PendingDegrade.load(std::memory_order_relaxed) != 0) {
-    unsigned K = PendingDegrade.exchange(0, std::memory_order_acq_rel);
-    while (K-- != 0 &&
-           Driver.requestStepDown(StatusCode::Stalled,
-                                  "supervisor: sustained overload"))
-      ;
-  }
   // Rebuild the channel snapshot only when a registration happened; the
   // steady-state sweep never touches ChannelMu.
   if (NumChannels.load(std::memory_order_acquire) != M.Known) {
@@ -1090,7 +1075,6 @@ void Engine::superviseNote(Severity Sev, StatusCode Code,
 }
 
 void Engine::handleStall(uint64_t Position) {
-  ++StallsSeen;
   superviseNote(
       Severity::Warning, StatusCode::Stalled,
       "sequencer stalled at merge position " + std::to_string(Position) +
@@ -1099,11 +1083,6 @@ void Engine::handleStall(uint64_t Position) {
   // Unpark blocked producers: parked accesses are shed and counted, sync
   // events keep waiting for the restarted merge loop to drain.
   DropAccesses.store(true, std::memory_order_release);
-  if (StallsSeen >= 2 && Options.Degrade.Enabled) {
-    PendingDegrade.fetch_add(1, std::memory_order_relaxed);
-    superviseNote(Severity::Warning, StatusCode::Stalled,
-                  "repeated sequencer stall: requested ladder downgrade");
-  }
   // Giving up joins, then halts, so the merge position is final before
   // the halt publishes. A loop wedged inside a tool handler cannot be
   // recovered portably and would block the join; that failure mode is
@@ -1174,9 +1153,7 @@ void Engine::recoverLoop(const std::string &Who, std::atomic<uint64_t> &Epoch,
 void Engine::supervisorLoop() {
   const SupervisorOptions &S = Options.Supervise;
   uint64_t LastMark = MergedEvents.load(std::memory_order_acquire);
-  uint64_t LastDeadlineDrops = DeadlineDrops.load(std::memory_order_relaxed);
   unsigned StalledMs = 0;
-  unsigned PressureTicks = 0;
   std::vector<uint64_t> ShardMarks(ShardSet.size(), 0);
   std::vector<unsigned> ShardStalledMs(ShardSet.size(), 0);
   while (SupervisorRun.load(std::memory_order_acquire)) {
@@ -1233,26 +1210,6 @@ void Engine::supervisorLoop() {
       ShardMarks[I] = Drained;
     }
 
-    // --- pressure detection: producers continuously parked or shedding
-    // accesses at the park deadline → the consumer is too slow for the
-    // event rate; request one rung of load shedding per sustained window.
-    uint64_t Drops = DeadlineDrops.load(std::memory_order_relaxed);
-    bool Pressure = ProducersParked.load(std::memory_order_relaxed) > 0 ||
-                    Drops != LastDeadlineDrops;
-    if (Pressure && !Halted.load(std::memory_order_relaxed)) {
-      if (++PressureTicks >= S.PressureTicksToDegrade) {
-        if (Options.Degrade.Enabled) {
-          PendingDegrade.fetch_add(1, std::memory_order_relaxed);
-          superviseNote(Severity::Warning, StatusCode::Stalled,
-                        "sustained ring pressure: requested ladder "
-                        "downgrade");
-        }
-        PressureTicks = 0;
-      }
-    } else {
-      PressureTicks = 0;
-    }
-    LastDeadlineDrops = Drops;
     LastMark = Mark;
   }
 }
@@ -1332,7 +1289,6 @@ OnlineReport Engine::finish() {
   }
   Report.DegradeRung = Driver.rung();
   Report.Degradations = Driver.degradations();
-  Report.AccessesShed = Driver.accessesDropped();
   Report.SequencerRestarts = Restarts.load(std::memory_order_relaxed);
   Report.MaxBacklog = MaxBacklogSeen.load(std::memory_order_relaxed);
   Report.DroppedPostHalt = DiscardedPostHalt;
@@ -1417,11 +1373,10 @@ OnlineReport Engine::finish() {
   }
   if (MemCapture && Options.ValidateCapture) {
     TraceValidatorOptions VOpts;
-    // Shedding can strip every access of a thread while its fork/join
-    // spine is still delivered, which rule (4) would flag; that is a
-    // legitimate degraded capture, not a malformed one.
-    VOpts.RequireThreadOps =
-        Report.AccessesShed == 0 && Report.DroppedOverload == 0;
+    // The emit drop can strip every access of a thread while its
+    // fork/join spine is still delivered, which rule (4) would flag; that
+    // is a legitimate lossy capture, not a malformed one.
+    VOpts.RequireThreadOps = Report.DroppedOverload == 0;
     // Recycled slots legally re-fork a joined tid; the validator knows
     // the reincarnation protocol through this option.
     VOpts.AllowTidReuse = Options.RecycleThreadSlots;

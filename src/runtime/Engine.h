@@ -81,22 +81,24 @@
 /// misbehaving. Three mechanisms keep detection alive where PR 3 simply
 /// halted:
 ///
-///  - **The degradation ladder** (OnlineDriver.h): sustained ring
-///    pressure, a shadow-memory budget breach, or an over-capacity
-///    variable steps the driver Full → coarse granularity → access
-///    sampling → sync-only instead of halting. Sync events are never
-///    degraded, so the happens-before spine stays exact; every
-///    transition is a Warning diagnostic in the report. Pin it off with
-///    OnlineOptions::Degrade.Enabled = false.
+///  - **The coarsening ladder** (OnlineDriver.h): a shadow-memory budget
+///    breach or an over-capacity variable steps the driver through
+///    widening variable-id divisors instead of halting. Every rung
+///    coarsens and none drops an event; sync events are never remapped,
+///    so the happens-before spine stays exact; every transition is a
+///    Warning diagnostic in the report. Pin it off with
+///    OnlineOptions::Degrade.Enabled = false. The ladder answers space
+///    only: the one answer to time is the counted drop at emit below.
 ///  - **The supervisor** (a watchdog thread, modeled on the parallel
 ///    replay stall watchdog): when the sequencer merges no event past the
 ///    deadline while events are outstanding, it unparks blocked producers
-///    into drop-and-count mode, abandons and restarts the sequencer, and from
-///    the second stall on also downgrades a ladder rung. Application
-///    threads therefore never block on a wedged detector for longer than
-///    the deadline (sync events wait for the restart; access events are
-///    shed and counted). Only an unrecoverable sequencer — MaxRestarts
-///    exhausted — halts detection, never the application.
+///    into drop-and-count mode and abandons and restarts the sequencer.
+///    Application threads therefore never block on a wedged detector for
+///    longer than the deadline (sync events wait for the restart; access
+///    events parked past MaxParkMs are dropped and counted). Only an
+///    unrecoverable sequencer — MaxRestarts exhausted — halts detection,
+///    never the application. OnlineReport::relation() names what any of
+///    this cost the session's precision.
 ///  - **Fault injection** (FaultPlan.h): every transition above is
 ///    drivable deterministically, keyed on merge positions.
 ///
@@ -121,9 +123,8 @@
 /// docs/RUNTIME.md). When max-live genuinely exceeds MaxThreads, fork
 /// degrades instead of dying: tryForkThread() returns a structured
 /// ResourceExhausted Status, the child runs *untracked* (its events are
-/// dropped and counted, never silently), a supervisor diagnostic is
-/// attached, and one ladder downgrade is requested so the detector sheds
-/// load rather than the application crashing.
+/// dropped and counted, never silently) and a supervisor diagnostic is
+/// attached, rather than the application crashing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -166,7 +167,7 @@ struct SupervisorOptions {
   /// A sequencer that has merged no event for this long (while events
   /// are outstanding in the rings) is declared stalled: blocked
   /// producers are unparked into drop-and-count mode and the sequencer
-  /// is restarted (the second stall also downgrades a ladder rung).
+  /// is restarted.
   unsigned StallDeadlineMs = 250;
 
   /// Emit-side bound: an *access* event parked on a full ring (yielding,
@@ -175,10 +176,6 @@ struct SupervisorOptions {
   /// this way (the HB spine must stay exact); they wait for the
   /// supervisor to recover the sequencer.
   unsigned MaxParkMs = 200;
-
-  /// Consecutive watchdog ticks observing park-deadline drops before the
-  /// supervisor requests a ladder rung downgrade (sustained pressure).
-  unsigned PressureTicksToDegrade = 2;
 
   /// Sequencer restarts before the supervisor gives up and halts
   /// detection (the true last resort).
@@ -286,7 +283,7 @@ struct OnlineOptions {
   /// violations to the report's diagnostics.
   bool ValidateCapture = true;
 
-  /// Overload-degradation ladder shared with the driver (see
+  /// Space-degradation ladder shared with the driver (see
   /// OnlineDriver.h). Degrade.Enabled = false pins every rung off.
   DegradePolicy Degrade;
 
@@ -309,6 +306,29 @@ struct ThreadDropStats {
   uint64_t Parks = 0;    ///< Backpressure park episodes.
 };
 
+/// How an online session's warnings relate to the oracle: FastTrack over
+/// the whole execution at full precision.
+enum class OracleRelation : uint8_t {
+  Identical, ///< Every event analyzed at full precision.
+  Coarsened, ///< Every event analyzed; some variable ids or cold shadow
+             ///< pages were folded, so a race may be reported against
+             ///< its bucket, but none is missed.
+  Lossy,     ///< Events went unanalyzed (dropped, untracked, or after a
+             ///< halt): races among them may be missing.
+};
+
+inline const char *toString(OracleRelation R) {
+  switch (R) {
+  case OracleRelation::Identical:
+    return "identical";
+  case OracleRelation::Coarsened:
+    return "coarsened";
+  case OracleRelation::Lossy:
+    return "lossy";
+  }
+  return "?";
+}
+
 /// What one online session measured and captured.
 struct OnlineReport {
   double Seconds = 0;            ///< Wall-clock session time.
@@ -323,7 +343,9 @@ struct OnlineReport {
   // --- resilience telemetry ---
   unsigned DegradeRung = 0;      ///< Final ladder position (0 = Full).
   unsigned Degradations = 0;     ///< Ladder transitions taken.
-  uint64_t AccessesShed = 0;     ///< Accesses dropped by sampling/SyncOnly.
+  uint64_t AccessesShed = 0;     ///< Always 0: no ladder rung sheds an
+                                 ///< access. Kept for readers built
+                                 ///< against the older report.
   uint64_t DroppedPostHalt = 0;  ///< Events dropped after a halt (total).
   uint64_t DroppedOverload = 0;  ///< Accesses shed at emit (park deadline
                                  ///< or drop-and-count mode).
@@ -375,6 +397,16 @@ struct OnlineReport {
   uint64_t PagesCompressed = 0;  ///< Cold pages packed losslessly.
   uint64_t PagesSummarized = 0;  ///< Pages folded to one summary slot.
   uint64_t BudgetTrips = 0;      ///< High-watermark crossings.
+
+  /// The session's precision contract, derived from the fields above.
+  OracleRelation relation() const {
+    if (Halted || DroppedOverload != 0 || DroppedPostHalt != 0 ||
+        UntrackedEvents != 0)
+      return OracleRelation::Lossy;
+    if (DegradeRung != 0 || PagesSummarized != 0)
+      return OracleRelation::Coarsened;
+    return OracleRelation::Identical;
+  }
 };
 
 /// One online detection session over one Tool. Construct it, run
@@ -443,8 +475,7 @@ public:
   /// a fresh slot under MaxThreads; otherwise waits up to SlotDrainWaitMs
   /// for a retiring ring to drain. On genuine exhaustion (max-live over
   /// the cap) sets \p Child = NoThread and returns ResourceExhausted —
-  /// with a one-time supervisor diagnostic and (when the ladder is
-  /// enabled) one requested rung downgrade. Detection is never halted and
+  /// with a one-time supervisor diagnostic. Detection is never halted and
   /// the application never aborted by running out of slots.
   Status tryForkThread(ThreadId &Child);
 
@@ -526,8 +557,8 @@ private:
     uint64_t MaxBacklog = 0; ///< Sampled every 16th sweep.
   };
   MergeCursor resumeMerge() const;
-  /// Sweep prologue: false once this loop is abandoned; otherwise applies
-  /// requested rung downgrades, refreshes the snapshot, samples backlog.
+  /// Sweep prologue: false once this loop is abandoned; otherwise
+  /// refreshes the snapshot and samples backlog.
   bool beginSweep(MergeCursor &M, uint64_t Epoch);
   /// Pops the next mergeable batch of \p Ch (at most \p Cap events,
   /// lowered to stop at an armed FaultPlan stall). Sets \p Abandoned when
@@ -599,8 +630,7 @@ private:
   std::atomic<uint64_t> ForksRejected{0};
   std::atomic<uint64_t> UntrackedEvents{0};
   std::atomic<uint64_t> ElidedEvents{0};
-  std::atomic<bool> ExhaustionNoted{false}; ///< One diagnostic + one
-                                            ///< ladder request however
+  std::atomic<bool> ExhaustionNoted{false}; ///< One diagnostic however
                                             ///< many forks bounce.
 
   /// Producers write Seq, the sequencer writes the merge cursor, and
@@ -637,19 +667,10 @@ private:
   std::atomic<bool> SequencerGaveUp{false}; ///< Watchdog exhausted
                                             ///< MaxRestarts; no sequencer
                                             ///< is draining anymore.
-  std::atomic<int> ProducersParked{0};
-  std::atomic<unsigned> PendingDegrade{0}; ///< Rung downgrades requested
-                                           ///< by the supervisor, applied
-                                           ///< by the sequencer between
-                                           ///< batches (the driver is not
-                                           ///< thread-safe).
-  std::atomic<uint64_t> DeadlineDrops{0};  ///< Accesses shed by MaxParkMs
-                                           ///< expiry (pressure signal).
   std::atomic<uint64_t> MaxBacklogSeen{0};
   std::atomic<unsigned> Restarts{0};
   std::atomic<bool> SupervisorRun{true};
-  unsigned StallsSeen = 0; ///< Supervisor-thread private.
-  std::mutex SupMu;        ///< Guards SupDiags.
+  std::mutex SupMu; ///< Guards SupDiags.
   std::vector<Diagnostic> SupDiags;
   uint64_t DiscardedPostHalt = 0; ///< Sequencer-side post-halt discards
                                   ///< (events emitted before the halt).

@@ -20,11 +20,11 @@
 ///    consuming merge position StallAtEvent, as if wedged in a slow
 ///    consumer; it only resumes when the supervisor abandons it (restart)
 ///    — so each armed stall consumes one watchdog recovery. Arm it twice
-///    to drive the restart-then-downgrade path.
+///    to drive two restarts in a row.
 ///  - **Ring-full storms.** Every delivered event in a window of merge
 ///    positions is slowed by a fixed delay, backing events up into the
-///    producers' rings until they park — the overload that walks the
-///    ladder.
+///    producers' rings until they park — the overload the emit drop
+///    absorbs.
 ///  - **Allocation failures.** A budget probe is forced to report a
 ///    shadow-memory breach at a chosen raw op (forwarded to
 ///    OnlineDriverOptions::ForceBudgetBreachAtRawOp).
@@ -63,7 +63,7 @@ struct FaultPlan {
 
   /// How many times the stall re-arms: the restarted sequencer reaches
   /// the same un-merged position again, so 2 drives stall → restart →
-  /// stall → restart + rung downgrade.
+  /// stall → restart.
   mutable std::atomic<unsigned> StallsArmed{0};
 
   /// Ring-full storm: each event *delivered* from a merge position in

@@ -145,15 +145,14 @@ rt::OnlineReport runDeterminism(FastTrack &Detector, unsigned Shards,
   // across all shards instead of fitting inside one default-sized block.
   Options.ShardBlockVars = 4;
   Options.Faults = Faults;
-  // Exact-equivalence runs: no shedding allowed. The supervisor stays on
-  // only for the fault-injection tests (shard restarts), with bounds that
-  // never shed accesses.
+  // Exact-equivalence runs: no coarsening and no drops allowed. The
+  // supervisor stays on only for the fault-injection tests (shard
+  // restarts), with bounds that never drop accesses.
   Options.Degrade.Enabled = false;
   Options.Supervise.Enabled = Supervise;
   Options.Supervise.TickMs = 2;
   Options.Supervise.StallDeadlineMs = 20;
   Options.Supervise.MaxParkMs = 60000;
-  Options.Supervise.PressureTicksToDegrade = 1u << 30;
 
   DeterminismWorkload Workload;
   rt::Engine Engine(Detector, std::move(Options));
@@ -392,7 +391,7 @@ TEST(OnlineDriver, FullAccessRunMatchesPerEventOffer) {
 
 TEST(OnlineDriver, FullAccessRunDeclinesWhatOnlyOfferHandles) {
   // The run path admits nothing where per-event offer() must act: a rung
-  // that rewrites or sheds accesses, a budget probe due inside the run,
+  // that rewrites accesses, a budget probe due inside the run,
   // an over-capacity target. An over-capacity target mid-run stops
   // admission just before it, so offer() meets it in stream order.
   ToolContext Capacity = driverTestCapacity();
@@ -420,11 +419,6 @@ TEST(OnlineDriver, FullAccessRunDeclinesWhatOnlyOfferHandles) {
   OnlineDriverOptions Coarse;
   Coarse.Degrade.StartRung = 1; // coarse granularity, divisor 8
   Admit("coarse rung", Coarse, Run, 0);
-
-  OnlineDriverOptions Sampling;
-  Sampling.Degrade.Ladder = {{DegradeStep::Kind::AccessSampling, 8}};
-  Sampling.Degrade.StartRung = 1;
-  Admit("sampling rung", Sampling, Run, 0);
 
   OnlineDriverOptions Probe;
   Probe.Degrade.Memory.BudgetBytes = 1ull << 40;
@@ -498,8 +492,8 @@ TEST(OnlineDriver, DispatchRunAnchorsToolFaultAtTheThrowingEvent) {
 TEST(OnlineDriver, AdmitAccessRunStaysOnAtTheMemoryRung) {
   // The ShadowSummarize rung folds pages inside the governed table and
   // leaves every access as it was, so batched admission must stay on
-  // there; rungs that rewrite or shed accesses must send the router back
-  // to per-event offer().
+  // there; rungs that rewrite accesses must send the router back to
+  // per-event offer().
   ToolContext Capacity;
   Capacity.NumThreads = 4;
   Capacity.NumVars = 1024;
@@ -528,7 +522,6 @@ TEST(OnlineDriver, AdmitAccessRunStaysOnAtTheMemoryRung) {
   // Governance prepends the memory rung: [ShadowSummarize, coarse 8, ...].
   Admit(defaultOnlineLadder(), 1, true);
   Admit(defaultOnlineLadder(), 2, false);
-  Admit({{DegradeStep::Kind::AccessSampling, 8}}, 2, false);
 }
 
 //===----------------------------------------------------------------------===//
@@ -768,7 +761,6 @@ TEST(OnlineSharding, WatermarkResumesPerBatchWhateverTheBatchSize) {
     Options.Supervise.TickMs = 2;
     Options.Supervise.StallDeadlineMs = 10;
     Options.Supervise.MaxParkMs = 60000;
-    Options.Supervise.PressureTicksToDegrade = 1u << 30;
     Options.Faults = &Faults;
 
     FastTrack Detector;
@@ -865,7 +857,6 @@ TEST(OnlineSharding, GovernedShardsCompressAndStayEquivalent) {
   Options.Degrade.Memory.ColdAgeTicks = 1;
   Options.RingCapacity = 8192;
   Options.Supervise.MaxParkMs = 10000;
-  Options.Supervise.PressureTicksToDegrade = 1u << 30;
 
   constexpr size_t Sweep = 80 * 1024; // ~160 page regions, block-routed
   FastTrack Detector;
@@ -911,7 +902,6 @@ TEST(OnlineSharding, BudgetedShardsStayEquivalentPastTheMemoryRung) {
   // Only the memory rung may move in this session.
   Options.RingCapacity = 8192;
   Options.Supervise.MaxParkMs = 10000;
-  Options.Supervise.PressureTicksToDegrade = 1u << 30;
 
   constexpr size_t Sweep = 100 * 1024; // ~200 page regions ≈ 800 KiB raw
   FastTrack Detector;

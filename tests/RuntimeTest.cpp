@@ -688,7 +688,7 @@ TEST(OnlineEngine, BackpressureParkUnparkIsCountedNotLost) {
   EXPECT_FALSE(Report.Halted);
   EXPECT_EQ(Report.DroppedOverload, 0u);
   EXPECT_EQ(Report.DroppedPostHalt, 0u);
-  EXPECT_EQ(Report.AccessesShed, 0u);
+  EXPECT_EQ(Report.relation(), rt::OracleRelation::Identical);
   EXPECT_EQ(Report.SequencerRestarts, 0u);
   // Pressure really happened, and the per-thread rows account for it.
   EXPECT_GT(Report.ParkEpisodes, 0u);
@@ -1033,6 +1033,10 @@ TEST(ThreadChurn, SlotExhaustionDegradesGracefully) {
   EXPECT_EQ(Report.PeakLiveSlots, 8u);
   EXPECT_EQ(Report.ForksRejected, 2u); // tryForkThread + the Over shim
   EXPECT_EQ(Report.UntrackedEvents, 1u);
+  // No coarser variable id conjures slots: exhaustion steps no rung.
+  EXPECT_EQ(Report.DegradeRung, 0u);
+  EXPECT_EQ(Report.Degradations, 0u);
+  EXPECT_EQ(Report.relation(), rt::OracleRelation::Lossy);
   EXPECT_GE(Report.ThreadsRecycled, 1u);
   bool SawExhaustion = false;
   for (const Diagnostic &D : Report.Diags)
@@ -1132,7 +1136,6 @@ rt::OnlineOptions stallAt(rt::FaultPlan &Faults, uint64_t StallAt) {
   Options.Supervise.TickMs = 5;
   Options.Supervise.StallDeadlineMs = 30;
   Options.Supervise.MaxParkMs = 60000;
-  Options.Supervise.PressureTicksToDegrade = 1u << 30;
   return Options;
 }
 
