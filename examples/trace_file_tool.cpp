@@ -188,9 +188,7 @@ int analyze(const std::string &Path, const std::vector<std::string> &Tools) {
     } else {
       ParallelReplayOptions Options;
       Options.NumShards = static_cast<unsigned>(ShardsFlag);
-      Options.WatchdogTimeoutMs = 10000;
       ParallelReplayResult Result = parallelReplay(T, *Detector, Options);
-      printDiags(Result.Diags);
       std::printf("\n[%s] %zu warning(s) in %.3fs ", Detector->name(),
                   Detector->warnings().size(), Result.Total.Seconds);
       if (Result.Sharded)

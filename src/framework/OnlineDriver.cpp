@@ -87,6 +87,16 @@ void OnlineDriver::applyRung() {
   }
 }
 
+uint32_t OnlineDriver::widestDivisor() const {
+  uint32_t Widest = Divisor;
+  const DegradePolicy &D = Options.Degrade;
+  if (D.Enabled)
+    for (size_t I = Rung; I < D.Ladder.size(); ++I)
+      if (D.Ladder[I].K == DegradeStep::Kind::CoarseGranularity)
+        Widest = std::max(Widest, D.Ladder[I].Param);
+  return Widest;
+}
+
 bool OnlineDriver::stepDown(StatusCode Code, const std::string &Reason) {
   const DegradePolicy &D = Options.Degrade;
   if (!D.Enabled || Rung >= D.Ladder.size())
@@ -210,21 +220,23 @@ OnlineDriver::DispatchOutcome OnlineDriver::offer(Operation &Op) {
   case OpKind::Read:
   case OpKind::Write: {
     // An over-capacity variable is the one breach a coarse rung can
-    // absorb: widen the divisor until the mapped id fits. Only when the
-    // ladder cannot help (pinned off, or the widest divisor is still too
-    // narrow) does it halt.
-    const uint32_t Orig = Op.Target * Divisor; // lower bound of its bucket
-    while (Op.Target >= Capacity.NumVars) {
-      if (!stepDown(StatusCode::ResourceExhausted,
-                    "variable id " + std::to_string(Orig) +
-                        " exceeds declared capacity (" +
-                        std::to_string(Capacity.NumVars) + " variables)")) {
-        halt("variable id " + std::to_string(Orig) +
-             " exceeds declared capacity (" +
-             std::to_string(Capacity.NumVars) + " variables)");
+    // absorb: widen the divisor until the mapped id fits. When no rung
+    // left can fold it (the ladder pinned off, or the widest divisor still
+    // too narrow) it halts at once, without logging steps that could not
+    // help.
+    if (Op.Target >= Capacity.NumVars) {
+      const uint32_t Orig = Op.Target * Divisor; // lower bound of its bucket
+      const std::string Why = "variable id " + std::to_string(Orig) +
+                              " exceeds declared capacity (" +
+                              std::to_string(Capacity.NumVars) + " variables)";
+      if (Orig / widestDivisor() >= Capacity.NumVars) {
+        halt(Why);
         return DispatchOutcome::Rejected;
       }
-      Op.Target = Orig / Divisor;
+      do {
+        stepDown(StatusCode::ResourceExhausted, Why);
+        Op.Target = Orig / Divisor;
+      } while (Op.Target >= Capacity.NumVars);
     }
     break;
   }

@@ -248,6 +248,8 @@ private:
   void halt(StatusCode Code, std::string Message);
   bool stepDown(StatusCode Code, const std::string &Reason);
   void applyRung();
+  /// The widest variable-id divisor the ladder can still reach.
+  uint32_t widestDivisor() const;
   /// The rung rewrites accesses. Not Rung != 0: the ShadowSummarize
   /// rung leaves every access as it was.
   bool transformsAccesses() const { return Divisor != 1; }

@@ -4,8 +4,6 @@
 #include "trace/ReentrancyFilter.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <thread>
 
 using namespace ft;
@@ -23,27 +21,6 @@ struct WorkerReport {
   ClockStats Clocks; ///< The worker thread's counter delta.
 };
 
-/// Shared watchdog state. Workers publish a progress counter with relaxed
-/// stores (the monitor only needs to see *some* eventually-visible change,
-/// not a happens-before edge) and poll the cancel flag on the same cadence.
-struct WatchdogState {
-  static constexpr uint64_t Done = ~uint64_t(0);
-  std::atomic<bool> Cancel{false};
-  std::vector<std::atomic<uint64_t>> Progress;
-  explicit WatchdogState(unsigned Shards) : Progress(Shards) {}
-};
-
-/// How often (in trace positions) workers touch the watchdog counters.
-constexpr uint32_t ProgressStride = 1024;
-
-/// Returns true when the worker should abandon its scan.
-inline bool heartbeat(WatchdogState *Dog, unsigned Shard, uint32_t I) {
-  if (!Dog || (I & (ProgressStride - 1)) != 0)
-    return false;
-  Dog->Progress[Shard].store(I, std::memory_order_relaxed);
-  return Dog->Cancel.load(std::memory_order_relaxed);
-}
-
 /// Workers scan the whole (immutable, shared) trace and filter their own
 /// accesses with this pure membership test, so the filtering is parallel
 /// work. Granularity-mapped ids keep whole objects in one shard.
@@ -54,7 +31,7 @@ inline bool ownsAccess(VarId Mapped, unsigned Shard, unsigned NumShards) {
 void runWorker(const Trace &T, const GranularityMap &Map,
                const ToolContext &Context, Tool &Clone, unsigned Shard,
                unsigned NumShards, bool FilterReentrantLocks,
-               WatchdogState *Dog, WorkerReport &Report) {
+               WorkerReport &Report) {
   ClockStats Before = clockStats();
   Stopwatch Watch;
   Clone.begin(Context);
@@ -64,8 +41,6 @@ void runWorker(const Trace &T, const GranularityMap &Map,
   // all clones see the identical dispatched lock events.
   ReentrancyFilter Reentrancy(T.numThreads(), T.numLocks());
   for (uint32_t I = 0, E = static_cast<uint32_t>(T.size()); I != E; ++I) {
-    if (heartbeat(Dog, Shard, I))
-      break; // Cancelled; the engine discards this shard's results.
     const Operation &Op = T[I];
     switch (Op.Kind) {
     case OpKind::Read:
@@ -95,18 +70,8 @@ void runWorker(const Trace &T, const GranularityMap &Map,
   }
 
   Clone.end();
-  if (Dog)
-    Dog->Progress[Shard].store(WatchdogState::Done, std::memory_order_relaxed);
   Report.Seconds = Watch.seconds();
   Report.Clocks = clockStats() - Before;
-}
-
-/// The injected stall: publish no progress until cancelled. Simulates a
-/// worker wedged on its scan (the cooperative-cancellation analogue of a
-/// hung thread — a truly deadlocked worker could never be joined).
-void runStalledWorker(WatchdogState &Dog) {
-  while (!Dog.Cancel.load(std::memory_order_relaxed))
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 
 } // namespace
@@ -142,74 +107,15 @@ ParallelReplayResult ft::parallelReplay(const Trace &T, Tool &Primary,
   std::vector<std::thread> Workers;
   Workers.reserve(Shards);
 
-  WatchdogState Dog(Shards);
-  WatchdogState *DogPtr = Options.WatchdogTimeoutMs != 0 ? &Dog : nullptr;
-  unsigned StalledShard = 0;
-  std::atomic<bool> WorkersDone{false};
-  std::thread Monitor;
-  if (DogPtr) {
-    Monitor = std::thread([&, Timeout = Options.WatchdogTimeoutMs] {
-      using Clock = std::chrono::steady_clock;
-      // Short poll slices regardless of the timeout: the loop must also
-      // notice WorkersDone promptly, or joining the monitor would stall
-      // the engine for a poll period after a healthy run.
-      unsigned PollMs = std::min(10u, std::max(1u, Timeout / 4));
-      std::vector<uint64_t> Last(Shards, 0);
-      std::vector<Clock::time_point> LastChange(Shards, Clock::now());
-      while (!WorkersDone.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(PollMs));
-        Clock::time_point Now = Clock::now();
-        for (unsigned K = 0; K != Shards; ++K) {
-          uint64_t P = Dog.Progress[K].load(std::memory_order_relaxed);
-          if (P == WatchdogState::Done)
-            continue;
-          if (P != Last[K]) {
-            Last[K] = P;
-            LastChange[K] = Now;
-            continue;
-          }
-          if (Now - LastChange[K] >= std::chrono::milliseconds(Timeout)) {
-            StalledShard = K;
-            Dog.Cancel.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-      }
-    });
-  }
-
   for (unsigned K = 0; K != Shards; ++K) {
     Tool &Clone = *Clones[K];
     WorkerReport &Report = Reports[K];
-    if (DogPtr && Options.InjectStallShard == static_cast<int>(K))
-      Workers.emplace_back([&] { runStalledWorker(Dog); });
-    else
-      Workers.emplace_back([&, K] {
-        runWorker(T, Map, Context, Clone, K, Shards, Filter, DogPtr, Report);
-      });
+    Workers.emplace_back([&, K] {
+      runWorker(T, Map, Context, Clone, K, Shards, Filter, Report);
+    });
   }
   for (std::thread &Worker : Workers)
     Worker.join();
-  WorkersDone.store(true, std::memory_order_relaxed);
-  if (Monitor.joinable())
-    Monitor.join();
-
-  if (Dog.Cancel.load(std::memory_order_relaxed)) {
-    // A worker stalled. The clones hold partial, unusable state; the
-    // primary tool was never touched, so the serial engine reruns the
-    // trace from scratch — correct results at one-core speed.
-    Result.WatchdogFired = true;
-    Result.Diags.push_back(
-        {StatusCode::Stalled, Severity::Warning, 0, NoOpIndex,
-         "parallel replay worker " + std::to_string(StalledShard) +
-             " made no progress for " +
-             std::to_string(Options.WatchdogTimeoutMs) +
-             " ms; cancelled the sharded attempt and fell back to serial "
-             "replay"});
-    Result.Total = replay(T, Primary, Options.Replay);
-    Result.Total.Seconds = TotalWatch.seconds();
-    return Result;
-  }
 
   // --- 2. Deterministic merge. -----------------------------------------
   uint64_t Accesses = 0;

@@ -49,21 +49,6 @@ struct ParallelReplayOptions {
   /// tool without ShardableTool) runs the serial engine. Clamped to
   /// MaxShards.
   unsigned NumShards = 0;
-
-  /// Stall watchdog: when nonzero, a monitor thread samples per-worker
-  /// progress counters (bumped every ~1024 trace positions) and declares
-  /// a worker stalled after this many milliseconds without progress. All
-  /// workers are then cooperatively cancelled and the engine falls back
-  /// to the serial replay path, which needs no inter-thread coordination
-  /// to finish. 0 disables the watchdog (no monitor thread, no counter
-  /// traffic).
-  unsigned WatchdogTimeoutMs = 0;
-
-  /// Fault injection (test-only): this worker index reports no progress
-  /// until cancelled, exercising the watchdog → serial-fallback path
-  /// deterministically. -1 disables. Only honored when the watchdog is
-  /// enabled — an injected stall with no watchdog would hang the join.
-  int InjectStallShard = -1;
 };
 
 /// Measurements from one sharded replay.
@@ -84,13 +69,6 @@ struct ParallelReplayResult {
 
   /// Per-worker replay-loop wall times (empty when not Sharded).
   std::vector<double> ShardSeconds;
-
-  /// True when the stall watchdog cancelled the sharded attempt. Total
-  /// then reflects the serial rerun — correct results, degraded speed.
-  bool WatchdogFired = false;
-
-  /// Watchdog/fallback notices.
-  std::vector<Diagnostic> Diags;
 };
 
 /// Replays \p T through \p Primary using \p Options.NumShards workers.

@@ -143,21 +143,14 @@ Engine *Engine::current() {
   return CurrentEngine.load(std::memory_order_acquire);
 }
 
-/// One shard worker's whole world. BatchPtr/BatchLen/BatchPos/SyncSeen
-/// are worker-private in the steady state, but they live here (not on the
-/// worker's stack) so a restarted worker resumes *exactly* where its
-/// wedged predecessor stopped. The batch is consumed in place (peekRun):
-/// events stay in the ring until dispatched-and-release()d, so the
-/// undispatched suffix survives a worker swap by construction. Access is
-/// serialized by the supervisor's join-before-respawn discipline.
+/// One shard worker's whole world.
 struct Engine::Shard {
-  Shard(unsigned Index, size_t RingCapacity, size_t BatchCap)
-      : Index(Index), BatchCap(BatchCap), Ring(RingCapacity) {}
+  Shard(size_t RingCapacity, size_t BatchCap)
+      : BatchCap(BatchCap), Ring(RingCapacity) {}
 
-  const unsigned Index;
   const size_t BatchCap; ///< Upper bound on one peeked batch — bounds how
-                         ///< long the worker can go between halt/epoch
-                         ///< checks, like the router's SequencerBatch.
+                         ///< long the worker can go between halt checks,
+                         ///< like the router's SequencerBatch.
   EventRing Ring; ///< router → worker (SPSC; Seq = raw op index).
   std::unique_ptr<Tool> Clone;          ///< Shard-local tool instance.
   std::unique_ptr<OnlineDriver> Driver; ///< DispatchOnly over Clone.
@@ -181,18 +174,6 @@ struct Engine::Shard {
                                             ///< as of the last publish.
   std::atomic<uint64_t> DeniedPublished{0}; ///< Clone governor AllocDenied
                                             ///< as of the last publish.
-  std::atomic<uint64_t> Epoch{0}; ///< Bumped to abandon the worker.
-  std::atomic<unsigned> Restarts{0};
-  std::atomic<uint64_t> Discards{0}; ///< Post-halt discards worker-side.
-
-  // Restart-resume state (see struct comment). BatchPtr points into the
-  // ring's buffer (stable storage); [BatchPos, BatchLen) is the peeked,
-  // not-yet-released remainder.
-  const OnlineEvent *BatchPtr = nullptr;
-  size_t BatchLen = 0;
-  size_t BatchPos = 0;
-  uint64_t SyncSeen = 0;    ///< Sync ordinals this worker has dispatched.
-  uint64_t RefillCount = 0; ///< Throttles the shadow-size publish.
 };
 
 Engine::Engine(Tool &Checker, OnlineOptions Opts)
@@ -255,7 +236,7 @@ Engine::Engine(Tool &Checker, OnlineOptions Opts)
       ShardMem.BudgetBytes =
           std::max<uint64_t>(1, ShardMem.BudgetBytes / NumShards);
     for (unsigned I = 0; I != NumShards; ++I) {
-      auto S = std::make_unique<Shard>(I, RingCap, BatchCap);
+      auto S = std::make_unique<Shard>(RingCap, BatchCap);
       S->Clone = Shardable.cloneForShard();
       if (Options.Degrade.Enabled && ShardMem.Enabled)
         ShardMemoryGoverned = S->Clone->configureShadowPolicy(ShardMem);
@@ -290,9 +271,9 @@ Engine::Engine(Tool &Checker, OnlineOptions Opts)
 
   for (std::unique_ptr<Shard> &S : ShardSet) {
     Shard *P = S.get();
-    P->Worker = std::thread([this, P] { shardLoop(*P, 0); });
+    P->Worker = std::thread([this, P] { shardLoop(*P); });
   }
-  SequencerThread = std::thread([this] { mergeLoop(0); });
+  SequencerThread = std::thread([this] { mergeLoop(); });
   if (Options.Supervise.Enabled)
     SupervisorThread = std::thread([this] { supervisorLoop(); });
 }
@@ -372,9 +353,9 @@ Engine::Channel *Engine::acquireSlot(bool ForeignThread) {
       return nullptr;
   }
   // A joined thread's slot is still draining. Draining is the sequencer's
-  // normal job (ring-latency fast); the one legitimate slow case is a
-  // stalled sequencer, which the supervisor recovers within its own
-  // deadline — so wait bounded rather than failing eagerly or forever.
+  // normal job (ring-latency fast); the one slow case is a slow tool
+  // handler, which returns or is halted by the supervisor — so wait
+  // bounded rather than failing eagerly or forever.
   Stopwatch Wait;
   const uint64_t DeadlineNs =
       static_cast<uint64_t>(Options.SlotDrainWaitMs) * 1000000ull;
@@ -477,8 +458,8 @@ bool Engine::parkUntilSpace(Channel *Ch, OpKind Kind) {
   // The cold path: the producer is about to block on the detector. The
   // supervisor bounds that: a parked *access* is shed after MaxParkMs (or
   // immediately in drop-and-count mode) and counted; sync events are the
-  // HB spine and keep waiting — the watchdog recovers the sequencer
-  // within its own deadline, so even they cannot wait unboundedly unless
+  // HB spine and keep waiting — until the supervisor halts a loop stalled
+  // past two deadlines, so even they cannot wait unboundedly unless
   // supervision is pinned off.
   Ch->Parks.fetch_add(1, std::memory_order_relaxed);
   const bool Droppable = isAccess(Kind) && Options.Supervise.Enabled;
@@ -579,20 +560,7 @@ void Engine::noteMaxBacklog(uint64_t Backlog) {
     ;
 }
 
-Engine::MergeCursor Engine::resumeMerge() const {
-  // A successor resumes exactly at the predecessor's published cursor:
-  // batches are popped, dispatched, and published atomically with respect
-  // to abandonment (the epoch is only checked between batches), and every
-  // popped event has left its ring, so the rings hold exactly the rest.
-  MergeCursor M;
-  M.Next = NextSeq.load(std::memory_order_acquire);
-  M.Pos = MergedEvents.load(std::memory_order_acquire);
-  return M;
-}
-
-bool Engine::beginSweep(MergeCursor &M, uint64_t Epoch) {
-  if (SequencerEpoch.load(std::memory_order_acquire) != Epoch)
-    return false;
+void Engine::beginSweep(MergeCursor &M) {
   // Rebuild the channel snapshot only when a registration happened; the
   // steady-state sweep never touches ChannelMu.
   if (NumChannels.load(std::memory_order_acquire) != M.Known) {
@@ -611,28 +579,10 @@ bool Engine::beginSweep(MergeCursor &M, uint64_t Epoch) {
       Backlog += Ch->Ring.size();
     M.MaxBacklog = std::max(M.MaxBacklog, Backlog);
   }
-  return true;
 }
 
 size_t Engine::pullBatch(MergeCursor &M, Channel &Ch, OnlineEvent *Out,
-                         size_t &Cap, uint64_t Epoch, bool &Abandoned) {
-  if (const FaultPlan *Faults = Options.Faults) {
-    // Injected wedge: busy-wait *before* consuming merge position Pos, so
-    // nothing is popped-but-undelivered — the supervisor abandons this
-    // thread and its successor resumes cleanly here. Only with an event
-    // to take, so the wedge always leaves work the watchdog can see.
-    if (!Ch.Ring.empty() && Faults->takeStall(M.Pos)) {
-      while (SequencerEpoch.load(std::memory_order_acquire) == Epoch)
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      Abandoned = true;
-      return 0;
-    }
-    // Stop the batch right before the stall position so the check above
-    // sees it exactly (a batch advances Pos wholesale).
-    if (Faults->StallsArmed.load(std::memory_order_relaxed) != 0 &&
-        Faults->StallAtEvent > M.Pos && Faults->StallAtEvent - M.Pos < Cap)
-      Cap = static_cast<size_t>(Faults->StallAtEvent - M.Pos);
-  }
+                         size_t Cap) {
   // The join gate: join(t, u) waits until u's ring has no unticketed
   // access at its head. A ticketed head can only be a later incarnation's
   // first event (the dead one's tickets all precede the join), so the
@@ -648,26 +598,33 @@ size_t Engine::pullBatch(MergeCursor &M, Channel &Ch, OnlineEvent *Out,
   });
 }
 
-void Engine::publishMerge(const MergeCursor &M) {
-  // The OnlineOptions::SequencerBatch invariant: the published cursor
-  // only ever moves past *fully* processed batches, and monotonically.
-  assert(M.Pos > MergedEvents.load(std::memory_order_relaxed) &&
-         M.Next >= NextSeq.load(std::memory_order_relaxed) &&
-         "per-batch merge cursor must advance monotonically");
-  NextSeq.store(M.Next, std::memory_order_release);
-  MergedEvents.store(M.Pos, std::memory_order_release);
-}
-
 void Engine::endMerge(const MergeCursor &M) {
   noteMaxBacklog(M.MaxBacklog);
-  // Vector-clock counters are thread-local (see ClockStats.h); each
-  // sequencer incarnation folds its block in at exit. ClocksMu covers the
-  // sharded engine, where shard workers can exit concurrently.
+  // Vector-clock counters are thread-local (see ClockStats.h); the merge
+  // loop folds its block in at exit. ClocksMu covers the sharded engine,
+  // where shard workers can exit concurrently.
   std::lock_guard<std::mutex> Guard(ClocksMu);
   SequencerClocks += clockStats();
   Report.MergeSweeps += M.Sweeps;
   Report.MergeEmptyPolls += M.EmptyPolls;
   Report.MergePacedWaits += M.PacedWaits;
+}
+
+void Engine::dropRouted(const OnlineEvent *Events, size_t N) {
+  // Post-halt only, so a scan under the slot lock is fine. Ids are unique
+  // per channel (a recycled slot keeps its id), and a run of routed
+  // events mostly shares one thread.
+  std::lock_guard<std::mutex> Guard(ChannelMu);
+  Channel *Ch = nullptr;
+  for (size_t I = 0; I != N; ++I) {
+    if (!Ch || Ch->Id != Events[I].Thread)
+      for (const std::unique_ptr<Channel> &C : Channels)
+        if (C->Id == Events[I].Thread) {
+          Ch = C.get();
+          break;
+        }
+    Ch->DroppedPostHalt.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 unsigned Engine::shardIndexFor(uint32_t Target) const {
@@ -707,10 +664,10 @@ ShadowGovernorStats Engine::shardGovernorStats() const {
   return Total;
 }
 
-void Engine::mergeLoop(uint64_t Epoch) {
+void Engine::mergeLoop() {
   // The one merge loop, at every shard count. It merges the rings into one
   // totally-ordered stream, admits each event through the primary driver,
-  // captures the delivered runs and publishes the merge cursor per batch.
+  // captures the delivered runs and publishes the merge position per batch.
   // Only the delivery step depends on the shard count. Without shards the
   // driver is Full: admission already dispatched the event to the tool (a
   // whole access run per call), so the delivery step is the tool itself.
@@ -719,7 +676,7 @@ void Engine::mergeLoop(uint64_t Epoch) {
   // sync event to every shard (the cross-shard spine). The raw index the
   // driver just assigned rides in OnlineEvent::Seq, so shard tools see
   // single-stream op indices.
-  MergeCursor M = resumeMerge();
+  MergeCursor M;
   const size_t BatchCap = std::max<size_t>(1, Options.SequencerBatch);
   std::vector<OnlineEvent> Batch(BatchCap);
   std::vector<Operation> Delivered;
@@ -748,10 +705,9 @@ void Engine::mergeLoop(uint64_t Epoch) {
     // state from the capture the equivalence contract replays. A full
     // ring is backpressure (the shard is behind) or a wedged worker; the
     // fix is on the shard side either way, so the loop parks and raises
-    // RouterBlockedOnShard, which (a) tells the supervisor the frozen
-    // merge position is the shard's fault and (b) keeps it from
-    // restarting a loop it could never join. Only a halt lets the loop
-    // give up, and what it gives up is counted.
+    // RouterBlockedOnShard, which tells the supervisor the frozen merge
+    // position is the shard's stall, not the loop's. Only a halt lets the
+    // loop give up, and what it gives up is counted.
     std::vector<OnlineEvent> &Buf = Stage[SI];
     if (Buf.empty())
       return;
@@ -766,7 +722,7 @@ void Engine::mergeLoop(uint64_t Epoch) {
         continue;
       }
       if (Halted.load(std::memory_order_acquire)) {
-        DiscardedPostHalt += Buf.size() - Off;
+        dropRouted(Buf.data() + Off, Buf.size() - Off);
         break;
       }
       if (!Flagged) {
@@ -797,14 +753,12 @@ void Engine::mergeLoop(uint64_t Epoch) {
     }
   };
   const FaultPlan *Faults = Options.Faults;
-  bool Abandoned = false;
-  while (!Abandoned) {
+  for (;;) {
     // Read before the sweep: the main thread's last accesses are
     // unticketed, so only a clean sweep begun after finish() cleared
     // Running proves every ring empty.
     const bool Stopping = !Running.load(std::memory_order_acquire);
-    if (!beginSweep(M, Epoch))
-      break;
+    beginSweep(M);
     uint64_t Merged = 0;
     for (Channel *Ch : M.Snapshot) {
       // Drain this ring in batches: the events are copied out and their
@@ -814,9 +768,8 @@ void Engine::mergeLoop(uint64_t Epoch) {
       // per visit keeps one busy producer from starving the others.
       size_t Taken = 0;
       while (Taken < Ch->Ring.capacity()) {
-        size_t Cap = BatchCap;
         const uint64_t FirstPos = M.Pos;
-        size_t N = pullBatch(M, *Ch, Batch.data(), Cap, Epoch, Abandoned);
+        size_t N = pullBatch(M, *Ch, Batch.data(), BatchCap);
         if (N == 0) {
           M.EmptyPolls += Taken == 0;
           break;
@@ -827,10 +780,10 @@ void Engine::mergeLoop(uint64_t Epoch) {
         size_t PerEventTo = 0; // the declined rest of an access stretch
         while (I != N) {
           if (Halted.load(std::memory_order_relaxed)) {
-            // Emitted before the halt landed; discarded but counted — no
-            // silent loss (the relaxed load is fine: this thread set the
-            // flag itself or will re-check via the driver).
-            ++DiscardedPostHalt;
+            // Emitted before the halt landed; discarded but counted on its
+            // thread's row — no silent loss (relaxed: nothing read here
+            // depends on what the halting thread published).
+            Ch->DroppedPostHalt.fetch_add(1, std::memory_order_relaxed);
             ++I;
             continue;
           }
@@ -880,7 +833,7 @@ void Engine::mergeLoop(uint64_t Epoch) {
             // in emit(): the driver's diagnostics are fully written
             // before producers can observe the flag (see Halted).
             Halted.store(true, std::memory_order_release);
-            ++DiscardedPostHalt;
+            Ch->DroppedPostHalt.fetch_add(1, std::memory_order_relaxed);
           }
           ++I;
         }
@@ -892,25 +845,19 @@ void Engine::mergeLoop(uint64_t Epoch) {
           if (SegWriter)
             SegWriter->append(Delivered.data(), Delivered.size());
         }
-        // Publish the cursor per batch, only after the whole batch is
+        // Publish the position per batch, only after the whole batch is
         // admitted, captured and routed (staged events count as routed
         // once flushed into their rings): the watchdog reads it for stall
-        // detection, and a successor resumes from it without re-admitting
-        // (duplicate raw indices) or skipping (holes in the capture) an
-        // event.
+        // detection.
         for (unsigned SI = 0; SI != Stage.size(); ++SI)
           FlushShard(SI);
         M.Pos += N;
-        publishMerge(M);
-        if (N != Cap)
+        MergedEvents.store(M.Pos, std::memory_order_release);
+        if (N != BatchCap)
           break;
       }
       Merged += Taken;
-      if (Abandoned)
-        break;
     }
-    if (Abandoned)
-      break;
     if (Merged >= PaceBelowEvents)
       continue;
     if (Merged != 0) {
@@ -928,7 +875,7 @@ void Engine::mergeLoop(uint64_t Epoch) {
   endMerge(M);
 }
 
-void Engine::shardLoop(Shard &S, uint64_t MyEpoch) {
+void Engine::shardLoop(Shard &S) {
   // One shard sequencer: drains the shard's routed stream into its
   // DispatchOnly driver. Accesses dispatch in whole runs (batched,
   // devirtualized where registered); each sync event first waits at the
@@ -941,7 +888,6 @@ void Engine::shardLoop(Shard &S, uint64_t MyEpoch) {
   // signal (a worker frozen *outside* the barrier is stalled; one waiting
   // inside it is a sibling's victim).
   OnlineDriver &D = *S.Driver;
-  const FaultPlan *Faults = Options.Faults;
   // Mirrors the primary driver's own probe (OnlineDriver.cpp): it reads
   // ShadowPublished only for a tracker, or for a budget the clones do not
   // hold in-table; without governed clones nobody reads the governor
@@ -950,16 +896,20 @@ void Engine::shardLoop(Shard &S, uint64_t MyEpoch) {
       (Options.Degrade.Memory.BudgetBytes != 0 && !ShardMemoryGoverned) ||
       Options.Degrade.Tracker != nullptr;
   const bool GovernorProbeNeeded = ShardMemoryGoverned;
+  // The batch is consumed in place (peekRun): [Pos, Len) of Batch is
+  // peeked and not yet released.
+  const OnlineEvent *Batch = nullptr;
+  size_t Len = 0, Pos = 0;
+  uint64_t SyncSeen = 0; ///< Sync ordinals this worker has dispatched.
+  uint64_t Refills = 0;  ///< Throttles the shadow-size publish.
   for (;;) {
-    if (S.Epoch.load(std::memory_order_acquire) != MyEpoch)
-      break;
-    if (S.BatchPos == S.BatchLen) {
+    if (Pos == Len) {
       // Refill. Tool::shadowBytes() walks the clone's whole shadow (it is
       // O(vars) for every shipped detector), so publish it only when the
       // router actually probes budgets, and then only every 16th refill —
       // roughly the primary driver's own BudgetCheckEveryOps cadence.
       if ((ShadowProbeNeeded || GovernorProbeNeeded) &&
-          (S.RefillCount++ & 15u) == 0) {
+          (Refills++ & 15u) == 0) {
         if (ShadowProbeNeeded)
           S.ShadowPublished.store(S.Clone->shadowBytes(),
                                   std::memory_order_relaxed);
@@ -972,14 +922,10 @@ void Engine::shardLoop(Shard &S, uint64_t MyEpoch) {
       // Zero-copy refill: dispatch straight out of the ring (peekRun) and
       // release slots only as they are consumed. Skipping the copy keeps
       // a second 16-bytes-per-event load+store — and a batch buffer the
-      // size of L1 — off the worker's hot path, and makes restart-resume
-      // automatic: whatever this incarnation never releases is still in
-      // the ring for its successor.
-      S.BatchPos = 0;
-      S.BatchLen = S.Ring.peekRun(S.BatchPtr);
-      if (S.BatchLen > S.BatchCap)
-        S.BatchLen = S.BatchCap;
-      if (S.BatchLen == 0) {
+      // size of L1 — off the worker's hot path.
+      Pos = 0;
+      Len = std::min(S.Ring.peekRun(Batch), S.BatchCap);
+      if (Len == 0) {
         if (RouterDone.load(std::memory_order_acquire) && S.Ring.empty())
           break;
         // Idle: yield, like the merge loop. Never sleep: a sleeping worker
@@ -992,48 +938,31 @@ void Engine::shardLoop(Shard &S, uint64_t MyEpoch) {
     }
     if (Halted.load(std::memory_order_acquire)) {
       // Routed before the halt landed; discarded but counted.
-      const uint64_t Rest = S.BatchLen - S.BatchPos;
-      S.Discards.fetch_add(Rest, std::memory_order_relaxed);
-      S.Drained.fetch_add(Rest, std::memory_order_release);
-      S.Ring.release(Rest);
-      S.BatchPos = S.BatchLen;
+      dropRouted(Batch + Pos, Len - Pos);
+      S.Drained.fetch_add(Len - Pos, std::memory_order_release);
+      S.Ring.release(Len - Pos);
+      Pos = Len;
       continue;
     }
-    const OnlineEvent &E = S.BatchPtr[S.BatchPos];
-    // Injected shard wedge (FaultPlan): park *before* dispatching,
-    // holding BatchPos, until the supervisor abandons this incarnation —
-    // the successor resumes at the exact wedge point. Entering the park
-    // consumes the armed stall, so the successor's re-check passes.
-    if (Faults && Faults->takeShardStall(S.Index, E.Seq)) {
-      while (S.Epoch.load(std::memory_order_acquire) == MyEpoch &&
-             !Halted.load(std::memory_order_acquire))
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      continue;
-    }
+    const OnlineEvent &E = Batch[Pos];
     if (E.Kind == OpKind::Read || E.Kind == OpKind::Write) {
-      // Access run: everything up to the next sync event (or an armed
-      // injected stall, so the park above sees it exactly).
-      size_t End = S.BatchPos + 1;
-      while (End != S.BatchLen) {
-        const OnlineEvent &A = S.BatchPtr[End];
-        if (A.Kind != OpKind::Read && A.Kind != OpKind::Write)
-          break;
-        if (Faults && Faults->shardStallHits(S.Index, A.Seq))
-          break;
+      // Access run: everything up to the next sync event.
+      size_t End = Pos + 1;
+      while (End != Len && (Batch[End].Kind == OpKind::Read ||
+                            Batch[End].Kind == OpKind::Write))
         ++End;
-      }
-      const size_t Len = End - S.BatchPos;
-      if (!D.dispatchRun(&S.BatchPtr[S.BatchPos], Len))
+      const size_t Run = End - Pos;
+      if (!D.dispatchRun(&Batch[Pos], Run))
         Halted.store(true, std::memory_order_release);
-      S.BatchPos = End;
-      S.Drained.fetch_add(Len, std::memory_order_release);
-      S.Ring.release(Len);
+      Pos = End;
+      S.Drained.fetch_add(Run, std::memory_order_release);
+      S.Ring.release(Run);
       continue;
     }
     // Sync event: the cross-shard spine barrier. Ordinal K is implied by
     // position — every shard receives the same sync subsequence in the
     // same order.
-    const uint64_t K = S.SyncSeen + 1;
+    const uint64_t K = SyncSeen + 1;
     S.AtBarrier.store(true, std::memory_order_release);
     bool Bail = false;
     for (;;) {
@@ -1045,9 +974,7 @@ void Engine::shardLoop(Shard &S, uint64_t MyEpoch) {
         }
       if (AllDone)
         break;
-      if (S.Epoch.load(std::memory_order_acquire) != MyEpoch ||
-          Halted.load(std::memory_order_acquire) ||
-          SequencerGaveUp.load(std::memory_order_acquire)) {
+      if (Halted.load(std::memory_order_acquire)) {
         Bail = true;
         break;
       }
@@ -1055,11 +982,11 @@ void Engine::shardLoop(Shard &S, uint64_t MyEpoch) {
     }
     S.AtBarrier.store(false, std::memory_order_release);
     if (Bail)
-      continue; // the loop top turns epoch/halt into exit/discard
-    if (!D.dispatchRun(&S.BatchPtr[S.BatchPos], 1))
+      continue; // the loop top turns the halt into discard-and-count
+    if (!D.dispatchRun(&Batch[Pos], 1))
       Halted.store(true, std::memory_order_release);
-    ++S.BatchPos;
-    S.SyncSeen = K;
+    ++Pos;
+    SyncSeen = K;
     S.SyncDone.store(K, std::memory_order_release);
     S.Drained.fetch_add(1, std::memory_order_release);
     S.Ring.release(1);
@@ -1074,143 +1001,87 @@ void Engine::superviseNote(Severity Sev, StatusCode Code,
   SupDiags.push_back({Code, Sev, 0, NoOpIndex, std::move(Message)});
 }
 
-void Engine::handleStall(uint64_t Position) {
-  superviseNote(
-      Severity::Warning, StatusCode::Stalled,
-      "sequencer stalled at merge position " + std::to_string(Position) +
-          " past the " + std::to_string(Options.Supervise.StallDeadlineMs) +
-          " ms deadline; unparking producers into drop-and-count mode");
-  // Unpark blocked producers: parked accesses are shed and counted, sync
-  // events keep waiting for the restarted merge loop to drain.
-  DropAccesses.store(true, std::memory_order_release);
-  // Giving up joins, then halts, so the merge position is final before
-  // the halt publishes. A loop wedged inside a tool handler cannot be
-  // recovered portably and would block the join; that failure mode is
-  // documented, not handled.
-  recoverLoop("sequencer", SequencerEpoch, SequencerThread, Restarts,
-              /*HaltBeforeJoin=*/false,
-              [this](uint64_t NewEpoch) { mergeLoop(NewEpoch); });
-}
-
-void Engine::handleShardStall(Shard &S) {
-  // A worker whose drain watermark froze with routed events pending,
-  // outside the spine barrier, past the deadline. Only *this* shard is
-  // recycled: its siblings (and the merge loop, which may be parked on
-  // this shard's full ring) never stop detecting.
-  superviseNote(
-      Severity::Warning, StatusCode::Stalled,
-      "shard " + std::to_string(S.Index) +
-          " sequencer stalled at drain watermark " +
-          std::to_string(S.Drained.load(std::memory_order_relaxed)) +
-          " past the " + std::to_string(Options.Supervise.StallDeadlineMs) +
-          " ms deadline; restarting");
-  // Giving up halts, then joins: siblings waiting at the spine barrier
-  // exit only on Halted.
-  Shard *P = &S;
-  recoverLoop("shard " + std::to_string(S.Index) + " sequencer", S.Epoch,
-              S.Worker, S.Restarts, /*HaltBeforeJoin=*/true,
-              [this, P](uint64_t NewEpoch) { shardLoop(*P, NewEpoch); });
-}
-
-void Engine::recoverLoop(const std::string &Who, std::atomic<uint64_t> &Epoch,
-                         std::thread &Loop, std::atomic<unsigned> &Count,
-                         bool HaltBeforeJoin,
-                         std::function<void(uint64_t)> Body) {
-  // Either way the epoch bump abandons the wedged thread: it notices
-  // between batches (or inside an injected stall loop) and exits. A
-  // successor resumes from the published cursor — its predecessor
-  // publishes only after completing a batch — so no event is lost or
-  // delivered twice.
-  const unsigned Done = Count.load(std::memory_order_relaxed);
-  if (Done >= Options.Supervise.MaxRestarts) {
-    // The true last resort: stop pretending the loop will recover.
-    auto Abandon = [&] {
-      Epoch.fetch_add(1, std::memory_order_acq_rel);
-      if (Loop.joinable())
-        Loop.join();
-    };
-    if (!HaltBeforeJoin)
-      Abandon();
-    superviseNote(Severity::Error, StatusCode::Stalled,
-                  Who + " unrecoverable after " + std::to_string(Done) +
-                      " restart(s); detection halted");
-    SequencerGaveUp.store(true, std::memory_order_release);
-    // Release: the diagnostics above are visible before the flag (see
-    // the Halted declaration).
-    Halted.store(true, std::memory_order_release);
-    if (HaltBeforeJoin)
-      Abandon();
-    return;
-  }
-  const uint64_t NewEpoch = Epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (Loop.joinable())
-    Loop.join();
-  Count.fetch_add(1, std::memory_order_relaxed);
-  superviseNote(Severity::Note, StatusCode::Stalled, Who + " restarted");
-  Loop = std::thread(std::move(Body), NewEpoch);
-}
-
 void Engine::supervisorLoop() {
+  using Clock = std::chrono::steady_clock;
   const SupervisorOptions &S = Options.Supervise;
-  uint64_t LastMark = MergedEvents.load(std::memory_order_acquire);
-  unsigned StalledMs = 0;
-  std::vector<uint64_t> ShardMarks(ShardSet.size(), 0);
-  std::vector<unsigned> ShardStalledMs(ShardSet.size(), 0);
-  while (SupervisorRun.load(std::memory_order_acquire)) {
+  const std::string Deadline =
+      " past the " + std::to_string(S.StallDeadlineMs) + " ms deadline";
+  // One watch per watermark: the merge position, then each shard's drain
+  // count. Deadlines counts the deadlines passed since the mark last
+  // moved; Since is when the current one started.
+  struct Watch {
+    uint64_t Mark = 0;
+    Clock::time_point Since;
+    unsigned Deadlines = 0;
+  };
+  std::vector<Watch> Watches(1 + ShardSet.size(), {0, Clock::now(), 0});
+  // The one stall routine, for the merge loop and the shards alike.
+  // \p Waiting: the loop owes work, so a frozen mark is its stall. The
+  // first deadline unparks producers into drop-and-count mode; the
+  // second in a row halts detection, which frees producers parked on
+  // sync events (a loop wedged in a tool handler never drains them).
+  // \p Where names the stall for the diagnostics. Returns whether this
+  // loop is stalled now.
+  auto Check = [&](Watch &W, uint64_t Mark, bool Waiting,
+                   Clock::time_point Now, auto &&Where) {
+    if (Mark != W.Mark || !Waiting) {
+      W = {Mark, Now, 0};
+      return false;
+    }
+    if (Now - W.Since < std::chrono::milliseconds(S.StallDeadlineMs))
+      return W.Deadlines != 0;
+    W.Since = Now;
+    if (++W.Deadlines == 1) {
+      superviseNote(Severity::Warning, StatusCode::Stalled,
+                    Where() + Deadline +
+                        "; unparking producers into drop-and-count mode");
+      DropAccesses.store(true, std::memory_order_release);
+      return true;
+    }
+    superviseNote(Severity::Error, StatusCode::Stalled,
+                  Where() + " for a second deadline in a row" + Deadline +
+                      "; detection halted");
+    // Release: the diagnostic is visible before the flag (see Halted).
+    Halted.store(true, std::memory_order_release);
+    return true;
+  };
+  while (SupervisorRun.load(std::memory_order_acquire) &&
+         !Halted.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(S.TickMs));
+    const Clock::time_point Now = Clock::now();
     // Merged first: every event it counts was pushed earlier, so the
     // difference never underflows.
-    uint64_t Mark = MergedEvents.load(std::memory_order_acquire);
-    uint64_t Pending = pushedEvents() - Mark;
+    const uint64_t Mark = MergedEvents.load(std::memory_order_acquire);
+    const uint64_t Pending = pushedEvents() - Mark;
     noteMaxBacklog(Pending);
-
-    // --- stall detection: events outstanding, frozen merge position.
-    // Tickets alone cannot tell: a sync-free stream has none outstanding.
-    // A router parked on a full shard ring also freezes the position, but
-    // the cure is restarting the *shard* (the scan below) — restarting
-    // the router would hang this thread joining a parked router.
-    if (Mark != LastMark) {
-      StalledMs = 0;
-      // The sequencer is draining again: leave drop-and-count mode.
-      if (DropAccesses.load(std::memory_order_relaxed))
-        DropAccesses.store(false, std::memory_order_release);
-    } else if (Pending != 0 &&
-               !Halted.load(std::memory_order_acquire) &&
-               !SequencerGaveUp.load(std::memory_order_acquire) &&
-               !RouterBlockedOnShard.load(std::memory_order_acquire)) {
-      StalledMs += S.TickMs;
-      if (StalledMs >= S.StallDeadlineMs) {
-        handleStall(Mark);
-        StalledMs = 0;
-      }
-    } else {
-      StalledMs = 0;
-    }
-
-    // --- per-shard stall detection (Shards > 1): routed events pending,
-    // drain watermark frozen, and not parked at the spine barrier (a
-    // barrier wait is a sibling's fault; the scan catches the sibling).
+    // The merge loop: events outstanding, frozen merge position. Tickets
+    // alone cannot tell: a sync-free stream has none outstanding. A router
+    // parked on a full shard ring freezes the position too, but that
+    // stall is the shard's and is watched on the shard's drain count.
+    bool Stalled =
+        Check(Watches[0], Mark,
+              Pending != 0 &&
+                  !RouterBlockedOnShard.load(std::memory_order_acquire),
+              Now, [Mark] {
+                return "sequencer stalled at merge position " +
+                       std::to_string(Mark);
+              });
+    // Shards: routed events pending, drain count frozen, and not parked at
+    // the spine barrier (a barrier wait is a sibling's stall).
     for (size_t I = 0; I != ShardSet.size(); ++I) {
       Shard &Sh = *ShardSet[I];
-      uint64_t Drained = Sh.Drained.load(std::memory_order_acquire);
-      uint64_t Routed = Sh.Routed.load(std::memory_order_acquire);
-      bool Idle = Routed <= Drained;
-      if (Drained != ShardMarks[I] || Idle ||
-          Sh.AtBarrier.load(std::memory_order_acquire) ||
-          Halted.load(std::memory_order_acquire) ||
-          SequencerGaveUp.load(std::memory_order_acquire)) {
-        ShardStalledMs[I] = 0;
-      } else {
-        ShardStalledMs[I] += S.TickMs;
-        if (ShardStalledMs[I] >= S.StallDeadlineMs) {
-          handleShardStall(Sh);
-          ShardStalledMs[I] = 0;
-        }
-      }
-      ShardMarks[I] = Drained;
+      const uint64_t Drained = Sh.Drained.load(std::memory_order_acquire);
+      const bool Waiting =
+          Sh.Routed.load(std::memory_order_acquire) > Drained &&
+          !Sh.AtBarrier.load(std::memory_order_acquire);
+      Stalled |= Check(Watches[1 + I], Drained, Waiting, Now, [I, Drained] {
+        return "shard " + std::to_string(I) + " stalled at drain watermark " +
+               std::to_string(Drained);
+      });
     }
-
-    LastMark = Mark;
+    // Every loop is draining again: leave drop-and-count mode.
+    if (!Stalled && DropAccesses.load(std::memory_order_relaxed))
+      DropAccesses.store(false, std::memory_order_release);
   }
 }
 
@@ -1220,24 +1091,21 @@ OnlineReport Engine::finish() {
 
   // Drain: every event pushed has been merged (or discarded after a
   // halt) — so every ticket too, and every ring is empty. Requires all
-  // runtime Threads to be joined by the caller. When the watchdog
-  // declared the sequencer dead, outstanding events will never merge —
-  // skip the wait and report what happened.
-  while (MergedEvents.load(std::memory_order_acquire) < pushedEvents() &&
-         !SequencerGaveUp.load(std::memory_order_acquire))
+  // runtime Threads to be joined by the caller. A loop blocked in a tool
+  // handler holds this wait until the handler returns: after a halt it
+  // then discards and counts the rest, but the tool is not handed back
+  // while a handler may still touch it.
+  while (MergedEvents.load(std::memory_order_acquire) < pushedEvents())
     std::this_thread::yield();
-  // Sharded: the router has routed everything (the cursor is published
+  // Sharded: the router has routed everything (the position is published
   // only after a batch is fully routed); now wait for every worker to
   // drain its routed stream too. A halted worker still advances its drain
-  // watermark by discard-and-count, so this terminates unless a worker is
-  // truly gone (gave-up) — then the leftovers are counted below.
+  // watermark by discard-and-count.
   for (const std::unique_ptr<Shard> &S : ShardSet)
     while (S->Drained.load(std::memory_order_acquire) <
-               S->Routed.load(std::memory_order_acquire) &&
-           !SequencerGaveUp.load(std::memory_order_acquire))
+           S->Routed.load(std::memory_order_acquire))
       std::this_thread::yield();
   Running.store(false, std::memory_order_release);
-  // Stop the supervisor first so no restart can race the joins below.
   SupervisorRun.store(false, std::memory_order_release);
   if (SupervisorThread.joinable())
     SupervisorThread.join();
@@ -1289,27 +1157,13 @@ OnlineReport Engine::finish() {
   }
   Report.DegradeRung = Driver.rung();
   Report.Degradations = Driver.degradations();
-  Report.SequencerRestarts = Restarts.load(std::memory_order_relaxed);
   Report.MaxBacklog = MaxBacklogSeen.load(std::memory_order_relaxed);
-  Report.DroppedPostHalt = DiscardedPostHalt;
   Report.Shards = NumShards;
   for (const std::unique_ptr<Shard> &S : ShardSet) {
-    Report.ShardRestarts += S->Restarts.load(std::memory_order_relaxed);
     Report.Halted = Report.Halted || S->Driver->halted();
     for (const Diagnostic &D : S->Driver->diags())
       Report.Diags.push_back(D);
-    // Worker-side discards, plus anything still sitting in a dead
-    // worker's ring (gave-up): counted, never silent.
-    Report.DroppedPostHalt +=
-        S->Discards.load(std::memory_order_relaxed) +
-        (S->Routed.load(std::memory_order_relaxed) -
-         S->Drained.load(std::memory_order_relaxed));
   }
-  if (SequencerGaveUp.load(std::memory_order_acquire))
-    // No sequencer will ever merge the outstanding events; count them as
-    // dropped rather than pretending the stream simply ended.
-    Report.DroppedPostHalt +=
-        pushedEvents() - MergedEvents.load(std::memory_order_acquire);
   {
     std::lock_guard<std::mutex> Guard(ChannelMu);
     for (const std::unique_ptr<Channel> &Ch : Channels) {

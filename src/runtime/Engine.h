@@ -78,8 +78,7 @@
 ///    (trace/SegmentedCapture.h) so a crash loses at most one segment.
 ///
 /// **Resilience.** A production detector must survive the host program
-/// misbehaving. Three mechanisms keep detection alive where PR 3 simply
-/// halted:
+/// misbehaving, and must never hang it. Three mechanisms:
 ///
 ///  - **The coarsening ladder** (OnlineDriver.h): a shadow-memory budget
 ///    breach or an over-capacity variable steps the driver through
@@ -89,18 +88,22 @@
 ///    Warning diagnostic in the report. Pin it off with
 ///    OnlineOptions::Degrade.Enabled = false. The ladder answers space
 ///    only: the one answer to time is the counted drop at emit below.
-///  - **The supervisor** (a watchdog thread, modeled on the parallel
-///    replay stall watchdog): when the sequencer merges no event past the
-///    deadline while events are outstanding, it unparks blocked producers
-///    into drop-and-count mode and abandons and restarts the sequencer.
-///    Application threads therefore never block on a wedged detector for
-///    longer than the deadline (sync events wait for the restart; access
-///    events parked past MaxParkMs are dropped and counted). Only an
-///    unrecoverable sequencer — MaxRestarts exhausted — halts detection,
-///    never the application. OnlineReport::relation() names what any of
-///    this cost the session's precision.
-///  - **Fault injection** (FaultPlan.h): every transition above is
-///    drivable deterministically, keyed on merge positions.
+///  - **The supervisor** (a watchdog thread): when a loop makes no
+///    progress past the deadline while work is outstanding — the merge
+///    position against the events pushed, or a shard's drain count
+///    against the events routed to it — it unparks blocked producers into
+///    drop-and-count mode, where a parked access is dropped and counted.
+///    When a second consecutive deadline passes with the same watermark
+///    still frozen, it halts detection: parked sync events then return
+///    too, and every later event is dropped and counted. Application
+///    threads therefore never block on a wedged detector for longer than
+///    two deadlines, even when the loop is stuck inside a tool handler.
+///    The halt stops detection, never the application;
+///    OnlineReport::relation() names what any of this cost the session's
+///    precision.
+///  - **Fault injection** (FaultPlan.h): the ring-full storm and the
+///    shadow-allocation faults are drivable deterministically, keyed on
+///    merge positions and raw op indices.
 ///
 /// Threads created through ft::runtime::Thread get fork/join edges; any
 /// other thread that touches instrumented state is auto-registered on
@@ -152,34 +155,30 @@ namespace ft::runtime {
 
 struct FaultPlan;
 
-/// Knobs of the sequencer watchdog (tentpole piece 2). The supervisor is
-/// a 5 ms-tick thread; its cost is noise, but it is the only mechanism
-/// that bounds how long an application thread can block on a wedged
-/// detector, so it defaults on.
+/// Knobs of the stall watchdog. The supervisor is a 5 ms-tick thread; its
+/// cost is noise, but it is the only mechanism that bounds how long an
+/// application thread can block on a wedged detector, so it defaults on.
 struct SupervisorOptions {
-  /// Master switch. Off restores PR 3 behavior: a wedged sequencer parks
-  /// producers forever.
+  /// Master switch. Off: a wedged merge loop or shard worker parks
+  /// producers until it returns, and parked accesses are never dropped.
   bool Enabled = true;
 
   /// Sampling cadence of the watchdog thread.
   unsigned TickMs = 5;
 
-  /// A sequencer that has merged no event for this long (while events
-  /// are outstanding in the rings) is declared stalled: blocked
-  /// producers are unparked into drop-and-count mode and the sequencer
-  /// is restarted.
+  /// A loop whose watermark has not moved for this long while work is
+  /// outstanding is stalled. The first deadline unparks blocked producers
+  /// into drop-and-count mode (a Warning diagnostic); a second
+  /// consecutive deadline on the same frozen watermark halts detection
+  /// (an Error diagnostic). Progress in between resets both.
   unsigned StallDeadlineMs = 250;
 
   /// Emit-side bound: an *access* event parked on a full ring (yielding,
   /// never sleeping) this long is dropped and counted rather than
   /// blocking the application further. Sync events are never dropped
-  /// this way (the HB spine must stay exact); they wait for the
-  /// supervisor to recover the sequencer.
+  /// this way (the HB spine must stay exact); they wait until the ring
+  /// drains or detection halts.
   unsigned MaxParkMs = 200;
-
-  /// Sequencer restarts before the supervisor gives up and halts
-  /// detection (the true last resort).
-  unsigned MaxRestarts = 4;
 };
 
 /// Options for one online session.
@@ -205,18 +204,11 @@ struct OnlineOptions {
   /// backpressure space in bulk; the merge rules are the same either way.
   ///
   /// **Watermark invariant** (pinned by OnlineShardingTest): the merge
-  /// cursor — the sync-ticket watermark NextSeq and the merged-event
-  /// count — is published once per *batch*, after every event of the
-  /// batch has been admitted, captured and delivered (with Shards > 1:
-  /// pushed into its shard rings).
-  /// A sequencer the supervisor restarts therefore resumes exactly at its
-  /// predecessor's last per-batch cursor, never mid-batch, so no event is
-  /// lost or delivered twice whatever SequencerBatch is; the published
-  /// event count strictly increases (asserted in the loop). With
-  /// Shards > 1 each shard worker keeps the same discipline over its own
-  /// routed stream: its in-flight batch and position persist across a
-  /// restart, so the successor resumes at the exact wedge point (the
-  /// popped events are gone from the ring and exist nowhere else).
+  /// position — the merged-event count the supervisor watches — is
+  /// published once per *batch*, after every event of the batch has been
+  /// admitted, captured and delivered (with Shards > 1: pushed into its
+  /// shard rings), so it strictly increases and never counts an event
+  /// still in flight. The capture is the same whatever SequencerBatch is.
   size_t SequencerBatch = 256;
 
   /// Shard workers — the offline variable partitioning brought online.
@@ -257,8 +249,9 @@ struct OnlineOptions {
   /// When every slot is live or still draining, forkThread() waits up to
   /// this long for a retiring slot's ring to empty before declaring the
   /// table exhausted. Generous by default: the wait only triggers at the
-  /// capacity edge, and a supervisor-recovered sequencer stall (the one
-  /// legitimate cause of a slow drain) clears within StallDeadlineMs.
+  /// capacity edge, and a slow drain means a slow tool handler, which
+  /// either returns or is halted past two StallDeadlineMs (a halt ends
+  /// the wait at once).
   unsigned SlotDrainWaitMs = 1000;
 
   /// Strip redundant re-entrant lock events, as replay() does.
@@ -287,7 +280,7 @@ struct OnlineOptions {
   /// OnlineDriver.h). Degrade.Enabled = false pins every rung off.
   DegradePolicy Degrade;
 
-  /// Sequencer watchdog knobs.
+  /// Stall watchdog knobs.
   SupervisorOptions Supervise;
 
   /// Deterministic fault injection for tests (not owned; may be null).
@@ -336,7 +329,8 @@ struct OnlineReport {
   uint64_t EventsDispatched = 0; ///< Events reaching the tool (post filter).
   size_t NumWarnings = 0;        ///< Tool warnings at finish.
   ClockStats Clocks;             ///< VC ops spent by online detection.
-  bool Halted = false;           ///< Detection stopped (unrecoverable).
+  bool Halted = false;           ///< Detection stopped (a breach, a tool
+                                 ///< fault, or a loop stalled twice).
   std::vector<Diagnostic> Diags; ///< Halts, degradations, watchdog events.
   Trace Captured;                ///< The merged stream (when KeepCapture).
 
@@ -346,7 +340,9 @@ struct OnlineReport {
   uint64_t AccessesShed = 0;     ///< Always 0: no ladder rung sheds an
                                  ///< access. Kept for readers built
                                  ///< against the older report.
-  uint64_t DroppedPostHalt = 0;  ///< Events dropped after a halt (total).
+  uint64_t DroppedPostHalt = 0;  ///< Events dropped after a halt (total:
+                                 ///< at emit, or in a ring or a shard
+                                 ///< ring when the halt landed).
   uint64_t DroppedOverload = 0;  ///< Accesses shed at emit (park deadline
                                  ///< or drop-and-count mode).
   uint64_t ParkEpisodes = 0;     ///< Total backpressure park episodes.
@@ -354,8 +350,7 @@ struct OnlineReport {
                                  ///< pushed into the rings, not yet
                                  ///< merged (MaxQueueDepth-style
                                  ///< pressure stat).
-  unsigned SequencerRestarts = 0; ///< Watchdog recoveries of the sequencer.
-  // Merge-loop polling (EXPERIMENTS.md E17), summed across restarts.
+  // Merge-loop polling (EXPERIMENTS.md E17).
   uint64_t MergeSweeps = 0;     ///< Sweeps over every ring.
   uint64_t MergeEmptyPolls = 0; ///< Ring visits that pulled nothing.
   uint64_t MergePacedWaits = 0; ///< Sweeps that merged a few events and
@@ -369,8 +364,6 @@ struct OnlineReport {
                               ///< workers, the tool dispatched inline;
                               ///< includes the non-ShardableTool
                               ///< fallback).
-  unsigned ShardRestarts = 0; ///< Shard-worker watchdog recoveries,
-                              ///< summed across shards.
 
   // --- thread-lifecycle telemetry (slot recycling) ---
   unsigned SlotsAllocated = 0; ///< Distinct slots ever created — the VC
@@ -426,6 +419,12 @@ public:
   /// the measurements. All threads created through ft::runtime::Thread
   /// must be joined first. Callable once; the destructor calls it if the
   /// caller did not.
+  ///
+  /// finish() hands the tool back only once no loop is inside it: a
+  /// handler that is blocked (even after the supervisor halted detection
+  /// around it) is waited for until it returns, because the tool's state
+  /// is not safe to read or destroy while a handler runs. A halt frees
+  /// the application's threads, not the thread that calls finish().
   OnlineReport finish();
 
   /// The live engine instrumentation attaches to, or nullptr when no
@@ -452,8 +451,9 @@ public:
   /// Parks, yielding, while the thread's ring is full (backpressure) — but
   /// never past the supervisor's bounds: a parked *access* is dropped and
   /// counted after MaxParkMs (or immediately in drop-and-count mode);
-  /// sync events wait for the watchdog to recover the sequencer. Events
-  /// after a halt are dropped and counted, never silently.
+  /// sync events wait until the ring drains or the supervisor halts
+  /// detection. Events after a halt are dropped and counted, never
+  /// silently.
   void emit(OpKind Kind, uint32_t Target);
 
   /// Records one access a downgraded Shared<T> performed without
@@ -528,8 +528,8 @@ private:
   };
 
   /// One shard worker's whole world: its merge-loop→worker ring, its tool
-  /// clone and DispatchOnly driver, its watermarks and restart state. An
-  /// idle worker yields, like the merge loop. Defined in Engine.cpp.
+  /// clone and DispatchOnly driver, and its watermarks. An idle worker
+  /// yields, like the merge loop. Defined in Engine.cpp.
   struct Shard;
 
   Channel *channelForCurrentThread();
@@ -543,9 +543,8 @@ private:
   void promoteDrainedLocked();
   void noteExhaustion(const char *Who);
   bool parkUntilSpace(Channel *Ch, OpKind Kind);
-  /// The merge loop's state, the same at every shard count. A restarted
-  /// loop resumes Next and Pos from the published NextSeq and
-  /// MergedEvents; the snapshot is rebuilt whenever a slot registers.
+  /// The merge loop's state, the same at every shard count. The
+  /// snapshot is rebuilt whenever a slot registers.
   struct MergeCursor {
     uint64_t Next = 0; ///< The next sync ticket the merge may take.
     uint64_t Pos = 0;  ///< Events consumed so far (the merge position).
@@ -556,34 +555,21 @@ private:
     uint64_t PacedWaits = 0; ///< Thin sweeps followed by a pace.
     uint64_t MaxBacklog = 0; ///< Sampled every 16th sweep.
   };
-  MergeCursor resumeMerge() const;
-  /// Sweep prologue: false once this loop is abandoned; otherwise
-  /// refreshes the snapshot and samples backlog.
-  bool beginSweep(MergeCursor &M, uint64_t Epoch);
-  /// Pops the next mergeable batch of \p Ch (at most \p Cap events,
-  /// lowered to stop at an armed FaultPlan stall). Sets \p Abandoned when
-  /// an injected stall ended in the supervisor abandoning this loop.
-  size_t pullBatch(MergeCursor &M, Channel &Ch, OnlineEvent *Out,
-                   size_t &Cap, uint64_t Epoch, bool &Abandoned);
-  void publishMerge(const MergeCursor &M);
+  /// Sweep prologue: refreshes the snapshot and samples backlog.
+  void beginSweep(MergeCursor &M);
+  /// Pops the next mergeable batch of \p Ch (at most \p Cap events).
+  size_t pullBatch(MergeCursor &M, Channel &Ch, OnlineEvent *Out, size_t Cap);
   void endMerge(const MergeCursor &M);
+  /// Books \p N routed events dropped after a halt on their threads' rows.
+  void dropRouted(const OnlineEvent *Events, size_t N);
   /// Events ever pushed into any ring (Σ ring tails).
   uint64_t pushedEvents();
-  void mergeLoop(uint64_t Epoch);
-  void shardLoop(Shard &S, uint64_t MyEpoch);
+  void mergeLoop();
+  void shardLoop(Shard &S);
   unsigned shardIndexFor(uint32_t Target) const;
   uint64_t shardShadowBytes() const;
   ShadowGovernorStats shardGovernorStats() const;
   void supervisorLoop();
-  void handleStall(uint64_t Position);
-  void handleShardStall(Shard &S);
-  /// Restarts the stalled thread \p Loop (the merge loop or one shard
-  /// worker) by bumping \p Epoch and respawning \p Body at the new epoch,
-  /// or — once \p Count has reached MaxRestarts — gives up and halts
-  /// detection. \p Who names the thread in the diagnostics.
-  void recoverLoop(const std::string &Who, std::atomic<uint64_t> &Epoch,
-                   std::thread &Loop, std::atomic<unsigned> &Count,
-                   bool HaltBeforeJoin, std::function<void(uint64_t)> Body);
   void superviseNote(Severity Sev, StatusCode Code, std::string Message);
   void noteMaxBacklog(uint64_t Backlog);
 
@@ -633,47 +619,35 @@ private:
   std::atomic<bool> ExhaustionNoted{false}; ///< One diagnostic however
                                             ///< many forks bounce.
 
-  /// Producers write Seq, the sequencer writes the merge cursor, and
+  /// Producers write Seq, the sequencer writes the merge position, and
   /// every emit reads Halted: three cache lines, so neither writer evicts
   /// what the other side reads on its hot path.
   alignas(64) std::atomic<uint64_t> Seq{0}; ///< Next sync ticket to hand
                                             ///< out.
-  /// The merge cursor, published per batch so a restarted sequencer
-  /// resumes exactly where its predecessor stopped.
-  alignas(64) std::atomic<uint64_t> NextSeq{0}; ///< The sync-ticket
-                                                ///< watermark: next ticket
-                                                ///< the merge expects.
-  std::atomic<uint64_t> MergedEvents{0}; ///< Events the merge consumed
-                                         ///< (its position; the stall
-                                         ///< sensor).
+  /// The merge position, published per batch (see SequencerBatch).
+  alignas(64) std::atomic<uint64_t> MergedEvents{0}; ///< Events the merge
+                                                     ///< consumed (the
+                                                     ///< stall sensor).
   alignas(64) std::atomic<bool> Running{true}; ///< Cleared by finish().
 
-  /// Detection stopped (unrecoverable breach, tool fault, or watchdog
-  /// give-up); emits drop-and-count. Store/load ordering is
-  /// release/acquire: the setter (sequencer or supervisor) publishes the
-  /// diagnostics and counters explaining the halt *before* the flag, so
-  /// any producer that observes Halted==true — and therefore stops
-  /// contributing events — also observes a fully-formed halt state, and
-  /// the pre-halt prefix it helped produce is consistent with the report
-  /// finish() assembles. Relaxed ordering would let a producer skip
-  /// events against a half-published halt.
+  /// Detection stopped (unrecoverable breach, tool fault, or a loop
+  /// stalled past two deadlines); emits drop-and-count. Store/load
+  /// ordering is release/acquire: the setter (sequencer, shard worker or
+  /// supervisor) publishes the diagnostics and counters explaining the
+  /// halt *before* the flag, so any producer that observes Halted==true
+  /// — and therefore stops contributing events — also observes a
+  /// fully-formed halt state, and the pre-halt prefix it helped produce
+  /// is consistent with the report finish() assembles. Relaxed ordering
+  /// would let a producer skip events against a half-published halt.
   std::atomic<bool> Halted{false};
 
   // --- supervision state ---
-  std::atomic<uint64_t> SequencerEpoch{0}; ///< Bumped to abandon the
-                                           ///< current sequencer thread.
-  std::atomic<bool> DropAccesses{false};   ///< Drop-and-count mode: parked
-                                           ///< producers shed accesses.
-  std::atomic<bool> SequencerGaveUp{false}; ///< Watchdog exhausted
-                                            ///< MaxRestarts; no sequencer
-                                            ///< is draining anymore.
+  std::atomic<bool> DropAccesses{false}; ///< Drop-and-count mode: parked
+                                         ///< producers shed accesses.
   std::atomic<uint64_t> MaxBacklogSeen{0};
-  std::atomic<unsigned> Restarts{0};
   std::atomic<bool> SupervisorRun{true};
   std::mutex SupMu; ///< Guards SupDiags.
   std::vector<Diagnostic> SupDiags;
-  uint64_t DiscardedPostHalt = 0; ///< Sequencer-side post-halt discards
-                                  ///< (events emitted before the halt).
 
   // --- sharded mode (NumShards > 1) ---
   std::vector<std::unique_ptr<Shard>> ShardSet;
@@ -683,12 +657,11 @@ private:
                                        ///< workers may exit.
   std::atomic<bool> RouterBlockedOnShard{false}; ///< The router is parked
                                        ///< pushing into a full shard
-                                       ///< ring: its frozen watermark is
-                                       ///< the *shard's* fault, so the
-                                       ///< supervisor must restart the
-                                       ///< shard, never the router (that
-                                       ///< join would deadlock against
-                                       ///< the park).
+                                       ///< ring: its frozen merge
+                                       ///< position is the *shard's*
+                                       ///< stall, which the supervisor
+                                       ///< watches on the shard's own
+                                       ///< drain count.
   std::mutex SinkMu;   ///< Serializes OnWarning across shard workers.
   std::mutex ClocksMu; ///< Guards SequencerClocks and merge-counter
                        ///< folds: shard workers and the router can exit
@@ -696,8 +669,8 @@ private:
 
   std::thread SequencerThread;
   std::thread SupervisorThread;
-  ClockStats SequencerClocks; ///< Accumulated across restarts and shard
-                              ///< workers, under ClocksMu.
+  ClockStats SequencerClocks; ///< Accumulated across the merge loop and
+                              ///< shard workers, under ClocksMu.
   Stopwatch Watch;
   OnlineReport Report;
   bool Finished = false;

@@ -197,14 +197,17 @@ TEST(OnlineDriver, LadderWidensUntilTheMappedIdFits) {
   Driver.finish();
 
   // An id the widest divisor cannot fold under capacity has no rung left
-  // to absorb it: it halts with the capacity diagnostic, as an over-cap
-  // lock or thread id does, and consumes no raw index.
+  // to absorb it: it halts at once with the capacity diagnostic, as an
+  // over-cap lock or thread id does, consumes no raw index, and logs no
+  // rung it never took.
   FastTrack Beyond;
   OnlineDriver Halting(Beyond, capacity(2, 4, 2, 2));
   Operation Past = wr(0, 512 * 4); // /512 = 4, still not under 4
   EXPECT_EQ(Halting.offer(Past), OnlineDriver::DispatchOutcome::Rejected);
   EXPECT_TRUE(Halting.halted());
-  ASSERT_FALSE(Halting.diags().empty());
+  EXPECT_EQ(Halting.rung(), 0u);
+  EXPECT_EQ(Halting.degradations(), 0u);
+  ASSERT_EQ(Halting.diags().size(), 1u);
   EXPECT_EQ(Halting.diags().back().Code, StatusCode::ResourceExhausted);
   EXPECT_EQ(Halting.diags().back().Sev, Severity::Error);
   EXPECT_EQ(Halting.rawOps(), 0u);

@@ -1,16 +1,18 @@
 //===--- OnlineResilienceTest.cpp - overload, stalls, quarantine ----------===//
 //
 // The tentpole contracts of the overload-resilient runtime, each driven
-// deterministically by a FaultPlan:
+// by a FaultPlan or by a tool handler the test blocks (BlockingTool.h):
 //
 //  - a ring-full storm drops and counts parked accesses at emit instead
 //    of halting or stepping the ladder, application threads stay bounded
 //    by the park deadline, and the delivered subsequence still replays to
 //    identical warnings;
-//  - a stalled sequencer is detected, abandoned, and restarted by the
-//    watchdog, as often as it stalls, without stepping the ladder;
-//    exhausting MaxRestarts halts detection (never the application) with
-//    every un-merged event counted;
+//  - a stall — a handler that does not return — is answered in two steps:
+//    the first deadline drops and counts parked accesses, a second in a
+//    row halts detection, which frees producers parked on sync events.
+//    Every application thread finishes while the handler is still
+//    blocked, at one shard and at four; a handler that is only slow
+//    misses one deadline and halts nothing;
 //  - a tool that throws inside a ToolGroup is quarantined while its
 //    siblings keep detecting; a tool that throws with no group around it
 //    halts the driver with a ToolFault and post-halt drops are counted
@@ -27,9 +29,12 @@
 #include "support/Stopwatch.h"
 #include "trace/TraceValidator.h"
 
+#include "BlockingTool.h"
+
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -59,6 +64,93 @@ bool anyDiagContains(const std::vector<Diagnostic> &Diags,
     if (D.Message.find(Needle) != std::string::npos)
       return true;
   return false;
+}
+
+unsigned countDiags(const std::vector<Diagnostic> &Diags, Severity Sev,
+                    const char *Needle) {
+  unsigned N = 0;
+  for (const Diagnostic &D : Diags)
+    N += D.Sev == Sev && D.Message.find(Needle) != std::string::npos;
+  return N;
+}
+
+/// Spins on an uninstrumented flag (no happens-before edge for the
+/// detector).
+void await(const std::atomic<bool> &Flag) {
+  while (!Flag.load(std::memory_order_acquire))
+    std::this_thread::yield();
+}
+
+/// Options for the halt tests: tiny rings, so producers park while the
+/// handler is blocked, and a park deadline far past the stall deadlines,
+/// so only the supervisor frees a parked producer.
+rt::OnlineOptions haltOptions() {
+  rt::OnlineOptions Options;
+  Options.RingCapacity = 4;
+  Options.Degrade.Enabled = false;
+  Options.Supervise.TickMs = 5;
+  Options.Supervise.StallDeadlineMs = 30;
+  Options.Supervise.MaxParkMs = 60000;
+  return Options;
+}
+
+/// Two producers lock, write and unlock until done; with a blocked
+/// handler and tiny rings they park on accesses and on sync events. The
+/// test joins both while the handler is still blocked — possible only
+/// because the halt frees the sync parks — then releases it. Should no
+/// halt come, a backstop releases the handler after 10 s, so the test
+/// fails rather than hangs.
+rt::OnlineReport runPastABlockedHandler(Tool &Checker, HandlerGate &Gate,
+                                        const rt::OnlineOptions &Options) {
+  constexpr int Iters = 200;
+  rt::Mutex M;
+  std::vector<rt::Shared<int>> Vars(8);
+  std::atomic<bool> Joined{false};
+  std::thread Backstop([&] {
+    for (int Ms = 0; Ms < 10000 && !Joined.load(); Ms += 10)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    Gate.release();
+  });
+  rt::Engine Engine(Checker, Options);
+  {
+    std::vector<rt::Thread> Threads;
+    for (unsigned T = 0; T != 2; ++T)
+      Threads.emplace_back([&, T] {
+        for (int I = 0; I != Iters; ++I) {
+          M.lock();
+          FT_WRITE(Vars[(T + static_cast<unsigned>(I)) % Vars.size()], I);
+          M.unlock();
+        }
+      });
+    EXPECT_TRUE(Gate.waitBlocked());
+    for (rt::Thread &T : Threads)
+      T.join();
+  }
+  EXPECT_TRUE(Engine.halted()) << "the application finished without a halt";
+  Joined.store(true);
+  Backstop.join(); // releases the handler
+  return Engine.finish(); // waits for the released handler to return
+}
+
+/// The halt contract: halted by the supervisor with an Error naming the
+/// stall, every drop counted on a thread's row, and the session lossy.
+void expectHaltedAndCounted(const rt::OnlineReport &Report,
+                            const char *Stall) {
+  EXPECT_TRUE(Report.Halted);
+  EXPECT_EQ(countDiags(Report.Diags, Severity::Warning, Stall), 1u);
+  EXPECT_EQ(countDiags(Report.Diags, Severity::Error, Stall), 1u);
+  bool Named = false;
+  for (const Diagnostic &D : Report.Diags)
+    Named |= D.Sev == Severity::Error && D.Code == StatusCode::Stalled &&
+             D.Message.find("detection halted") != std::string::npos;
+  EXPECT_TRUE(Named);
+  const uint64_t Dropped = Report.DroppedPostHalt + Report.DroppedOverload;
+  EXPECT_GT(Dropped, 0u);
+  uint64_t Rows = 0;
+  for (const rt::ThreadDropStats &S : Report.PerThreadDrops)
+    Rows += S.PostHalt + S.Overload;
+  EXPECT_EQ(Rows, Dropped);
+  EXPECT_EQ(Report.relation(), rt::OracleRelation::Lossy);
 }
 
 } // namespace
@@ -150,65 +242,93 @@ TEST(OnlineResilience, RingStormDropsAtEmitWithoutHalting) {
 }
 
 //===----------------------------------------------------------------------===//
-// Supervision: stall detection, restart, give-up
+// Supervision: drop-and-count, then halt
 //===----------------------------------------------------------------------===//
 
-TEST(OnlineResilience, StalledSequencerIsRestartedExactlyOnce) {
-  rt::FaultPlan Faults;
-  Faults.StallAtEvent = 10;
-  Faults.StallsArmed.store(1);
+TEST(OnlineResilience, BlockedHandlerHaltsDetectionAndFreesSyncParks) {
+  // The merge loop is wedged inside a tool handler, so nothing in the
+  // engine can unwedge it. The first deadline sheds parked accesses; the
+  // second in a row halts detection, and producers parked on lock events
+  // return. Both application threads finish while the handler is still
+  // blocked; finish() then waits for it and reports the halt.
+  HandlerGate Gate;
+  FastTrack Inner;
+  BlockingTool Blocker(Inner, Gate, 20);
+  rt::OnlineReport Report =
+      runPastABlockedHandler(Blocker, Gate, haltOptions());
+  expectHaltedAndCounted(Report, "sequencer stalled at merge position");
+  EXPECT_EQ(Report.DegradeRung, 0u);
+}
 
-  rt::OnlineOptions Options;
-  Options.Faults = &Faults;
-  Options.Supervise.TickMs = 5;
-  Options.Supervise.StallDeadlineMs = 30;
+TEST(OnlineResilience, BlockedShardCloneHaltsDetectionAndSiblingWorkersExit) {
+  // The same wedge inside one shard's clone at Shards=4. The router parks
+  // on that shard's full ring and the siblings wait at the spine barrier,
+  // so only the shard's own drain count is watched; its second deadline
+  // halts detection. The siblings leave the barrier on the halt and
+  // discard what they hold, and finish() joins every worker.
+  HandlerGate Gate;
+  FastTrack Inner;
+  BlockingTool Blocker(Inner, Gate, 20, /*InShard=*/1);
+  rt::OnlineOptions Options = haltOptions();
+  Options.Shards = 4;
+  Options.ShardBlockVars = 1;
+  Options.ShardRingCapacity = 16;
+  rt::OnlineReport Report = runPastABlockedHandler(Blocker, Gate, Options);
+  EXPECT_EQ(Report.Shards, 4u);
+  expectHaltedAndCounted(Report, "shard 1 stalled at drain watermark");
+  EXPECT_FALSE(anyDiagContains(Report.Diags, "sequencer stalled"))
+      << "a router parked on the shard's ring is not the stall";
+}
 
+TEST(OnlineResilience, SlowHandlerMissesOneDeadlineWithoutHalting) {
+  // The boundary: a handler that takes 1.5 deadlines once is slow, not
+  // wedged. The first deadline warns and switches on drop-and-count, the
+  // handler returns before the second, and nothing halts. The rings hold
+  // the whole stream, so nobody parks and nothing is dropped.
+  constexpr unsigned DeadlineMs = 100;
+  HandlerGate Gate;
   FastTrack Detector;
+  BlockingTool Blocker(Detector, Gate, 10);
+  rt::OnlineOptions Options;
+  Options.RingCapacity = 4096;
+  Options.Supervise.TickMs = 5;
+  Options.Supervise.StallDeadlineMs = DeadlineMs;
+
   rt::Shared<int> X;
-  rt::Engine Engine(Detector, Options);
+  rt::Engine Engine(Blocker, Options);
   for (int I = 0; I != 100; ++I)
     FT_WRITE(X, I);
+  ASSERT_TRUE(Gate.waitBlocked());
+  std::this_thread::sleep_for(std::chrono::milliseconds(DeadlineMs * 3 / 2));
+  Gate.release();
   rt::OnlineReport Report = Engine.finish();
 
-  // The watchdog recovered the wedged sequencer; nothing was lost: the
-  // producer's events were still in its ring, and the successor resumed
-  // from the published merge cursor.
+  EXPECT_EQ(countDiags(Report.Diags, Severity::Warning, "stalled"), 1u);
   EXPECT_FALSE(Report.Halted);
-  EXPECT_EQ(Report.SequencerRestarts, 1u);
   EXPECT_EQ(Report.EventsCaptured, 100u);
-  EXPECT_EQ(Report.DroppedPostHalt, 0u);
-  EXPECT_EQ(Report.DroppedOverload, 0u);
-  EXPECT_TRUE(anyDiagContains(Report.Diags, "sequencer stalled"));
-  EXPECT_TRUE(anyDiagContains(Report.Diags, "sequencer restarted"));
-  // A single stall does not touch the ladder.
-  EXPECT_EQ(Report.DegradeRung, 0u);
-
-  FastTrack Offline;
-  replay(Report.Captured, Offline);
-  expectSameWarnings(Detector.warnings(), Offline.warnings());
+  EXPECT_EQ(Report.relation(), rt::OracleRelation::Identical);
 }
 
 TEST(OnlineResilience, StallOnASyncFreeStreamIsDetectedAndRestartedOnce) {
   // Two workers write private variables with no synchronization: past
   // their first events no ticket is outstanding, so a stall sensor that
   // watched tickets would never fire. The sensor watches merged events
-  // against events pushed, so the wedge deep in the sync-free stretch is
-  // still caught and recovered exactly once.
+  // against events pushed, so a handler blocked deep in the sync-free
+  // stretch is still caught. Released between the first and the second
+  // deadline, the stall costs a warning and nothing else.
   constexpr int PerThread = 2000;
-  rt::FaultPlan Faults;
-  Faults.StallAtEvent = 1500;
-  Faults.StallsArmed.store(1);
-
+  constexpr unsigned DeadlineMs = 100;
+  HandlerGate Gate;
+  FastTrack Detector;
+  BlockingTool Blocker(Detector, Gate, 1500);
   rt::OnlineOptions Options;
-  Options.Faults = &Faults;
   Options.Degrade.Enabled = false;
   Options.RingCapacity = 4096; // nobody parks, so nothing is shed
   Options.Supervise.TickMs = 5;
-  Options.Supervise.StallDeadlineMs = 30;
+  Options.Supervise.StallDeadlineMs = DeadlineMs;
 
-  FastTrack Detector;
   std::vector<rt::Shared<int>> Own(2);
-  rt::Engine Engine(Detector, Options);
+  rt::Engine Engine(Blocker, Options);
   {
     std::vector<rt::Thread> Threads;
     for (unsigned T = 0; T != 2; ++T)
@@ -216,83 +336,23 @@ TEST(OnlineResilience, StallOnASyncFreeStreamIsDetectedAndRestartedOnce) {
         for (int I = 0; I != PerThread; ++I)
           FT_WRITE(Own[T], I);
       });
+    EXPECT_TRUE(Gate.waitBlocked());
+    std::this_thread::sleep_for(std::chrono::milliseconds(DeadlineMs * 3 / 2));
+    Gate.release();
     for (rt::Thread &T : Threads)
       T.join();
   }
   rt::OnlineReport Report = Engine.finish();
 
   EXPECT_FALSE(Report.Halted);
-  EXPECT_EQ(Report.SequencerRestarts, 1u);
   EXPECT_EQ(Report.EventsCaptured, 4u + 2u * PerThread);
   EXPECT_EQ(Report.DroppedPostHalt, 0u);
   EXPECT_EQ(Report.DroppedOverload, 0u);
   EXPECT_EQ(Report.NumWarnings, 0u);
-  EXPECT_TRUE(anyDiagContains(Report.Diags, "stalled at merge position 1500"));
-  EXPECT_TRUE(anyDiagContains(Report.Diags, "sequencer restarted"));
+  EXPECT_EQ(countDiags(Report.Diags, Severity::Warning,
+                       "stalled at merge position"),
+            1u);
   EXPECT_TRUE(isFeasible(Report.Captured));
-}
-
-TEST(OnlineResilience, SecondStallRestartsWithoutSteppingTheLadder) {
-  rt::FaultPlan Faults;
-  Faults.StallAtEvent = 10;
-  Faults.StallsArmed.store(2); // the restarted sequencer stalls again
-
-  rt::OnlineOptions Options;
-  Options.Faults = &Faults;
-  Options.Supervise.TickMs = 5;
-  Options.Supervise.StallDeadlineMs = 30;
-
-  FastTrack Detector;
-  rt::Shared<int> X;
-  rt::Engine Engine(Detector, Options);
-  for (int I = 0; I != 100; ++I)
-    FT_WRITE(X, I);
-  rt::OnlineReport Report = Engine.finish();
-
-  // Two stalls, two restarts. A stall is a time fault, and no rung buys
-  // time: the ladder stays at Full and every event is still delivered and
-  // captured.
-  EXPECT_FALSE(Report.Halted);
-  EXPECT_EQ(Report.SequencerRestarts, 2u);
-  EXPECT_EQ(Report.DegradeRung, 0u);
-  EXPECT_EQ(Report.Degradations, 0u);
-  EXPECT_EQ(Report.EventsCaptured, 100u);
-
-  FastTrack Offline;
-  replay(Report.Captured, Offline);
-  expectSameWarnings(Detector.warnings(), Offline.warnings());
-}
-
-TEST(OnlineResilience, ExhaustedRestartsHaltDetectionNotTheApplication) {
-  rt::FaultPlan Faults;
-  Faults.StallAtEvent = 10;
-  Faults.StallsArmed.store(100); // wedged for good
-
-  rt::OnlineOptions Options;
-  Options.Faults = &Faults;
-  Options.Supervise.TickMs = 5;
-  Options.Supervise.StallDeadlineMs = 25;
-  Options.Supervise.MaxRestarts = 1;
-
-  FastTrack Detector;
-  rt::Shared<int> X;
-  rt::Engine Engine(Detector, Options);
-  for (int I = 0; I != 100; ++I)
-    FT_WRITE(X, I);
-  rt::OnlineReport Report = Engine.finish(); // must not hang
-
-  // One restart was allowed; the successor wedged too, so the watchdog
-  // gave up: detection halted, the application (this test) ran to
-  // completion, and every un-merged event is accounted for.
-  EXPECT_TRUE(Report.Halted);
-  EXPECT_EQ(Report.SequencerRestarts, 1u);
-  EXPECT_EQ(Report.EventsCaptured, 10u);
-  EXPECT_EQ(Report.DroppedPostHalt, 90u);
-  EXPECT_TRUE(anyDiagContains(Report.Diags, "unrecoverable"));
-  bool SawError = false;
-  for (const Diagnostic &D : Report.Diags)
-    SawError |= D.Sev == Severity::Error;
-  EXPECT_TRUE(SawError);
 }
 
 //===----------------------------------------------------------------------===//
@@ -496,56 +556,63 @@ TEST(OnlineResilience, BudgetSoakHoldsHighWaterAndKeepsDetecting) {
 }
 
 TEST(OnlineResilience, JoinWhileRingNonemptyStallsSlotReuseNotCorrectness) {
-  // A thread is joined while the sequencer — wedged by fault injection —
+  // A thread is joined while the merge loop — blocked in a tool handler —
   // still holds undrained events in its ring. The slot must retire but
   // NOT reincarnate until the ring is empty: the next fork waits on the
-  // drain, the watchdog recovers the sequencer, and only then does the
+  // drain, a helper releases the handler, and only then does the
   // successor take the slot. Nothing is lost and nothing is reordered.
-  rt::FaultPlan Faults;
-  Faults.StallAtEvent = 2; // the first child's second write
-  Faults.StallsArmed.store(1);
-
   rt::OnlineOptions Options;
-  Options.Faults = &Faults;
   Options.MaxThreads = 2; // main + one recyclable child slot
   Options.SlotDrainWaitMs = 5000;
-  Options.Supervise.TickMs = 5;
-  Options.Supervise.StallDeadlineMs = 30;
+  Options.Supervise.Enabled = false; // no deadline races the release
 
   FastTrack Detector;
+  HandlerGate Gate;
+  // Position 0 is the first fork: the handler of the first child's first
+  // write blocks before the child emits its other two.
+  BlockingTool Blocker(Detector, Gate, 1);
+  // The fork of the second child waits on the drain inside this thread,
+  // so a helper releases the handler once that fork has begun.
+  std::atomic<bool> Forking{false};
+  std::thread Releaser([&] {
+    await(Forking);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Gate.release();
+  });
   rt::Shared<int> X;
-  rt::Engine Engine(Detector, Options);
+  rt::Engine Engine(Blocker, Options);
 
-  rt::Thread First([&X] {
-    for (int I = 0; I != 3; ++I)
-      FT_WRITE(X, I); // positions 1..3; the sequencer wedges before 2
+  rt::Thread First([&X, &Gate] {
+    FT_WRITE(X, 0);
+    EXPECT_TRUE(Gate.waitBlocked());
+    FT_WRITE(X, 1);
+    FT_WRITE(X, 2);
   });
   ThreadId FirstId = First.id();
   First.join(); // retires the slot with positions 2..3 still in its ring
 
   // Only one child slot exists and it is still draining: this fork blocks
-  // on the drain until the supervisor abandons and restarts the wedged
-  // sequencer, then reincarnates the same slot.
+  // on the drain until the handler is released, then reincarnates the
+  // same slot.
+  Forking.store(true, std::memory_order_release);
   rt::Thread Second([&X] {
     for (int I = 3; I != 6; ++I)
       FT_WRITE(X, I);
   });
   ThreadId SecondId = Second.id();
   Second.join();
+  Releaser.join();
   rt::OnlineReport Report = Engine.finish();
 
   EXPECT_NE(FirstId, rt::Engine::NoThread);
   EXPECT_EQ(SecondId, FirstId); // same slot, next incarnation
   EXPECT_FALSE(Report.Halted);
-  EXPECT_EQ(Report.SequencerRestarts, 1u);
   EXPECT_EQ(Report.SlotsAllocated, 2u);
   EXPECT_EQ(Report.ThreadsRecycled, 1u);
   EXPECT_EQ(Report.ForksRejected, 0u);
   EXPECT_EQ(Report.EventsCaptured, 10u); // 2 × (fork + 3 writes + join)
   EXPECT_EQ(Report.DroppedOverload, 0u);
   EXPECT_EQ(Report.NumWarnings, 0u); // all writes chain through the joins
-  EXPECT_TRUE(anyDiagContains(Report.Diags, "sequencer stalled"));
-  EXPECT_TRUE(anyDiagContains(Report.Diags, "sequencer restarted"));
 
   TraceValidatorOptions VOpts;
   VOpts.AllowTidReuse = true;

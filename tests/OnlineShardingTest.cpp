@@ -1,4 +1,4 @@
-//===--- OnlineShardingTest.cpp - per-shard sequencers, spine, restarts ---===//
+//===--- OnlineShardingTest.cpp - per-shard sequencers and the spine -----===//
 //
 // The sharded online engine's contracts:
 //
@@ -8,14 +8,12 @@
 //    is invisible in the results;
 //  - the sync spine: lock/fork/join-heavy workloads stay exactly
 //    equivalent because every shard sees the full sync stream in order;
-//  - resilience is per shard: a wedged shard worker is restarted by the
-//    watchdog while its siblings (and the router) keep detecting, and a
-//    tool without ShardableTool runs at Shards=1, dispatched inline, with
-//    a Note rather than failing;
-//  - the SequencerBatch/watermark invariant: a restarted sequencer
-//    resumes from the last per-batch watermark, so the capture is
-//    byte-identical whatever the batch size and however often it was
-//    restarted mid-stream;
+//  - a tool without ShardableTool runs at Shards=1, dispatched inline,
+//    with a Note rather than failing (a wedged shard worker's halt is
+//    pinned in OnlineResilienceTest.cpp);
+//  - the SequencerBatch/watermark invariant: the merge position is
+//    published per batch, so the capture is byte-identical whatever the
+//    batch size;
 //  - backpressure between the stages: with two-slot shard rings the
 //    merge loop parks on a full shard ring for nearly every routed run
 //    and broadcast sync event, and the results stay exact;
@@ -136,23 +134,15 @@ struct DeterminismWorkload {
 /// Runs the determinism workload at \p Shards and returns the report
 /// after asserting the per-run equivalence contract (feasible capture,
 /// offline replay reproduces the online warnings exactly).
-rt::OnlineReport runDeterminism(FastTrack &Detector, unsigned Shards,
-                                const rt::FaultPlan *Faults = nullptr,
-                                bool Supervise = false) {
+rt::OnlineReport runDeterminism(FastTrack &Detector, unsigned Shards) {
   rt::OnlineOptions Options;
   Options.Shards = Shards;
   // Small routing blocks so the two-dozen interned vars actually spread
   // across all shards instead of fitting inside one default-sized block.
   Options.ShardBlockVars = 4;
-  Options.Faults = Faults;
-  // Exact-equivalence runs: no coarsening and no drops allowed. The
-  // supervisor stays on only for the fault-injection tests (shard
-  // restarts), with bounds that never drop accesses.
+  // Exact-equivalence runs: no coarsening and no drops allowed.
   Options.Degrade.Enabled = false;
-  Options.Supervise.Enabled = Supervise;
-  Options.Supervise.TickMs = 2;
-  Options.Supervise.StallDeadlineMs = 20;
-  Options.Supervise.MaxParkMs = 60000;
+  Options.Supervise.Enabled = false;
 
   DeterminismWorkload Workload;
   rt::Engine Engine(Detector, std::move(Options));
@@ -710,58 +700,24 @@ TEST(OnlineSharding, ShardCountIsCapped) {
   EXPECT_TRUE(Detector.warnings().empty());
 }
 
-TEST(OnlineSharding, StalledShardIsRestartedWhileSiblingsKeepDetecting) {
-  // Wedge shard 1's worker mid-stream. The watchdog must restart exactly
-  // that worker — the router and the other three shards never stop — and
-  // the resumed worker continues from the wedge point, so the session
-  // still satisfies the full equivalence contract afterwards.
-  rt::FaultPlan Faults;
-  Faults.StallShard = 1;
-  Faults.StallShardAtRaw = 200;
-  Faults.ShardStallsArmed.store(1);
-
-  FastTrack Detector;
-  rt::OnlineReport Report =
-      runDeterminism(Detector, 4, &Faults, /*Supervise=*/true);
-
-  EXPECT_FALSE(Report.Halted);
-  EXPECT_EQ(Report.Shards, 4u);
-  EXPECT_EQ(Report.ShardRestarts, 1u);
-  EXPECT_EQ(Report.SequencerRestarts, 0u)
-      << "the router must never be restarted for a shard's stall";
-  EXPECT_EQ(Report.DroppedPostHalt, 0u) << "nothing may be lost";
-  EXPECT_TRUE(anyDiagContains(Report.Diags, "shard 1 sequencer stalled"));
-  EXPECT_TRUE(anyDiagContains(Report.Diags, "shard 1 sequencer restarted"));
-  // Detection stayed complete: every always-racy variable still warned.
-  EXPECT_EQ(warnedVars(Detector.warnings()).size(),
-            DeterminismWorkload::NumRacy);
-}
-
 //===----------------------------------------------------------------------===//
 // The SequencerBatch/watermark invariant
 //===----------------------------------------------------------------------===//
 
-TEST(OnlineSharding, WatermarkResumesPerBatchWhateverTheBatchSize) {
-  // One producer thread → one deterministic merge order. Wedge the
-  // router at merge position 40 and let the watchdog restart it, at
-  // several SequencerBatch sizes straddling the stall point. The per-batch
-  // watermark contract says the successor resumes exactly where the
-  // predecessor published: every capture must be byte-identical to the
-  // unstalled baseline, with zero events lost or duplicated.
-  auto RunOnce = [](size_t Batch, bool Stall) {
-    rt::FaultPlan Faults;
-    Faults.StallAtEvent = 40;
-    Faults.StallsArmed.store(Stall ? 1 : 0);
-
+TEST(OnlineSharding, CaptureIsIdenticalWhateverTheBatchSize) {
+  // One producer thread → one deterministic merge order. The merge
+  // position is published per batch, after the whole batch is admitted,
+  // captured and routed, so the batch size decides only how often it is
+  // published: at several SequencerBatch sizes, every capture must be
+  // byte-identical to the default batch's, with zero events lost or
+  // duplicated.
+  auto RunOnce = [](size_t Batch) {
     rt::OnlineOptions Options;
     Options.Shards = 2;
     Options.ShardBlockVars = 4;
     Options.SequencerBatch = Batch;
     Options.Degrade.Enabled = false;
-    Options.Supervise.TickMs = 2;
-    Options.Supervise.StallDeadlineMs = 10;
-    Options.Supervise.MaxParkMs = 60000;
-    Options.Faults = &Faults;
+    Options.Supervise.Enabled = false;
 
     FastTrack Detector;
     std::vector<rt::Shared<int>> Vars(16);
@@ -776,21 +732,19 @@ TEST(OnlineSharding, WatermarkResumesPerBatchWhateverTheBatchSize) {
     }
     rt::OnlineReport Report = Engine.finish();
     EXPECT_FALSE(Report.Halted);
-    EXPECT_EQ(Report.SequencerRestarts, Stall ? 1u : 0u)
-        << "batch " << Batch;
     EXPECT_EQ(Report.DroppedPostHalt, 0u) << "batch " << Batch;
     return Report.Captured;
   };
 
-  Trace Baseline = RunOnce(256, /*Stall=*/false);
+  Trace Baseline = RunOnce(256);
   ASSERT_GT(Baseline.size(), 0u);
   for (size_t Batch : {1u, 3u, 1024u}) {
-    Trace Stalled = RunOnce(Batch, /*Stall=*/true);
-    ASSERT_EQ(Stalled.size(), Baseline.size()) << "batch " << Batch;
+    Trace Other = RunOnce(Batch);
+    ASSERT_EQ(Other.size(), Baseline.size()) << "batch " << Batch;
     for (size_t I = 0; I != Baseline.size(); ++I) {
-      EXPECT_EQ(Stalled[I].Kind, Baseline[I].Kind) << "op " << I;
-      EXPECT_EQ(Stalled[I].Thread, Baseline[I].Thread) << "op " << I;
-      EXPECT_EQ(Stalled[I].Target, Baseline[I].Target) << "op " << I;
+      EXPECT_EQ(Other[I].Kind, Baseline[I].Kind) << "op " << I;
+      EXPECT_EQ(Other[I].Thread, Baseline[I].Thread) << "op " << I;
+      EXPECT_EQ(Other[I].Target, Baseline[I].Target) << "op " << I;
     }
   }
 }

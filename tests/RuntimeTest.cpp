@@ -24,12 +24,14 @@
 #include "trace/TraceIO.h"
 #include "trace/TraceValidator.h"
 
+#include "BlockingTool.h"
 #include "NativePrograms.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <mutex>
 #include <thread>
@@ -689,7 +691,6 @@ TEST(OnlineEngine, BackpressureParkUnparkIsCountedNotLost) {
   EXPECT_EQ(Report.DroppedOverload, 0u);
   EXPECT_EQ(Report.DroppedPostHalt, 0u);
   EXPECT_EQ(Report.relation(), rt::OracleRelation::Identical);
-  EXPECT_EQ(Report.SequencerRestarts, 0u);
   // Pressure really happened, and the per-thread rows account for it.
   EXPECT_GT(Report.ParkEpisodes, 0u);
   EXPECT_GT(Report.MaxBacklog, 0u);
@@ -1124,18 +1125,13 @@ TEST(ThreadChurn, SoakTenThousandThreadsBoundedAndEquivalent) {
 
 namespace {
 
-/// Options for the gate tests: a wedge at merge position \p StallAt holds
-/// events in their rings until the supervisor restarts the sequencer;
-/// nothing may be shed meanwhile.
-rt::OnlineOptions stallAt(rt::FaultPlan &Faults, uint64_t StallAt) {
-  Faults.StallAtEvent = StallAt;
-  Faults.StallsArmed.store(1);
+/// Options for the gate tests: a tool handler the test blocks holds the
+/// merge, and events wait in their rings until the test releases it. No
+/// supervisor, so no deadline races the release and nothing is shed.
+rt::OnlineOptions gateOptions() {
   rt::OnlineOptions Options;
-  Options.Faults = &Faults;
   Options.Degrade.Enabled = false;
-  Options.Supervise.TickMs = 5;
-  Options.Supervise.StallDeadlineMs = 30;
-  Options.Supervise.MaxParkMs = 60000;
+  Options.Supervise.Enabled = false;
   return Options;
 }
 
@@ -1159,22 +1155,24 @@ void await(const std::atomic<bool> &Flag) {
 
 TEST(OnlineEngine, ForkGateHoldsWhenTheChildsRingIsSweptFirst) {
   // The merge sweeps rings in slot order. C reincarnates A's slot 1, so
-  // C's ring is swept before its parent B's (slot 2). The sequencer
-  // wedges just before fork(B, C); by the restart, C's accesses wait in
-  // slot 1's ring. Only C's ticketed first event keeps them behind the
-  // fork — unticketed, they would merge first and C would act before it
-  // exists.
+  // C's ring is swept before its parent B's (slot 2). The merge blocks in
+  // the handler of B's last write, before B forks C; by the release, C's
+  // accesses wait in slot 1's ring. Only C's ticketed first event keeps
+  // them behind the fork — unticketed, they would merge first and C would
+  // act before it exists.
   constexpr int BWrites = 20, CWrites = 50;
   rt::Shared<int> VarA, VarB, VarC;
   std::atomic<bool> ReleaseA{false}, GoB{false};
-  rt::FaultPlan Faults;
-  // fork(0,A), wr A, fork(0,B), join(0,A), B's writes: then fork(B, C).
-  rt::OnlineOptions Options = stallAt(Faults, 4 + BWrites);
+  rt::OnlineOptions Options = gateOptions();
   Options.MaxThreads = 3; // main, B, and one slot for A then C
 
   FastTrack Detector;
+  HandlerGate Gate;
+  // fork(0,A), wr A, fork(0,B), join(0,A), then B's writes: the handler
+  // of B's last write (merge position 3 + BWrites) blocks.
+  BlockingTool Blocker(Detector, Gate, 3 + BWrites);
   ThreadId AId = rt::Engine::NoThread, CId = rt::Engine::NoThread;
-  rt::Engine Engine(Detector, Options);
+  rt::Engine Engine(Blocker, Options);
   {
     rt::Thread A([&] {
       FT_WRITE(VarA, 1);
@@ -1185,6 +1183,7 @@ TEST(OnlineEngine, ForkGateHoldsWhenTheChildsRingIsSweptFirst) {
       await(GoB);
       for (int I = 0; I != BWrites; ++I)
         FT_WRITE(VarB, I);
+      EXPECT_TRUE(Gate.waitBlocked());
       rt::Thread C([&] {
         for (int I = 0; I != CWrites; ++I)
           FT_WRITE(VarC, I);
@@ -1197,10 +1196,10 @@ TEST(OnlineEngine, ForkGateHoldsWhenTheChildsRingIsSweptFirst) {
     GoB.store(true, std::memory_order_release);
     B.join();
   }
+  Gate.release();
   rt::OnlineReport Report = Engine.finish();
 
   EXPECT_EQ(CId, AId) << "C must reincarnate A's slot";
-  EXPECT_EQ(Report.SequencerRestarts, 1u);
   EXPECT_EQ(Report.ThreadsRecycled, 1u);
   EXPECT_EQ(Report.EventsCaptured, 7u + BWrites + CWrites);
   EXPECT_EQ(Report.NumWarnings, 0u);
@@ -1224,32 +1223,37 @@ TEST(OnlineEngine, ForkGateHoldsWhenTheChildsRingIsSweptFirst) {
 }
 
 TEST(OnlineEngine, JoinGateDrainsTheChildsTrailingAccessesFirst) {
-  // The sequencer wedges halfway through the child's writes; the child
-  // exits and main joins it while the rest of the writes sit unticketed
-  // in the child's ring. Main's ring is swept first, and its join ticket
-  // is next — the join gate must still let the child's ring drain before
-  // join(0, u) merges.
+  // The merge blocks in a handler halfway through the child's writes; the
+  // child exits and main joins it while the rest of the writes sit
+  // unticketed in the child's ring. Main's ring is swept first, and its
+  // join ticket is next — the join gate must still let the child's ring
+  // drain before join(0, u) merges.
   constexpr int Writes = 200;
   rt::Shared<int> Own, Shared;
-  rt::FaultPlan Faults;
-  // fork(0,u) is position 0 and the child's writes 1..Writes.
-  rt::OnlineOptions Options = stallAt(Faults, 1 + Writes / 2);
-
   FastTrack Detector;
+  HandlerGate Gate;
+  // fork(0,u) is position 0 and the child's writes 1..Writes: the handler
+  // of write Writes / 2 blocks before the child emits the rest.
+  BlockingTool Blocker(Detector, Gate, Writes / 2);
+
   ThreadId U = rt::Engine::NoThread;
-  rt::Engine Engine(Detector, Options);
+  rt::Engine Engine(Blocker, gateOptions());
   {
     rt::Thread Child([&] {
-      for (int I = 0; I != Writes; ++I)
+      for (int I = 0; I != Writes; ++I) {
+        if (I == Writes / 2) {
+          EXPECT_TRUE(Gate.waitBlocked());
+        }
         FT_WRITE(I + 1 == Writes ? Shared : Own, I);
+      }
     });
     U = Child.id();
     Child.join();
   }
   FT_WRITE(Shared, -1); // ordered after the child's last write by the join
+  Gate.release();
   rt::OnlineReport Report = Engine.finish();
 
-  EXPECT_EQ(Report.SequencerRestarts, 1u);
   EXPECT_EQ(Report.EventsCaptured, 3u + Writes);
   EXPECT_EQ(Report.NumWarnings, 0u) << "join ordered before child writes";
   const Trace &Cap = Report.Captured;
@@ -1268,31 +1272,48 @@ TEST(OnlineEngine, JoinGateDrainsTheChildsTrailingAccessesFirst) {
 
 TEST(ThreadChurn, RecycledSlotWaitsForItsPredecessorsAccesses) {
   // The first incarnation leaves most of its (unticketed) accesses in the
-  // ring when it is joined — the sequencer is wedged. The successor's
-  // fork must wait for the drain, and the capture must keep the two
-  // lifetimes apart: old accesses, join, fork, new accesses.
+  // ring when it is joined — the merge is blocked in a tool handler. The
+  // successor's fork must wait for the drain, and the capture must keep
+  // the two lifetimes apart: old accesses, join, fork, new accesses.
   constexpr int Writes = 300;
   rt::Shared<int> X;
-  rt::FaultPlan Faults;
-  rt::OnlineOptions Options = stallAt(Faults, 3); // first child's 3rd write
+  rt::OnlineOptions Options = gateOptions();
   Options.MaxThreads = 2;
   Options.SlotDrainWaitMs = 5000;
 
   FastTrack Detector;
-  rt::Engine Engine(Detector, Options);
+  HandlerGate Gate;
+  // Position 0 is the first fork: the handler of the first child's second
+  // write blocks before the child emits the rest.
+  BlockingTool Blocker(Detector, Gate, 2);
+  // The second fork below waits on the drain inside the main thread, so a
+  // helper releases the handler once that fork has begun.
+  std::atomic<bool> Forking{false};
+  std::thread Releaser([&] {
+    await(Forking);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Gate.release();
+  });
+  rt::Engine Engine(Blocker, Options);
   ThreadId Ids[2];
   for (int Life = 0; Life != 2; ++Life) {
-    rt::Thread T([&X, Life] {
-      for (int I = 0; I != Writes; ++I)
+    if (Life == 1)
+      Forking.store(true, std::memory_order_release);
+    rt::Thread T([&X, &Gate, Life] {
+      for (int I = 0; I != Writes; ++I) {
+        if (Life == 0 && I == 2) {
+          EXPECT_TRUE(Gate.waitBlocked());
+        }
         FT_WRITE(X, Life * Writes + I);
+      }
     });
     Ids[Life] = T.id();
     T.join();
   }
+  Releaser.join();
   rt::OnlineReport Report = Engine.finish();
 
   EXPECT_EQ(Ids[1], Ids[0]);
-  EXPECT_EQ(Report.SequencerRestarts, 1u);
   EXPECT_EQ(Report.ThreadsRecycled, 1u);
   EXPECT_EQ(Report.EventsCaptured, 2u * (2 + Writes));
   EXPECT_EQ(Report.NumWarnings, 0u);
@@ -1404,11 +1425,10 @@ rt::OnlineReport runStripedLockLoop(FastTrack &Detector, bool DropLock) {
   return Engine.finish();
 }
 
-/// The paced path's contract: it paced, nothing restarted, and the
-/// capture replays offline to the online warnings at every shard count.
+/// The paced path's contract: it paced, nothing halted, and the capture
+/// replays offline to the online warnings at every shard count.
 void expectPacedAndExact(FastTrack &Detector, const rt::OnlineReport &Report) {
   EXPECT_FALSE(Report.Halted);
-  EXPECT_EQ(Report.SequencerRestarts, 0u);
   EXPECT_GT(Report.MergePacedWaits, 0u);
   EXPECT_LE(Report.MergePacedWaits, Report.MergeSweeps);
   EXPECT_TRUE(isFeasible(Report.Captured));
