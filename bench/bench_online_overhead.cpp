@@ -192,10 +192,10 @@ double roundTripNs() {
 // between revisits, while a shard worker revisits only the 1/N slice the
 // block-cyclic map assigns it — the locality that pays even when the
 // machine has fewer cores than shards. A shared mutex taken every
-// SyncEvery events keeps the cross-shard sync spine exercised without
-// ordering the tours; it is sparse because this series measures access
-// throughput, not barrier pacing (the sync-heavy regime is covered by
-// the equivalence tests).
+// SyncEvery events keeps the sync events every worker dispatches
+// exercised without ordering the tours; it is sparse because this series
+// measures access throughput (the sync-heavy regime is covered by the
+// equivalence tests).
 
 constexpr uint64_t SyncEvery = 65536;
 
@@ -225,12 +225,6 @@ RunResult runShardedOnce(unsigned Shards, unsigned NumThreads,
     Options.Shards = Shards;
     Options.MaxVars = SpaceVars;
     Options.RingCapacity = 1u << 16;
-    // Shard rings sized to stay cache-resident: the workers dispatch in
-    // place out of these rings, so ring bytes are repeatedly live — at
-    // 1<<13 slots a ring is 128 KiB and four of them still fit in L2
-    // beside the shadow slices. Oversizing them (1<<16 = 1 MiB each) costs
-    // more in eviction than the extra slack ever buys.
-    Options.ShardRingCapacity = 1u << 13;
     Options.SequencerBatch = 4096;
     Options.KeepCapture = false;
     Options.ValidateCapture = false;
@@ -267,7 +261,7 @@ RunResult runShardedOnce(unsigned Shards, unsigned NumThreads,
     }
     rt::OnlineReport Report = Engine.finish();
     // Throughput includes the post-workload drain: the detector is only
-    // done when the last routed event has been dispatched.
+    // done when the last logged event has been dispatched.
     double Seconds = Watch.seconds();
     if (Report.Halted)
       std::fprintf(stderr, "warning: sharded session halted mid-bench\n");

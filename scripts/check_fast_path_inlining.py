@@ -8,7 +8,8 @@ FT_REGISTER_FAST_PATH line) and TOOL a substring of the tool's demangled
 class name, e.g. BasicFastTrack or DjitPlus. The script disassembles
 OBJECT with `objdump -dr -C` and fails when a replayLoop or accessRunLoop
 instantiation for TOOL carries a relocation to TOOL's onRead or onWrite,
-that is, when the compiler called the handler out of line instead of
+or to the readResident/writeResident tier FastTrack's handlers inline in
+turn, that is, when the compiler called a handler out of line instead of
 inlining its fast path. It also fails when it finds no such loop at all,
 so a renamed loop or a wrong object file cannot pass by checking nothing.
 """
@@ -26,7 +27,8 @@ def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     obj, tool = sys.argv[1], sys.argv[2]
-    handler = re.compile(re.escape(tool) + r"\b.*::on(Read|Write)\(")
+    handler = re.compile(re.escape(tool) +
+                         r"\b.*::(onRead|onWrite|readResident|writeResident)\(")
     dump = subprocess.run(["objdump", "-dr", "-C", "--no-show-raw-insn", obj],
                           stdout=subprocess.PIPE, text=True, check=True).stdout
     loops, calls, current = 0, [], None
@@ -49,7 +51,7 @@ def main():
         sys.exit(f"error: {len(calls)} out-of-line {tool} handler call(s); "
                  "the fast path no longer inlines")
     print(f"ok: {loops} registered loops for {tool}, no out-of-line "
-          "onRead/onWrite call")
+          "onRead/onWrite/readResident/writeResident call")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@
 ///  - DispatchRun: the online access-run loop. It feeds both driver roles
 ///    that call the tool: a Full driver's admitAccessRun (one thread's
 ///    stretch as the merge loop pulled it off its ring, at Shards=1) and a
-///    DispatchOnly driver's dispatchRun (a shard worker's pre-admitted run).
+///    DispatchOnly driver's dispatchRun (a shard worker's run of the
+///    broadcast log, where the loop skips the accesses other shards own).
 ///
 /// Lookup is by exact dynamic type. A subclass that overrides the handlers
 /// again fails the typeid match and safely falls back to virtual dispatch;
@@ -39,6 +40,7 @@
 #define FASTTRACK_FRAMEWORK_FASTPATH_H
 
 #include "framework/Replay.h"
+#include "framework/ShardableTool.h"
 #include "runtime/EventRing.h"
 
 #include <type_traits>
@@ -50,7 +52,8 @@ namespace ft {
 /// One access run (Read/Write events only) handed to a DispatchRun loop,
 /// and how far the loop got. With Thread == NoThread the run is
 /// pre-admitted: each event carries its thread, and its raw op index in
-/// Seq. Otherwise it is one thread's stretch as the merge loop pulled it:
+/// Seq, and the loop dispatches only the events Owners maps to Shard.
+/// Otherwise it is one thread's stretch as the merge loop pulled it:
 /// event I runs as Thread at raw index FirstRaw + I, and the loop stops
 /// before the first event whose Target is not below MaxVars.
 struct AccessRun {
@@ -60,10 +63,17 @@ struct AccessRun {
   ThreadId Thread;
   uint64_t FirstRaw;
   uint32_t MaxVars;
-  /// Out: events handled; if a handler threw, the index of the thrower.
+  /// Out: events handled (skipped ones included); if a handler threw,
+  /// the index of the thrower.
   size_t Done = 0;
   /// Out: handled accesses whose handler returned the pass flag.
   uint64_t Passed = 0;
+  // Pre-admitted runs only, last so the one-thread loop's layout is
+  // untouched by them.
+  ShardMap Owners;
+  unsigned Shard = 0;
+  /// Out: events skipped because another shard owns them.
+  uint64_t Skipped = 0;
 };
 
 /// The registered loops of one concrete tool type.
@@ -93,9 +103,21 @@ ReplayResult fastReplay(const Trace &T, Tool &Checker,
   return replayWithTool(T, static_cast<ToolT &>(Checker), Options);
 }
 
-/// The access-run loop against \p ToolT; the qualified calls pin ToolT's
-/// handlers so they inline. Instantiated on Tool itself the calls stay
-/// virtual: OnlineDriver's fallback for unregistered types.
+/// One access through \p ToolT's handlers: the qualified calls pin the
+/// overrides so they inline. On Tool itself the calls stay virtual. A
+/// macro, not a function: an inlined helper changes the one-thread loop's
+/// register allocation.
+#define FT_DISPATCH_ACCESS(E, T, Idx)                                          \
+  if constexpr (std::is_same_v<ToolT, Tool>)                                   \
+    Passed += (E).Kind == OpKind::Read ? Checker.onRead(T, (E).Target, Idx)    \
+                                       : Checker.onWrite(T, (E).Target, Idx);  \
+  else                                                                         \
+    Passed += (E).Kind == OpKind::Read                                         \
+                  ? Checker.ToolT::onRead(T, (E).Target, Idx)                  \
+                  : Checker.ToolT::onWrite(T, (E).Target, Idx)
+
+/// The access-run loop against \p ToolT. Instantiated on Tool itself:
+/// OnlineDriver's fallback for unregistered types.
 template <typename ToolT, bool OneThread>
 void accessRunLoop(ToolT &Checker, AccessRun &R) {
   // A copy: the handlers write memory the compiler cannot prove disjoint
@@ -103,30 +125,61 @@ void accessRunLoop(ToolT &Checker, AccessRun &R) {
   const AccessRun In = R;
   uint64_t Passed = 0;
   size_t I = 0;
-  try {
-    for (; I != In.N; ++I) {
-      const runtime::OnlineEvent &E = In.Events[I];
-      if (OneThread && E.Target >= In.MaxVars)
-        break;
-      const ThreadId T = OneThread ? In.Thread : E.Thread;
-      const size_t Idx = OneThread ? In.FirstRaw + I : E.Seq;
-      if constexpr (std::is_same_v<ToolT, Tool>)
-        Passed += E.Kind == OpKind::Read ? Checker.onRead(T, E.Target, Idx)
-                                         : Checker.onWrite(T, E.Target, Idx);
-      else
-        Passed += E.Kind == OpKind::Read
-                      ? Checker.ToolT::onRead(T, E.Target, Idx)
-                      : Checker.ToolT::onWrite(T, E.Target, Idx);
+  // On a throw, exact progress for the caller's rollback, free until then.
+  if constexpr (OneThread) {
+    try {
+      for (; I != In.N; ++I) {
+        const runtime::OnlineEvent &E = In.Events[I];
+        if (E.Target >= In.MaxVars)
+          break;
+        const ThreadId T = In.Thread;
+        const size_t Idx = In.FirstRaw + I;
+        FT_DISPATCH_ACCESS(E, T, Idx);
+      }
+    } catch (...) {
+      R.Done = I;
+      R.Passed = Passed;
+      throw;
     }
-  } catch (...) {
-    // Exact progress for the caller's rollback, free until a throw.
-    R.Done = I;
-    R.Passed = Passed;
-    throw;
+  } else {
+    // Ownership of neighboring events is close to a coin toss, so a test
+    // in the dispatch loop would mispredict on every other event: each
+    // chunk's owned positions are gathered without a branch first.
+    constexpr size_t Chunk = 64;
+    uint8_t Owned[Chunk];
+    uint64_t Skipped = 0; // before chunk Base
+    size_t Base = 0, Q = 0;
+    try {
+      while (Base != In.N) {
+        const size_t End = std::min(In.N, Base + Chunk);
+        size_t K = 0;
+        for (size_t J = Base; J != End; ++J) {
+          Owned[K] = static_cast<uint8_t>(J - Base);
+          K += In.Owners.indexOf(In.Events[J].Target) == In.Shard;
+        }
+        for (Q = 0; Q != K; ++Q) {
+          I = Base + Owned[Q];
+          const runtime::OnlineEvent &E = In.Events[I];
+          FT_DISPATCH_ACCESS(E, E.Thread, E.Seq);
+        }
+        Skipped += End - Base - K;
+        Base = End;
+      }
+    } catch (...) {
+      // Before the thrower: Q owned events dispatched, the rest skipped.
+      R.Done = I;
+      R.Passed = Passed;
+      R.Skipped = Skipped + (I - Base - Q);
+      throw;
+    }
+    I = In.N;
+    R.Skipped = Skipped;
   }
   R.Done = I;
   R.Passed = Passed;
 }
+
+#undef FT_DISPATCH_ACCESS
 
 template <typename ToolT> void fastDispatchRun(Tool &Base, AccessRun &R) {
   if (R.Thread == AccessRun::NoThread)

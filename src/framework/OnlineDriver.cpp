@@ -280,9 +280,9 @@ OnlineDriver::DispatchOutcome OnlineDriver::offer(Operation &Op) {
   size_t I = Raw++;
   // The re-entrant lock filter runs in both roles, so a filtered event
   // owns a raw index: it belongs in the capture for offline-replay index
-  // fidelity. lastAdmittedFiltered() tells the router not to route it
-  // (shard drivers run with the filter off; routing would double-apply
-  // the stripped semantics).
+  // fidelity. lastAdmittedFiltered() tells the sharded merge loop to keep
+  // it out of the broadcast log (shard drivers run with the filter off;
+  // dispatching it there would double-apply the stripped semantics).
   LastFiltered =
       Options.FilterReentrantLocks &&
       ((Op.Kind == OpKind::Acquire &&
@@ -292,8 +292,8 @@ OnlineDriver::DispatchOutcome OnlineDriver::offer(Operation &Op) {
   if (LastFiltered)
     return DispatchOutcome::Delivered;
   ++Dispatched;
-  // Admission ends here: the caller captures the event and routes it to a
-  // shard driver; the tool is never called from this instance.
+  // Admission ends here: the caller captures the event and appends it to
+  // the shard workers' log; the tool is never called from this instance.
   if (Options.Role == DriverRole::AdmissionOnly)
     return DispatchOutcome::Delivered;
   // A tool that throws must not unwind into the sequencer thread (that
@@ -351,21 +351,23 @@ void OnlineDriver::dispatchSync(OpKind Kind, ThreadId T, uint32_t Target,
 }
 
 size_t OnlineDriver::runAccesses(const runtime::OnlineEvent *Run, size_t N,
-                                 ThreadId Thread) {
-  AccessRun R{Run, N, Thread, Raw, Capacity.NumVars};
+                                 ThreadId Thread, const ShardMap &Owners,
+                                 unsigned Shard) {
+  AccessRun R{.Events = Run, .N = N, .Thread = Thread, .FirstRaw = Raw,
+              .MaxVars = Capacity.NumVars, .Owners = Owners, .Shard = Shard};
   try {
     FastRun(Checker, R);
   } catch (...) {
     // The events before the thrower stay dispatched, as they would one
     // offer() at a time; the fault is anchored at the thrower's raw index,
     // which rawOps() stops just before.
-    Dispatched += R.Done;
+    Dispatched += R.Done - R.Skipped;
     AccessesPassed += R.Passed;
     toolFault(Thread == AccessRun::NoThread ? Run[R.Done].Seq : Raw + R.Done,
               "dispatch");
     return R.Done;
   }
-  Dispatched += R.Done;
+  Dispatched += R.Done - R.Skipped;
   AccessesPassed += R.Passed;
   if (Thread != AccessRun::NoThread)
     Raw += R.Done;
@@ -402,9 +404,10 @@ bool OnlineDriver::admitAccessRun(ThreadId Thread,
   return Done == N;
 }
 
-bool OnlineDriver::dispatchRun(const runtime::OnlineEvent *Run, size_t N) {
+size_t OnlineDriver::dispatchRun(const runtime::OnlineEvent *Run, size_t N,
+                                 const ShardMap &Owners, unsigned Shard) {
   if (Halted)
-    return false;
+    return 0;
   // Events arrive pre-admitted: capacity, rung transforms, and lock
   // filtering already ran on the admission side, so this loop pays none of
   // offer()'s per-event checks. Access stretches go through the run loop
@@ -418,16 +421,16 @@ bool OnlineDriver::dispatchRun(const runtime::OnlineEvent *Run, size_t N) {
       size_t End = I + 1;
       while (End != N && isAccess(Run[End].Kind))
         ++End;
-      I += runAccesses(Run + I, End - I, AccessRun::NoThread);
+      I += runAccesses(Run + I, End - I, AccessRun::NoThread, Owners, Shard);
       if (Halted)
-        return false;
+        return I;
       continue;
     }
     try {
       dispatchSync(E.Kind, E.Thread, E.Target, static_cast<size_t>(E.Seq));
     } catch (...) {
       toolFault(E.Seq, "dispatch");
-      return false;
+      return I;
     }
     ++Dispatched;
     ++I;
@@ -436,9 +439,8 @@ bool OnlineDriver::dispatchRun(const runtime::OnlineEvent *Run, size_t N) {
     drainWarnings();
   } catch (...) {
     toolFault(N != 0 ? Run[N - 1].Seq + 1 : Raw, "dispatch");
-    return false;
   }
-  return true;
+  return N;
 }
 
 void OnlineDriver::finish() {

@@ -57,6 +57,7 @@
 #define FASTTRACK_FRAMEWORK_ONLINEDRIVER_H
 
 #include "framework/Degrade.h"
+#include "framework/ShardableTool.h"
 #include "framework/Tool.h"
 #include "support/Status.h"
 #include "trace/ReentrancyFilter.h"
@@ -73,18 +74,19 @@ struct OnlineEvent;
 
 /// Which half (or both) of the offer() pipeline a driver instance runs.
 /// The sharded engine splits the single-sequencer driver into one
-/// admission-side instance on the router thread and one dispatch-side
-/// instance per shard; Full is the classic single-sequencer combination
-/// and the default everywhere else.
+/// admission-side instance on the merge loop and one dispatch-side
+/// instance per shard worker; Full is the classic single-sequencer
+/// combination and the default everywhere else.
 enum class DriverRole : uint8_t {
   /// Admission + dispatch in one instance (the single-sequencer engine,
   /// streaming ingesters, tests).
   Full,
   /// Admission only: degradation-ladder transform, capacity checks,
   /// budget probes, re-entrant lock filtering, and raw-index assignment —
-  /// but the tool is never called. The router runs this role so the
-  /// capture and raw indices are decided exactly as a Full driver would
-  /// decide them, then routes Delivered events to shards.
+  /// but the tool is never called. The sharded merge loop runs this role
+  /// so the capture and raw indices are decided exactly as a Full driver
+  /// would decide them, then appends Delivered events to the broadcast
+  /// log.
   AdmissionOnly,
   /// Dispatch only: events arrive pre-admitted (already transformed,
   /// filtered, and carrying their raw index in OnlineEvent::Seq) via
@@ -179,9 +181,9 @@ public:
 
   /// AdmissionOnly: true iff the most recent Delivered offer() was
   /// consumed by the re-entrant lock filter — it owns a raw index and
-  /// belongs in the capture, but must NOT be routed to shards (shard
-  /// drivers run with the filter off; routing it would double-apply the
-  /// lock semantics the filter stripped).
+  /// belongs in the capture, but must NOT reach the shard workers (shard
+  /// drivers run with the filter off; dispatching it would double-apply
+  /// the lock semantics the filter stripped).
   bool lastAdmittedFiltered() const { return LastFiltered; }
 
   /// Batched admission of a run of one thread's accesses: the merge
@@ -193,7 +195,8 @@ public:
   /// stops just before an over-capacity target. Event I takes raw index
   /// rawOps() + I and counts as dispatched: the state the same Delivered
   /// offer() calls would leave. An AdmissionOnly driver stops there (the
-  /// router routes the run). A Full driver also dispatches the run, in one
+  /// merge loop appends the run to the log). A Full driver also dispatches
+  /// the run, in one
   /// pass through the tool's run loop, and drains warnings once per run;
   /// a tool that throws halts it with a ToolFault anchored at the
   /// thrower, and rawOps() and dispatched() stop just before it. A
@@ -206,13 +209,15 @@ public:
   /// DispatchOnly batched dispatch: feeds \p N pre-admitted events to the
   /// tool, hoisting the per-event halt/capacity/rung checks offer() pays
   /// out of the loop (they already ran on the admission side). Access
-  /// stretches go through the same run loop as admitAccessRun; sync
-  /// events dispatch virtually one at a time. Each event's Seq is the raw
-  /// op index admission assigned, so warnings carry single-sequencer
-  /// indices. Returns false when a throwing tool halted the driver
-  /// mid-run: the fault is anchored at the throwing event's Seq, the
-  /// events before it stay dispatched, and the rest are discarded.
-  bool dispatchRun(const runtime::OnlineEvent *Run, size_t N);
+  /// stretches go through the same run loop as admitAccessRun, keeping
+  /// only those \p Owners maps to \p Shard (by default, all); sync events
+  /// dispatch virtually one at a time. Each event's Seq is the raw op
+  /// index admission assigned, so warnings carry single-sequencer indices.
+  /// Returns the events handled: \p N, or the index of a thrower that
+  /// halted the driver, anchored at its Seq (the events before it stay
+  /// dispatched). A halted driver handles nothing.
+  size_t dispatchRun(const runtime::OnlineEvent *Run, size_t N,
+                     const ShardMap &Owners = ShardMap(), unsigned Shard = 0);
 
   /// Calls Checker.end() and flushes the warning sink. A throwing end()
   /// is absorbed into a ToolFault diagnostic. Idempotent.
@@ -260,10 +265,12 @@ private:
   void toolFault(uint64_t At, const char *During);
   void dispatchSync(OpKind Kind, ThreadId T, uint32_t Target, size_t Idx);
   /// The access-run helper both roles share: dispatches \p Run through
-  /// FastRun (see AccessRun for \p Thread) and returns the events
-  /// handled. On a throw it halts, anchored at the thrower.
+  /// FastRun (see AccessRun for \p Thread, \p Owners and \p Shard) and
+  /// returns the events handled. On a throw it halts, anchored at the
+  /// thrower.
   size_t runAccesses(const runtime::OnlineEvent *Run, size_t N,
-                     ThreadId Thread);
+                     ThreadId Thread, const ShardMap &Owners = ShardMap(),
+                     unsigned Shard = 0);
 
   Tool &Checker;
   ToolContext Capacity;

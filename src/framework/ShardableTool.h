@@ -22,6 +22,7 @@
 #ifndef FASTTRACK_FRAMEWORK_SHARDABLETOOL_H
 #define FASTTRACK_FRAMEWORK_SHARDABLETOOL_H
 
+#include <cstdint>
 #include <memory>
 
 namespace ft {
@@ -34,6 +35,33 @@ class Tool;
 /// online Engine). Each shard is one worker thread with its own tool
 /// clone, so a larger request is clamped rather than honored.
 constexpr unsigned MaxShards = 64;
+
+/// Which shard owns a variable in a sharded online session: the
+/// block-cyclic map (X / BlockVars) % Shards, which keeps neighboring ids
+/// (fields of one object, elements of one array) in one shard's shadow
+/// arrays; a shift and a mask when both are powers of two. It maps the
+/// id admission produced, so on a coarse rung too every access to one
+/// VarState lands in one shard. BlockVars 0 counts as 1; the default map
+/// puts every variable in shard 0.
+struct ShardMap {
+  ShardMap() = default;
+  ShardMap(uint32_t Block, unsigned Shards)
+      : BlockVars(Block == 0 ? 1 : Block), Shards(Shards), Shift(~0u) {
+    if ((BlockVars & (BlockVars - 1)) == 0 && (Shards & (Shards - 1)) == 0) {
+      Shift = static_cast<unsigned>(__builtin_ctz(BlockVars));
+      Mask = Shards - 1;
+    }
+  }
+  unsigned indexOf(uint32_t X) const {
+    return Shift != ~0u ? (X >> Shift) & Mask : X / BlockVars % Shards;
+  }
+
+private:
+  uint32_t BlockVars = 1;
+  unsigned Shards = 1;
+  unsigned Shift = 0; ///< ~0u: no shift-and-mask form.
+  uint32_t Mask = 0;
+};
 
 /// Interface a Tool additionally implements (multiple inheritance) to
 /// participate in ParallelReplay.

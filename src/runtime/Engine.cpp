@@ -145,27 +145,13 @@ Engine *Engine::current() {
 
 /// One shard worker's whole world.
 struct Engine::Shard {
-  Shard(size_t RingCapacity, size_t BatchCap)
-      : BatchCap(BatchCap), Ring(RingCapacity) {}
+  explicit Shard(unsigned Index) : Index(Index) {}
 
-  const size_t BatchCap; ///< Upper bound on one peeked batch — bounds how
-                         ///< long the worker can go between halt checks,
-                         ///< like the router's SequencerBatch.
-  EventRing Ring; ///< router → worker (SPSC; Seq = raw op index).
+  const unsigned Index; ///< The shard it owns and its log cursor.
   std::unique_ptr<Tool> Clone;          ///< Shard-local tool instance.
   std::unique_ptr<OnlineDriver> Driver; ///< DispatchOnly over Clone.
   std::thread Worker;
 
-  std::atomic<uint64_t> Routed{0};  ///< Events the router pushed.
-  std::atomic<uint64_t> Drained{0}; ///< Events the worker dispatched or
-                                    ///< discarded — the shard's drain
-                                    ///< watermark (stall detection).
-  std::atomic<uint64_t> SyncDone{0}; ///< Sync ordinals fully dispatched:
-                                     ///< the ticket watermark siblings
-                                     ///< wait on at the spine barrier.
-  std::atomic<bool> AtBarrier{false}; ///< Worker is waiting at the spine
-                                      ///< barrier (legitimately idle —
-                                      ///< not a stall).
   std::atomic<uint64_t> ShadowPublished{0}; ///< Clone->shadowBytes() as
                                             ///< of the last batch refill;
                                             ///< read by the admission
@@ -206,13 +192,6 @@ Engine::Engine(Tool &Checker, OnlineOptions Opts)
     SegWriter = std::make_unique<SegmentedTraceWriter>(Prefix, SW);
   }
   Capturing = MemCapture || SegWriter != nullptr;
-  if (Options.ShardBlockVars == 0)
-    Options.ShardBlockVars = 1;
-  if ((Options.ShardBlockVars & (Options.ShardBlockVars - 1)) == 0 &&
-      (NumShards & (NumShards - 1)) == 0) {
-    ShardDivShift = static_cast<unsigned>(__builtin_ctz(Options.ShardBlockVars));
-    ShardIdxMask = NumShards - 1;
-  }
   if (Options.Shards > 1 && NumShards == 1)
     superviseNote(Severity::Note, StatusCode::ValidationError,
                   std::string("tool '") + Checker.name() +
@@ -223,10 +202,12 @@ Engine::Engine(Tool &Checker, OnlineOptions Opts)
   if (NumShards > 1) {
     auto &Shardable = dynamic_cast<ShardableTool &>(Checker);
     const size_t BatchCap = std::max<size_t>(1, Options.SequencerBatch);
-    const size_t RingCap =
-        Options.ShardRingCapacity != 0
-            ? Options.ShardRingCapacity
-            : std::max(Options.RingCapacity, 4 * BatchCap);
+    // Each worker may fall max(RingCapacity, four admission batches) of
+    // its own events behind, so a full batch never parks the merge loop on
+    // its own size; a worker owns about 1/N of the log's events.
+    Log = std::make_unique<BroadcastLog>(
+        NumShards * std::max(Options.RingCapacity, 4 * BatchCap), NumShards);
+    Owners = ShardMap(Options.ShardBlockVars, NumShards);
     // Per-shard governance: each clone self-governs against an equal
     // slice of the byte budget (the admission driver's ladder probe still
     // sees the sum via shardGovernorStats). Configured before the shard
@@ -236,15 +217,15 @@ Engine::Engine(Tool &Checker, OnlineOptions Opts)
       ShardMem.BudgetBytes =
           std::max<uint64_t>(1, ShardMem.BudgetBytes / NumShards);
     for (unsigned I = 0; I != NumShards; ++I) {
-      auto S = std::make_unique<Shard>(RingCap, BatchCap);
+      auto S = std::make_unique<Shard>(I);
       S->Clone = Shardable.cloneForShard();
       if (Options.Degrade.Enabled && ShardMem.Enabled)
         ShardMemoryGoverned = S->Clone->configureShadowPolicy(ShardMem);
       OnlineDriverOptions DO;
       DO.Role = DriverRole::DispatchOnly;
       // Admission already ran the lock filter and the ladder transform on
-      // everything in this shard's ring; running either again would
-      // desync the clone from the capture.
+      // everything in the log; running either again would desync the
+      // clone from the capture.
       DO.FilterReentrantLocks = false;
       DO.Degrade.Enabled = false;
       if (Options.OnWarning)
@@ -610,16 +591,20 @@ void Engine::endMerge(const MergeCursor &M) {
   Report.MergePacedWaits += M.PacedWaits;
 }
 
-void Engine::dropRouted(const OnlineEvent *Events, size_t N) {
+void Engine::dropDiscarded(unsigned Shard, const OnlineEvent *Events,
+                           size_t N) {
   // Post-halt only, so a scan under the slot lock is fine. Ids are unique
-  // per channel (a recycled slot keeps its id), and a run of routed
-  // events mostly shares one thread.
+  // per channel (a recycled slot keeps its id), and a run of events mostly
+  // shares one thread.
   std::lock_guard<std::mutex> Guard(ChannelMu);
   Channel *Ch = nullptr;
   for (size_t I = 0; I != N; ++I) {
-    if (!Ch || Ch->Id != Events[I].Thread)
+    const OnlineEvent &E = Events[I];
+    if (isAccess(E.Kind) ? Owners.indexOf(E.Target) != Shard : Shard != 0)
+      continue;
+    if (!Ch || Ch->Id != E.Thread)
       for (const std::unique_ptr<Channel> &C : Channels)
-        if (C->Id == Events[I].Thread) {
+        if (C->Id == E.Thread) {
           Ch = C.get();
           break;
         }
@@ -627,20 +612,9 @@ void Engine::dropRouted(const OnlineEvent *Events, size_t N) {
   }
 }
 
-unsigned Engine::shardIndexFor(uint32_t Target) const {
-  // Block-cyclic on the POST-transform id. Routing after the admission
-  // driver's coarse-rung remap is what keeps sharding exactly equivalent
-  // to the serial engine on every rung: whatever id the transform
-  // produced is the id whose VarState the access updates, so every access
-  // to that state lands in the same shard, in admission order.
-  if (ShardDivShift != ~0u)
-    return static_cast<unsigned>((Target >> ShardDivShift) & ShardIdxMask);
-  return static_cast<unsigned>((Target / Options.ShardBlockVars) % NumShards);
-}
-
 uint64_t Engine::shardShadowBytes() const {
   // The admission driver's budget-probe source. Probing the clones'
-  // containers from the router thread would race the workers; instead
+  // containers from the merge loop would race the workers; instead
   // each worker publishes its clone's size at every batch refill and the
   // probe sums the published values (staleness of one batch is fine — the
   // budget trigger is a trend detector, not an invariant).
@@ -653,7 +627,7 @@ uint64_t Engine::shardShadowBytes() const {
 ShadowGovernorStats Engine::shardGovernorStats() const {
   // The admission driver's governance-poll source (same publish-and-sum
   // discipline as shardShadowBytes — probing the clones directly from the
-  // router thread would race the workers). Only the two counters the
+  // merge loop would race the workers). Only the two counters the
   // probe branches on are published; finish() reads the clones' full
   // stats after the workers are joined.
   ShadowGovernorStats Total;
@@ -671,85 +645,30 @@ void Engine::mergeLoop() {
   // Only the delivery step depends on the shard count. Without shards the
   // driver is Full: admission already dispatched the event to the tool (a
   // whole access run per call), so the delivery step is the tool itself.
-  // With shards the driver is AdmissionOnly and the loop routes: an
-  // admitted access goes to the shard owning its variable, an admitted
-  // sync event to every shard (the cross-shard spine). The raw index the
-  // driver just assigned rides in OnlineEvent::Seq, so shard tools see
+  // With shards the driver is AdmissionOnly and the loop appends each
+  // admitted event once to the broadcast log, with the raw index the
+  // driver just assigned in OnlineEvent::Seq, so shard tools see
   // single-stream op indices.
   MergeCursor M;
   const size_t BatchCap = std::max<size_t>(1, Options.SequencerBatch);
   std::vector<OnlineEvent> Batch(BatchCap);
   std::vector<Operation> Delivered;
   Delivered.reserve(BatchCap);
-  const bool Routing = !ShardSet.empty();
-  // Routed events are staged per shard and flushed as whole runs
-  // (EventRing::pushRun: one release store per run, not one per event):
-  // transport is what sharding pays over inline dispatch, so it is kept
-  // off the per-event path. A stage flushes when it fills, right after a
-  // broadcast sync event joins it (per-shard ring order must match
-  // admission order), and before every cursor publish (a batch only
-  // counts as routed once its staged events are in the rings). Capped at
-  // 1024 events: past that the flush amortization is already total, and
-  // larger stages would cost more in cache footprint than they save.
-  size_t StageCap = 0;
-  if (Routing)
-    StageCap = std::max<size_t>(
-        1, std::min({BatchCap, ShardSet.front()->Ring.capacity() / 2,
-                     static_cast<size_t>(1024)}));
-  std::vector<std::vector<OnlineEvent>> Stage(ShardSet.size());
-  for (std::vector<OnlineEvent> &Buf : Stage)
-    Buf.reserve(StageCap);
-  auto FlushShard = [&](unsigned SI) {
-    // An admitted event is NEVER abandoned: it is already in the capture
-    // and owns a raw index, so dropping it would desync every shard's
-    // state from the capture the equivalence contract replays. A full
-    // ring is backpressure (the shard is behind) or a wedged worker; the
-    // fix is on the shard side either way, so the loop parks and raises
-    // RouterBlockedOnShard, which tells the supervisor the frozen merge
-    // position is the shard's stall, not the loop's. Only a halt lets the
-    // loop give up, and what it gives up is counted.
-    std::vector<OnlineEvent> &Buf = Stage[SI];
-    if (Buf.empty())
+  BroadcastLog *const Out = Log.get();
+  // An admitted event is never abandoned while detection runs: it is in
+  // the capture and owns a raw index. On a full log the loop publishes
+  // what it appended and waits for the slowest worker; only a halt lets it
+  // give up, and it books what it never appended.
+  auto Append = [&](Channel &Ch, const OnlineEvent &E) {
+    if (Out->tryAppend(E))
       return;
-    Shard &S = *ShardSet[SI];
-    size_t Off = 0;
-    bool Flagged = false;
-    while (Off != Buf.size()) {
-      size_t K = S.Ring.pushRun(Buf.data() + Off, Buf.size() - Off);
-      if (K != 0) {
-        S.Routed.fetch_add(K, std::memory_order_release);
-        Off += K;
-        continue;
-      }
+    Out->publish();
+    while (!Out->tryAppend(E)) {
       if (Halted.load(std::memory_order_acquire)) {
-        dropRouted(Buf.data() + Off, Buf.size() - Off);
-        break;
-      }
-      if (!Flagged) {
-        Flagged = true;
-        RouterBlockedOnShard.store(true, std::memory_order_release);
+        Ch.DroppedPostHalt.fetch_add(1, std::memory_order_relaxed);
+        return;
       }
       std::this_thread::yield();
-    }
-    if (Flagged)
-      RouterBlockedOnShard.store(false, std::memory_order_release);
-    Buf.clear();
-  };
-  auto Route = [&](const OnlineEvent &E) {
-    if (isAccess(E.Kind)) {
-      unsigned SI = shardIndexFor(E.Target);
-      Stage[SI].push_back(E);
-      if (Stage[SI].size() >= StageCap)
-        FlushShard(SI);
-      return;
-    }
-    // The spine: every shard sees every admitted sync event, in admission
-    // order, behind the accesses admitted before it. That shared
-    // subsequence is what makes a per-shard sync *ordinal* well defined
-    // without carrying an extra field.
-    for (unsigned SI = 0; SI != Stage.size(); ++SI) {
-      Stage[SI].push_back(E);
-      FlushShard(SI);
     }
   };
   const FaultPlan *Faults = Options.Faults;
@@ -790,8 +709,8 @@ void Engine::mergeLoop() {
           // Access stretches take the batched path: one admitAccessRun()
           // call consumes the stretch's raw indices (and at Shards=1
           // dispatches it to the tool) without per-event Operations or
-          // offer()'s per-event checks; routed events move straight from
-          // the merge batch into the shard stages. What the run path
+          // offer()'s per-event checks; with shards the admitted events go
+          // straight from the merge batch into the log. What the run path
           // declines — a degraded rung, a pending budget probe, a capacity
           // breach, a throwing tool — and everything under armed faults
           // goes per event below, which owns the exact semantics.
@@ -802,13 +721,13 @@ void Engine::mergeLoop() {
             const uint64_t Base = Driver.rawOps();
             Driver.admitAccessRun(Ch->Id, &Batch[I], End - I);
             const size_t Done = static_cast<size_t>(Driver.rawOps() - Base);
-            if (Capturing || Routing)
+            if (Capturing || Out)
               for (size_t J = 0; J != Done; ++J) {
                 const OnlineEvent &E = Batch[I + J];
                 if (Capturing)
                   Delivered.push_back(Operation(E.Kind, Ch->Id, E.Target));
-                if (Routing)
-                  Route({Base + J, E.Kind, E.Target, Ch->Id});
+                if (Out)
+                  Append(*Ch, {Base + J, E.Kind, E.Target, Ch->Id});
               }
             I += Done;
             if (I == End)
@@ -821,10 +740,10 @@ void Engine::mergeLoop() {
             if (Capturing)
               Delivered.push_back(Op);
             // Filter-stripped lock events are captured (they own raw
-            // indices) but never routed: shard drivers run with the
+            // indices) but never logged: shard drivers run with the
             // filter off.
-            if (Routing && !Driver.lastAdmittedFiltered())
-              Route({Driver.rawOps() - 1, Op.Kind, Op.Target, Ch->Id});
+            if (Out && !Driver.lastAdmittedFiltered())
+              Append(*Ch, {Driver.rawOps() - 1, Op.Kind, Op.Target, Ch->Id});
             if (Faults && Faults->inStorm(FirstPos + I))
               std::this_thread::sleep_for(
                   std::chrono::microseconds(Faults->DelayPerDeliveryUs));
@@ -846,11 +765,10 @@ void Engine::mergeLoop() {
             SegWriter->append(Delivered.data(), Delivered.size());
         }
         // Publish the position per batch, only after the whole batch is
-        // admitted, captured and routed (staged events count as routed
-        // once flushed into their rings): the watchdog reads it for stall
-        // detection.
-        for (unsigned SI = 0; SI != Stage.size(); ++SI)
-          FlushShard(SI);
+        // admitted, captured and published to the log: the watchdog reads
+        // it for stall detection, and finish() for the drain.
+        if (Out)
+          Out->publish();
         M.Pos += N;
         MergedEvents.store(M.Pos, std::memory_order_release);
         if (N != BatchCap)
@@ -876,18 +794,14 @@ void Engine::mergeLoop() {
 }
 
 void Engine::shardLoop(Shard &S) {
-  // One shard sequencer: drains the shard's routed stream into its
-  // DispatchOnly driver. Accesses dispatch in whole runs (batched,
-  // devirtualized where registered); each sync event first waits at the
-  // spine barrier until every sibling has finished the preceding sync
-  // ordinal. The barrier is *pacing*, not precision: each variable's
-  // state lives in exactly one shard and every clone sees the full sync
-  // spine in order, so warnings would be identical without it — but it
-  // bounds cross-shard skew to one sync era (limiting how far one shard's
-  // shadow state can run ahead) and gives the supervisor an unambiguous
-  // signal (a worker frozen *outside* the barrier is stalled; one waiting
-  // inside it is a sibling's victim).
+  // One shard worker: dispatches each readable run of the whole log in
+  // place — every sync event, and the accesses this shard owns. Each
+  // variable's state lives in one shard and every clone sees the full sync
+  // stream in order, so the workers need no barrier; the log's bound keeps
+  // a fast worker at most one log ahead of the slowest.
   OnlineDriver &D = *S.Driver;
+  // Bounds how long the worker goes between halt checks.
+  const size_t BatchCap = std::max<size_t>(1, Options.SequencerBatch);
   // Mirrors the primary driver's own probe (OnlineDriver.cpp): it reads
   // ShadowPublished only for a tracker, or for a budget the clones do not
   // hold in-table; without governed clones nobody reads the governor
@@ -896,100 +810,48 @@ void Engine::shardLoop(Shard &S) {
       (Options.Degrade.Memory.BudgetBytes != 0 && !ShardMemoryGoverned) ||
       Options.Degrade.Tracker != nullptr;
   const bool GovernorProbeNeeded = ShardMemoryGoverned;
-  // The batch is consumed in place (peekRun): [Pos, Len) of Batch is
-  // peeked and not yet released.
-  const OnlineEvent *Batch = nullptr;
-  size_t Len = 0, Pos = 0;
-  uint64_t SyncSeen = 0; ///< Sync ordinals this worker has dispatched.
-  uint64_t Refills = 0;  ///< Throttles the shadow-size publish.
+  uint64_t Refills = 0; ///< Throttles the shadow-size publish.
   for (;;) {
-    if (Pos == Len) {
-      // Refill. Tool::shadowBytes() walks the clone's whole shadow (it is
-      // O(vars) for every shipped detector), so publish it only when the
-      // router actually probes budgets, and then only every 16th refill —
-      // roughly the primary driver's own BudgetCheckEveryOps cadence.
-      if ((ShadowProbeNeeded || GovernorProbeNeeded) &&
-          (Refills++ & 15u) == 0) {
-        if (ShadowProbeNeeded)
-          S.ShadowPublished.store(S.Clone->shadowBytes(),
-                                  std::memory_order_relaxed);
-        if (GovernorProbeNeeded) {
-          const ShadowGovernorStats GS = S.Clone->shadowGovernorStats();
-          S.TripsPublished.store(GS.BudgetTrips, std::memory_order_relaxed);
-          S.DeniedPublished.store(GS.AllocDenied, std::memory_order_relaxed);
-        }
-      }
-      // Zero-copy refill: dispatch straight out of the ring (peekRun) and
-      // release slots only as they are consumed. Skipping the copy keeps
-      // a second 16-bytes-per-event load+store — and a batch buffer the
-      // size of L1 — off the worker's hot path.
-      Pos = 0;
-      Len = std::min(S.Ring.peekRun(Batch), S.BatchCap);
-      if (Len == 0) {
-        if (RouterDone.load(std::memory_order_acquire) && S.Ring.empty())
-          break;
-        // Idle: yield, like the merge loop. Never sleep: a sleeping worker
-        // lets its ring fill, and the router, then the producers, park
-        // behind it in a convoy; yield() already cedes the core to
-        // runnable threads on an oversubscribed host.
-        std::this_thread::yield();
-        continue;
+    // Tool::shadowBytes() walks the clone's whole shadow (it is O(vars)
+    // for every shipped detector), so publish it only when the merge loop
+    // actually probes budgets, and then only every 16th refill — roughly
+    // the primary driver's own BudgetCheckEveryOps cadence.
+    if ((ShadowProbeNeeded || GovernorProbeNeeded) && (Refills++ & 15u) == 0) {
+      if (ShadowProbeNeeded)
+        S.ShadowPublished.store(S.Clone->shadowBytes(),
+                                std::memory_order_relaxed);
+      if (GovernorProbeNeeded) {
+        const ShadowGovernorStats GS = S.Clone->shadowGovernorStats();
+        S.TripsPublished.store(GS.BudgetTrips, std::memory_order_relaxed);
+        S.DeniedPublished.store(GS.AllocDenied, std::memory_order_relaxed);
       }
     }
-    if (Halted.load(std::memory_order_acquire)) {
-      // Routed before the halt landed; discarded but counted.
-      dropRouted(Batch + Pos, Len - Pos);
-      S.Drained.fetch_add(Len - Pos, std::memory_order_release);
-      S.Ring.release(Len - Pos);
-      Pos = Len;
-      continue;
-    }
-    const OnlineEvent &E = Batch[Pos];
-    if (E.Kind == OpKind::Read || E.Kind == OpKind::Write) {
-      // Access run: everything up to the next sync event.
-      size_t End = Pos + 1;
-      while (End != Len && (Batch[End].Kind == OpKind::Read ||
-                            Batch[End].Kind == OpKind::Write))
-        ++End;
-      const size_t Run = End - Pos;
-      if (!D.dispatchRun(&Batch[Pos], Run))
-        Halted.store(true, std::memory_order_release);
-      Pos = End;
-      S.Drained.fetch_add(Run, std::memory_order_release);
-      S.Ring.release(Run);
-      continue;
-    }
-    // Sync event: the cross-shard spine barrier. Ordinal K is implied by
-    // position — every shard receives the same sync subsequence in the
-    // same order.
-    const uint64_t K = SyncSeen + 1;
-    S.AtBarrier.store(true, std::memory_order_release);
-    bool Bail = false;
-    for (;;) {
-      bool AllDone = true;
-      for (const std::unique_ptr<Shard> &Other : ShardSet)
-        if (Other->SyncDone.load(std::memory_order_acquire) + 1 < K) {
-          AllDone = false;
-          break;
-        }
-      if (AllDone)
+    // Read before the peek: once the merge loop is joined, an empty peek
+    // means this worker has read everything.
+    const bool Closed = LogClosed.load(std::memory_order_acquire);
+    const OnlineEvent *Run = nullptr;
+    const size_t Len = std::min(Log->peekRun(S.Index, Run), BatchCap);
+    if (Len == 0) {
+      if (Closed)
         break;
-      if (Halted.load(std::memory_order_acquire)) {
-        Bail = true;
-        break;
-      }
+      // Idle: yield, like the merge loop. Never sleep: a sleeping worker
+      // lets the log fill, and the merge loop, then the producers, park
+      // behind it in a convoy; yield() already cedes the core to runnable
+      // threads on an oversubscribed host.
       std::this_thread::yield();
+      continue;
     }
-    S.AtBarrier.store(false, std::memory_order_release);
-    if (Bail)
-      continue; // the loop top turns the halt into discard-and-count
-    if (!D.dispatchRun(&Batch[Pos], 1))
-      Halted.store(true, std::memory_order_release);
-    ++Pos;
-    SyncSeen = K;
-    S.SyncDone.store(K, std::memory_order_release);
-    S.Drained.fetch_add(1, std::memory_order_release);
-    S.Ring.release(1);
+    size_t Done = 0;
+    if (!Halted.load(std::memory_order_acquire)) {
+      Done = D.dispatchRun(Run, Len, Owners, S.Index);
+      if (D.halted())
+        Halted.store(true, std::memory_order_release);
+    }
+    // Read before the halt landed (or from the throwing event on):
+    // discarded, and counted once across the workers.
+    if (Done != Len)
+      dropDiscarded(S.Index, Run + Done, Len - Done);
+    Log->release(S.Index, Len);
   }
   std::lock_guard<std::mutex> Guard(ClocksMu);
   SequencerClocks += clockStats();
@@ -1006,8 +868,8 @@ void Engine::supervisorLoop() {
   const SupervisorOptions &S = Options.Supervise;
   const std::string Deadline =
       " past the " + std::to_string(S.StallDeadlineMs) + " ms deadline";
-  // One watch per watermark: the merge position, then each shard's drain
-  // count. Deadlines counts the deadlines passed since the mark last
+  // One watch per watermark: the merge position, then each shard worker's
+  // log cursor. Deadlines counts the deadlines passed since the mark last
   // moved; Since is when the current one started.
   struct Watch {
     uint64_t Mark = 0;
@@ -1055,29 +917,23 @@ void Engine::supervisorLoop() {
     const uint64_t Pending = pushedEvents() - Mark;
     noteMaxBacklog(Pending);
     // The merge loop: events outstanding, frozen merge position. Tickets
-    // alone cannot tell: a sync-free stream has none outstanding. A router
-    // parked on a full shard ring freezes the position too, but that
-    // stall is the shard's and is watched on the shard's drain count.
-    bool Stalled =
-        Check(Watches[0], Mark,
-              Pending != 0 &&
-                  !RouterBlockedOnShard.load(std::memory_order_acquire),
-              Now, [Mark] {
-                return "sequencer stalled at merge position " +
-                       std::to_string(Mark);
-              });
-    // Shards: routed events pending, drain count frozen, and not parked at
-    // the spine barrier (a barrier wait is a sibling's stall).
-    for (size_t I = 0; I != ShardSet.size(); ++I) {
-      Shard &Sh = *ShardSet[I];
-      const uint64_t Drained = Sh.Drained.load(std::memory_order_acquire);
-      const bool Waiting =
-          Sh.Routed.load(std::memory_order_acquire) > Drained &&
-          !Sh.AtBarrier.load(std::memory_order_acquire);
-      Stalled |= Check(Watches[1 + I], Drained, Waiting, Now, [I, Drained] {
-        return "shard " + std::to_string(I) + " stalled at drain watermark " +
-               std::to_string(Drained);
-      });
+    // alone cannot tell: a sync-free stream has none outstanding. A full
+    // log freezes the position too, but that stall is the slowest
+    // worker's and is watched on its cursor.
+    const bool Waiting = Pending != 0 && !(Log && Log->full());
+    bool Stalled = Check(Watches[0], Mark, Waiting, Now, [Mark] {
+      return "sequencer stalled at merge position " + std::to_string(Mark);
+    });
+    // Workers: a frozen cursor behind the log's tail (read after the
+    // cursor, so it never reads behind it).
+    for (unsigned I = 0; I != ShardSet.size(); ++I) {
+      const uint64_t Cursor = Log->cursor(I);
+      Stalled |= Check(Watches[1 + I], Cursor, Log->tail() > Cursor, Now,
+                       [I, Cursor] {
+                         return "shard " + std::to_string(I) +
+                                " stalled at drain watermark " +
+                                std::to_string(Cursor);
+                       });
     }
     // Every loop is draining again: leave drop-and-count mode.
     if (!Stalled && DropAccesses.load(std::memory_order_relaxed))
@@ -1097,13 +953,12 @@ OnlineReport Engine::finish() {
   // while a handler may still touch it.
   while (MergedEvents.load(std::memory_order_acquire) < pushedEvents())
     std::this_thread::yield();
-  // Sharded: the router has routed everything (the position is published
-  // only after a batch is fully routed); now wait for every worker to
-  // drain its routed stream too. A halted worker still advances its drain
-  // watermark by discard-and-count.
-  for (const std::unique_ptr<Shard> &S : ShardSet)
-    while (S->Drained.load(std::memory_order_acquire) <
-           S->Routed.load(std::memory_order_acquire))
+  // Sharded: the merge loop has published everything to the log (the
+  // position is published only after the log is); now wait for every
+  // worker to read it all. A halted worker still advances its cursor by
+  // discard-and-count.
+  if (Log)
+    while (Log->slowest() < Log->tail())
       std::this_thread::yield();
   Running.store(false, std::memory_order_release);
   SupervisorRun.store(false, std::memory_order_release);
@@ -1112,9 +967,9 @@ OnlineReport Engine::finish() {
   if (SequencerThread.joinable())
     SequencerThread.join();
   if (NumShards > 1) {
-    // Only after the router is joined is RouterDone true in the sense the
-    // workers rely on: no more pushes, ever.
-    RouterDone.store(true, std::memory_order_release);
+    // Only after the merge loop is joined is LogClosed true in the sense
+    // the workers rely on: no more appends, ever.
+    LogClosed.store(true, std::memory_order_release);
     for (const std::unique_ptr<Shard> &S : ShardSet)
       if (S->Worker.joinable())
         S->Worker.join();

@@ -63,15 +63,14 @@
 ///    lines its producers are still writing (docs/RUNTIME.md, Merge;
 ///    EXPERIMENTS.md E17).
 ///  - **Shards** (OnlineOptions::Shards > 1). The delivery step becomes
-///    routing (the sequencer is then called the router) to N shard
-///    workers, each draining the accesses of the variables it owns into a
-///    shard-local tool clone; admitted sync events are broadcast to every
-///    shard as the cross-shard spine, paced by a ticket-watermark barrier
-///    (a shard may not dispatch sync ordinal k until every shard has
-///    finished ordinal k-1). Warnings and captures stay identical to
-///    Shards=1. The full protocol, including why the barrier is pacing
-///    rather than a precision requirement, is worked through in
-///    docs/RUNTIME.md.
+///    one append to a bounded broadcast log (BroadcastLog.h). N shard
+///    workers each read the whole log through their own cursor and
+///    dispatch, into a shard-local tool clone, every sync event plus the
+///    accesses to the variables they own. FastTrack's state is per
+///    variable and its happens-before comes from sync events alone, so
+///    warnings and captures stay identical to Shards=1. The log's bound
+///    paces the workers: a fast one runs at most one log ahead of the
+///    slowest. The full protocol is worked through in docs/RUNTIME.md.
 ///  - **The flight recorder.** The merged stream is optionally captured
 ///    as a Trace and written as a .trc file on finish() — or, with
 ///    CaptureSegmentBytes set, streamed as sealed, fsynced segments
@@ -90,8 +89,8 @@
 ///    only: the one answer to time is the counted drop at emit below.
 ///  - **The supervisor** (a watchdog thread): when a loop makes no
 ///    progress past the deadline while work is outstanding — the merge
-///    position against the events pushed, or a shard's drain count
-///    against the events routed to it — it unparks blocked producers into
+///    position against the events pushed, or a shard worker's log cursor
+///    against the log's tail — it unparks blocked producers into
 ///    drop-and-count mode, where a parked access is dropped and counted.
 ///    When a second consecutive deadline passes with the same watermark
 ///    still frozen, it halts detection: parked sync events then return
@@ -136,7 +135,7 @@
 
 #include "clock/ClockStats.h"
 #include "framework/OnlineDriver.h"
-#include "runtime/EventRing.h"
+#include "runtime/BroadcastLog.h"
 #include "runtime/Interner.h"
 #include "support/Status.h"
 #include "support/Stopwatch.h"
@@ -206,8 +205,8 @@ struct OnlineOptions {
   /// **Watermark invariant** (pinned by OnlineShardingTest): the merge
   /// position — the merged-event count the supervisor watches — is
   /// published once per *batch*, after every event of the batch has been
-  /// admitted, captured and delivered (with Shards > 1: pushed into its
-  /// shard rings), so it strictly increases and never counts an event
+  /// admitted, captured and delivered (with Shards > 1: appended to the
+  /// broadcast log and published), so it strictly increases and never counts an event
   /// still in flight. The capture is the same whatever SequencerBatch is.
   size_t SequencerBatch = 256;
 
@@ -215,29 +214,24 @@ struct OnlineOptions {
   /// 0 or 1 runs none: the sequencer's merge loop delivers each admitted
   /// event to the tool inline. With N > 1 the same loop (merge,
   /// admission: degradation ladder, capacity checks, lock filtering,
-  /// raw-index assignment; capture) delivers by routing instead: each
-  /// admitted access goes to the shard owning its variable —
-  /// shardOf(x) = (x / ShardBlockVars) % N — and every admitted sync
-  /// event to all shards (the cross-shard spine). Each shard drains its
-  /// own ring into a shard-local clone of the tool
-  /// (ShardableTool::cloneForShard), so warnings and captures are
-  /// byte-identical to Shards=1 (asserted by the determinism suite). A
-  /// tool that does not implement ShardableTool runs at 1 with a Note
-  /// diagnostic. Clamped to MaxShards (64).
+  /// raw-index assignment; capture) delivers by appending each admitted
+  /// event once to a broadcast log of N × max(RingCapacity,
+  /// 4 × SequencerBatch) slots. Every worker reads the whole log and
+  /// dispatches, into a shard-local clone of the tool
+  /// (ShardableTool::cloneForShard), every sync event plus the accesses
+  /// it owns: shardOf(x) = (x / ShardBlockVars) % N. Warnings and
+  /// captures are byte-identical to Shards=1 (asserted by the
+  /// determinism suite). A tool that does not implement ShardableTool
+  /// runs at 1 with a Note diagnostic. Clamped to MaxShards (64).
   unsigned Shards = 1;
 
-  /// Variables per routing block. Block-cyclic routing keeps neighboring
-  /// variable ids (fields of one object, elements of one array) in one
-  /// shard's shadow arrays — the cache/TLB locality the shard split
-  /// exists to create; pure modulo would interleave every shard through
-  /// every cache line. Must not change mid-session. 0 is treated as 1.
+  /// Variables per ownership block. The block-cyclic map keeps
+  /// neighboring variable ids (fields of one object, elements of one
+  /// array) in one shard's shadow arrays — the cache/TLB locality the
+  /// shard split exists to create; pure modulo would interleave every
+  /// shard through every cache line. Must not change mid-session. 0 is
+  /// treated as 1.
   uint32_t ShardBlockVars = 64;
-
-  /// Capacity of each sequencer→shard ring (rounded up to a power of
-  /// two). 0 derives max(RingCapacity, 4 × SequencerBatch) so a full
-  /// admission batch can always be routed without the sequencer parking
-  /// on its own batch size.
-  size_t ShardRingCapacity = 0;
 
   /// Reuse the slot (dense id + channel + VC column) of a fully joined
   /// thread for the next fork, once the sequencer has drained the dead
@@ -341,8 +335,9 @@ struct OnlineReport {
                                  ///< access. Kept for readers built
                                  ///< against the older report.
   uint64_t DroppedPostHalt = 0;  ///< Events dropped after a halt (total:
-                                 ///< at emit, or in a ring or a shard
-                                 ///< ring when the halt landed).
+                                 ///< at emit, or in a ring or the
+                                 ///< broadcast log when the halt landed;
+                                 ///< each event counted once).
   uint64_t DroppedOverload = 0;  ///< Accesses shed at emit (park deadline
                                  ///< or drop-and-count mode).
   uint64_t ParkEpisodes = 0;     ///< Total backpressure park episodes.
@@ -527,9 +522,9 @@ private:
     std::atomic<uint64_t> Parks{0};
   };
 
-  /// One shard worker's whole world: its merge-loop→worker ring, its tool
-  /// clone and DispatchOnly driver, and its watermarks. An idle worker
-  /// yields, like the merge loop. Defined in Engine.cpp.
+  /// One shard worker's whole world: its index (its log cursor), its tool
+  /// clone and DispatchOnly driver, and its published shadow telemetry.
+  /// An idle worker yields, like the merge loop. Defined in Engine.cpp.
   struct Shard;
 
   Channel *channelForCurrentThread();
@@ -560,13 +555,14 @@ private:
   /// Pops the next mergeable batch of \p Ch (at most \p Cap events).
   size_t pullBatch(MergeCursor &M, Channel &Ch, OnlineEvent *Out, size_t Cap);
   void endMerge(const MergeCursor &M);
-  /// Books \p N routed events dropped after a halt on their threads' rows.
-  void dropRouted(const OnlineEvent *Events, size_t N);
+  /// Books the \p N log events worker \p Shard discarded after a halt on
+  /// their threads' rows, each event once across the workers: an access
+  /// by its owner, a sync event by worker 0.
+  void dropDiscarded(unsigned Shard, const OnlineEvent *Events, size_t N);
   /// Events ever pushed into any ring (Σ ring tails).
   uint64_t pushedEvents();
   void mergeLoop();
   void shardLoop(Shard &S);
-  unsigned shardIndexFor(uint32_t Target) const;
   uint64_t shardShadowBytes() const;
   ShadowGovernorStats shardGovernorStats() const;
   void supervisorLoop();
@@ -582,12 +578,8 @@ private:
   /// 1 means no shard workers (the tool is dispatched inline), whether
   /// requested or the non-ShardableTool fallback.
   unsigned NumShards;
-  /// Strength-reduced shardIndexFor: when ShardBlockVars and NumShards
-  /// are both powers of two (the defaults and every shipped config), the
-  /// block-cyclic map is a shift and a mask instead of two hardware
-  /// divisions on the merge loop's per-access routing path. ~0u = not applicable.
-  unsigned ShardDivShift = ~0u;
-  uint32_t ShardIdxMask = 0;
+  /// Which shard owns each variable (ShardBlockVars over NumShards).
+  ShardMap Owners;
   /// Shard clones accepted configureShadowPolicy (set during shard
   /// construction, read by the workers' publish gate and finish()).
   bool ShardMemoryGoverned = false;
@@ -651,21 +643,13 @@ private:
 
   // --- sharded mode (NumShards > 1) ---
   std::vector<std::unique_ptr<Shard>> ShardSet;
-  std::atomic<bool> RouterDone{false}; ///< The router is joined and every
-                                       ///< routed event sits in a shard
-                                       ///< ring; set by finish() so idle
-                                       ///< workers may exit.
-  std::atomic<bool> RouterBlockedOnShard{false}; ///< The router is parked
-                                       ///< pushing into a full shard
-                                       ///< ring: its frozen merge
-                                       ///< position is the *shard's*
-                                       ///< stall, which the supervisor
-                                       ///< watches on the shard's own
-                                       ///< drain count.
+  std::unique_ptr<BroadcastLog> Log; ///< Merge loop → every worker.
+  std::atomic<bool> LogClosed{false}; ///< No more appends (the merge loop
+                                      ///< is joined): idle workers exit.
   std::mutex SinkMu;   ///< Serializes OnWarning across shard workers.
   std::mutex ClocksMu; ///< Guards SequencerClocks and merge-counter
-                       ///< folds: shard workers and the router can exit
-                       ///< concurrently.
+                       ///< folds: shard workers and the merge loop can
+                       ///< exit concurrently.
 
   std::thread SequencerThread;
   std::thread SupervisorThread;

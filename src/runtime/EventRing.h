@@ -44,20 +44,13 @@ namespace ft::runtime {
 /// Seq of an access that carries no ticket (see OnlineEvent).
 constexpr uint64_t NoTicket = ~0ull;
 
-/// One instrumentation event in flight. The meaning of the fields depends
-/// on which leg of the pipeline the event is traveling:
-///
-///  - In a *per-thread* ring (application thread → sequencer) the
-///    producing thread is implied by the ring and Thread is unused. Seq
-///    is the global sync ticket for a sync event — and for the first
-///    event after the thread binds to its slot — and NoTicket for every
-///    other access: the merge orders sync events by ticket and lets
-///    accesses flow between them in per-thread order.
-///  - In a *per-shard* ring (sequencer → shard worker, Shards > 1) the
-///    sequencer has already merged and admitted the event: Thread is the
-///    dense id of the emitting thread and Seq is the *raw op index* the
-///    admission stage assigned — the OpIndex the shard's tool sees, so
-///    warnings carry the same indices an unsharded run would.
+/// One instrumentation event in flight. In a per-thread ring
+/// (application thread → merge loop) the producing thread is implied by
+/// the ring and Thread is unused. Seq is the global sync ticket for a sync
+/// event — and for the first event after the thread binds to its slot —
+/// and NoTicket for every other access: the merge orders sync events by
+/// ticket and lets accesses flow between them in per-thread order.
+/// (BroadcastLog.h gives the fields their meaning after admission.)
 struct OnlineEvent {
   uint64_t Seq = 0;
   OpKind Kind = OpKind::Read;
@@ -105,26 +98,6 @@ public:
            "push on a full ring");
     Buffer[T & Mask] = E;
     Tail.store(T + 1, std::memory_order_release);
-  }
-
-  /// Batch append for the sequencer's routing step: copies in as many of
-  /// the \p N events as the ring has space for and publishes them with a
-  /// single Tail store, so a whole routed run costs one release operation
-  /// instead of one per event. Returns the number of events consumed from \p In (0 when the
-  /// ring is full — the caller parks and retries with the remainder).
-  size_t pushRun(const OnlineEvent *In, size_t N) {
-    uint64_t T = Tail.load(std::memory_order_relaxed);
-    if (T - HeadCache == Buffer.size()) {
-      HeadCache = Head.load(std::memory_order_acquire);
-      if (T - HeadCache == Buffer.size())
-        return 0;
-    }
-    size_t Space = Buffer.size() - static_cast<size_t>(T - HeadCache);
-    size_t K = N < Space ? N : Space;
-    for (size_t I = 0; I != K; ++I)
-      Buffer[(T + I) & Mask] = In[I];
-    Tail.store(T + K, std::memory_order_release);
-    return K;
   }
 
   // --- consumer side ---
@@ -192,38 +165,6 @@ public:
   bool headTicketedOrEmpty() {
     const OnlineEvent *E = peek();
     return E == nullptr || E->Seq != NoTicket;
-  }
-
-  /// Zero-copy batch consume for a routed ring: exposes the longest
-  /// contiguous readable run (bounded by the buffer's wrap point) without
-  /// copying it out. The slots stay owned by the consumer — and \p Ptr
-  /// stays valid — until release()d, so a consumer can dispatch straight
-  /// out of the ring and release incrementally as prefixes complete
-  /// (nothing is lost if it is abandoned mid-run: the unreleased suffix
-  /// is still in the ring for its successor). Returns the run length, 0
-  /// when empty.
-  size_t peekRun(const OnlineEvent *&Ptr) {
-    uint64_t H = Head.load(std::memory_order_relaxed);
-    if (H == TailCache) {
-      TailCache = Tail.load(std::memory_order_acquire);
-      if (H == TailCache)
-        return 0;
-    }
-    const size_t Idx = static_cast<size_t>(H & Mask);
-    const size_t Avail = static_cast<size_t>(TailCache - H);
-    const size_t UntilWrap = Buffer.size() - Idx;
-    Ptr = &Buffer[Idx];
-    return Avail < UntilWrap ? Avail : UntilWrap;
-  }
-
-  /// Releases the first \p N unreleased slots of a peekRun() run back to
-  /// the producer (one Head store). Call only after the consumer is done
-  /// reading them.
-  void release(size_t N) {
-    uint64_t H = Head.load(std::memory_order_relaxed);
-    assert(Tail.load(std::memory_order_acquire) - H >= N &&
-           "releasing more slots than are readable");
-    Head.store(H + N, std::memory_order_release);
   }
 
   bool empty() const {

@@ -293,7 +293,7 @@ TEST(Replay, SubclassOfRegisteredToolFallsBackToVirtualDispatch) {
   for (size_t I = 0; I != T.size(); ++I)
     Events.push_back(
         {static_cast<uint64_t>(I), T[I].Kind, T[I].Target, T[I].Thread});
-  ASSERT_TRUE(Driver.dispatchRun(Events.data(), Events.size()));
+  ASSERT_EQ(Driver.dispatchRun(Events.data(), Events.size()), Events.size());
   Driver.finish();
   EXPECT_EQ(Online.Reads, Counting.Reads) << "override was bypassed online";
   EXPECT_EQ(Online.Writes, Counting.Writes) << "override was bypassed online";

@@ -261,23 +261,76 @@ TEST(OnlineResilience, BlockedHandlerHaltsDetectionAndFreesSyncParks) {
 }
 
 TEST(OnlineResilience, BlockedShardCloneHaltsDetectionAndSiblingWorkersExit) {
-  // The same wedge inside one shard's clone at Shards=4. The router parks
-  // on that shard's full ring and the siblings wait at the spine barrier,
-  // so only the shard's own drain count is watched; its second deadline
-  // halts detection. The siblings leave the barrier on the halt and
-  // discard what they hold, and finish() joins every worker.
+  // The same wedge inside one shard's clone at Shards=4. The blocked
+  // worker's cursor holds the 64-slot log full, so the merge loop parks on
+  // it and the siblings idle at its tail: only the blocked worker's cursor
+  // is watched, and its second deadline halts detection. The siblings
+  // discard what the halt leaves them, and finish() joins every worker.
   HandlerGate Gate;
   FastTrack Inner;
   BlockingTool Blocker(Inner, Gate, 20, /*InShard=*/1);
   rt::OnlineOptions Options = haltOptions();
   Options.Shards = 4;
   Options.ShardBlockVars = 1;
-  Options.ShardRingCapacity = 16;
+  Options.SequencerBatch = 4; // a log of 4 x max(RingCapacity, 4 x 4) slots
   rt::OnlineReport Report = runPastABlockedHandler(Blocker, Gate, Options);
   EXPECT_EQ(Report.Shards, 4u);
   expectHaltedAndCounted(Report, "shard 1 stalled at drain watermark");
   EXPECT_FALSE(anyDiagContains(Report.Diags, "sequencer stalled"))
-      << "a router parked on the shard's ring is not the stall";
+      << "a merge loop parked on a full log is not the stall";
+}
+
+TEST(OnlineResilience, PostHaltDropsAreCountedOnceAcrossShards) {
+  // Every worker holds a copy of each sync event in the log, but a
+  // discarded event is one lost event: after a halt each worker books the
+  // accesses it owns, worker 0 the sync events, and the merge loop what
+  // it never appended. Main emits a write and 30 lock round trips while
+  // shard 1 blocks in its first handler call; the 16-slot log and main's
+  // 4-slot ring fill, main parks on a lock event, and the second deadline
+  // halts detection.
+  constexpr int Pairs = 30;
+  constexpr uint64_t Emitted = 1 + 2 * Pairs;
+  HandlerGate Gate;
+  FastTrack Inner;
+  BlockingTool Blocker(Inner, Gate, 0, /*InShard=*/1);
+  rt::OnlineOptions Options = haltOptions();
+  Options.Shards = 4;
+  Options.ShardBlockVars = 1;
+  Options.SequencerBatch = 1; // a log of 4 x max(RingCapacity, 4) slots
+  std::atomic<bool> Done{false};
+  std::thread Backstop([&] {
+    for (int Ms = 0; Ms < 10000 && !Done.load(); Ms += 10)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    Gate.release();
+  });
+  rt::OnlineReport Report;
+  {
+    rt::Mutex M;
+    rt::Shared<int> X;
+    rt::Engine Engine(Blocker, Options);
+    FT_WRITE(X, 1);
+    for (int I = 0; I != Pairs; ++I) {
+      M.lock();
+      M.unlock();
+    }
+    EXPECT_TRUE(Engine.halted()) << "main finished without a halt";
+    Done.store(true);
+    Backstop.join(); // releases the handler
+    Report = Engine.finish();
+  }
+  EXPECT_TRUE(Report.Halted);
+  EXPECT_TRUE(anyDiagContains(Report.Diags, "shard 1 stalled"));
+  EXPECT_GT(Report.DroppedPostHalt, 0u);
+  EXPECT_LE(Report.DroppedPostHalt, Emitted);
+  uint64_t Rows = 0;
+  for (const rt::ThreadDropStats &S : Report.PerThreadDrops)
+    Rows += S.PostHalt;
+  EXPECT_EQ(Rows, Report.DroppedPostHalt);
+  EXPECT_LE(Report.EventsCaptured + Report.DroppedPostHalt +
+                Report.DroppedOverload,
+            Emitted + 1) // the one event the merge loop captured but
+                         // could not append
+      << "an event was counted twice";
 }
 
 TEST(OnlineResilience, SlowHandlerMissesOneDeadlineWithoutHalting) {
@@ -309,7 +362,7 @@ TEST(OnlineResilience, SlowHandlerMissesOneDeadlineWithoutHalting) {
   EXPECT_EQ(Report.relation(), rt::OracleRelation::Identical);
 }
 
-TEST(OnlineResilience, StallOnASyncFreeStreamIsDetectedAndRestartedOnce) {
+TEST(OnlineResilience, StallOnASyncFreeStreamWarnsOnceWithoutHalting) {
   // Two workers write private variables with no synchronization: past
   // their first events no ticket is outstanding, so a stall sensor that
   // watched tickets would never fire. The sensor watches merged events
