@@ -5,6 +5,7 @@
 #include "support/Stopwatch.h"
 #include "trace/ReentrancyFilter.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -257,48 +258,42 @@ CheckpointedReplayResult ft::replayCheckpointed(const Trace &T, Tool &Checker,
     }
   }
 
-  // The dispatch below must mirror replay()'s loop exactly — any
-  // divergence breaks the bit-identical-resume contract the fault
-  // injection tests enforce.
-  bool FilterLocks = Replay.FilterReentrantLocks;
-  uint64_t OpsThisRun = 0;
-  size_t Stopped = T.size();
+  // Segments end where the loop must stop to act: a checkpoint write at
+  // each multiple of EveryOps, a tracker sample before each multiple of
+  // BudgetCheckEveryOps (as replay() takes them), and the injected crash.
+  const size_t E = T.size();
+  const uint64_t WriteEvery = CanCheckpoint ? Ck.EveryOps : 0;
+  MemoryTracker *const Tracker = Replay.BudgetTracker;
+  const uint64_t ProbeEvery = std::max(1u, Replay.BudgetCheckEveryOps);
+  const uint64_t OpsLeft = E - Cur.NextOp;
+  const size_t CrashAt =
+      Ck.InjectCrashAfterOps != 0 && Ck.InjectCrashAfterOps <= OpsLeft
+          ? static_cast<size_t>(Cur.NextOp + Ck.InjectCrashAfterOps)
+          : E + 1;
   bool Crashed = false;
 
-  for (size_t I = Cur.NextOp, E = T.size(); I != E; ++I) {
-    const Operation &Op = T[I];
-    switch (Op.Kind) {
-    case OpKind::Read:
-    case OpKind::Write: {
-      ++Cur.Events;
-      bool Passed = Op.Kind == OpKind::Read
-                        ? Checker.onRead(Op.Thread, Map.map(Op.Target), I)
-                        : Checker.onWrite(Op.Thread, Map.map(Op.Target), I);
-      Cur.AccessesPassed += Passed;
-      break;
-    }
-    case OpKind::Acquire:
-      if (FilterLocks && !Reentrancy.onAcquire(Op.Thread, Op.Target))
-        break;
-      ++Cur.Events;
-      dispatchSyncOp(Checker, T, Op, I);
-      break;
-    case OpKind::Release:
-      if (FilterLocks && !Reentrancy.onRelease(Op.Thread, Op.Target))
-        break;
-      ++Cur.Events;
-      dispatchSyncOp(Checker, T, Op, I);
-      break;
-    default:
-      ++Cur.Events;
-      dispatchSyncOp(Checker, T, Op, I);
-      break;
-    }
-    ++OpsThisRun;
-    Cur.NextOp = I + 1;
+  for (size_t I = Cur.NextOp; I != E && !Crashed;) {
+    if (Tracker && I != 0 && I % ProbeEvery == 0)
+      Tracker->sampleLive(Checker.shadowBytes());
+    size_t To = std::min(E, CrashAt);
+    if (Tracker)
+      To = detail::segmentEnd(I, ProbeEvery, To);
+    if (WriteEvery != 0)
+      To = detail::segmentEnd(I, WriteEvery, To);
+    detail::replayLoop(
+        T, Replay, Map, Reentrancy, I, To,
+        [&Checker](OpKind Kind, ThreadId Thread, VarId X, size_t At) {
+          return Kind == OpKind::Read ? Checker.onRead(Thread, X, At)
+                                      : Checker.onWrite(Thread, X, At);
+        },
+        [&](const Operation &Op, size_t At) {
+          dispatchSyncOp(Checker, T, Op, At);
+        },
+        Cur.Events, Cur.AccessesPassed);
+    I = To;
+    Cur.NextOp = I;
 
-    if (CanCheckpoint && Ck.EveryOps != 0 && Cur.NextOp % Ck.EveryOps == 0 &&
-        Cur.NextOp != E) {
+    if (WriteEvery != 0 && I % WriteEvery == 0 && I != E) {
       std::string Error;
       if (writeCheckpoint(Ck.Path, Fingerprint, Checker, *Shadow, Reentrancy,
                           Cur, Error))
@@ -309,11 +304,7 @@ CheckpointedReplayResult ft::replayCheckpointed(const Trace &T, Tool &Checker,
                              "checkpoint write failed: " + Error +
                                  "; replay continues"});
     }
-    if (Ck.InjectCrashAfterOps != 0 && OpsThisRun >= Ck.InjectCrashAfterOps) {
-      Crashed = true;
-      Stopped = I + 1;
-      break;
-    }
+    Crashed = I == CrashAt;
   }
 
   if (Crashed) {
@@ -321,7 +312,8 @@ CheckpointedReplayResult ft::replayCheckpointed(const Trace &T, Tool &Checker,
     // checkpoint was last renamed into place is what a resume will see.
     Out.St = Status::error(StatusCode::Cancelled,
                            "injected crash after " +
-                               std::to_string(OpsThisRun) + " operations");
+                               std::to_string(Ck.InjectCrashAfterOps) +
+                               " operations");
   } else {
     Checker.end();
     if (CanCheckpoint && !Ck.KeepOnSuccess)
@@ -334,6 +326,6 @@ CheckpointedReplayResult ft::replayCheckpointed(const Trace &T, Tool &Checker,
   Out.Result.Clocks = clockStats() - Before;
   Out.Result.ShadowBytes = Checker.shadowBytes();
   Out.Result.NumWarnings = Checker.warnings().size();
-  Out.Result.StoppedAtOp = Stopped;
+  Out.Result.StoppedAtOp = static_cast<size_t>(Cur.NextOp);
   return Out;
 }

@@ -12,7 +12,11 @@
 /// tool's shadow memory (σ = (C, L, R, W) for the vector-clock tools),
 /// its accumulated warnings, the re-entrant-lock filter depths, and the
 /// replay cursor — so a subsequent run resumes mid-trace and finishes
-/// bit-identically to an uninterrupted one.
+/// bit-identically to an uninterrupted one. Dispatch is replay()'s own
+/// loop (detail::replayLoop), run in segments that end where a
+/// checkpoint is written, where the injected crash strikes, and where
+/// replay() samples a BudgetTracker; the cursor and the lock filter carry
+/// across segments.
 ///
 /// Checkpoint image (little-endian, produced via support/ByteStream.h):
 ///
@@ -93,10 +97,11 @@ struct CheckpointedReplayResult {
 };
 
 /// Replays \p T through \p Checker with periodic checkpoints per \p Ck,
-/// resuming from an existing valid image first. Event dispatch exactly
-/// matches replay() — same re-entrancy filtering, same granularity
-/// remapping — so a resumed run's warnings, rule counters, and shadow
-/// state are bit-identical to an uninterrupted run's.
+/// resuming from an existing valid image first. Events dispatch through
+/// replay()'s loop — same re-entrancy filtering, same granularity
+/// remapping, same BudgetTracker samples — so a resumed run's warnings,
+/// rule counters, and shadow state are bit-identical to an
+/// uninterrupted run's. The tool's handlers are called virtually.
 CheckpointedReplayResult
 replayCheckpointed(const Trace &T, Tool &Checker,
                    const ReplayOptions &Replay = ReplayOptions(),

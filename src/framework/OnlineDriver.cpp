@@ -306,7 +306,7 @@ OnlineDriver::DispatchOutcome OnlineDriver::offer(Operation &Op) {
     else if (Op.Kind == OpKind::Write)
       AccessesPassed += Checker.onWrite(Op.Thread, Op.Target, I);
     else
-      dispatchSync(Op.Kind, Op.Thread, Op.Target, I);
+      dispatchSync(Checker, Op.Kind, Op.Thread, Op.Target, I);
     drainWarnings();
   } catch (...) {
     --Dispatched;
@@ -314,40 +314,6 @@ OnlineDriver::DispatchOutcome OnlineDriver::offer(Operation &Op) {
     return DispatchOutcome::Rejected;
   }
   return DispatchOutcome::Delivered;
-}
-
-void OnlineDriver::dispatchSync(OpKind Kind, ThreadId T, uint32_t Target,
-                                size_t Idx) {
-  switch (Kind) {
-  case OpKind::Acquire:
-    Checker.onAcquire(T, Target, Idx);
-    break;
-  case OpKind::Release:
-    Checker.onRelease(T, Target, Idx);
-    break;
-  case OpKind::Fork:
-    Checker.onFork(T, Target, Idx);
-    break;
-  case OpKind::Join:
-    Checker.onJoin(T, Target, Idx);
-    break;
-  case OpKind::VolatileRead:
-    Checker.onVolatileRead(T, Target, Idx);
-    break;
-  case OpKind::VolatileWrite:
-    Checker.onVolatileWrite(T, Target, Idx);
-    break;
-  case OpKind::AtomicBegin:
-    Checker.onAtomicBegin(T, Idx);
-    break;
-  case OpKind::AtomicEnd:
-    Checker.onAtomicEnd(T, Idx);
-    break;
-  case OpKind::Read:
-  case OpKind::Write:
-  case OpKind::Barrier:
-    break; // unreachable: accesses dispatch elsewhere; barriers are rejected
-  }
 }
 
 size_t OnlineDriver::runAccesses(const runtime::OnlineEvent *Run, size_t N,
@@ -427,7 +393,8 @@ size_t OnlineDriver::dispatchRun(const runtime::OnlineEvent *Run, size_t N,
       continue;
     }
     try {
-      dispatchSync(E.Kind, E.Thread, E.Target, static_cast<size_t>(E.Seq));
+      dispatchSync(Checker, E.Kind, E.Thread, E.Target,
+                   static_cast<size_t>(E.Seq));
     } catch (...) {
       toolFault(E.Seq, "dispatch");
       return I;

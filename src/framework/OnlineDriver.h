@@ -263,7 +263,6 @@ private:
   /// Halts with a ToolFault for the exception in flight, anchored at raw
   /// index \p At. Call only from a catch block.
   void toolFault(uint64_t At, const char *During);
-  void dispatchSync(OpKind Kind, ThreadId T, uint32_t Target, size_t Idx);
   /// The access-run helper both roles share: dispatches \p Run through
   /// FastRun (see AccessRun for \p Thread, \p Owners and \p Shard) and
   /// returns the events handled. On a throw it halts, anchored at the

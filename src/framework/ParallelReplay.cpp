@@ -15,60 +15,34 @@ namespace {
 /// whole engine is clean under -fsanitize=thread).
 struct WorkerReport {
   double Seconds = 0;
-  uint64_t SyncDispatched = 0; ///< Identical in every shard.
-  uint64_t AccessesSeen = 0;
-  uint64_t AccessesPassed = 0;
-  ClockStats Clocks; ///< The worker thread's counter delta.
+  uint64_t Events = 0; ///< Every sync event and every access: all shards.
+  uint64_t AccessesPassed = 0; ///< Owned accesses only.
+  ClockStats Clocks;           ///< The worker thread's counter delta.
 };
 
-/// Workers scan the whole (immutable, shared) trace and filter their own
-/// accesses with this pure membership test, so the filtering is parallel
-/// work. Granularity-mapped ids keep whole objects in one shard.
-inline bool ownsAccess(VarId Mapped, unsigned Shard, unsigned NumShards) {
-  return Mapped % NumShards == Shard;
-}
-
-void runWorker(const Trace &T, const GranularityMap &Map,
-               const ToolContext &Context, Tool &Clone, unsigned Shard,
-               unsigned NumShards, bool FilterReentrantLocks,
+/// One worker runs the serial engine's loop over the whole (immutable,
+/// shared) trace, so every clone sees the identical filtered sync
+/// schedule; its access closure declines the accesses another shard
+/// owns. Granularity-mapped ids keep whole objects in one shard.
+void runWorker(const Trace &T, const ReplayOptions &Options,
+               const GranularityMap &Map, const ToolContext &Context,
+               Tool &Clone, ShardMap Owners, unsigned Shard,
                WorkerReport &Report) {
   ClockStats Before = clockStats();
   Stopwatch Watch;
   Clone.begin(Context);
-
-  // Every worker replays the full sync schedule through its own clone,
-  // each running the same re-entrancy filter the serial engine runs, so
-  // all clones see the identical dispatched lock events.
   ReentrancyFilter Reentrancy(T.numThreads(), T.numLocks());
-  for (uint32_t I = 0, E = static_cast<uint32_t>(T.size()); I != E; ++I) {
-    const Operation &Op = T[I];
-    switch (Op.Kind) {
-    case OpKind::Read:
-    case OpKind::Write: {
-      VarId X = Map.map(Op.Target);
-      if (!ownsAccess(X, Shard, NumShards))
-        continue;
-      ++Report.AccessesSeen;
-      Report.AccessesPassed += Op.Kind == OpKind::Read
-                                   ? Clone.onRead(Op.Thread, X, I)
-                                   : Clone.onWrite(Op.Thread, X, I);
-      continue;
-    }
-    case OpKind::Acquire:
-      if (FilterReentrantLocks && !Reentrancy.onAcquire(Op.Thread, Op.Target))
-        continue;
-      break;
-    case OpKind::Release:
-      if (FilterReentrantLocks && !Reentrancy.onRelease(Op.Thread, Op.Target))
-        continue;
-      break;
-    default:
-      break;
-    }
-    ++Report.SyncDispatched;
-    dispatchSyncOp(Clone, T, Op, I);
-  }
-
+  detail::replayLoop(
+      T, Options, Map, Reentrancy, 0, T.size(),
+      [&Clone, Owners, Shard](OpKind Kind, ThreadId Thread, VarId X,
+                              size_t I) {
+        if (Owners.indexOf(X) != Shard)
+          return false;
+        return Kind == OpKind::Read ? Clone.onRead(Thread, X, I)
+                                    : Clone.onWrite(Thread, X, I);
+      },
+      [&](const Operation &Op, size_t I) { dispatchSyncOp(Clone, T, Op, I); },
+      Report.Events, Report.AccessesPassed);
   Clone.end();
   Report.Seconds = Watch.seconds();
   Report.Clocks = clockStats() - Before;
@@ -102,7 +76,8 @@ ParallelReplayResult ft::parallelReplay(const Trace &T, Tool &Primary,
     Clones.push_back(Shardable->cloneForShard());
 
   // --- 1. Sharded replay: every worker scans the whole trace. ---------
-  bool Filter = Options.Replay.FilterReentrantLocks;
+  // Block 1 makes the map the plain modulo: shard K owns X % Shards == K.
+  const ShardMap Owners(1, Shards);
   std::vector<WorkerReport> Reports(Shards);
   std::vector<std::thread> Workers;
   Workers.reserve(Shards);
@@ -111,19 +86,17 @@ ParallelReplayResult ft::parallelReplay(const Trace &T, Tool &Primary,
     Tool &Clone = *Clones[K];
     WorkerReport &Report = Reports[K];
     Workers.emplace_back([&, K] {
-      runWorker(T, Map, Context, Clone, K, Shards, Filter, Report);
+      runWorker(T, Options.Replay, Map, Context, Clone, Owners, K, Report);
     });
   }
   for (std::thread &Worker : Workers)
     Worker.join();
 
   // --- 2. Deterministic merge. -----------------------------------------
-  uint64_t Accesses = 0;
   std::vector<RaceWarning> Merged;
   for (unsigned K = 0; K != Shards; ++K) {
     const std::vector<RaceWarning> &Ws = Clones[K]->warnings();
     Merged.insert(Merged.end(), Ws.begin(), Ws.end());
-    Accesses += Reports[K].AccessesSeen;
     Result.Total.AccessesPassed += Reports[K].AccessesPassed;
     Result.Total.ShadowBytes += Clones[K]->shadowBytes();
     Result.ShardSeconds.push_back(Reports[K].Seconds);
@@ -142,8 +115,8 @@ ParallelReplayResult ft::parallelReplay(const Trace &T, Tool &Primary,
 
   Result.Sharded = true;
   Result.Shards = Shards;
-  // Every shard dispatches the same sync events, so count them once.
-  Result.Total.Events = Reports[0].SyncDispatched + Accesses;
+  // Every worker counts every event, so worker 0's count is the total.
+  Result.Total.Events = Reports[0].Events;
   Result.Total.NumWarnings = Primary.warnings().size();
   Result.Total.Clocks = clockStats() - Before;
   Result.Total.Seconds = TotalWatch.seconds();

@@ -12,12 +12,14 @@
 /// partitioned *by variable* and replayed on many cores.
 ///
 /// Pipeline:
-///   1. N workers, each owning a cloneForShard() of the tool, scan the
-///      shared immutable trace. Each dispatches every sync event through
-///      its own clone (after the same re-entrant lock filtering the
-///      serial engine applies) and the accesses it owns — the pure test
-///      mapped-var % N == shard — in trace order. As in the online
-///      engine, every shard sees every sync event.
+///   1. N workers, each owning a cloneForShard() of the tool, run the
+///      serial engine's loop (detail::replayLoop) over the shared
+///      immutable trace. Each dispatches every sync event through its
+///      own clone, after the same re-entrant lock filtering, and the
+///      accesses it owns — ShardMap(1, N), the pure test
+///      mapped-var % N == shard — in trace order; its access closure
+///      declines the rest. As in the online engine, every shard sees
+///      every sync event.
 ///   2. Deterministic merge: warnings are sorted back into trace order
 ///      (op indices are unique, and the one-warning-per-variable dedup
 ///      is shard-local by construction), rule counters fold via
@@ -42,7 +44,9 @@ namespace ft {
 
 /// Options controlling one sharded replay.
 struct ParallelReplayOptions {
-  /// Granularity / lock-filtering options, as for replay().
+  /// Granularity / lock-filtering options, as for replay(). The workers
+  /// never sample Replay.BudgetTracker: a MemoryTracker is not
+  /// thread-safe. (The serial fallback does, as replay() does.)
   ReplayOptions Replay;
 
   /// Worker count. 0 picks std::thread::hardware_concurrency(); 1 (or a

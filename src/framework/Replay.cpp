@@ -22,38 +22,10 @@ ToolContext ft::makeToolContext(const Trace &T, const GranularityMap &Map) {
 
 void ft::dispatchSyncOp(Tool &Checker, const Trace &T, const Operation &Op,
                         size_t I) {
-  switch (Op.Kind) {
-  case OpKind::Acquire:
-    Checker.onAcquire(Op.Thread, Op.Target, I);
-    break;
-  case OpKind::Release:
-    Checker.onRelease(Op.Thread, Op.Target, I);
-    break;
-  case OpKind::Fork:
-    Checker.onFork(Op.Thread, Op.Target, I);
-    break;
-  case OpKind::Join:
-    Checker.onJoin(Op.Thread, Op.Target, I);
-    break;
-  case OpKind::VolatileRead:
-    Checker.onVolatileRead(Op.Thread, Op.Target, I);
-    break;
-  case OpKind::VolatileWrite:
-    Checker.onVolatileWrite(Op.Thread, Op.Target, I);
-    break;
-  case OpKind::Barrier:
+  if (Op.Kind == OpKind::Barrier)
     Checker.onBarrier(T.barrierSet(Op.Target), I);
-    break;
-  case OpKind::AtomicBegin:
-    Checker.onAtomicBegin(Op.Thread, I);
-    break;
-  case OpKind::AtomicEnd:
-    Checker.onAtomicEnd(Op.Thread, I);
-    break;
-  case OpKind::Read:
-  case OpKind::Write:
-    break; // handled by the access path
-  }
+  else
+    dispatchSync(Checker, Op.Kind, Op.Thread, Op.Target, I);
 }
 
 ReplayResult ft::replay(const Trace &T, Tool &Checker,
@@ -74,7 +46,7 @@ PipelineResult ft::replayFiltered(const Trace &T, Tool &Filter,
   Stopwatch Watch;
   Filter.begin(Context);
   Downstream.begin(Context);
-  detail::replayLoop(
+  detail::replayAll(
       T, Options, Map,
       [&](OpKind Kind, ThreadId Thread, VarId X, size_t I) {
         ++Result.AccessesSeen;

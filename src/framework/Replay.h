@@ -30,7 +30,6 @@
 #include "trace/Trace.h"
 
 #include <algorithm>
-#include <limits>
 #include <type_traits>
 #include <typeinfo>
 
@@ -62,9 +61,10 @@ struct ReplayOptions {
   unsigned BudgetCheckEveryOps = 4096;
 
   /// Optional tracker that receives a shadowBytes() probe via
-  /// sampleLive() every BudgetCheckEveryOps operations, so callers
-  /// observe live/peak shadow bytes across the replay. The replay never
-  /// stops on it: a shadow budget is the tool's own
+  /// sampleLive() before every BudgetCheckEveryOps-th operation, so
+  /// callers observe live/peak shadow bytes across the replay; replay(),
+  /// replayFiltered() and replayCheckpointed() sample it alike. The
+  /// replay never stops on it: a shadow budget is the tool's own
   /// ShadowMemoryPolicy::BudgetBytes (Tool::configureShadowPolicy).
   MemoryTracker *BudgetTracker = nullptr;
 };
@@ -105,8 +105,46 @@ private:
 /// already reflect the granularity remapping).
 ToolContext makeToolContext(const Trace &T, const GranularityMap &Map);
 
-/// Dispatches one non-access operation to \p Checker. Shared by the
-/// serial loop, the pipeline loop, and the sharded engine's workers.
+/// Dispatches one synchronization event other than a barrier to
+/// \p Checker: the one sync switch, shared by every replay loop and the
+/// online driver (inline, so offer() and dispatchRun keep it in line).
+/// Accesses and barriers are ignored: they dispatch elsewhere.
+inline void dispatchSync(Tool &Checker, OpKind Kind, ThreadId Thread,
+                         uint32_t Target, size_t I) {
+  switch (Kind) {
+  case OpKind::Acquire:
+    Checker.onAcquire(Thread, Target, I);
+    break;
+  case OpKind::Release:
+    Checker.onRelease(Thread, Target, I);
+    break;
+  case OpKind::Fork:
+    Checker.onFork(Thread, Target, I);
+    break;
+  case OpKind::Join:
+    Checker.onJoin(Thread, Target, I);
+    break;
+  case OpKind::VolatileRead:
+    Checker.onVolatileRead(Thread, Target, I);
+    break;
+  case OpKind::VolatileWrite:
+    Checker.onVolatileWrite(Thread, Target, I);
+    break;
+  case OpKind::AtomicBegin:
+    Checker.onAtomicBegin(Thread, I);
+    break;
+  case OpKind::AtomicEnd:
+    Checker.onAtomicEnd(Thread, I);
+    break;
+  case OpKind::Read:
+  case OpKind::Write:
+  case OpKind::Barrier:
+    break;
+  }
+}
+
+/// Dispatches one non-access operation of \p T to \p Checker: a barrier
+/// with its thread set, anything else through dispatchSync().
 void dispatchSyncOp(Tool &Checker, const Trace &T, const Operation &Op,
                     size_t I);
 
@@ -127,45 +165,41 @@ struct ReplayResult {
 
 namespace detail {
 
-/// The shared replay loop. \p Access receives the access events and
-/// returns whether the access "passed"; sync events are dispatched via
-/// \p Sync. \p Probe reports the tool-side shadow bytes for
-/// Options.BudgetTracker. Fills in \p Result's Events, AccessesPassed and
-/// StoppedAtOp (T.size()).
+/// The one loop that walks a trace into a tool: the serial, filtered,
+/// checkpointed and sharded replays all run it. It dispatches operations
+/// [\p From, \p To) of \p T: \p Access receives the access events, with
+/// the variable id remapped for the granularity, and returns whether the
+/// access "passed"; sync events are dispatched via \p Sync after the
+/// re-entrant lock filter, which the caller owns so that a replay may run
+/// in segments. The events dispatched and the accesses passed are added
+/// to \p Events and \p AccessesPassed.
 ///
 /// Reads and writes dominate every workload in the suite (the paper's
 /// benchmarks run ~96% accesses), so the loop is arranged with the access
 /// dispatch as the predicted-taken straight-line path: one branch on
-/// isAccess(), then the sync switch only for the rare remainder. The
-/// tracker probe is a single equality test against a precomputed next-fire
-/// index rather than a modulo per event. Everything the access path reads
-/// per event — the trace's operations, the identity-map flag, the two
-/// counters and the access closure (taken by value) — is a local: the
-/// handlers' out-of-line slow paths write memory the compiler cannot prove
-/// disjoint from the caller's objects, which would otherwise be reloaded
-/// after every call.
-template <typename AccessFn, typename SyncFn, typename ProbeFn>
-void replayLoop(const Trace &T, const ReplayOptions &Options,
-                const GranularityMap &Map, AccessFn Access, SyncFn &&Sync,
-                ProbeFn &&Probe, ReplayResult &Result) {
-  ReentrancyFilter Reentrancy(T.numThreads(), T.numLocks());
+/// isAccess(), then the sync switch only for the rare remainder.
+/// Everything the access path reads per event — the trace's operations,
+/// the identity-map flag, the two counters and the access closure (taken
+/// by value) — is a local: the handlers' out-of-line slow paths write
+/// memory the compiler cannot prove disjoint from the caller's objects,
+/// which would otherwise be reloaded after every call. The loop stays
+/// out of line, one symbol per instantiation, so that
+/// scripts/check_fast_path_inlining.py finds and checks it by name.
+template <typename AccessFn, typename SyncFn>
+[[gnu::noinline]] void
+replayLoop(const Trace &T, const ReplayOptions &Options,
+           const GranularityMap &Map, ReentrancyFilter &Reentrancy,
+           size_t From, size_t To, AccessFn Access, SyncFn &&Sync,
+           uint64_t &Events, uint64_t &AccessesPassed) {
   const bool FilterLocks = Options.FilterReentrantLocks;
-  MemoryTracker *const Tracker = Options.BudgetTracker;
-  const size_t CheckEvery = std::max(1u, Options.BudgetCheckEveryOps);
-  size_t NextProbe =
-      Tracker ? CheckEvery : std::numeric_limits<size_t>::max();
   const Operation *Ops = T.operations().data();
   const bool Identity = Map.identity();
-  uint64_t Events = 0, Passed = 0;
+  uint64_t Dispatched = 0, Passed = 0;
 
-  for (size_t I = 0, E = T.size(); I != E; ++I) {
-    if (I == NextProbe) {
-      NextProbe += CheckEvery;
-      Tracker->sampleLive(Probe());
-    }
+  for (size_t I = From; I != To; ++I) {
     const Operation &Op = Ops[I];
     if (isAccess(Op.Kind)) {
-      ++Events;
+      ++Dispatched;
       Passed += Access(Op.Kind, Op.Thread,
                        Identity ? Op.Target : Map.map(Op.Target), I);
       continue;
@@ -178,12 +212,42 @@ void replayLoop(const Trace &T, const ReplayOptions &Options,
           !Reentrancy.onRelease(Op.Thread, Op.Target))
         continue;
     }
-    ++Events;
+    ++Dispatched;
     Sync(Op, I);
   }
-  Result.Events = Events;
-  Result.AccessesPassed = Passed;
-  Result.StoppedAtOp = T.size();
+  Events += Dispatched;
+  AccessesPassed += Passed;
+}
+
+/// The end of the segment that starts at \p I: the next multiple of
+/// \p Every, or \p E when that comes first.
+inline size_t segmentEnd(size_t I, uint64_t Every, size_t E) {
+  const uint64_t Left = Every - I % Every;
+  return Left >= E - I ? E : I + static_cast<size_t>(Left);
+}
+
+/// Runs replayLoop over all of \p T and fills in \p Result's Events,
+/// AccessesPassed and StoppedAtOp. Without Options.BudgetTracker that is
+/// one segment. With it, the replay runs in segments of
+/// Options.BudgetCheckEveryOps and samples \p Probe (the tool-side
+/// shadow bytes) between them: before op k·N, never at T.size().
+template <typename AccessFn, typename SyncFn, typename ProbeFn>
+void replayAll(const Trace &T, const ReplayOptions &Options,
+               const GranularityMap &Map, AccessFn Access, SyncFn &&Sync,
+               ProbeFn &&Probe, ReplayResult &Result) {
+  ReentrancyFilter Reentrancy(T.numThreads(), T.numLocks());
+  MemoryTracker *const Tracker = Options.BudgetTracker;
+  const uint64_t Every = std::max(1u, Options.BudgetCheckEveryOps);
+  const size_t E = T.size();
+  for (size_t I = 0; I != E;) {
+    if (I != 0)
+      Tracker->sampleLive(Probe());
+    const size_t To = Tracker ? segmentEnd(I, Every, E) : E;
+    replayLoop(T, Options, Map, Reentrancy, I, To, Access, Sync,
+               Result.Events, Result.AccessesPassed);
+    I = To;
+  }
+  Result.StoppedAtOp = E;
 }
 
 /// Dispatches onRead non-virtually when the concrete tool type is known
@@ -226,7 +290,7 @@ ReplayResult replayWithTool(const Trace &T, ToolT &Checker,
 
   Stopwatch Watch;
   Checker.begin(makeToolContext(T, Map));
-  detail::replayLoop(
+  detail::replayAll(
       T, Options, Map,
       [&Checker](OpKind Kind, ThreadId Thread, VarId X, size_t I) {
         return Kind == OpKind::Read

@@ -671,7 +671,6 @@ void Engine::mergeLoop() {
       std::this_thread::yield();
     }
   };
-  const FaultPlan *Faults = Options.Faults;
   for (;;) {
     // Read before the sweep: the main thread's last accesses are
     // unticketed, so only a clean sweep begun after finish() cleared
@@ -687,7 +686,6 @@ void Engine::mergeLoop() {
       // per visit keeps one busy producer from starving the others.
       size_t Taken = 0;
       while (Taken < Ch->Ring.capacity()) {
-        const uint64_t FirstPos = M.Pos;
         size_t N = pullBatch(M, *Ch, Batch.data(), BatchCap);
         if (N == 0) {
           M.EmptyPolls += Taken == 0;
@@ -712,9 +710,9 @@ void Engine::mergeLoop() {
           // offer()'s per-event checks; with shards the admitted events go
           // straight from the merge batch into the log. What the run path
           // declines — a degraded rung, a pending budget probe, a capacity
-          // breach, a throwing tool — and everything under armed faults
-          // goes per event below, which owns the exact semantics.
-          if (!Faults && I >= PerEventTo && isAccess(Batch[I].Kind)) {
+          // breach, a throwing tool — goes per event below, which owns
+          // the exact semantics.
+          if (I >= PerEventTo && isAccess(Batch[I].Kind)) {
             size_t End = I + 1;
             while (End != N && isAccess(Batch[End].Kind))
               ++End;
@@ -744,9 +742,6 @@ void Engine::mergeLoop() {
             // filter off.
             if (Out && !Driver.lastAdmittedFiltered())
               Append(*Ch, {Driver.rawOps() - 1, Op.Kind, Op.Target, Ch->Id});
-            if (Faults && Faults->inStorm(FirstPos + I))
-              std::this_thread::sleep_for(
-                  std::chrono::microseconds(Faults->DelayPerDeliveryUs));
           } else if (Outcome == OnlineDriver::DispatchOutcome::Rejected) {
             // Unrecoverable driver halt. Release pairs with the acquire
             // in emit(): the driver's diagnostics are fully written

@@ -100,9 +100,9 @@
 ///    The halt stops detection, never the application;
 ///    OnlineReport::relation() names what any of this cost the session's
 ///    precision.
-///  - **Fault injection** (FaultPlan.h): the ring-full storm and the
+///  - **Fault injection** (FaultPlan.h): the budget-breach and
 ///    shadow-allocation faults are drivable deterministically, keyed on
-///    merge positions and raw op indices.
+///    raw op indices and allocation ordinals.
 ///
 /// Threads created through ft::runtime::Thread get fork/join edges; any
 /// other thread that touches instrumented state is auto-registered on

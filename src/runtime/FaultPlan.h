@@ -10,16 +10,9 @@
 /// The resilience machinery of Engine.h — the emit drop, the coarsening
 /// ladder, tool quarantine, crash-safe capture — only earns trust if
 /// every transition is exercised by a reproducible test rather than by
-/// luck. A FaultPlan describes *where* in the merged stream misbehavior
-/// strikes, keyed on merge positions — the count of events the merge has
-/// consumed, which for a given workload schedule is deterministic and,
-/// unlike sync tickets, advances on every event, accesses included — and
-/// on raw op indices:
+/// luck. A FaultPlan describes *where* misbehavior strikes, keyed on raw
+/// op indices and allocation ordinals:
 ///
-///  - **Ring-full storms.** Every delivered event in a window of merge
-///    positions is slowed by a fixed delay, backing events up into the
-///    producers' rings until they park — the overload the emit drop
-///    absorbs.
 ///  - **Allocation failures.** A budget probe is forced to report a
 ///    shadow-memory breach at a chosen raw op (forwarded to
 ///    OnlineDriverOptions::ForceBudgetBreachAtRawOp), or the governed
@@ -27,8 +20,10 @@
 ///  - **Tool exceptions.** ThrowAfterTool wraps any Tool and throws from
 ///    a chosen access handler call — the quarantine scenario.
 ///
-/// A stall is injected as the real failure instead: a tool handler that
-/// blocks until the test releases it (tests/BlockingTool.h).
+/// A stall and a ring-full storm are injected as the real failures
+/// instead: a tool handler that blocks until the test releases it, or
+/// that sleeps in each of a window of calls (tests/BlockingTool.h). An
+/// armed plan leaves the merge loop's batched admission in place.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,13 +42,6 @@ namespace ft::runtime {
 /// plan injects nothing.
 struct FaultPlan {
   static constexpr uint64_t None = ~0ull;
-
-  /// Ring-full storm: each event *delivered* from a merge position in
-  /// [DelayFromEvent, DelayToEvent) costs this many microseconds in the
-  /// sequencer, simulating a slow consumer.
-  uint64_t DelayFromEvent = None;
-  uint64_t DelayToEvent = None;
-  unsigned DelayPerDeliveryUs = 0;
 
   /// Forwarded to OnlineDriverOptions::ForceBudgetBreachAtRawOp: the
   /// first budget probe at or after this raw op reports a breach.
@@ -74,13 +62,6 @@ struct FaultPlan {
   FaultPlan() = default;
   FaultPlan(const FaultPlan &) = delete;
   FaultPlan &operator=(const FaultPlan &) = delete;
-
-  /// True when a delivery from merge position \p Position falls inside
-  /// the storm window.
-  bool inStorm(uint64_t Position) const {
-    return DelayPerDeliveryUs != 0 && Position >= DelayFromEvent &&
-           Position < DelayToEvent;
-  }
 };
 
 /// Tool decorator that forwards every event to \p Inner and throws from

@@ -44,13 +44,14 @@ struct ShadowMemoryPolicy {
   /// but never shed (no watermarks).
   uint64_t BudgetBytes = 0;
 
-  /// Watermarks as fractions of BudgetBytes. Crossing High arms pressure
-  /// shedding (cold pages summarized, oldest first); shedding disarms only
-  /// once the footprint falls back under Low — the hysteresis band that
-  /// keeps a footprint oscillating near the budget from thrashing
+  /// Watermarks as fixed fractions of BudgetBytes. Crossing High (the
+  /// budget itself) arms pressure shedding (cold pages summarized, oldest
+  /// first); shedding disarms only once the footprint falls back under Low
+  /// (three quarters of the budget) — the hysteresis band that keeps a
+  /// footprint oscillating near the budget from thrashing
   /// summarize/fault-in cycles.
-  double HighWaterFrac = 1.0;
-  double LowWaterFrac = 0.75;
+  static constexpr double HighWaterFrac = 1.0;
+  static constexpr double LowWaterFrac = 0.75;
 
   /// Maintenance cadence in *accesses dispatched to the tool* (not wall
   /// clock, so governance is replay-deterministic). Each tick advances the

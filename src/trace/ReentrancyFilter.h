@@ -7,8 +7,9 @@
 /// \file
 /// Tracks per-(thread, lock) nesting depth to strip redundant re-entrant
 /// acquire/release pairs, as RoadRunner does before events reach tools
-/// (Section 4, "ROADRUNNER"). Shared by the serial replay loop and every
-/// parallel-replay worker so both engines dispatch exactly the same lock
+/// (Section 4, "ROADRUNNER"). The one replay loop (framework/Replay.h)
+/// filters through an instance its caller owns, and the online driver
+/// through its own, so every engine dispatches exactly the same lock
 /// events.
 ///
 //===----------------------------------------------------------------------===//

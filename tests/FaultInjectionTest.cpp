@@ -501,3 +501,101 @@ TEST(Checkpoint, TidReuseTraceResumesBitIdentical) {
   EXPECT_EQ(shadowImage(Reference), shadowImage(Survivor));
   EXPECT_FALSE(fileExists(Path));
 }
+
+TEST(Checkpoint, TrackerSampledLikeReplay) {
+  // The checkpointed replay runs replay()'s loop and samples the tracker
+  // at the same ops, also when its checkpoint writes fall between them.
+  Trace T = makeRacyTrace(29);
+  ReplayOptions Options;
+  Options.BudgetCheckEveryOps = 16;
+
+  FastTrack Plain;
+  MemoryTracker PlainTracker;
+  Options.BudgetTracker = &PlainTracker;
+  replay(T, Plain, Options);
+  EXPECT_GT(PlainTracker.peakBytes(), 0u);
+
+  for (uint64_t EveryOps : {uint64_t(0), uint64_t(37)}) {
+    const std::string Path = "fault_tracker.ckpt";
+    std::remove(Path.c_str());
+    CheckpointOptions Ck;
+    Ck.Path = EveryOps ? Path : "";
+    Ck.EveryOps = EveryOps;
+    // Unsorted, so writing an image leaves the side store's footprint as
+    // it was and the samples see the same bytes.
+    FastTrackOptions Unsorted;
+    Unsorted.SortSideStoreOnSnapshot = false;
+    FastTrack Checkpointed(Unsorted);
+    MemoryTracker Tracker;
+    Options.BudgetTracker = &Tracker;
+    CheckpointedReplayResult Result =
+        replayCheckpointed(T, Checkpointed, Options, Ck);
+    EXPECT_TRUE(Result.St.ok());
+    EXPECT_EQ(Tracker.peakBytes(), PlainTracker.peakBytes()) << EveryOps;
+    // The last sample is the same one: before the last multiple of 16.
+    EXPECT_EQ(Tracker.liveBytes(), PlainTracker.liveBytes()) << EveryOps;
+  }
+}
+
+TEST(Checkpoint, ResumeAtEveryCutMatchesReplay) {
+  // Kill after every possible op count, then resume: the result must be
+  // replay()'s whatever segment boundary the kill and the checkpoints
+  // fall on — inside a nested re-entrant lock, between the fields of one
+  // coarse object, or on the last op.
+  TraceBuilder B;
+  B.fork(0, 1).fork(0, 2);
+  for (VarId X = 0; X != 4; ++X) {
+    B.acq(1, 0).acq(1, 0).wr(1, X).acq(1, 1).rd(1, X + 1).rel(1, 1);
+    B.rel(1, 0).wr(1, X + 4).rel(1, 0);
+    B.acq(2, 1).acq(2, 1).rd(2, X + 4).rel(2, 1).wr(2, X).rel(2, 1);
+  }
+  B.join(0, 1).join(0, 2).wr(0, 3);
+  Trace T = B.take();
+
+  ReplayOptions Options;
+  Options.Gran = Granularity::Coarse;
+  Options.DefaultFieldsPerObject = 2;
+  FastTrack Reference;
+  ReplayResult Uninterrupted = replay(T, Reference, Options);
+  ASSERT_FALSE(Reference.warnings().empty());
+  ASSERT_LT(Uninterrupted.Events, T.size()); // the filter stripped some
+
+  const std::string Path = "fault_every_cut.ckpt";
+  const size_t E = T.size();
+  for (uint64_t EveryOps : {uint64_t(1), uint64_t(7)}) {
+    for (size_t K = 1; K <= E; ++K) {
+      std::remove(Path.c_str());
+      CheckpointOptions Ck;
+      Ck.Path = Path;
+      Ck.EveryOps = EveryOps;
+      CheckpointOptions Crash = Ck;
+      Crash.InjectCrashAfterOps = K;
+      FastTrack Victim;
+      CheckpointedReplayResult Killed =
+          replayCheckpointed(T, Victim, Options, Crash);
+      ASSERT_EQ(Killed.St.code(), StatusCode::Cancelled) << K;
+      EXPECT_EQ(Killed.Result.StoppedAtOp, K);
+
+      // Images are cut at every multiple of EveryOps short of the end.
+      uint64_t LastCut = K / EveryOps * EveryOps;
+      if (LastCut == E)
+        LastCut -= EveryOps;
+      EXPECT_EQ(Killed.CheckpointsWritten, LastCut / EveryOps) << K;
+
+      FastTrack Survivor;
+      CheckpointedReplayResult Resumed =
+          replayCheckpointed(T, Survivor, Options, Ck);
+      ASSERT_TRUE(Resumed.St.ok()) << K;
+      EXPECT_EQ(Resumed.Resumed, LastCut != 0) << K;
+      EXPECT_EQ(Resumed.ResumedAtOp, LastCut) << K;
+      EXPECT_EQ(Resumed.Result.StoppedAtOp, E);
+      EXPECT_EQ(Resumed.Result.Events, Uninterrupted.Events) << K;
+      EXPECT_EQ(Resumed.Result.AccessesPassed, Uninterrupted.AccessesPassed)
+          << K;
+      expectSameWarnings(Reference.warnings(), Survivor.warnings(),
+                         "every cut");
+      EXPECT_EQ(shadowImage(Reference), shadowImage(Survivor)) << K;
+    }
+  }
+  std::remove(Path.c_str());
+}

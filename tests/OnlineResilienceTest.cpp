@@ -1,7 +1,8 @@
 //===--- OnlineResilienceTest.cpp - overload, stalls, quarantine ----------===//
 //
 // The tentpole contracts of the overload-resilient runtime, each driven
-// by a FaultPlan or by a tool handler the test blocks (BlockingTool.h):
+// by a FaultPlan or by a tool handler the test blocks or slows
+// (BlockingTool.h):
 //
 //  - a ring-full storm drops and counts parked accesses at emit instead
 //    of halting or stepping the ladder, application threads stay bounded
@@ -160,18 +161,13 @@ void expectHaltedAndCounted(const rt::OnlineReport &Report,
 //===----------------------------------------------------------------------===//
 
 TEST(OnlineResilience, RingStormDropsAtEmitWithoutHalting) {
-  // Every delivery costs 2 ms in the sequencer — a consumer far too slow
-  // for four producers hammering 16-slot rings. The one response to time
-  // is the counted drop at emit: parked accesses past MaxParkMs are shed
-  // there, and the ladder, which answers space only, stays at Full.
-  rt::FaultPlan Faults;
-  Faults.DelayFromEvent = 0;
-  Faults.DelayToEvent = rt::FaultPlan::None; // the whole session
-  Faults.DelayPerDeliveryUs = 2000;
-
+  // Every handler call costs 2 ms in the sequencer, the whole session
+  // long — a consumer far too slow for four producers hammering 16-slot
+  // rings. The one response to time is the counted drop at emit: parked
+  // accesses past MaxParkMs are shed there, and the ladder, which answers
+  // space only, stays at Full.
   rt::OnlineOptions Options;
   Options.RingCapacity = 16;
-  Options.Faults = &Faults;
   Options.Supervise.TickMs = 5;
   Options.Supervise.MaxParkMs = 5;
   // A 2 ms/event consumer is slow, not stalled: the watermark keeps
@@ -183,11 +179,13 @@ TEST(OnlineResilience, RingStormDropsAtEmitWithoutHalting) {
   constexpr int PerThread = 400;
 
   FastTrack Detector;
+  BlockingTool Slow(Detector, 0, BlockingTool::Never,
+                    std::chrono::microseconds(2000));
   std::vector<rt::Shared<int>> Vars(NumThreads);
   rt::Shared<int> Racy;
   std::array<uint64_t, NumThreads> MaxWriteNs{};
 
-  rt::Engine Engine(Detector, Options);
+  rt::Engine Engine(Slow, Options);
   {
     std::vector<rt::Thread> Threads;
     for (unsigned T = 0; T != NumThreads; ++T)

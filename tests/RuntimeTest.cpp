@@ -16,7 +16,6 @@
 #include "framework/ParallelReplay.h"
 #include "framework/Replay.h"
 #include "hb/RaceOracle.h"
-#include "runtime/FaultPlan.h"
 #include "runtime/Instrument.h"
 #include "support/MemoryTracker.h"
 #include "support/Rng.h"
@@ -652,19 +651,16 @@ TEST(OnlineEngine, TinyRingsBackpressureWithoutDeadlockOrLoss) {
 }
 
 TEST(OnlineEngine, BackpressureParkUnparkIsCountedNotLost) {
-  // Tiny rings plus an injected slow-consumer storm guarantee producers
-  // park; generous supervisor deadlines guarantee nothing is shed. The
-  // report must carry the MaxQueueDepth-style pressure stats while the
-  // delivered stream stays complete. (The TSan CI job runs this: parking
-  // and unparking across producer/sequencer threads is the racy part.)
+  // Tiny rings plus a slow handler (a storm over the first 50 merged
+  // events, 1 ms each) guarantee producers park; generous supervisor
+  // deadlines guarantee nothing is shed. The report must carry the
+  // MaxQueueDepth-style pressure stats while the delivered stream stays
+  // complete. (The TSan CI job runs this: parking and unparking across
+  // producer/sequencer threads is the racy part.)
   FastTrack Detector;
-  rt::FaultPlan Faults;
-  Faults.DelayFromEvent = 0;
-  Faults.DelayToEvent = 50; // storm over the first 50 merged events
-  Faults.DelayPerDeliveryUs = 1000;
+  BlockingTool Slow(Detector, 0, 50, std::chrono::microseconds(1000));
   rt::OnlineOptions Options;
   Options.RingCapacity = 4;
-  Options.Faults = &Faults;
   Options.Degrade.Enabled = false;          // nothing may be shed...
   Options.Supervise.MaxParkMs = 60000;      // ...parked accesses wait
   Options.Supervise.StallDeadlineMs = 60000; // a slow merge is not a stall
@@ -672,7 +668,7 @@ TEST(OnlineEngine, BackpressureParkUnparkIsCountedNotLost) {
   rt::Shared<int> X;
   constexpr int PerThread = 100;
 
-  rt::Engine Engine(Detector, Options);
+  rt::Engine Engine(Slow, Options);
   auto Hammer = [&] {
     for (int I = 0; I != PerThread; ++I) {
       std::lock_guard<rt::Mutex> Guard(M);
