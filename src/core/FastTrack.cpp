@@ -255,11 +255,6 @@ uint64_t BasicFastTrack<EpochT>::inflatedReadStates() const {
 template <typename EpochT>
 void BasicFastTrack<EpochT>::snapshotShadow(ByteWriter &Writer) const {
   using Table = ShadowTable<EpochT>;
-  // Renumber side-store handles into page order first, so restore
-  // re-assigns them sequentially. Internal renumbering only — images
-  // never encode handles — so this changes no serialized byte.
-  if (Options.SortSideStoreOnSnapshot)
-    const_cast<Table &>(Shadow).compactSideStore();
   snapshotClocks(Writer);
   Writer.u32(kShadowFormatV3);
   Writer.u64(Shadow.numVars());

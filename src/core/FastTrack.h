@@ -126,12 +126,6 @@ struct FastTrackOptions {
   /// Inert by default; the online driver installs the session policy via
   /// configureShadowPolicy before begin().
   ShadowMemoryPolicy Memory;
-
-  /// Renumber side-store handles in page order before every snapshot, so
-  /// checkpoint restore re-assigns them sequentially (sequential side-
-  /// store I/O). Serialized images never encode handles, so this changes
-  /// no image byte — it is purely the restore-side access pattern.
-  bool SortSideStoreOnSnapshot = true;
 };
 
 /// The FastTrack analysis over epoch representation \p EpochT. Accesses

@@ -351,35 +351,6 @@ bool ShadowTable<EpochT>::readPageContent(size_t PI, Slot *Out) const {
   return true;
 }
 
-template <typename EpochT> void ShadowTable<EpochT>::compactSideStore() {
-  if (Clocks.empty())
-    return;
-  std::vector<VectorClock> NewClocks;
-  NewClocks.reserve(Live);
-  auto Renumber = [&](EpochT &R) {
-    if (!isInflated(R))
-      return;
-    const uint32_t H = static_cast<uint32_t>(NewClocks.size());
-    NewClocks.push_back(std::move(Clocks[handleOf(R)]));
-    R = handleEpoch(H);
-  };
-  for (size_t PI = 0, E = Dir.size(); PI != E; ++PI) {
-    if (!Meta.empty() && Meta[PI].State == ShadowPageState::Summarized) {
-      Renumber(Meta[PI].Summary.W);
-      Renumber(Meta[PI].Summary.R);
-      continue;
-    }
-    if (Page *P = Dir[PI]) {
-      const uint32_t Used = slotsInPage(PI);
-      for (uint32_t I = 0; I != Used; ++I)
-        Renumber(P->Slots[I].R);
-    }
-  }
-  assert(NewClocks.size() == Live && "live handles must all be reachable");
-  Clocks = std::move(NewClocks);
-  FreeHandles.clear();
-}
-
 namespace ft {
 template class ShadowTable<Epoch>;
 template class ShadowTable<Epoch64>;

@@ -317,14 +317,6 @@ public:
   /// stay allocated for reuse).
   size_t sideStoreSlots() const { return Clocks.size(); }
 
-  /// Renumbers live side-store handles in page order and drops retired
-  /// buffers, so a snapshot walking pages front to back reads (and a
-  /// restore re-assigns) handles sequentially — sequential side-store
-  /// I/O instead of allocation-history order. Purely an internal
-  /// renumbering: logical state, and therefore serialized images (which
-  /// never encode handles), are unchanged.
-  void compactSideStore();
-
   /// @}
 
   /// \name Geometry and snapshot iteration (no faulting).

@@ -4,7 +4,7 @@
 
 using namespace ft;
 
-void Trace::append(const Operation &Op) {
+void Trace::noteEntities(const Operation &Op) {
   assert(Op.Kind != OpKind::Barrier &&
          "use appendBarrier for barrier operations");
   noteThread(Op.Thread);
@@ -33,6 +33,10 @@ void Trace::append(const Operation &Op) {
   case OpKind::AtomicEnd:
     break;
   }
+}
+
+void Trace::append(const Operation &Op) {
+  noteEntities(Op);
   Ops.push_back(Op);
 }
 
@@ -41,38 +45,9 @@ void Trace::appendRun(const Operation *Run, size_t N) {
   // making a capture of many short runs quadratic.
   if (Ops.capacity() - Ops.size() < N)
     Ops.reserve(std::max(Ops.size() + N, 2 * Ops.capacity()));
-  for (size_t I = 0; I != N; ++I) {
-    const Operation &Op = Run[I];
-    assert(Op.Kind != OpKind::Barrier &&
-           "use appendBarrier for barrier operations");
-    noteThread(Op.Thread);
-    switch (Op.Kind) {
-    case OpKind::Read:
-    case OpKind::Write:
-      if (Op.Target + 1 > NumVars)
-        NumVars = Op.Target + 1;
-      break;
-    case OpKind::Acquire:
-    case OpKind::Release:
-      if (Op.Target + 1 > NumLocks)
-        NumLocks = Op.Target + 1;
-      break;
-    case OpKind::Fork:
-    case OpKind::Join:
-      noteThread(Op.Target);
-      break;
-    case OpKind::VolatileRead:
-    case OpKind::VolatileWrite:
-      if (Op.Target + 1 > NumVolatiles)
-        NumVolatiles = Op.Target + 1;
-      break;
-    case OpKind::Barrier:
-    case OpKind::AtomicBegin:
-    case OpKind::AtomicEnd:
-      break;
-    }
-    Ops.push_back(Op);
-  }
+  for (size_t I = 0; I != N; ++I)
+    noteEntities(Run[I]);
+  Ops.insert(Ops.end(), Run, Run + N);
 }
 
 Operation Trace::appendBarrier(const std::vector<ThreadId> &Threads) {

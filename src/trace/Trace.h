@@ -35,7 +35,8 @@ public:
   /// op but growing storage at most once — geometrically, so a capture of
   /// many short runs stays linear overall. The online sequencer captures each
   /// drained batch through this, so the steady state has no per-event
-  /// capture branch. Barriers are not allowed (use appendBarrier).
+  /// capture branch, and the trace parser appends its runs of records.
+  /// Barriers are not allowed (use appendBarrier).
   void appendRun(const Operation *Ops, size_t N);
 
   /// Appends a barrier release of the thread set \p Threads and returns the
@@ -76,6 +77,9 @@ public:
   const_iterator end() const { return Ops.end(); }
 
 private:
+  /// Raises the entity counts to cover \p Op (not a barrier).
+  void noteEntities(const Operation &Op);
+
   void noteThread(ThreadId T) {
     if (T + 1 > NumThreads)
       NumThreads = T + 1;

@@ -28,8 +28,21 @@
 /// adversarial. Parsing therefore reports through the structured
 /// diagnostic model (support/Status.h) and offers a *salvage mode* that
 /// skips malformed records under a configurable error budget instead of
-/// aborting at the first bad byte. File loading streams line by line, so
-/// multi-gigabyte traces never hold a second whole-file copy in memory.
+/// aborting at the first bad byte. File loading streams in 64 KiB chunks,
+/// and saving formats into one, so multi-gigabyte traces never hold a
+/// second whole-file copy in memory.
+///
+/// Parsing has a fast path for the canonical record serializeTrace
+/// writes: `kind tid[ target]` with single spaces, no comment, and
+/// decimal ids of at most nine digits below ParseOptions::MaxId, ended by
+/// a newline. It decodes such a record in the same pass that finds its
+/// end. Every other line (comments, blanks, tabs, CR, barriers, extra
+/// tokens, bad or out-of-range ids, a final line with no newline, a
+/// record split across two read chunks) goes to the general grammar. Invariant: the fast path accepts a subset of what
+/// the general grammar accepts, with the identical Operation, so the
+/// parsed trace, the Records/Skipped counts and every diagnostic are what
+/// the general grammar alone would give (tests/TraceIOTest.cpp checks
+/// this differentially).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,11 +114,36 @@ ParseReport parseTrace(std::string_view Text, Trace &Out,
 /// Writes \p T to \p Path.
 Status saveTraceFile(const std::string &Path, const Trace &T);
 
-/// Reads a trace from \p Path into \p Out, streaming the file line by
-/// line (peak memory is one I/O chunk plus the trace itself, never a
+/// Reads a trace from \p Path into \p Out, streaming the file in 64 KiB
+/// chunks (peak memory is one I/O chunk plus the trace itself, never a
 /// second whole-file string).
 ParseReport loadTraceFile(const std::string &Path, Trace &Out,
                           const ParseOptions &Options = ParseOptions());
+
+namespace detail {
+
+/// The two single-record parsers behind parseTrace and loadTraceFile,
+/// exposed so tests can hold one against the other. Not a runtime switch:
+/// every parse tries the canonical path first.
+
+/// The canonical fast path: true, with \p Op set, when \p Line (one line
+/// without its newline) is exactly `kind tid[ target]` as serializeTrace
+/// writes it, with ids below \p MaxId.
+bool parseCanonicalRecord(std::string_view Line, uint32_t MaxId,
+                          Operation &Op);
+
+/// What one line holds by the general grammar.
+enum class LineResult { Blank, Operation, Barrier, Malformed };
+
+/// The general grammar for one line without its newline: `#` comments,
+/// blank lines, space/tab/CR separators and barriers. Sets \p Op for an
+/// Operation, \p BarrierSet (in input order) for a Barrier, and \p Err
+/// for a Malformed line.
+LineResult parseGeneralRecord(std::string_view Line, uint32_t MaxId,
+                              Operation &Op, std::vector<ThreadId> &BarrierSet,
+                              std::string &Err);
+
+} // namespace detail
 
 } // namespace ft
 

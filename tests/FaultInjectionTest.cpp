@@ -521,11 +521,7 @@ TEST(Checkpoint, TrackerSampledLikeReplay) {
     CheckpointOptions Ck;
     Ck.Path = EveryOps ? Path : "";
     Ck.EveryOps = EveryOps;
-    // Unsorted, so writing an image leaves the side store's footprint as
-    // it was and the samples see the same bytes.
-    FastTrackOptions Unsorted;
-    Unsorted.SortSideStoreOnSnapshot = false;
-    FastTrack Checkpointed(Unsorted);
+    FastTrack Checkpointed;
     MemoryTracker Tracker;
     Options.BudgetTracker = &Tracker;
     CheckpointedReplayResult Result =

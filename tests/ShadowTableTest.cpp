@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/FastTrack.h"
+#include "framework/Checkpoint.h"
 #include "framework/Replay.h"
 #include "shadow/ShadowTable.h"
 #include "support/ByteStream.h"
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 
 using namespace ft;
 
@@ -568,29 +570,41 @@ TEST(ShadowTable, DeniedSideStoreGrowthRecyclesHandlesViaShedding) {
   EXPECT_EQ(Joined.get(3), 2u);
 }
 
-TEST(ShadowTable, SideStoreSortAtSnapshotChangesNoImageByte) {
-  // Inflation order (page 1, page 0, page 2) disagrees with page order,
-  // so snapshot-time compaction genuinely renumbers — and must still
-  // change no serialized byte, because images never encode handles.
-  TraceBuilder B;
-  B.fork(0, 1).fork(0, 2);
-  B.rd(1, 520).rd(2, 520);
-  B.rd(1, 5).rd(2, 5);
-  B.rd(1, 1030).rd(2, 1030);
-  B.join(0, 1).join(0, 2);
-  Trace T = B.take();
+TEST(ShadowTable, CheckpointCadenceLeavesShadowBytesAlone) {
+  // Writing an image reads the table and changes nothing in it: whether a
+  // run checkpoints after every op, every 37 ops or never, the detector
+  // ends with replay()'s footprint, warnings and image. The chaotic trace
+  // inflates read-shared states and deflates them again, so the side
+  // store holds freed handles between checkpoints.
+  RandomTraceConfig Config;
+  Config.Seed = 29;
+  Config.NumThreads = 4;
+  Config.NumVars = 64;
+  Config.OpsPerThread = 400;
+  Config.ChaosProbability = 0.15;
+  Trace T = generateRandomTrace(Config);
 
-  FastTrackOptions Unsorted;
-  Unsorted.SortSideStoreOnSnapshot = false;
-  FastTrack Plain(Unsorted);
-  FastTrack Sorted;
-  replay(T, Plain);
-  replay(T, Sorted);
-  EXPECT_EQ(Plain.inflatedReadStates(), 3u);
-  std::string PlainImage = shadowImage(Plain);
-  EXPECT_EQ(shadowImage(Sorted), PlainImage);
-  // Compaction is idempotent: snapshotting again changes nothing.
-  EXPECT_EQ(shadowImage(Sorted), PlainImage);
+  FastTrack Reference;
+  replay(T, Reference);
+  ASSERT_GT(Reference.inflatedReadStates(), 0u);
+
+  for (uint64_t EveryOps : {uint64_t(1), uint64_t(37), uint64_t(0)}) {
+    const std::string Path = "shadow_cadence.ckpt";
+    std::remove(Path.c_str());
+    CheckpointOptions Ck;
+    Ck.Path = Path;
+    Ck.EveryOps = EveryOps;
+    FastTrack Checkpointed;
+    CheckpointedReplayResult Result =
+        replayCheckpointed(T, Checkpointed, ReplayOptions(), Ck);
+    ASSERT_TRUE(Result.St.ok()) << EveryOps;
+    EXPECT_EQ(Result.CheckpointsWritten != 0, EveryOps != 0) << EveryOps;
+    EXPECT_EQ(Checkpointed.shadowBytes(), Reference.shadowBytes()) << EveryOps;
+    expectSameWarnings(Reference.warnings(), Checkpointed.warnings(),
+                       "checkpointed");
+    EXPECT_EQ(shadowImage(Checkpointed), shadowImage(Reference)) << EveryOps;
+    std::remove(Path.c_str());
+  }
 }
 
 TEST(ShadowTable, CompressedPagesSnapshotIdenticallyToResidentTwins) {

@@ -327,3 +327,204 @@ TEST(TraceIO, FuzzCorruptedTracesNeverCrash) {
     EXPECT_TRUE(Report.ok()) << "case " << Case;
   }
 }
+
+TEST(TraceIO, SavedFileHoldsSerializeTraceBytes) {
+  // Every kind, barriers (one wider than a formatting piece), ids at the
+  // bound, and enough records that the save drains its 64 KiB chunk
+  // several times.
+  const ThreadId Top = MaxEntityId - 1;
+  TraceBuilder B;
+  B.fork(0, 1).fork(0, Top);
+  std::vector<ThreadId> Wide;
+  for (ThreadId U = 0; U != 40; ++U)
+    Wide.push_back(U * 1000003u % MaxEntityId);
+  for (uint32_t I = 0; I != 6000; ++I) {
+    B.rd(1, I).wr(Top, Top).acq(1, Top).rel(1, Top);
+    B.volRd(Top, I).volWr(1, Top).atomicBegin(Top).atomicEnd(Top);
+    if (I % 500 == 0)
+      B.barrier({0, 1, Top}).barrier(Wide);
+  }
+  B.join(0, 1).join(0, Top);
+  Trace T = B.take();
+  std::string Text = serializeTrace(T);
+  ASSERT_GT(Text.size(), 4u << 16);
+
+  std::string Path = ::testing::TempDir() + "/ft_trace_io_save.trc";
+  ASSERT_TRUE(saveTraceFile(Path, T).ok());
+  std::string Saved;
+  std::FILE *File = std::fopen(Path.c_str(), "rb");
+  ASSERT_NE(File, nullptr);
+  char Buf[4096];
+  for (size_t Got; (Got = std::fread(Buf, 1, sizeof(Buf), File)) > 0;)
+    Saved.append(Buf, Got);
+  std::fclose(File);
+  EXPECT_TRUE(Saved == Text);
+
+  Trace Loaded;
+  ParseReport Report = loadTraceFile(Path, Loaded);
+  ASSERT_TRUE(Report.ok()) << Report.St.toString();
+  EXPECT_EQ(Loaded.operations(), T.operations());
+  EXPECT_EQ(Loaded.numThreads(), MaxEntityId);
+  EXPECT_EQ(Loaded.numVars(), MaxEntityId);
+  EXPECT_EQ(Loaded.numLocks(), MaxEntityId);
+  EXPECT_EQ(Loaded.numVolatiles(), MaxEntityId);
+  std::remove(Path.c_str());
+}
+
+TEST(TraceIO, CanonicalPathAgreesWithGeneralGrammar) {
+  // Differential fuzz over mutated records: whenever the canonical fast
+  // path accepts a line, the general grammar must accept it as the same
+  // Operation; and every line exactly as serializeOperation writes it
+  // must take the fast path.
+  const std::vector<std::string> Kinds = {
+      "rd",   "wr",     "acq",  "rel",     "fork", "join", "vrd",
+      "vwr",  "abegin", "aend", "barrier", "r",    "rdd",  "RD",
+      "abeg", "forks",  "vr",   "x",       ""};
+  const std::vector<std::string> Ids = {
+      "0",          "7",          "42",
+      "00",         "007",        "0000000001",
+      "123456789",  "999999999",  "1234567890",
+      "4294967295", "4294967296", "99999999999",
+      "16777215",   "16777216",   "",
+      "-1",         "1a",         "+3",
+      "0x10",       "99",         "100"};
+  const std::vector<std::string> Seps = {" ", " ", " ", " ", "  ", "\t",
+                                         " \t", "\r", "", "\r "};
+  const std::vector<std::string> Tails = {"",  "",   "",  "",    "",
+                                          "\r", " ", "#", " # c", "\t",
+                                          "x", " 5", "\r\r", "#rd 0 1"};
+  const uint32_t MaxIds[] = {MaxEntityId, 100, 0xffffffffu};
+  const std::string Mutants = "0123456789 \t\r#xrdw-\x01\x7f";
+
+  Xoshiro256StarStar Rng(0x5eed5eed);
+  auto Pick = [&](const std::vector<std::string> &From) -> const std::string & {
+    return From[Rng.nextBelow(From.size())];
+  };
+  unsigned Accepted = 0, MustAccept = 0;
+  for (unsigned Case = 0; Case != 100000; ++Case) {
+    const uint32_t MaxId = MaxIds[Case % 3];
+    std::string Line;
+    if (Case % 2) {
+      // A line from the token lists, in any arity.
+      Line = Pick(Kinds);
+      unsigned Operands = Rng.nextBelow(4);
+      for (unsigned I = 0; I != Operands; ++I) {
+        Line += Pick(Seps);
+        Line += Rng.nextBelow(4) ? Pick(Ids)
+                                 : std::to_string(Rng.nextBelow(1u << 30));
+      }
+      Line += Pick(Tails);
+    } else {
+      // A canonical line, then up to two edits: an id swapped for one of
+      // the list, a separator or a tail.
+      OpKind Kind = static_cast<OpKind>(Rng.nextBelow(11));
+      if (Kind == OpKind::Barrier)
+        Kind = OpKind::AtomicBegin;
+      uint32_t Target = Kind == OpKind::AtomicBegin || Kind == OpKind::AtomicEnd
+                            ? NoTarget
+                            : Rng.nextBelow(200);
+      serializeOperation(Line, Operation(Kind, Rng.nextBelow(200), Target));
+      Line.pop_back();
+      for (unsigned Edit = Rng.nextBelow(3); Edit != 0; --Edit) {
+        size_t Space = Line.rfind(' ');
+        switch (Space == std::string::npos ? 2 : Rng.nextBelow(3)) {
+        case 0:
+          Line = Line.substr(0, Space + 1) + Pick(Ids);
+          break;
+        case 1:
+          Line.replace(Space, 1, Pick(Seps));
+          break;
+        default:
+          Line += Pick(Tails);
+          break;
+        }
+      }
+    }
+    Operation Fast, General;
+    std::vector<ThreadId> Set;
+    std::string Err;
+    bool FastOk = detail::parseCanonicalRecord(Line, MaxId, Fast);
+    detail::LineResult Result =
+        detail::parseGeneralRecord(Line, MaxId, General, Set, Err);
+    if (FastOk) {
+      ++Accepted;
+      ASSERT_EQ(Result, detail::LineResult::Operation) << '"' << Line << '"';
+      ASSERT_EQ(Fast, General) << '"' << Line << '"';
+      continue;
+    }
+    // Nine digits or fewer: longer ids are left to the general path.
+    if (Result == detail::LineResult::Operation &&
+        General.Thread < 1000000000u &&
+        (General.Target == NoTarget || General.Target < 1000000000u)) {
+      std::string Canonical;
+      serializeOperation(Canonical, General);
+      if (Canonical == Line + "\n") {
+        ++MustAccept;
+        ADD_FAILURE() << "canonical line took the general path: \"" << Line
+                      << '"';
+      }
+    }
+  }
+  EXPECT_EQ(MustAccept, 0u);
+  // The generator must reach the fast path often enough to matter.
+  EXPECT_GT(Accepted, 5000u);
+}
+
+namespace {
+
+/// Appends lines to \p Text until it is exactly \p Size bytes long (at
+/// least two more than now): canonical records, then one comment line
+/// of the exact remaining length.
+void padTo(std::string &Text, size_t Size) {
+  while (Size - Text.size() > 40)
+    Text += "rd 1 " + std::to_string(Text.size() % 1000) + "\n";
+  Text += '#';
+  Text.append(Size - Text.size(), '-');
+  Text.back() = '\n';
+}
+
+} // namespace
+
+TEST(TraceIO, LoadHandlesRecordsSplitAtChunkBoundary) {
+  // loadTraceFile reads 64 KiB chunks. Place each probe record so that
+  // every byte of it in turn is the first byte of the second chunk, and
+  // check the load against the in-memory parse of the same text. The
+  // CRLF probe covers a '\r' that ends a chunk.
+  constexpr size_t Chunk = 1 << 16;
+  const std::pair<std::string, Operation> Probes[] = {
+      {"wr 12 345\n", wr(12, 345)},
+      {"wr 12 345\r\n", wr(12, 345)},
+      {"barrier 1 2 3\n", Operation(OpKind::Barrier, 1, 0)},
+      {"acq\t7 8 # c\n", acq(7, 8)},
+      {"aend 9\n", atomicEnd(9)}};
+  std::string Path = ::testing::TempDir() + "/ft_trace_io_chunk.trc";
+  for (const auto &[Probe, Op] : Probes) {
+    for (size_t Before = 0; Before <= Probe.size(); ++Before) {
+      std::string Text = "fork 0 1\n";
+      padTo(Text, Chunk - Before);
+      Text += Probe;
+      Text += "rd 1 2\nwr 1 3";
+      ASSERT_EQ(Text.substr(Chunk - Before, Probe.size()), Probe);
+
+      Trace Expected;
+      ParseReport ExpectedReport = parseTrace(Text, Expected);
+      ASSERT_TRUE(ExpectedReport.ok()) << ExpectedReport.St.toString();
+
+      std::FILE *File = std::fopen(Path.c_str(), "wb");
+      ASSERT_NE(File, nullptr);
+      ASSERT_EQ(std::fwrite(Text.data(), 1, Text.size(), File), Text.size());
+      std::fclose(File);
+      Trace Loaded;
+      ParseReport Report = loadTraceFile(Path, Loaded);
+      ASSERT_TRUE(Report.ok()) << Report.St.toString();
+      EXPECT_EQ(Report.Records, ExpectedReport.Records) << Before;
+      EXPECT_TRUE(Report.Diags.empty()) << Before;
+      ASSERT_EQ(Loaded.operations(), Expected.operations())
+          << Probe << " split " << Before;
+      ASSERT_GE(Loaded.size(), 3u);
+      EXPECT_EQ(Loaded[Loaded.size() - 3], Op) << Probe << " split " << Before;
+      EXPECT_EQ(Loaded[Loaded.size() - 1], wr(1, 3));
+    }
+  }
+  std::remove(Path.c_str());
+}
