@@ -5,7 +5,7 @@
 
 using namespace ft;
 
-void VectorClock::spillTo(uint32_t Size) {
+ClockValue *VectorClock::spillTo(uint32_t Size) {
   assert(Size > Cap && "inline/in-place growth handled by growTo");
   uint32_t NewCap = 0;
   ClockValue *Block = ClockArena::acquire(Size, NewCap);
@@ -14,6 +14,7 @@ void VectorClock::spillTo(uint32_t Size) {
   Store.Heap = Block;
   Cap = NewCap;
   Count = Size; // Arena blocks come zeroed, so the tail invariant holds.
+  return Block;
 }
 
 void VectorClock::assignGrow(const VectorClock &Other) {

@@ -100,16 +100,10 @@ public:
   ClockValue get(ThreadId T) const { return T < Count ? data()[T] : 0; }
 
   /// Sets V(t) := Clock, growing as needed.
-  void set(ThreadId T, ClockValue Clock) {
-    growTo(T + 1);
-    data()[T] = Clock;
-  }
+  void set(ThreadId T, ClockValue Clock) { growTo(T + 1)[T] = Clock; }
 
   /// inc_t: increments this clock's own entry for \p T.
-  void inc(ThreadId T) {
-    growTo(T + 1);
-    ++data()[T];
-  }
+  void inc(ThreadId T) { ++growTo(T + 1)[T]; }
 
   /// ⊔: joins \p Other into this clock in place. O(n); counted.
   void joinWith(const VectorClock &Other) {
@@ -205,20 +199,23 @@ private:
       ClockArena::release(Store.Heap, Cap);
   }
 
-  /// Extends the stored size to \p Size (no-op when already that wide).
-  /// An empty clock becoming nonempty counts as the allocation; growing
-  /// an already-materialized clock does not, since steady-state growth
-  /// recycles arena blocks instead of hitting the global allocator.
-  void growTo(uint32_t Size) {
+  /// Extends the stored size to \p Size (no-op when already that wide)
+  /// and returns the active buffer. An empty clock becoming nonempty
+  /// counts as the allocation; growing an already-materialized clock does
+  /// not, since steady-state growth recycles arena blocks instead of
+  /// hitting the global allocator. A spill returns the new heap block
+  /// itself, so no caller indexes the inline array past its end on a
+  /// path the compiler cannot rule out.
+  ClockValue *growTo(uint32_t Size) {
     if (Size <= Count)
-      return;
+      return data();
     if (Count == 0)
       ++clockStats().Allocations;
     if (Size <= Cap) {
       Count = Size; // Zero-tail invariant: [old Count, Cap) already zero.
-      return;
+      return data();
     }
-    spillTo(Size);
+    return spillTo(Size);
   }
 
   /// Copy assignment shared by operator=, copyFrom and the copy
@@ -244,7 +241,7 @@ private:
     Count = N;
   }
 
-  void spillTo(uint32_t Size);          // Re-buffer to hold Size entries.
+  ClockValue *spillTo(uint32_t Size);   // Re-buffer to hold Size entries.
   void assignGrow(const VectorClock &); // assignFrom when Other overflows Cap.
 
   Storage Store{};

@@ -1,7 +1,7 @@
 #include "framework/OnlineDriver.h"
 
 #include "framework/FastPath.h"
-#include "runtime/EventRing.h"
+#include "runtime/BroadcastLog.h"
 #include "support/MemoryTracker.h"
 
 #include <algorithm>

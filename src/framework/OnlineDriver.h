@@ -122,7 +122,7 @@ struct OnlineDriverOptions {
 
   /// Invoked once per new warning, immediately after the event that
   /// raised it was dispatched — the "report races as they happen" sink.
-  /// Called from whichever thread calls dispatch(); may be empty.
+  /// Called from whichever thread calls offer(); may be empty.
   std::function<void(const RaceWarning &)> WarningSink;
 
   /// Space-degradation policy (see DegradePolicy).
@@ -137,7 +137,7 @@ struct OnlineDriverOptions {
 /// Drives one Tool from a live, totally-ordered event stream.
 ///
 /// Not thread-safe: exactly one thread (the runtime's sequencer) may call
-/// offer()/dispatch()/finish(). Concurrency belongs to the producers
+/// offer()/finish(). Concurrency belongs to the producers
 /// upstream; by the time events reach the driver they are already merged.
 class OnlineDriver {
 public:
@@ -154,7 +154,7 @@ public:
   };
 
   /// Calls Checker.begin(Capacity); the capacity bounds the entity ids
-  /// dispatch() will accept (tools index shadow state without checks).
+  /// offer() will accept (tools index shadow state without checks).
   OnlineDriver(Tool &Checker, const ToolContext &Capacity,
                OnlineDriverOptions Options = OnlineDriverOptions());
 
@@ -170,14 +170,6 @@ public:
   /// sequencer (compose tools through ToolGroup to quarantine the
   /// thrower and keep its siblings detecting).
   DispatchOutcome offer(Operation &Op);
-
-  /// Compatibility shim over offer(): true iff the operation was
-  /// Delivered. Callers that capture the stream should use offer() to
-  /// see the remapped id.
-  bool dispatch(const Operation &Op) {
-    Operation Copy = Op;
-    return offer(Copy) == DispatchOutcome::Delivered;
-  }
 
   /// AdmissionOnly: true iff the most recent Delivered offer() was
   /// consumed by the re-entrant lock filter — it owns a raw index and

@@ -5,33 +5,74 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sharded engine's one bounded broadcast log: the merge loop appends
-/// each admitted event once, and every shard worker reads the whole
-/// stream through its own cursor. FastTrack's state is per variable and
-/// its happens-before comes from sync events alone, so a worker that reads
-/// every sync event in order plus the accesses it owns reports exactly
-/// what the serial analysis reports; nothing is copied per shard.
+/// The engine's one bounded event buffer: a single-producer log that N
+/// readers each consume through their own cursor. It carries events at
+/// two points of the pipeline:
+///
+///  - **Per-thread channels** (one reader). Each application thread
+///    appends its events to a private log, and the merge loop is that
+///    log's reader 0. The bound is the backpressure mechanism: a thread
+///    that outruns the detector parks in emit() until the merge drains,
+///    so detection memory stays O(threads × capacity) however fast the
+///    application generates events (the C11Tester/RoadRunner budgeting
+///    discipline, not an unbounded log). The merge's ticket and join gate
+///    reads the log in place (pullMergeable in Engine.h).
+///  - **The shard log** (N readers). The merge loop appends each admitted
+///    event once, and every shard worker reads the whole stream through
+///    its own cursor. FastTrack's state is per variable and its
+///    happens-before comes from sync events alone, so a worker that reads
+///    every sync event in order plus the accesses it owns reports exactly
+///    what the serial analysis reports; nothing is copied per shard.
 ///
 /// The producer reuses a slot only once the slowest reader has released
-/// it, so a fast worker runs at most one capacity ahead of the slowest,
-/// and a wedged worker fills the log and parks the producer.
+/// it, so a fast reader runs at most one capacity ahead of the slowest,
+/// and a wedged reader fills the log and parks the producer.
+///
+/// The producer's tail and each reader's cursor live on cache lines of
+/// their own, and each side keeps a private cached copy of the other
+/// side's index, re-reading the shared atomic only when the cache says
+/// the log looks full (producer) or drained (reader). A steady-state
+/// append/read pair is then one relaxed load and one release store per
+/// side.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FASTTRACK_RUNTIME_BROADCASTLOG_H
 #define FASTTRACK_RUNTIME_BROADCASTLOG_H
 
-#include "runtime/EventRing.h"
+#include "trace/Operation.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <memory>
+#include <vector>
 
 namespace ft::runtime {
 
-/// Bounded single-producer, N-reader log of admitted events: Seq is the
-/// raw op index and Thread the emitting thread. Capacity is rounded up to
-/// a power of two; all hand-off is acquire/release on Tail and the
-/// cursors.
+/// Seq of an access that carries no ticket (see OnlineEvent).
+constexpr uint64_t NoTicket = ~0ull;
+
+/// One instrumentation event in flight. In a per-thread channel
+/// (application thread → merge loop) the producing thread is implied by
+/// the channel and Thread is unused. Seq is the global sync ticket for a
+/// sync event — and for the first event after the thread binds to its
+/// slot — and NoTicket for every other access: the merge orders sync
+/// events by ticket and lets accesses flow between them in per-thread
+/// order. In the shard log, Seq is the event's raw op index and Thread
+/// the emitting thread.
+struct OnlineEvent {
+  uint64_t Seq = 0;
+  OpKind Kind = OpKind::Read;
+  uint32_t Target = 0;
+  ThreadId Thread = 0;
+};
+
+/// Bounded single-producer, N-reader log of OnlineEvents. Capacity is
+/// rounded up to a power of two; all hand-off is acquire/release on Tail
+/// and the cursors, so the log is data-race-free by construction
+/// (certified by the CI TSan job, which runs real producer threads
+/// against a real merge loop and real shard workers).
 class BroadcastLog {
 public:
   BroadcastLog(size_t Capacity, unsigned NumReaders)
@@ -43,16 +84,29 @@ public:
     Mask = Pow2 - 1;
   }
 
+  BroadcastLog(const BroadcastLog &) = delete;
+  BroadcastLog &operator=(const BroadcastLog &) = delete;
+
+  size_t capacity() const { return Buffer.size(); }
+
   // --- producer side ---
+
+  /// True when an append fits. The producer owns the append position, so
+  /// a true answer cannot be invalidated by the readers (releasing only
+  /// makes more room). Refreshes the cached slowest cursor only when the
+  /// log looks full.
+  bool hasSpace() {
+    if (Pending - SlowestCache < Buffer.size())
+      return true;
+    SlowestCache = slowest();
+    return Pending - SlowestCache < Buffer.size();
+  }
 
   /// Writes \p E into the next slot without making it readable; false
   /// when the log is full (the slowest reader is a capacity behind).
   bool tryAppend(const OnlineEvent &E) {
-    if (Pending - SlowestCache == Buffer.size()) {
-      SlowestCache = slowest();
-      if (Pending - SlowestCache == Buffer.size())
-        return false;
-    }
+    if (!hasSpace())
+      return false;
     Buffer[Pending++ & Mask] = E;
     return true;
   }
@@ -63,12 +117,18 @@ public:
   // --- reader \p R's side ---
 
   /// Exposes reader \p R's longest contiguous readable run in place,
-  /// bounded by the buffer's wrap point; the slots stay valid until
-  /// release()d. 0 when \p R has read everything published.
-  size_t peekRun(unsigned R, const OnlineEvent *&Ptr) {
+  /// starting \p Skip events past its cursor (events it has read but not
+  /// yet released) and bounded by the buffer's wrap point; the slots stay
+  /// valid until release()d. 0 when \p R has read everything published.
+  /// Only a call with nothing skipped re-reads the producer's tail, so a
+  /// reader that continues a run past the wrap touches the producer's
+  /// line once.
+  size_t peekRun(unsigned R, const OnlineEvent *&Ptr, size_t Skip = 0) {
     Reader &Rd = Readers[R];
-    const uint64_t C = Rd.Cursor.load(std::memory_order_relaxed);
+    const uint64_t C = Rd.Cursor.load(std::memory_order_relaxed) + Skip;
     if (C == Rd.TailCache) {
+      if (Skip != 0)
+        return 0;
       Rd.TailCache = Tail.load(std::memory_order_acquire);
       if (C == Rd.TailCache)
         return 0;
@@ -90,6 +150,7 @@ public:
   uint64_t cursor(unsigned R) const {
     return Readers[R].Cursor.load(std::memory_order_acquire);
   }
+  /// Events ever published. Monotone for the log's lifetime.
   uint64_t tail() const { return Tail.load(std::memory_order_acquire); }
   uint64_t slowest() const {
     uint64_t Min = cursor(0);

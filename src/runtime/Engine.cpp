@@ -274,15 +274,15 @@ Engine::Channel *Engine::registerThreadLocked(ThreadId Id) {
 
 void Engine::promoteDrainedLocked() {
   // Retiring → Free once the sequencer has drained the dead thread's
-  // ring. Ring.empty() is an acquire on both ends, so a true answer means
-  // every event of the dead incarnation has been popped — and popped
-  // events dispatch strictly before anything the successor will push:
-  // the successor's first event is ticketed after the reincarnating
-  // fork, which is ticketed after the dead incarnation's join, and its
-  // later events queue behind that first one.
+  // ring. The merge cursor and the tail are both acquire loads, so equal
+  // values mean every event of the dead incarnation has been pulled —
+  // and pulled events dispatch strictly before anything the successor
+  // will push: the successor's first event is ticketed after the
+  // reincarnating fork, which is ticketed after the dead incarnation's
+  // join, and its later events queue behind that first one.
   size_t Out = 0;
   for (Channel *Ch : RetiringSlots) {
-    if (Ch->Ring.empty()) {
+    if (Ch->Log.cursor(0) == Ch->Log.tail()) {
       Ch->State = SlotState::Free;
       FreeSlots.push_back(Ch);
     } else {
@@ -418,7 +418,7 @@ void Engine::emit(OpKind Kind, uint32_t Target) {
   // number owned by a parked thread (that would deadlock the pipeline) —
   // and an event shed while parked owns no ticket either, so shedding
   // leaves no gap in the sequence.
-  if (!Ch->Ring.hasSpace() && !parkUntilSpace(Ch, Kind))
+  if (!Ch->Log.hasSpace() && !parkUntilSpace(Ch, Kind))
     return;
   // Only sync events need a global order: happens-before is built from
   // program order and the order of sync operations, so accesses travel
@@ -432,7 +432,8 @@ void Engine::emit(OpKind Kind, uint32_t Target) {
     E.Seq = Seq.fetch_add(1, std::memory_order_relaxed);
     Binding.NeedTicket = false;
   }
-  Ch->Ring.push(E);
+  Ch->Log.tryAppend(E); // cannot fail: the space was certain above
+  Ch->Log.publish();
 }
 
 bool Engine::parkUntilSpace(Channel *Ch, OpKind Kind) {
@@ -449,7 +450,7 @@ bool Engine::parkUntilSpace(Channel *Ch, OpKind Kind) {
   Stopwatch Park;
   bool GotSpace = false;
   for (;;) {
-    if (Ch->Ring.hasSpace()) {
+    if (Ch->Log.hasSpace()) {
       GotSpace = true;
       break;
     }
@@ -507,7 +508,7 @@ void Engine::joinThread(ThreadId Child) {
     return; // untracked child: no slot, no events, no edge to emit
   // Ticketed after the native join returned, and merged only once the
   // child's ring holds no unticketed access at its head (the join gate
-  // in EventRing::popMergeable), so every event of the child precedes
+  // in Engine::pullBatch), so every event of the child precedes
   // join(t, u) in the merged order.
   emit(OpKind::Join, Child);
   if (!Options.RecycleThreadSlots)
@@ -529,7 +530,7 @@ uint64_t Engine::pushedEvents() {
   std::lock_guard<std::mutex> Guard(ChannelMu);
   uint64_t Total = 0;
   for (const std::unique_ptr<Channel> &Ch : Channels)
-    Total += Ch->Ring.pushed();
+    Total += Ch->Log.tail();
   return Total;
 }
 
@@ -557,26 +558,9 @@ void Engine::beginSweep(MergeCursor &M) {
   if ((M.Sweeps++ & 15u) == 0) {
     uint64_t Backlog = 0;
     for (Channel *Ch : M.Snapshot)
-      Backlog += Ch->Ring.size();
+      Backlog += Ch->Log.tail() - Ch->Log.cursor(0);
     M.MaxBacklog = std::max(M.MaxBacklog, Backlog);
   }
-}
-
-size_t Engine::pullBatch(MergeCursor &M, Channel &Ch, OnlineEvent *Out,
-                         size_t Cap) {
-  // The join gate: join(t, u) waits until u's ring has no unticketed
-  // access at its head. A ticketed head can only be a later incarnation's
-  // first event (the dead one's tickets all precede the join), so the
-  // gate holds across slot recycling. Joins are rare; a linear scan of
-  // the snapshot is fine. A slot not yet in the snapshot has pushed
-  // nothing this merge must wait for: its first event is ticketed before
-  // the join, so it would have had to merge first.
-  return Ch.Ring.popMergeable(M.Next, Out, Cap, [&M](uint32_t U) {
-    for (Channel *Other : M.Snapshot)
-      if (Other->Id == U)
-        return Other->Ring.headTicketedOrEmpty();
-    return true;
-  });
 }
 
 void Engine::endMerge(const MergeCursor &M) {
@@ -655,6 +639,19 @@ void Engine::mergeLoop() {
   std::vector<Operation> Delivered;
   Delivered.reserve(BatchCap);
   BroadcastLog *const Out = Log.get();
+  // The join gate's lookup of the joined thread's ring. A ticketed head
+  // there can only be a later incarnation's first event (the dead one's
+  // tickets all precede the join), so the gate holds across slot
+  // recycling. Joins are rare; a linear scan of the snapshot is fine. A
+  // slot not yet in the snapshot has pushed nothing this merge must wait
+  // for: its first event is ticketed before the join, so it would have
+  // had to merge first.
+  auto LogOf = [&M](ThreadId U) -> BroadcastLog * {
+    for (Channel *Other : M.Snapshot)
+      if (Other->Id == U)
+        return &Other->Log;
+    return nullptr;
+  };
   // An admitted event is never abandoned while detection runs: it is in
   // the capture and owns a raw index. On a full log the loop publishes
   // what it appended and waits for the slowest worker; only a halt lets it
@@ -680,13 +677,13 @@ void Engine::mergeLoop() {
     uint64_t Merged = 0;
     for (Channel *Ch : M.Snapshot) {
       // Drain this ring in batches: the events are copied out and their
-      // slots released in one Head store (so a parked producer unblocks
+      // slots released in one cursor store (so a parked producer unblocks
       // early), then admitted from the local buffer. A short batch means
       // the ring is out of mergeable events, so move on; a ring's capacity
       // per visit keeps one busy producer from starving the others.
       size_t Taken = 0;
-      while (Taken < Ch->Ring.capacity()) {
-        size_t N = pullBatch(M, *Ch, Batch.data(), BatchCap);
+      while (Taken < Ch->Log.capacity()) {
+        size_t N = pullBatch(Ch->Log, M.Next, Batch.data(), BatchCap, LogOf);
         if (N == 0) {
           M.EmptyPolls += Taken == 0;
           break;

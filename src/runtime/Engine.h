@@ -39,12 +39,13 @@
 ///    which is ticketed so it cannot merge ahead of the fork that
 ///    created the thread.
 ///  - **Rings.** Each thread publishes its events into a private bounded
-///    SPSC ring (EventRing.h). Emit is wait-free until the ring fills; a
-///    full ring parks the thread (bounded-queue backpressure), so the
-///    application can never race unboundedly ahead of the detector.
+///    log with one reader, the merge loop (BroadcastLog.h). Emit is
+///    wait-free until the ring fills; a full ring parks the thread
+///    (bounded-queue backpressure), so the application can never race
+///    unboundedly ahead of the detector.
 ///  - **The sequencer.** One drain thread runs the one merge loop at
 ///    every shard count. It merges the rings into one totally-ordered
-///    stream (EventRing::popMergeable): each ring drains in FIFO order,
+///    stream (Engine::pullBatch): each ring drains in FIFO order,
 ///    unticketed accesses pass freely, a ticketed event passes only when
 ///    its ticket is next, and join(t, u) additionally waits until u's
 ///    trailing accesses have merged. The result keeps every thread's
@@ -63,7 +64,7 @@
 ///    lines its producers are still writing (docs/RUNTIME.md, Merge;
 ///    EXPERIMENTS.md E17).
 ///  - **Shards** (OnlineOptions::Shards > 1). The delivery step becomes
-///    one append to a bounded broadcast log (BroadcastLog.h). N shard
+///    one append to a bounded broadcast log (the same class). N shard
 ///    workers each read the whole log through their own cursor and
 ///    dispatch, into a shard-local tool clone, every sync event plus the
 ///    accesses to the variables they own. FastTrack's state is per
@@ -142,6 +143,7 @@
 #include "trace/SegmentedCapture.h"
 #include "trace/Trace.h"
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -198,7 +200,7 @@ struct OnlineOptions {
   size_t RingCapacity = 1024;
 
   /// How many consecutive events the sequencer copies out of a ring per
-  /// batch before admitting and delivering them (EventRing::popMergeable).
+  /// batch before admitting and delivering them (Engine::pullBatch).
   /// Larger batches amortize the ring's atomic hand-off and release
   /// backpressure space in bulk; the merge rules are the same either way.
   ///
@@ -496,7 +498,54 @@ public:
   /// for children forked after slot exhaustion.
   void bindCurrentThreadUntracked();
 
+  /// The merge's ticket and join gate over one thread's ring \p Log (as
+  /// its reader 0): copies the ring's next mergeable events, at most
+  /// \p Max, to \p Out in FIFO order and releases them with one cursor
+  /// store, so a parked producer sees the whole batch of space at once.
+  /// An unticketed event (an access) passes freely. A ticketed event
+  /// passes only when it holds ticket \p Next, which it then advances; a
+  /// join additionally needs the joined thread's ring (\p LogOf(u), null
+  /// when u has none) to be empty or to hold a ticketed event at its
+  /// head, so u's trailing accesses merge first. The pull stops at the
+  /// first event that may not pass yet, which stays in the ring for a
+  /// later visit; a run that stops at the buffer's wrap point continues
+  /// past it. Returns the number of events written.
+  template <typename LogOfFn>
+  static size_t pullBatch(BroadcastLog &Log, uint64_t &Next,
+                          OnlineEvent *Out, size_t Max, LogOfFn &&LogOf) {
+    size_t N = 0;
+    while (N != Max) {
+      const OnlineEvent *Run = nullptr;
+      const size_t Len = std::min(Log.peekRun(0, Run, N), Max - N);
+      size_t I = 0;
+      for (; I != Len; ++I) {
+        const OnlineEvent &E = Run[I];
+        if (E.Seq != NoTicket) {
+          if (E.Seq != Next ||
+              (E.Kind == OpKind::Join && !headTicketedOrEmpty(LogOf(E.Target))))
+            break;
+          ++Next;
+        }
+        Out[N + I] = E;
+      }
+      N += I;
+      if (Len == 0 || I != Len)
+        break;
+    }
+    if (N != 0)
+      Log.release(0, N);
+    return N;
+  }
+
 private:
+  /// The join gate's test on the joined thread's ring: no unticketed
+  /// access waits at its head. Merge-loop side only (reader 0).
+  static bool headTicketedOrEmpty(BroadcastLog *Log) {
+    const OnlineEvent *Head = nullptr;
+    return !Log || Log->peekRun(0, Head) == 0 || Head->Seq != NoTicket;
+  }
+
+
   /// Where a slot is in its lifecycle. Transitions (always under
   /// ChannelMu): Live → Retiring at joinThread(), Retiring → Free once
   /// the sequencer has drained the ring (checked lazily at the next
@@ -513,9 +562,9 @@ private:
   /// held by TLS bindings and the sequencer snapshot stay valid.
   struct Channel {
     explicit Channel(ThreadId Id, size_t RingCapacity)
-        : Id(Id), Ring(RingCapacity) {}
+        : Id(Id), Log(RingCapacity, /*NumReaders=*/1) {}
     ThreadId Id;
-    EventRing Ring;
+    BroadcastLog Log; ///< The thread's ring; reader 0 is the merge loop.
     SlotState State = SlotState::Live; ///< Guarded by ChannelMu.
     std::atomic<uint64_t> DroppedPostHalt{0};
     std::atomic<uint64_t> DroppedOverload{0};
@@ -552,14 +601,12 @@ private:
   };
   /// Sweep prologue: refreshes the snapshot and samples backlog.
   void beginSweep(MergeCursor &M);
-  /// Pops the next mergeable batch of \p Ch (at most \p Cap events).
-  size_t pullBatch(MergeCursor &M, Channel &Ch, OnlineEvent *Out, size_t Cap);
   void endMerge(const MergeCursor &M);
   /// Books the \p N log events worker \p Shard discarded after a halt on
   /// their threads' rows, each event once across the workers: an access
   /// by its owner, a sync event by worker 0.
   void dropDiscarded(unsigned Shard, const OnlineEvent *Events, size_t N);
-  /// Events ever pushed into any ring (Σ ring tails).
+  /// Events ever published into any ring (Σ ring tails).
   uint64_t pushedEvents();
   void mergeLoop();
   void shardLoop(Shard &S);

@@ -8,7 +8,7 @@
 #include "framework/OnlineDriver.h"
 #include "framework/Replay.h"
 #include "framework/VectorClockToolBase.h"
-#include "runtime/EventRing.h"
+#include "runtime/BroadcastLog.h"
 #include "trace/TraceBuilder.h"
 
 #include <gtest/gtest.h>

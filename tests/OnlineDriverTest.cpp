@@ -14,13 +14,23 @@ using namespace ft;
 
 namespace {
 
+constexpr OnlineDriver::DispatchOutcome Delivered =
+    OnlineDriver::DispatchOutcome::Delivered;
+constexpr OnlineDriver::DispatchOutcome Rejected =
+    OnlineDriver::DispatchOutcome::Rejected;
+
+/// Offers \p Op, passed by value so a call can name a temporary.
+OnlineDriver::DispatchOutcome offerOp(OnlineDriver &Driver, Operation Op) {
+  return Driver.offer(Op);
+}
+
 /// Feeds every operation of \p T to a fresh driver over \p Checker.
 OnlineDriver pushAll(const Trace &T, Tool &Checker,
                      const ToolContext &Capacity,
                      OnlineDriverOptions Options = {}) {
   OnlineDriver Driver(Checker, Capacity, std::move(Options));
-  for (const Operation &Op : T)
-    Driver.dispatch(Op);
+  for (Operation Op : T)
+    Driver.offer(Op);
   Driver.finish();
   return Driver;
 }
@@ -137,8 +147,8 @@ TEST(OnlineDriver, WarningSinkFiresImmediately) {
   DriverPtr = &Driver;
 
   Trace T = TraceBuilder().fork(0, 1).wr(0, 0).wr(1, 0).wr(0, 1).take();
-  for (const Operation &Op : T)
-    Driver.dispatch(Op);
+  for (Operation Op : T)
+    Driver.offer(Op);
   Driver.finish();
 
   ASSERT_EQ(SinkLog.size(), 1u);
@@ -151,14 +161,14 @@ TEST(OnlineDriver, OverCapacityVariableHaltsWhenLadderPinnedOff) {
   OnlineDriverOptions Options;
   Options.Degrade.Enabled = false; // pre-ladder behavior: halt outright
   OnlineDriver Driver(Checker, capacity(2, 4, 2, 2), Options);
-  EXPECT_TRUE(Driver.dispatch(wr(0, 3)));  // at the edge: fine
-  EXPECT_FALSE(Driver.dispatch(wr(0, 4))); // over: halt
+  EXPECT_EQ(offerOp(Driver, wr(0, 3)), Delivered); // at the edge: fine
+  EXPECT_EQ(offerOp(Driver, wr(0, 4)), Rejected);  // over: halt
   EXPECT_TRUE(Driver.halted());
   ASSERT_EQ(Driver.diags().size(), 1u);
   EXPECT_EQ(Driver.diags()[0].Code, StatusCode::ResourceExhausted);
   EXPECT_EQ(Driver.diags()[0].OpIndex, 1u); // rejected op consumed no index
   // Halted drivers reject everything; the raw stream stays replayable.
-  EXPECT_FALSE(Driver.dispatch(wr(0, 0)));
+  EXPECT_EQ(offerOp(Driver, wr(0, 0)), Rejected);
   EXPECT_EQ(Driver.rawOps(), 1u);
   Driver.finish();
 }
@@ -166,9 +176,9 @@ TEST(OnlineDriver, OverCapacityVariableHaltsWhenLadderPinnedOff) {
 TEST(OnlineDriver, OverCapacityVariableCoarsensInsteadOfHalting) {
   FastTrack Checker;
   OnlineDriver Driver(Checker, capacity(2, 4, 2, 2)); // default ladder on
-  EXPECT_TRUE(Driver.dispatch(wr(0, 3)));
+  EXPECT_EQ(offerOp(Driver, wr(0, 3)), Delivered);
   Operation Over = wr(0, 4); // over capacity: first coarse rung absorbs it
-  EXPECT_EQ(Driver.offer(Over), OnlineDriver::DispatchOutcome::Delivered);
+  EXPECT_EQ(Driver.offer(Over), Delivered);
   EXPECT_EQ(Over.Target, 0u); // 4 / 8
   EXPECT_FALSE(Driver.halted());
   EXPECT_EQ(Driver.rung(), 1u);
@@ -178,7 +188,7 @@ TEST(OnlineDriver, OverCapacityVariableCoarsensInsteadOfHalting) {
   EXPECT_EQ(Driver.diags()[0].Sev, Severity::Warning);
   // Every later access folds through the same divisor (coherent shadow).
   Operation Low = wr(0, 3);
-  EXPECT_EQ(Driver.offer(Low), OnlineDriver::DispatchOutcome::Delivered);
+  EXPECT_EQ(Driver.offer(Low), Delivered);
   EXPECT_EQ(Low.Target, 0u); // 3 / 8
   EXPECT_EQ(Driver.rawOps(), 3u);
   Driver.finish();
@@ -189,7 +199,7 @@ TEST(OnlineDriver, LadderWidensUntilTheMappedIdFits) {
   FastTrack Checker;
   OnlineDriver Driver(Checker, capacity(2, 4, 2, 2));
   Operation Far = wr(0, 600); // 600/8=75, /64=9 still over, /512=1 fits
-  EXPECT_EQ(Driver.offer(Far), OnlineDriver::DispatchOutcome::Delivered);
+  EXPECT_EQ(Driver.offer(Far), Delivered);
   EXPECT_EQ(Far.Target, 1u);
   EXPECT_FALSE(Driver.halted());
   EXPECT_EQ(Driver.rung(), 3u);
@@ -203,7 +213,7 @@ TEST(OnlineDriver, LadderWidensUntilTheMappedIdFits) {
   FastTrack Beyond;
   OnlineDriver Halting(Beyond, capacity(2, 4, 2, 2));
   Operation Past = wr(0, 512 * 4); // /512 = 4, still not under 4
-  EXPECT_EQ(Halting.offer(Past), OnlineDriver::DispatchOutcome::Rejected);
+  EXPECT_EQ(Halting.offer(Past), Rejected);
   EXPECT_TRUE(Halting.halted());
   EXPECT_EQ(Halting.rung(), 0u);
   EXPECT_EQ(Halting.degradations(), 0u);
@@ -221,7 +231,7 @@ TEST(OnlineDriver, ForcedBudgetBreachStepsDownOnceAtTheProbe) {
   Options.ForceBudgetBreachAtRawOp = 4; // the fault-injection hook
   OnlineDriver Driver(Checker, capacity(), Options);
   for (int I = 0; I != 12; ++I)
-    Driver.dispatch(wr(0, 1));
+    offerOp(Driver, wr(0, 1));
   // Exactly one transition: the forced breach fires at the first probe at
   // or after raw op 4; later probes read the real (zero-budget) state.
   EXPECT_EQ(Driver.rung(), 1u);
@@ -241,8 +251,8 @@ TEST(OnlineDriver, BudgetBreachWalksLadderThenContinuesUnbudgeted) {
   // Sync ops keep consuming raw indices, so the probes keep firing until
   // the ladder runs out.
   for (int I = 0; I != 16; ++I) {
-    Driver.dispatch(acq(0, 0));
-    Driver.dispatch(rel(0, 0));
+    offerOp(Driver, acq(0, 0));
+    offerOp(Driver, rel(0, 0));
   }
   EXPECT_FALSE(Driver.halted()); // never halts: detection beats death
   EXPECT_EQ(Driver.rung(), 3u);  // full default ladder exhausted
@@ -265,9 +275,9 @@ TEST(OnlineDriver, DecliningToolWalksDivisorRungsUnderMemoryBudget) {
   Options.Degrade.BudgetCheckEveryOps = 1;
   OnlineDriver Driver(Checker, capacity(), Options);
   for (int I = 0; I != 16; ++I) {
-    Driver.dispatch(wr(0, static_cast<VarId>(I)));
-    Driver.dispatch(acq(0, 0));
-    Driver.dispatch(rel(0, 0));
+    offerOp(Driver, wr(0, static_cast<VarId>(I)));
+    offerOp(Driver, acq(0, 0));
+    offerOp(Driver, rel(0, 0));
   }
   EXPECT_FALSE(Driver.halted());
   EXPECT_EQ(Driver.rung(), 3u); // full default ladder exhausted
@@ -298,7 +308,7 @@ TEST(OnlineDriver, TrackerAloneSamplesShadowBytes) {
     Options.Degrade.BudgetCheckEveryOps = 4;
     OnlineDriver Driver(Checker, capacity(), Options);
     for (VarId X = 0; X != 64; ++X)
-      Driver.dispatch(wr(0, X));
+      offerOp(Driver, wr(0, X));
     EXPECT_EQ(Driver.rung(), 0u);
     EXPECT_TRUE(Driver.diags().empty());
     Driver.finish();
@@ -324,7 +334,7 @@ TEST(OnlineDriver, DegradedCaptureReplaysToIdenticalWarnings) {
   Trace Capture;
   for (const Operation &Op : T) {
     Operation Copy = Op;
-    if (Driver.offer(Copy) == OnlineDriver::DispatchOutcome::Delivered)
+    if (Driver.offer(Copy) == Delivered)
       Capture.append(Copy);
   }
   Driver.finish();
@@ -360,10 +370,10 @@ private:
 TEST(OnlineDriver, ThrowingToolHaltsWithToolFaultNotUnwind) {
   BombTool Checker(2);
   OnlineDriver Driver(Checker, capacity());
-  EXPECT_TRUE(Driver.dispatch(wr(0, 0)));
-  EXPECT_TRUE(Driver.dispatch(wr(0, 1)));
+  EXPECT_EQ(offerOp(Driver, wr(0, 0)), Delivered);
+  EXPECT_EQ(offerOp(Driver, wr(0, 1)), Delivered);
   Operation Bang = wr(0, 2);
-  EXPECT_EQ(Driver.offer(Bang), OnlineDriver::DispatchOutcome::Rejected);
+  EXPECT_EQ(Driver.offer(Bang), Rejected);
   EXPECT_TRUE(Driver.halted());
   // The throwing op was rolled back out of the stream: a capture holding
   // the two delivered ops replays cleanly.
@@ -378,25 +388,25 @@ TEST(OnlineDriver, OverCapacityThreadAndLockAndVolatileHalt) {
   {
     FastTrack Checker;
     OnlineDriver Driver(Checker, capacity(2, 4, 2, 2));
-    EXPECT_FALSE(Driver.dispatch(wr(2, 0)));
+    EXPECT_EQ(offerOp(Driver, wr(2, 0)), Rejected);
     EXPECT_TRUE(Driver.halted());
   }
   {
     FastTrack Checker;
     OnlineDriver Driver(Checker, capacity(2, 4, 2, 2));
-    EXPECT_FALSE(Driver.dispatch(acq(0, 2)));
+    EXPECT_EQ(offerOp(Driver, acq(0, 2)), Rejected);
     EXPECT_TRUE(Driver.halted());
   }
   {
     FastTrack Checker;
     OnlineDriver Driver(Checker, capacity(2, 4, 2, 2));
-    EXPECT_FALSE(Driver.dispatch(volRd(0, 2)));
+    EXPECT_EQ(offerOp(Driver, volRd(0, 2)), Rejected);
     EXPECT_TRUE(Driver.halted());
   }
   {
     FastTrack Checker;
     OnlineDriver Driver(Checker, capacity(4, 4, 2, 2));
-    EXPECT_FALSE(Driver.dispatch(fork(0, 4)));
+    EXPECT_EQ(offerOp(Driver, fork(0, 4)), Rejected);
     EXPECT_TRUE(Driver.halted());
   }
 }
@@ -405,14 +415,14 @@ TEST(OnlineDriver, BarrierOperationsHalt) {
   FastTrack Checker;
   OnlineDriver Driver(Checker, capacity());
   Operation Barrier(OpKind::Barrier, 0, 0);
-  EXPECT_FALSE(Driver.dispatch(Barrier));
+  EXPECT_EQ(Driver.offer(Barrier), Rejected);
   EXPECT_TRUE(Driver.halted());
 }
 
 TEST(OnlineDriver, FinishIsIdempotent) {
   FastTrack Checker;
   OnlineDriver Driver(Checker, capacity());
-  Driver.dispatch(wr(0, 0));
+  offerOp(Driver, wr(0, 0));
   Driver.finish();
   Driver.finish(); // second call must not re-run Tool::end()
   EXPECT_EQ(Driver.rawOps(), 1u);

@@ -1,6 +1,6 @@
 //===--- RuntimeTest.cpp - the online in-process detection runtime --------===//
 //
-// Covers the pieces bottom-up (ring, interner) and then the contracts the
+// Covers the pieces bottom-up (ring and merge gate, interner) and then the contracts the
 // subsystem exists for: ticket order is a legal linearization (captures
 // pass TraceValidator), online warnings equal an offline replay of the
 // flight-recorder capture exactly, capture files round-trip through
@@ -86,164 +86,216 @@ rt::OnlineReport checkedSession(FastTrack &Detector, Body &&Run,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// EventRing
+// EventRing: a thread's ring is a one-reader BroadcastLog, drained by the
+// merge gate (Engine::pullBatch)
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// A thread's ring: one reader, the merge loop.
+struct Ring : rt::BroadcastLog {
+  explicit Ring(size_t Capacity) : rt::BroadcastLog(Capacity, 1) {}
+
+  /// The producer's emit: append and publish. False when full.
+  bool push(const rt::OnlineEvent &E) {
+    if (!tryAppend(E))
+      return false;
+    publish();
+    return true;
+  }
+
+  /// The oldest unread event, or nullptr when the ring is drained.
+  const rt::OnlineEvent *head() {
+    const rt::OnlineEvent *E = nullptr;
+    return peekRun(0, E) == 0 ? nullptr : E;
+  }
+
+  bool empty() const { return cursor(0) == tail(); }
+};
+
+/// Join lookup for rings without joins: never consulted.
+rt::BroadcastLog *NoJoins(uint32_t) {
+  ADD_FAILURE() << "join gate consulted without a join";
+  return nullptr;
+}
+
+size_t pull(Ring &R, uint64_t &Next, rt::OnlineEvent *Out, size_t Max) {
+  return rt::Engine::pullBatch(R, Next, Out, Max, NoJoins);
+}
+
+} // namespace
+
 TEST(EventRing, FifoAndWraparound) {
-  rt::EventRing Ring(4);
-  EXPECT_EQ(Ring.capacity(), 4u);
+  Ring R(4);
+  EXPECT_EQ(R.capacity(), 4u);
   for (uint64_t Round = 0; Round != 3; ++Round) {
     for (uint64_t I = 0; I != 4; ++I) {
-      ASSERT_TRUE(Ring.hasSpace());
-      Ring.push({Round * 4 + I, OpKind::Read, static_cast<uint32_t>(I)});
+      ASSERT_TRUE(R.hasSpace());
+      ASSERT_TRUE(R.push({Round * 4 + I, OpKind::Read, static_cast<uint32_t>(I)}));
     }
-    EXPECT_FALSE(Ring.hasSpace());
+    EXPECT_FALSE(R.hasSpace());
     for (uint64_t I = 0; I != 4; ++I) {
-      const rt::OnlineEvent *E = Ring.peek();
+      const rt::OnlineEvent *E = R.head();
       ASSERT_NE(E, nullptr);
       EXPECT_EQ(E->Seq, Round * 4 + I);
-      Ring.pop();
+      R.release(0, 1);
     }
-    EXPECT_EQ(Ring.peek(), nullptr);
-    EXPECT_TRUE(Ring.empty());
+    EXPECT_EQ(R.head(), nullptr);
+    EXPECT_TRUE(R.empty());
   }
 }
 
 TEST(EventRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(rt::EventRing(3).capacity(), 4u);
-  EXPECT_EQ(rt::EventRing(5).capacity(), 8u);
-  EXPECT_EQ(rt::EventRing(1024).capacity(), 1024u);
-}
-
-/// Join gate for rings without joins: never consulted.
-static bool NoJoins(uint32_t) {
-  ADD_FAILURE() << "join gate consulted without a join";
-  return true;
+  EXPECT_EQ(Ring(3).capacity(), 4u);
+  EXPECT_EQ(Ring(5).capacity(), 8u);
+  EXPECT_EQ(Ring(1024).capacity(), 1024u);
 }
 
 TEST(EventRing, PopRunDrainsConsecutiveTickets) {
-  rt::EventRing Ring(8);
+  Ring R(8);
   for (uint64_t I = 0; I != 5; ++I)
-    Ring.push({I, OpKind::Read, static_cast<uint32_t>(I)});
+    R.push({I, OpKind::Read, static_cast<uint32_t>(I)});
   rt::OnlineEvent Out[8];
   uint64_t Next = 0;
-  size_t N = Ring.popMergeable(Next, Out, 8, NoJoins);
+  size_t N = pull(R, Next, Out, 8);
   ASSERT_EQ(N, 5u);
   EXPECT_EQ(Next, 5u);
   for (uint64_t I = 0; I != 5; ++I) {
     EXPECT_EQ(Out[I].Seq, I);
     EXPECT_EQ(Out[I].Target, I);
   }
-  EXPECT_TRUE(Ring.empty());
-  EXPECT_EQ(Ring.popMergeable(Next, Out, 8, NoJoins), 0u);
+  EXPECT_TRUE(R.empty());
+  EXPECT_EQ(pull(R, Next, Out, 8), 0u);
 }
 
 TEST(EventRing, PopRunRespectsMaxAndResumes) {
-  rt::EventRing Ring(8);
+  Ring R(8);
   for (uint64_t I = 0; I != 6; ++I)
-    Ring.push({I, OpKind::Write, 0});
+    R.push({I, OpKind::Write, 0});
   rt::OnlineEvent Out[4];
   uint64_t Next = 0;
-  EXPECT_EQ(Ring.popMergeable(Next, Out, 4, NoJoins), 4u);
+  EXPECT_EQ(pull(R, Next, Out, 4), 4u);
   EXPECT_EQ(Next, 4u);
-  EXPECT_EQ(Ring.popMergeable(Next, Out, 4, NoJoins), 2u);
+  EXPECT_EQ(pull(R, Next, Out, 4), 2u);
   EXPECT_EQ(Next, 6u);
-  EXPECT_TRUE(Ring.empty());
+  EXPECT_TRUE(R.empty());
 }
 
 TEST(EventRing, PopRunStopsAtOutOfRunTicket) {
   // Ticket 7 belongs to another thread's ring; this ring resumes at 8.
-  rt::EventRing Ring(8);
-  Ring.push({5, OpKind::Read, 0});
-  Ring.push({6, OpKind::Read, 0});
-  Ring.push({8, OpKind::Read, 0});
+  Ring R(8);
+  R.push({5, OpKind::Read, 0});
+  R.push({6, OpKind::Read, 0});
+  R.push({8, OpKind::Read, 0});
   rt::OnlineEvent Out[8];
   uint64_t Next = 5;
-  EXPECT_EQ(Ring.popMergeable(Next, Out, 8, NoJoins), 2u);
+  EXPECT_EQ(pull(R, Next, Out, 8), 2u);
   EXPECT_EQ(Next, 7u);
-  ASSERT_NE(Ring.peek(), nullptr);
-  EXPECT_EQ(Ring.peek()->Seq, 8u) << "out-of-run event must stay queued";
+  ASSERT_NE(R.head(), nullptr);
+  EXPECT_EQ(R.head()->Seq, 8u) << "out-of-run event must stay queued";
   Next = 8;
-  EXPECT_EQ(Ring.popMergeable(Next, Out, 8, NoJoins), 1u);
-  EXPECT_TRUE(Ring.empty());
+  EXPECT_EQ(pull(R, Next, Out, 8), 1u);
+  EXPECT_TRUE(R.empty());
 }
 
 TEST(EventRing, PopRunFreesSpaceForTheProducer) {
-  rt::EventRing Ring(4);
+  Ring R(4);
   rt::OnlineEvent Out[4];
   uint64_t Next = 0;
   for (uint64_t I = 0; I != 4; ++I)
-    Ring.push({I, OpKind::Read, 0});
-  EXPECT_FALSE(Ring.hasSpace());
-  EXPECT_EQ(Ring.popMergeable(Next, Out, 4, NoJoins), 4u);
-  EXPECT_TRUE(Ring.hasSpace()) << "batch pop must release all slots";
+    R.push({I, OpKind::Read, 0});
+  EXPECT_FALSE(R.hasSpace());
+  EXPECT_EQ(pull(R, Next, Out, 4), 4u);
+  EXPECT_TRUE(R.hasSpace()) << "batch pull must release all slots";
   for (uint64_t I = 4; I != 8; ++I) {
-    ASSERT_TRUE(Ring.hasSpace());
-    Ring.push({I, OpKind::Read, 0});
+    ASSERT_TRUE(R.hasSpace());
+    R.push({I, OpKind::Read, 0});
   }
-  EXPECT_EQ(Ring.popMergeable(Next, Out, 4, NoJoins), 4u);
+  EXPECT_EQ(pull(R, Next, Out, 4), 4u);
   EXPECT_EQ(Next, 8u);
 }
 
 TEST(EventRing, UnticketedAccessesFlowBetweenTickets) {
   // Accesses carry no ticket: they pass freely, in FIFO order, and only
   // a ticketed event that is not next stops the run.
-  rt::EventRing Ring(16);
-  Ring.push({3, OpKind::Acquire, 0});
-  Ring.push({rt::NoTicket, OpKind::Write, 1});
-  Ring.push({rt::NoTicket, OpKind::Read, 2});
-  Ring.push({4, OpKind::Release, 0});
-  Ring.push({rt::NoTicket, OpKind::Write, 3});
-  Ring.push({7, OpKind::Acquire, 0}); // another ring holds 5 and 6
-  Ring.push({rt::NoTicket, OpKind::Write, 4});
+  Ring R(16);
+  R.push({3, OpKind::Acquire, 0});
+  R.push({rt::NoTicket, OpKind::Write, 1});
+  R.push({rt::NoTicket, OpKind::Read, 2});
+  R.push({4, OpKind::Release, 0});
+  R.push({rt::NoTicket, OpKind::Write, 3});
+  R.push({7, OpKind::Acquire, 0}); // another ring holds 5 and 6
+  R.push({rt::NoTicket, OpKind::Write, 4});
   rt::OnlineEvent Out[16];
   uint64_t Next = 3;
-  ASSERT_EQ(Ring.popMergeable(Next, Out, 16, NoJoins), 5u);
+  ASSERT_EQ(pull(R, Next, Out, 16), 5u);
   EXPECT_EQ(Next, 5u);
   const uint32_t Targets[] = {0, 1, 2, 0, 3};
   for (size_t I = 0; I != 5; ++I)
     EXPECT_EQ(Out[I].Target, Targets[I]) << "event " << I;
-  ASSERT_NE(Ring.peek(), nullptr);
-  EXPECT_EQ(Ring.peek()->Seq, 7u) << "future ticket must stay queued";
+  ASSERT_NE(R.head(), nullptr);
+  EXPECT_EQ(R.head()->Seq, 7u) << "future ticket must stay queued";
 
   Next = 7;
-  ASSERT_EQ(Ring.popMergeable(Next, Out, 16, NoJoins), 2u);
+  ASSERT_EQ(pull(R, Next, Out, 16), 2u);
   EXPECT_EQ(Next, 8u);
   EXPECT_EQ(Out[1].Seq, rt::NoTicket);
-  EXPECT_TRUE(Ring.empty());
+  EXPECT_TRUE(R.empty());
 }
 
 TEST(EventRing, UnticketedRunRespectsMax) {
   // A sync-free run is bounded by Max alone and resumes where it left.
-  rt::EventRing Ring(8);
+  Ring R(8);
   for (uint32_t I = 0; I != 6; ++I)
-    Ring.push({rt::NoTicket, OpKind::Write, I});
+    R.push({rt::NoTicket, OpKind::Write, I});
   rt::OnlineEvent Out[4];
   uint64_t Next = 0;
-  EXPECT_EQ(Ring.popMergeable(Next, Out, 4, NoJoins), 4u);
-  EXPECT_EQ(Ring.popMergeable(Next, Out, 4, NoJoins), 2u);
+  EXPECT_EQ(pull(R, Next, Out, 4), 4u);
+  EXPECT_EQ(pull(R, Next, Out, 4), 2u);
   EXPECT_EQ(Out[1].Target, 5u);
   EXPECT_EQ(Next, 0u) << "unticketed events draw no ticket";
-  EXPECT_TRUE(Ring.empty());
+  EXPECT_TRUE(R.empty());
+}
+
+TEST(EventRing, TicketedRunAcrossTheWrapMergesWhole) {
+  // Advance the ring's position to 5 of 8 slots, then queue a run of
+  // tickets 5..10 that occupies slots 5, 6, 7, 0, 1, 2: one pull must
+  // take all six in order, not stop at the buffer's end.
+  Ring R(8);
+  rt::OnlineEvent Out[8];
+  uint64_t Next = 0;
+  for (uint64_t I = 0; I != 5; ++I)
+    R.push({I, OpKind::Release, 0});
+  ASSERT_EQ(pull(R, Next, Out, 8), 5u);
+  for (uint64_t I = 5; I != 11; ++I)
+    ASSERT_TRUE(R.push({I, OpKind::Acquire, static_cast<uint32_t>(I)}));
+  ASSERT_EQ(pull(R, Next, Out, 8), 6u);
+  EXPECT_EQ(Next, 11u);
+  for (uint64_t I = 0; I != 6; ++I) {
+    EXPECT_EQ(Out[I].Seq, 5 + I) << "event " << I;
+    EXPECT_EQ(Out[I].Target, 5 + I) << "event " << I;
+  }
+  EXPECT_TRUE(R.empty());
+  EXPECT_EQ(R.cursor(0), 11u) << "the whole run is released at once";
 }
 
 TEST(EventRing, JoinWaitsForTheJoinedThreadsTrailingAccesses) {
   // join(t, u) is next, but u's ring still holds unticketed accesses
   // u made before it exited: they must merge first.
-  rt::EventRing Parent(8), Child(8);
+  Ring Parent(8), Child(8);
   Parent.push({5, OpKind::Join, 1});
   Child.push({rt::NoTicket, OpKind::Write, 0});
   Child.push({rt::NoTicket, OpKind::Read, 0});
-  auto ChildDone = [&](uint32_t U) {
+  auto ChildLog = [&](uint32_t U) -> rt::BroadcastLog * {
     EXPECT_EQ(U, 1u);
-    return Child.headTicketedOrEmpty();
+    return &Child;
   };
   rt::OnlineEvent Out[8];
   uint64_t Next = 5;
-  EXPECT_EQ(Parent.popMergeable(Next, Out, 8, ChildDone), 0u);
+  EXPECT_EQ(rt::Engine::pullBatch(Parent, Next, Out, 8, ChildLog), 0u);
   EXPECT_EQ(Next, 5u) << "a gated join must not consume its ticket";
-  EXPECT_EQ(Child.popMergeable(Next, Out, 8, NoJoins), 2u);
-  EXPECT_EQ(Parent.popMergeable(Next, Out, 8, ChildDone), 1u);
+  EXPECT_EQ(pull(Child, Next, Out, 8), 2u);
+  EXPECT_EQ(rt::Engine::pullBatch(Parent, Next, Out, 8, ChildLog), 1u);
   EXPECT_EQ(Out[0].Kind, OpKind::Join);
   EXPECT_EQ(Next, 6u);
 }
@@ -253,22 +305,22 @@ TEST(EventRing, JoinGateOpensOnALaterIncarnationsTicketedHead) {
   // was forked after the join), so a ticketed head means the joined
   // incarnation has fully drained — the gate must open, not deadlock
   // waiting on an event that can only merge after the join.
-  rt::EventRing Parent(8), Slot(8);
+  Ring Parent(8), Slot(8);
   Parent.push({5, OpKind::Join, 1});
   Parent.push({6, OpKind::Fork, 1});
   Slot.push({rt::NoTicket, OpKind::Write, 0}); // dead incarnation
   Slot.push({7, OpKind::Write, 0});             // successor's first event
   Slot.push({rt::NoTicket, OpKind::Write, 0});
-  auto SlotDone = [&](uint32_t) { return Slot.headTicketedOrEmpty(); };
+  auto SlotLog = [&](uint32_t) -> rt::BroadcastLog * { return &Slot; };
   rt::OnlineEvent Out[8];
   uint64_t Next = 5;
-  EXPECT_EQ(Parent.popMergeable(Next, Out, 8, SlotDone), 0u);
+  EXPECT_EQ(rt::Engine::pullBatch(Parent, Next, Out, 8, SlotLog), 0u);
   // The successor's head is not mergeable yet, but the dead
   // incarnation's access is.
-  EXPECT_EQ(Slot.popMergeable(Next, Out, 8, NoJoins), 1u);
-  EXPECT_EQ(Parent.popMergeable(Next, Out, 8, SlotDone), 2u);
+  EXPECT_EQ(pull(Slot, Next, Out, 8), 1u);
+  EXPECT_EQ(rt::Engine::pullBatch(Parent, Next, Out, 8, SlotLog), 2u);
   EXPECT_EQ(Next, 7u);
-  EXPECT_EQ(Slot.popMergeable(Next, Out, 8, NoJoins), 2u);
+  EXPECT_EQ(pull(Slot, Next, Out, 8), 2u);
   EXPECT_EQ(Next, 8u);
 }
 
@@ -278,7 +330,7 @@ TEST(EventRing, JoinGateOpensOnALaterIncarnationsTicketedHead) {
 
 TEST(EntityInterner, DenseStableIdsPerKind) {
   rt::EntityInterner Interner;
-  int A, B, C;
+  int A = 0, B = 0, C = 0;
   EXPECT_EQ(Interner.intern(rt::EntityKind::Var, &A), 0u);
   EXPECT_EQ(Interner.intern(rt::EntityKind::Var, &B), 1u);
   EXPECT_EQ(Interner.intern(rt::EntityKind::Var, &A), 0u); // stable
