@@ -30,9 +30,9 @@
 /// results are identical either way.
 ///
 /// Layering note: this framework header includes runtime/BroadcastLog.h
-/// for the OnlineEvent wire format. BroadcastLog.h is header-only and
+/// for the EventWord wire format. BroadcastLog.h is header-only and
 /// depends only on trace/, so no link-time framework → runtime edge is
-/// created; OnlineDriver.h itself only forward-declares OnlineEvent.
+/// created; OnlineDriver.h itself only forward-declares EventWord.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,16 +49,17 @@
 
 namespace ft {
 
-/// One access run (Read/Write events only) handed to a DispatchRun loop,
-/// and how far the loop got. With Thread == NoThread the run is
-/// pre-admitted: each event carries its thread, and its raw op index in
-/// Seq, and the loop dispatches only the events Owners maps to Shard.
-/// Otherwise it is one thread's stretch as the merge loop pulled it:
-/// event I runs as Thread at raw index FirstRaw + I, and the loop stops
-/// before the first event whose Target is not below MaxVars.
+/// One access run (Read/Write words only) handed to a DispatchRun loop,
+/// and how far the loop got. Word I takes raw index FirstRaw + I. With
+/// Thread == NoThread the run is a stretch of the shard log: each word's
+/// tag is its thread, and the loop dispatches only the words Owners maps
+/// to Shard. Otherwise it is one thread's stretch of ring words as the
+/// merge loop pulled it (tags are tickets, ignored here): word I runs as
+/// Thread, and the loop stops before the first word whose target is not
+/// below MaxVars.
 struct AccessRun {
   static constexpr ThreadId NoThread = ~0u;
-  const runtime::OnlineEvent *Events;
+  const runtime::EventWord *Events;
   size_t N;
   ThreadId Thread;
   uint64_t FirstRaw;
@@ -109,12 +110,13 @@ ReplayResult fastReplay(const Trace &T, Tool &Checker,
 /// register allocation.
 #define FT_DISPATCH_ACCESS(E, T, Idx)                                          \
   if constexpr (std::is_same_v<ToolT, Tool>)                                   \
-    Passed += (E).Kind == OpKind::Read ? Checker.onRead(T, (E).Target, Idx)    \
-                                       : Checker.onWrite(T, (E).Target, Idx);  \
+    Passed += (E).kind() == OpKind::Read                                       \
+                  ? Checker.onRead(T, (E).target(), Idx)                       \
+                  : Checker.onWrite(T, (E).target(), Idx);                     \
   else                                                                         \
-    Passed += (E).Kind == OpKind::Read                                         \
-                  ? Checker.ToolT::onRead(T, (E).Target, Idx)                  \
-                  : Checker.ToolT::onWrite(T, (E).Target, Idx)
+    Passed += (E).kind() == OpKind::Read                                       \
+                  ? Checker.ToolT::onRead(T, (E).target(), Idx)                \
+                  : Checker.ToolT::onWrite(T, (E).target(), Idx)
 
 /// The access-run loop against \p ToolT. Instantiated on Tool itself:
 /// OnlineDriver's fallback for unregistered types.
@@ -129,8 +131,8 @@ void accessRunLoop(ToolT &Checker, AccessRun &R) {
   if constexpr (OneThread) {
     try {
       for (; I != In.N; ++I) {
-        const runtime::OnlineEvent &E = In.Events[I];
-        if (E.Target >= In.MaxVars)
+        const runtime::EventWord E = In.Events[I];
+        if (E.target() >= In.MaxVars)
           break;
         const ThreadId T = In.Thread;
         const size_t Idx = In.FirstRaw + I;
@@ -155,12 +157,13 @@ void accessRunLoop(ToolT &Checker, AccessRun &R) {
         size_t K = 0;
         for (size_t J = Base; J != End; ++J) {
           Owned[K] = static_cast<uint8_t>(J - Base);
-          K += In.Owners.indexOf(In.Events[J].Target) == In.Shard;
+          K += In.Owners.indexOf(In.Events[J].target()) == In.Shard;
         }
         for (Q = 0; Q != K; ++Q) {
           I = Base + Owned[Q];
-          const runtime::OnlineEvent &E = In.Events[I];
-          FT_DISPATCH_ACCESS(E, E.Thread, E.Seq);
+          const runtime::EventWord E = In.Events[I];
+          const size_t Idx = In.FirstRaw + I;
+          FT_DISPATCH_ACCESS(E, E.thread(), Idx);
         }
         Skipped += End - Base - K;
         Base = End;

@@ -316,10 +316,10 @@ OnlineDriver::DispatchOutcome OnlineDriver::offer(Operation &Op) {
   return DispatchOutcome::Delivered;
 }
 
-size_t OnlineDriver::runAccesses(const runtime::OnlineEvent *Run, size_t N,
-                                 ThreadId Thread, const ShardMap &Owners,
-                                 unsigned Shard) {
-  AccessRun R{.Events = Run, .N = N, .Thread = Thread, .FirstRaw = Raw,
+size_t OnlineDriver::runAccesses(const runtime::EventWord *Run, size_t N,
+                                 ThreadId Thread, uint64_t FirstRaw,
+                                 const ShardMap &Owners, unsigned Shard) {
+  AccessRun R{.Events = Run, .N = N, .Thread = Thread, .FirstRaw = FirstRaw,
               .MaxVars = Capacity.NumVars, .Owners = Owners, .Shard = Shard};
   try {
     FastRun(Checker, R);
@@ -329,8 +329,7 @@ size_t OnlineDriver::runAccesses(const runtime::OnlineEvent *Run, size_t N,
     // which rawOps() stops just before.
     Dispatched += R.Done - R.Skipped;
     AccessesPassed += R.Passed;
-    toolFault(Thread == AccessRun::NoThread ? Run[R.Done].Seq : Raw + R.Done,
-              "dispatch");
+    toolFault(FirstRaw + R.Done, "dispatch");
     return R.Done;
   }
   Dispatched += R.Done - R.Skipped;
@@ -341,37 +340,51 @@ size_t OnlineDriver::runAccesses(const runtime::OnlineEvent *Run, size_t N,
 }
 
 bool OnlineDriver::admitAccessRun(ThreadId Thread,
-                                  const runtime::OnlineEvent *Run, size_t N) {
+                                  const runtime::EventWord *Run, size_t N) {
   assert(std::all_of(Run, Run + N,
-                     [](const runtime::OnlineEvent &E) {
-                       return isAccess(E.Kind);
-                     }) &&
+                     [](runtime::EventWord W) { return isAccess(W.kind()); }) &&
          "admitAccessRun fed a non-access event");
   if (Options.Role == DriverRole::DispatchOnly || Halted ||
-      transformsAccesses() || Raw >= NextProbe || NextProbe - Raw < N ||
       Thread >= Capacity.NumThreads)
     return false;
-  if (Options.Role == DriverRole::AdmissionOnly) {
-    size_t Done = 0;
-    while (Done != N && Run[Done].Target < Capacity.NumVars)
-      ++Done;
-    Raw += Done;
-    Dispatched += Done;
-    return Done == N;
+  // One window per budget probe: a probe due inside the run is taken where
+  // per-event offer() would take it, before the event at NextProbe.
+  size_t Done = 0;
+  while (Done != N && !Halted) {
+    if (Raw >= NextProbe)
+      probeBudget();
+    if (transformsAccesses())
+      break;
+    const size_t Len =
+        static_cast<size_t>(std::min<uint64_t>(N - Done, NextProbe - Raw));
+    size_t Got = 0;
+    if (Options.Role == DriverRole::AdmissionOnly) {
+      while (Got != Len && Run[Done + Got].target() < Capacity.NumVars)
+        ++Got;
+      Raw += Got;
+      Dispatched += Got;
+    } else {
+      // One pass: the run loop checks capacity, stamps the thread and raw
+      // index, and dispatches, stopping short at an over-capacity target.
+      Got = runAccesses(Run + Done, Len, Thread, Raw);
+    }
+    Done += Got;
+    if (Got != Len)
+      break;
   }
-  // One pass: the run loop checks capacity, stamps the thread and raw
-  // index, and dispatches, stopping short at an over-capacity target.
-  const size_t Done = runAccesses(Run, N, Thread);
-  try {
-    drainWarnings();
-  } catch (...) {
-    toolFault(Raw, "dispatch");
+  if (Options.Role == DriverRole::Full) {
+    try {
+      drainWarnings();
+    } catch (...) {
+      toolFault(Raw, "dispatch");
+    }
   }
   return Done == N;
 }
 
-size_t OnlineDriver::dispatchRun(const runtime::OnlineEvent *Run, size_t N,
-                                 const ShardMap &Owners, unsigned Shard) {
+size_t OnlineDriver::dispatchRun(const runtime::EventWord *Run, size_t N,
+                                 uint64_t FirstRaw, const ShardMap &Owners,
+                                 unsigned Shard) {
   if (Halted)
     return 0;
   // Events arrive pre-admitted: capacity, rung transforms, and lock
@@ -382,30 +395,33 @@ size_t OnlineDriver::dispatchRun(const runtime::OnlineEvent *Run, size_t N,
   // handlers do real vector-clock work anyway).
   size_t I = 0;
   while (I != N) {
-    const runtime::OnlineEvent &E = Run[I];
-    if (isAccess(E.Kind)) {
+    const runtime::EventWord W = Run[I];
+    if (isAccess(W.kind())) {
       size_t End = I + 1;
-      while (End != N && isAccess(Run[End].Kind))
+      while (End != N && isAccess(Run[End].kind()))
         ++End;
-      I += runAccesses(Run + I, End - I, AccessRun::NoThread, Owners, Shard);
+      I += runAccesses(Run + I, End - I, AccessRun::NoThread, FirstRaw + I,
+                       Owners, Shard);
       if (Halted)
         return I;
       continue;
     }
-    try {
-      dispatchSync(Checker, E.Kind, E.Thread, E.Target,
-                   static_cast<size_t>(E.Seq));
-    } catch (...) {
-      toolFault(E.Seq, "dispatch");
-      return I;
+    if (!W.isSkip()) {
+      try {
+        dispatchSync(Checker, W.kind(), W.thread(), W.target(),
+                     static_cast<size_t>(FirstRaw + I));
+      } catch (...) {
+        toolFault(FirstRaw + I, "dispatch");
+        return I;
+      }
+      ++Dispatched;
     }
-    ++Dispatched;
     ++I;
   }
   try {
     drainWarnings();
   } catch (...) {
-    toolFault(N != 0 ? Run[N - 1].Seq + 1 : Raw, "dispatch");
+    toolFault(FirstRaw + N, "dispatch");
   }
   return N;
 }

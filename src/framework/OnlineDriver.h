@@ -69,7 +69,7 @@ namespace ft {
 
 struct AccessRun;
 namespace runtime {
-struct OnlineEvent;
+struct EventWord;
 } // namespace runtime
 
 /// Which half (or both) of the offer() pipeline a driver instance runs.
@@ -88,8 +88,8 @@ enum class DriverRole : uint8_t {
   /// would decide them, then appends Delivered events to the broadcast
   /// log.
   AdmissionOnly,
-  /// Dispatch only: events arrive pre-admitted (already transformed,
-  /// filtered, and carrying their raw index in OnlineEvent::Seq) via
+  /// Dispatch only: events arrive pre-admitted (already transformed and
+  /// filtered, as shard-log words whose position is their raw index) via
   /// dispatchRun(). Shard workers run this role with the ladder disabled
   /// and the re-entrant filter off — admission already applied both.
   DispatchOnly,
@@ -175,41 +175,46 @@ public:
   /// consumed by the re-entrant lock filter — it owns a raw index and
   /// belongs in the capture, but must NOT reach the shard workers (shard
   /// drivers run with the filter off; dispatching it would double-apply
-  /// the lock semantics the filter stripped).
+  /// the lock semantics the filter stripped), so the merge loop logs a
+  /// skip word at its raw index.
   bool lastAdmittedFiltered() const { return LastFiltered; }
 
   /// Batched admission of a run of one thread's accesses: the merge
   /// loop's path for every access stretch, at every shard count. Admits
-  /// the \p N events (all Read/Write — the caller guarantees it) emitted
-  /// by \p Thread in one call when nothing per-event can fire: the driver
-  /// is un-halted, at a rung that leaves accesses untouched, and no budget
-  /// probe falls inside the run; otherwise it admits nothing. Admission
-  /// stops just before an over-capacity target. Event I takes raw index
-  /// rawOps() + I and counts as dispatched: the state the same Delivered
-  /// offer() calls would leave. An AdmissionOnly driver stops there (the
-  /// merge loop appends the run to the log). A Full driver also dispatches
-  /// the run, in one
-  /// pass through the tool's run loop, and drains warnings once per run;
-  /// a tool that throws halts it with a ToolFault anchored at the
-  /// thrower, and rawOps() and dispatched() stop just before it. A
-  /// DispatchOnly driver never admits. Returns true iff all N events were
-  /// admitted; the caller feeds the rest to per-event offer(), which owns
-  /// the exact diagnostics and degradations.
-  bool admitAccessRun(ThreadId Thread, const runtime::OnlineEvent *Run,
+  /// the \p N ring words (all Read/Write — the caller guarantees it)
+  /// emitted by \p Thread in one call while nothing per-event fires: the
+  /// driver is un-halted and at a rung that leaves accesses untouched. A
+  /// budget probe due inside the run is taken at the raw index offer()
+  /// would take it, between the prefix before it and the rest; admission
+  /// stops there only if the probe stepped onto a rung that rewrites
+  /// accesses. Admission also stops just before an over-capacity target.
+  /// Event I takes raw index rawOps() + I and counts as dispatched: the
+  /// state the same Delivered offer() calls would leave. An AdmissionOnly
+  /// driver stops there (the merge loop appends the run to the log). A
+  /// Full driver also dispatches the run, in one pass through the tool's
+  /// run loop per probe window, and drains warnings once per call; a tool
+  /// that throws halts it with a ToolFault anchored at the thrower, and
+  /// rawOps() and dispatched() stop just before it. A DispatchOnly driver
+  /// never admits. Returns true iff all N events were admitted; the
+  /// caller feeds the rest to per-event offer(), which owns the exact
+  /// diagnostics and degradations.
+  bool admitAccessRun(ThreadId Thread, const runtime::EventWord *Run,
                       size_t N);
 
-  /// DispatchOnly batched dispatch: feeds \p N pre-admitted events to the
-  /// tool, hoisting the per-event halt/capacity/rung checks offer() pays
-  /// out of the loop (they already ran on the admission side). Access
+  /// DispatchOnly batched dispatch: feeds \p N pre-admitted shard-log
+  /// words to the tool, hoisting the per-event halt/capacity/rung checks
+  /// offer() pays out of the loop (they already ran on the admission
+  /// side). Word I has raw op index \p FirstRaw + I, the index admission
+  /// assigned, so warnings carry single-sequencer indices. Access
   /// stretches go through the same run loop as admitAccessRun, keeping
   /// only those \p Owners maps to \p Shard (by default, all); sync events
-  /// dispatch virtually one at a time. Each event's Seq is the raw op
-  /// index admission assigned, so warnings carry single-sequencer indices.
-  /// Returns the events handled: \p N, or the index of a thrower that
-  /// halted the driver, anchored at its Seq (the events before it stay
+  /// dispatch virtually one at a time, and skip words not at all. Returns
+  /// the words handled: \p N, or the index of a thrower that halted the
+  /// driver, anchored at its raw index (the events before it stay
   /// dispatched). A halted driver handles nothing.
-  size_t dispatchRun(const runtime::OnlineEvent *Run, size_t N,
-                     const ShardMap &Owners = ShardMap(), unsigned Shard = 0);
+  size_t dispatchRun(const runtime::EventWord *Run, size_t N,
+                     uint64_t FirstRaw, const ShardMap &Owners = ShardMap(),
+                     unsigned Shard = 0);
 
   /// Calls Checker.end() and flushes the warning sink. A throwing end()
   /// is absorbed into a ToolFault diagnostic. Idempotent.
@@ -255,13 +260,13 @@ private:
   /// Halts with a ToolFault for the exception in flight, anchored at raw
   /// index \p At. Call only from a catch block.
   void toolFault(uint64_t At, const char *During);
-  /// The access-run helper both roles share: dispatches \p Run through
-  /// FastRun (see AccessRun for \p Thread, \p Owners and \p Shard) and
-  /// returns the events handled. On a throw it halts, anchored at the
-  /// thrower.
-  size_t runAccesses(const runtime::OnlineEvent *Run, size_t N,
-                     ThreadId Thread, const ShardMap &Owners = ShardMap(),
-                     unsigned Shard = 0);
+  /// The access-run helper both roles share: dispatches \p Run, whose
+  /// first word has raw index \p FirstRaw, through FastRun (see AccessRun
+  /// for \p Thread, \p Owners and \p Shard) and returns the events
+  /// handled. On a throw it halts, anchored at the thrower.
+  size_t runAccesses(const runtime::EventWord *Run, size_t N,
+                     ThreadId Thread, uint64_t FirstRaw,
+                     const ShardMap &Owners = ShardMap(), unsigned Shard = 0);
 
   Tool &Checker;
   ToolContext Capacity;

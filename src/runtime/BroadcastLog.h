@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The engine's one bounded event buffer: a single-producer log that N
-/// readers each consume through their own cursor. It carries events at
-/// two points of the pipeline:
+/// readers each consume through their own cursor. Each slot is one 8-byte
+/// EventWord (target, kind and a tag), and it carries events at two
+/// points of the pipeline:
 ///
 ///  - **Per-thread channels** (one reader). Each application thread
 ///    appends its events to a private log, and the merge loop is that
@@ -15,11 +16,13 @@
 ///    that outruns the detector parks in emit() until the merge drains,
 ///    so detection memory stays O(threads × capacity) however fast the
 ///    application generates events (the C11Tester/RoadRunner budgeting
-///    discipline, not an unbounded log). The merge's ticket and join gate
-///    reads the log in place (pullMergeable in Engine.h).
+///    discipline, not an unbounded log). A word's tag holds the sync
+///    ticket's residue; the merge's ticket and join gate reads the words
+///    in place (Engine::pullBatch).
 ///  - **The shard log** (N readers). The merge loop appends each admitted
-///    event once, and every shard worker reads the whole stream through
-///    its own cursor. FastTrack's state is per variable and its
+///    event once, its tag the emitting thread and its position its raw op
+///    index, and every shard worker reads the whole stream through its
+///    own cursor. FastTrack's state is per variable and its
 ///    happens-before comes from sync events alone, so a worker that reads
 ///    every sync event in order plus the accesses it owns reports exactly
 ///    what the serial analysis reports; nothing is copied per shard.
@@ -50,25 +53,70 @@
 
 namespace ft::runtime {
 
-/// Seq of an access that carries no ticket (see OnlineEvent).
-constexpr uint64_t NoTicket = ~0ull;
+/// One event in flight, packed into one 64-bit word: the slot of every
+/// BroadcastLog. Bits 0-31 hold the target id and bits 32-35 the kind in
+/// both places the log serves; bits 36-63, the tag, depend on the place:
+///
+///  - **Per-thread ring.** The producing thread is implied by the ring.
+///    A ticketed event (a sync event, or the first event after the thread
+///    binds to its slot) sets bit 63 and keeps its ticket's low
+///    TicketBits bits in bits 36-62; an unticketed access has tag 0. The
+///    merge compares that residue with its next ticket modulo
+///    2^TicketBits, which is exact because the tickets drawn and not yet
+///    merged never number more than TicketWindow: each sits in a ring
+///    slot or is being appended by its thread, at most MaxThreads ×
+///    (RingCapacity + 1), and the Engine fits its options to that bound.
+///  - **Shard log.** The tag is the emitting thread (below ThreadLimit),
+///    and the event's raw op index is its position in the log. An
+///    admitted event no worker may dispatch (a re-entrant lock event the
+///    admission filter stripped) is appended as a skip word, so the
+///    positions stay the raw indices.
+struct EventWord {
+  static constexpr unsigned KindShift = 32;
+  static constexpr unsigned TagShift = 36;
+  static constexpr unsigned TicketBits = 27;
+  static constexpr uint64_t TicketWindow = 1ull << TicketBits;
+  static constexpr uint64_t ThreadLimit = 1ull << (64 - TagShift);
 
-/// One instrumentation event in flight. In a per-thread channel
-/// (application thread → merge loop) the producing thread is implied by
-/// the channel and Thread is unused. Seq is the global sync ticket for a
-/// sync event — and for the first event after the thread binds to its
-/// slot — and NoTicket for every other access: the merge orders sync
-/// events by ticket and lets accesses flow between them in per-thread
-/// order. In the shard log, Seq is the event's raw op index and Thread
-/// the emitting thread.
-struct OnlineEvent {
-  uint64_t Seq = 0;
-  OpKind Kind = OpKind::Read;
-  uint32_t Target = 0;
-  ThreadId Thread = 0;
+  uint64_t Bits = 0;
+
+  /// An unticketed ring word, or a log word with tag \p Tag (a thread).
+  static EventWord of(OpKind Kind, uint32_t Target, uint64_t Tag = 0) {
+    return {Target | uint64_t(Kind) << KindShift | Tag << TagShift};
+  }
+  /// A ring word carrying \p Ticket.
+  static EventWord withTicket(OpKind Kind, uint32_t Target, uint64_t Ticket) {
+    return of(Kind, Target, ticketTag(Ticket));
+  }
+  /// The log word of an admitted event no shard worker dispatches.
+  static EventWord skip() { return {SkipKind << KindShift}; }
+  /// The tag a ring word holding \p Ticket carries.
+  static uint64_t ticketTag(uint64_t Ticket) {
+    return TicketWindow | (Ticket & (TicketWindow - 1));
+  }
+
+  uint32_t target() const { return static_cast<uint32_t>(Bits); }
+  OpKind kind() const { return static_cast<OpKind>(Bits >> KindShift & 0xF); }
+  uint64_t tag() const { return Bits >> TagShift; }
+  bool ticketed() const { return Bits >> 63 != 0; }
+  bool isSkip() const { return (Bits >> KindShift & 0xF) == SkipKind; }
+  ThreadId thread() const { return static_cast<ThreadId>(tag()); }
+  /// This ring word's log word: same kind and target, tagged \p Thread.
+  EventWord onThread(ThreadId Thread) const {
+    return {(Bits & ((1ull << TagShift) - 1)) | uint64_t(Thread) << TagShift};
+  }
+
+  bool operator==(const EventWord &) const = default;
+
+private:
+  /// A kind field no OpKind uses.
+  static constexpr uint64_t SkipKind = 0xF;
 };
 
-/// Bounded single-producer, N-reader log of OnlineEvents. Capacity is
+static_assert(sizeof(EventWord) == 8, "a log slot is one 8-byte word");
+static_assert(uint64_t(OpKind::AtomicEnd) < 0xF, "OpKind fits the kind field");
+
+/// Bounded single-producer, N-reader log of EventWords. Capacity is
 /// rounded up to a power of two; all hand-off is acquire/release on Tail
 /// and the cursors, so the log is data-race-free by construction
 /// (certified by the CI TSan job, which runs real producer threads
@@ -104,10 +152,10 @@ public:
 
   /// Writes \p E into the next slot without making it readable; false
   /// when the log is full (the slowest reader is a capacity behind).
-  bool tryAppend(const OnlineEvent &E) {
+  bool tryAppend(EventWord W) {
     if (!hasSpace())
       return false;
-    Buffer[Pending++ & Mask] = E;
+    Buffer[Pending++ & Mask] = W;
     return true;
   }
 
@@ -123,7 +171,7 @@ public:
   /// Only a call with nothing skipped re-reads the producer's tail, so a
   /// reader that continues a run past the wrap touches the producer's
   /// line once.
-  size_t peekRun(unsigned R, const OnlineEvent *&Ptr, size_t Skip = 0) {
+  size_t peekRun(unsigned R, const EventWord *&Ptr, size_t Skip = 0) {
     Reader &Rd = Readers[R];
     const uint64_t C = Rd.Cursor.load(std::memory_order_relaxed) + Skip;
     if (C == Rd.TailCache) {
@@ -173,7 +221,7 @@ private:
     uint64_t TailCache = 0;
   };
 
-  std::vector<OnlineEvent> Buffer;
+  std::vector<EventWord> Buffer;
   size_t Mask = 0;
   std::unique_ptr<Reader[]> Readers;
   unsigned NumReaders;

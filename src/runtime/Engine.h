@@ -34,15 +34,16 @@
 ///    sequence number (one relaxed fetch_add) at a moment when the real
 ///    operation has made it safe: an acquire while the lock is held, a
 ///    release before it is given up, a fork before the child starts, a
-///    join after the child is reaped. Reads and writes carry NoTicket,
+///    join after the child is reaped. Reads and writes carry no ticket,
 ///    except the first event a thread emits after binding to a slot,
 ///    which is ticketed so it cannot merge ahead of the fork that
 ///    created the thread.
 ///  - **Rings.** Each thread publishes its events into a private bounded
-///    log with one reader, the merge loop (BroadcastLog.h). Emit is
-///    wait-free until the ring fills; a full ring parks the thread
-///    (bounded-queue backpressure), so the application can never race
-///    unboundedly ahead of the detector.
+///    log with one reader, the merge loop (BroadcastLog.h), one 8-byte
+///    word per event: target, kind, and the ticket's residue modulo
+///    2^27 (EventWord). Emit is wait-free until the ring fills; a full
+///    ring parks the thread (bounded-queue backpressure), so the
+///    application can never race unboundedly ahead of the detector.
 ///  - **The sequencer.** One drain thread runs the one merge loop at
 ///    every shard count. It merges the rings into one totally-ordered
 ///    stream (Engine::pullBatch): each ring drains in FIFO order,
@@ -64,10 +65,13 @@
 ///    lines its producers are still writing (docs/RUNTIME.md, Merge;
 ///    EXPERIMENTS.md E17).
 ///  - **Shards** (OnlineOptions::Shards > 1). The delivery step becomes
-///    one append to a bounded broadcast log (the same class). N shard
-///    workers each read the whole log through their own cursor and
-///    dispatch, into a shard-local tool clone, every sync event plus the
-///    accesses to the variables they own. FastTrack's state is per
+///    one append to a bounded broadcast log (the same class): a word of
+///    target, kind and thread, whose position in the log is its raw op
+///    index (a re-entrant lock event the filter stripped is logged as a
+///    skip word to keep its position). N shard workers each read the
+///    whole log through their own cursor and dispatch, into a
+///    shard-local tool clone, every sync event plus the accesses to the
+///    variables they own. FastTrack's state is per
 ///    variable and its happens-before comes from sync events alone, so
 ///    warnings and captures stay identical to Shards=1. The log's bound
 ///    paces the workers: a fast one runs at most one log ahead of the
@@ -196,7 +200,10 @@ struct OnlineOptions {
 
   /// Per-thread event-ring capacity (rounded up to a power of two). The
   /// backpressure bound: an application thread more than this many events
-  /// ahead of the sequencer parks until it drains.
+  /// ahead of the sequencer parks until it drains. MaxThreads ×
+  /// (capacity + 1) must fit EventWord::TicketWindow (2^27), and
+  /// MaxThreads EventWord::ThreadLimit; a session given more runs with
+  /// both cut to fit and a Warning diagnostic.
   size_t RingCapacity = 1024;
 
   /// How many consecutive events the sequencer copies out of a ring per
@@ -499,34 +506,35 @@ public:
   void bindCurrentThreadUntracked();
 
   /// The merge's ticket and join gate over one thread's ring \p Log (as
-  /// its reader 0): copies the ring's next mergeable events, at most
+  /// its reader 0): copies the ring's next mergeable words, at most
   /// \p Max, to \p Out in FIFO order and releases them with one cursor
   /// store, so a parked producer sees the whole batch of space at once.
-  /// An unticketed event (an access) passes freely. A ticketed event
-  /// passes only when it holds ticket \p Next, which it then advances; a
-  /// join additionally needs the joined thread's ring (\p LogOf(u), null
-  /// when u has none) to be empty or to hold a ticketed event at its
-  /// head, so u's trailing accesses merge first. The pull stops at the
-  /// first event that may not pass yet, which stays in the ring for a
-  /// later visit; a run that stops at the buffer's wrap point continues
-  /// past it. Returns the number of events written.
+  /// An unticketed word (an access) passes freely. A ticketed word
+  /// passes only when its residue is ticket \p Next's, which it then
+  /// advances; a join additionally needs the joined thread's ring
+  /// (\p LogOf(u), null when u has none) to be empty or to hold a
+  /// ticketed word at its head, so u's trailing accesses merge first. The
+  /// pull stops at the first word that may not pass yet, which stays in
+  /// the ring for a later visit; a run that stops at the buffer's wrap
+  /// point continues past it. Returns the number of words written.
   template <typename LogOfFn>
-  static size_t pullBatch(BroadcastLog &Log, uint64_t &Next,
-                          OnlineEvent *Out, size_t Max, LogOfFn &&LogOf) {
+  static size_t pullBatch(BroadcastLog &Log, uint64_t &Next, EventWord *Out,
+                          size_t Max, LogOfFn &&LogOf) {
     size_t N = 0;
     while (N != Max) {
-      const OnlineEvent *Run = nullptr;
+      const EventWord *Run = nullptr;
       const size_t Len = std::min(Log.peekRun(0, Run, N), Max - N);
       size_t I = 0;
       for (; I != Len; ++I) {
-        const OnlineEvent &E = Run[I];
-        if (E.Seq != NoTicket) {
-          if (E.Seq != Next ||
-              (E.Kind == OpKind::Join && !headTicketedOrEmpty(LogOf(E.Target))))
+        const EventWord W = Run[I];
+        if (W.ticketed()) {
+          if (W.tag() != EventWord::ticketTag(Next) ||
+              (W.kind() == OpKind::Join &&
+               !headTicketedOrEmpty(LogOf(W.target()))))
             break;
           ++Next;
         }
-        Out[N + I] = E;
+        Out[N + I] = W;
       }
       N += I;
       if (Len == 0 || I != Len)
@@ -541,10 +549,9 @@ private:
   /// The join gate's test on the joined thread's ring: no unticketed
   /// access waits at its head. Merge-loop side only (reader 0).
   static bool headTicketedOrEmpty(BroadcastLog *Log) {
-    const OnlineEvent *Head = nullptr;
-    return !Log || Log->peekRun(0, Head) == 0 || Head->Seq != NoTicket;
+    const EventWord *Head = nullptr;
+    return !Log || Log->peekRun(0, Head) == 0 || Head->ticketed();
   }
-
 
   /// Where a slot is in its lifecycle. Transitions (always under
   /// ChannelMu): Live → Retiring at joinThread(), Retiring → Free once
@@ -602,10 +609,10 @@ private:
   /// Sweep prologue: refreshes the snapshot and samples backlog.
   void beginSweep(MergeCursor &M);
   void endMerge(const MergeCursor &M);
-  /// Books the \p N log events worker \p Shard discarded after a halt on
+  /// Books the \p N log words worker \p Shard discarded after a halt on
   /// their threads' rows, each event once across the workers: an access
-  /// by its owner, a sync event by worker 0.
-  void dropDiscarded(unsigned Shard, const OnlineEvent *Events, size_t N);
+  /// by its owner, a sync event by worker 0, a skip word by none.
+  void dropDiscarded(unsigned Shard, const EventWord *Words, size_t N);
   /// Events ever published into any ring (Σ ring tails).
   uint64_t pushedEvents();
   void mergeLoop();

@@ -20,6 +20,9 @@
 ///  - **Tool exceptions.** ThrowAfterTool wraps any Tool and throws from
 ///    a chosen access handler call — the quarantine scenario.
 ///
+/// The ticket counter can also start at any value, so a short test
+/// crosses the ring words' ticket-residue wrap.
+///
 /// A stall and a ring-full storm are injected as the real failures
 /// instead: a tool handler that blocks until the test releases it, or
 /// that sleeps in each of a window of calls (tests/BlockingTool.h). An
@@ -58,6 +61,11 @@ struct FaultPlan {
   /// the Nth new clock allocation is denied, exercising shed-and-recycle
   /// before the growth fallback.
   uint64_t FailSideStoreInflateAt = None;
+
+  /// The session's first sync ticket (0 in production). A value just
+  /// below a multiple of EventWord::TicketWindow makes the ring words'
+  /// ticket residues wrap within a short test.
+  uint64_t FirstTicket = 0;
 
   FaultPlan() = default;
   FaultPlan(const FaultPlan &) = delete;

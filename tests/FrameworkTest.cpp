@@ -289,11 +289,11 @@ TEST(Replay, SubclassOfRegisteredToolFallsBackToVirtualDispatch) {
   OnlineDriverOptions DO;
   DO.Role = DriverRole::DispatchOnly;
   OnlineDriver Driver(Online, makeToolContext(T, GranularityMap()), DO);
-  std::vector<runtime::OnlineEvent> Events;
-  for (size_t I = 0; I != T.size(); ++I)
-    Events.push_back(
-        {static_cast<uint64_t>(I), T[I].Kind, T[I].Target, T[I].Thread});
-  ASSERT_EQ(Driver.dispatchRun(Events.data(), Events.size()), Events.size());
+  std::vector<runtime::EventWord> Events;
+  for (const Operation &Op : T)
+    Events.push_back(runtime::EventWord::of(Op.Kind, Op.Target, Op.Thread));
+  ASSERT_EQ(Driver.dispatchRun(Events.data(), Events.size(), 0),
+            Events.size());
   Driver.finish();
   EXPECT_EQ(Online.Reads, Counting.Reads) << "override was bypassed online";
   EXPECT_EQ(Online.Writes, Counting.Writes) << "override was bypassed online";

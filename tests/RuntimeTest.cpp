@@ -86,8 +86,8 @@ rt::OnlineReport checkedSession(FastTrack &Detector, Body &&Run,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// EventRing: a thread's ring is a one-reader BroadcastLog, drained by the
-// merge gate (Engine::pullBatch)
+// EventRing: a thread's ring is a one-reader BroadcastLog of 8-byte words,
+// drained by the merge gate (Engine::pullBatch)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -97,21 +97,31 @@ struct Ring : rt::BroadcastLog {
   explicit Ring(size_t Capacity) : rt::BroadcastLog(Capacity, 1) {}
 
   /// The producer's emit: append and publish. False when full.
-  bool push(const rt::OnlineEvent &E) {
-    if (!tryAppend(E))
+  bool push(rt::EventWord W) {
+    if (!tryAppend(W))
       return false;
     publish();
     return true;
   }
 
-  /// The oldest unread event, or nullptr when the ring is drained.
-  const rt::OnlineEvent *head() {
-    const rt::OnlineEvent *E = nullptr;
-    return peekRun(0, E) == 0 ? nullptr : E;
+  /// The oldest unread word, or nullptr when the ring is drained.
+  const rt::EventWord *head() {
+    const rt::EventWord *W = nullptr;
+    return peekRun(0, W) == 0 ? nullptr : W;
   }
 
   bool empty() const { return cursor(0) == tail(); }
 };
+
+/// A ring word holding \p Ticket.
+rt::EventWord ticketed(uint64_t Ticket, OpKind Kind, uint32_t Target) {
+  return rt::EventWord::withTicket(Kind, Target, Ticket);
+}
+
+/// An unticketed ring word (an access).
+rt::EventWord access(OpKind Kind, uint32_t Target) {
+  return rt::EventWord::of(Kind, Target);
+}
 
 /// Join lookup for rings without joins: never consulted.
 rt::BroadcastLog *NoJoins(uint32_t) {
@@ -119,25 +129,26 @@ rt::BroadcastLog *NoJoins(uint32_t) {
   return nullptr;
 }
 
-size_t pull(Ring &R, uint64_t &Next, rt::OnlineEvent *Out, size_t Max) {
+size_t pull(Ring &R, uint64_t &Next, rt::EventWord *Out, size_t Max) {
   return rt::Engine::pullBatch(R, Next, Out, Max, NoJoins);
 }
 
 } // namespace
 
 TEST(EventRing, FifoAndWraparound) {
+  static_assert(sizeof(rt::EventWord) == 8, "a ring slot is one word");
   Ring R(4);
   EXPECT_EQ(R.capacity(), 4u);
-  for (uint64_t Round = 0; Round != 3; ++Round) {
-    for (uint64_t I = 0; I != 4; ++I) {
+  for (uint32_t Round = 0; Round != 3; ++Round) {
+    for (uint32_t I = 0; I != 4; ++I) {
       ASSERT_TRUE(R.hasSpace());
-      ASSERT_TRUE(R.push({Round * 4 + I, OpKind::Read, static_cast<uint32_t>(I)}));
+      ASSERT_TRUE(R.push(access(OpKind::Read, Round * 4 + I)));
     }
     EXPECT_FALSE(R.hasSpace());
-    for (uint64_t I = 0; I != 4; ++I) {
-      const rt::OnlineEvent *E = R.head();
-      ASSERT_NE(E, nullptr);
-      EXPECT_EQ(E->Seq, Round * 4 + I);
+    for (uint32_t I = 0; I != 4; ++I) {
+      const rt::EventWord *W = R.head();
+      ASSERT_NE(W, nullptr);
+      EXPECT_EQ(*W, access(OpKind::Read, Round * 4 + I));
       R.release(0, 1);
     }
     EXPECT_EQ(R.head(), nullptr);
@@ -153,16 +164,17 @@ TEST(EventRing, CapacityRoundsUpToPowerOfTwo) {
 
 TEST(EventRing, PopRunDrainsConsecutiveTickets) {
   Ring R(8);
-  for (uint64_t I = 0; I != 5; ++I)
-    R.push({I, OpKind::Read, static_cast<uint32_t>(I)});
-  rt::OnlineEvent Out[8];
+  for (uint32_t I = 0; I != 5; ++I)
+    R.push(ticketed(I, OpKind::Acquire, I));
+  rt::EventWord Out[8];
   uint64_t Next = 0;
   size_t N = pull(R, Next, Out, 8);
   ASSERT_EQ(N, 5u);
   EXPECT_EQ(Next, 5u);
-  for (uint64_t I = 0; I != 5; ++I) {
-    EXPECT_EQ(Out[I].Seq, I);
-    EXPECT_EQ(Out[I].Target, I);
+  for (uint32_t I = 0; I != 5; ++I) {
+    EXPECT_EQ(Out[I], ticketed(I, OpKind::Acquire, I));
+    EXPECT_EQ(Out[I].kind(), OpKind::Acquire);
+    EXPECT_EQ(Out[I].target(), I);
   }
   EXPECT_TRUE(R.empty());
   EXPECT_EQ(pull(R, Next, Out, 8), 0u);
@@ -171,8 +183,8 @@ TEST(EventRing, PopRunDrainsConsecutiveTickets) {
 TEST(EventRing, PopRunRespectsMaxAndResumes) {
   Ring R(8);
   for (uint64_t I = 0; I != 6; ++I)
-    R.push({I, OpKind::Write, 0});
-  rt::OnlineEvent Out[4];
+    R.push(ticketed(I, OpKind::Release, 0));
+  rt::EventWord Out[4];
   uint64_t Next = 0;
   EXPECT_EQ(pull(R, Next, Out, 4), 4u);
   EXPECT_EQ(Next, 4u);
@@ -184,15 +196,16 @@ TEST(EventRing, PopRunRespectsMaxAndResumes) {
 TEST(EventRing, PopRunStopsAtOutOfRunTicket) {
   // Ticket 7 belongs to another thread's ring; this ring resumes at 8.
   Ring R(8);
-  R.push({5, OpKind::Read, 0});
-  R.push({6, OpKind::Read, 0});
-  R.push({8, OpKind::Read, 0});
-  rt::OnlineEvent Out[8];
+  R.push(ticketed(5, OpKind::Acquire, 0));
+  R.push(ticketed(6, OpKind::Release, 0));
+  R.push(ticketed(8, OpKind::Acquire, 0));
+  rt::EventWord Out[8];
   uint64_t Next = 5;
   EXPECT_EQ(pull(R, Next, Out, 8), 2u);
   EXPECT_EQ(Next, 7u);
   ASSERT_NE(R.head(), nullptr);
-  EXPECT_EQ(R.head()->Seq, 8u) << "out-of-run event must stay queued";
+  EXPECT_EQ(*R.head(), ticketed(8, OpKind::Acquire, 0))
+      << "out-of-run word must stay queued";
   Next = 8;
   EXPECT_EQ(pull(R, Next, Out, 8), 1u);
   EXPECT_TRUE(R.empty());
@@ -200,16 +213,16 @@ TEST(EventRing, PopRunStopsAtOutOfRunTicket) {
 
 TEST(EventRing, PopRunFreesSpaceForTheProducer) {
   Ring R(4);
-  rt::OnlineEvent Out[4];
+  rt::EventWord Out[4];
   uint64_t Next = 0;
   for (uint64_t I = 0; I != 4; ++I)
-    R.push({I, OpKind::Read, 0});
+    R.push(ticketed(I, OpKind::Acquire, 0));
   EXPECT_FALSE(R.hasSpace());
   EXPECT_EQ(pull(R, Next, Out, 4), 4u);
   EXPECT_TRUE(R.hasSpace()) << "batch pull must release all slots";
   for (uint64_t I = 4; I != 8; ++I) {
     ASSERT_TRUE(R.hasSpace());
-    R.push({I, OpKind::Read, 0});
+    R.push(ticketed(I, OpKind::Acquire, 0));
   }
   EXPECT_EQ(pull(R, Next, Out, 4), 4u);
   EXPECT_EQ(Next, 8u);
@@ -217,29 +230,31 @@ TEST(EventRing, PopRunFreesSpaceForTheProducer) {
 
 TEST(EventRing, UnticketedAccessesFlowBetweenTickets) {
   // Accesses carry no ticket: they pass freely, in FIFO order, and only
-  // a ticketed event that is not next stops the run.
+  // a ticketed word that is not next stops the run.
   Ring R(16);
-  R.push({3, OpKind::Acquire, 0});
-  R.push({rt::NoTicket, OpKind::Write, 1});
-  R.push({rt::NoTicket, OpKind::Read, 2});
-  R.push({4, OpKind::Release, 0});
-  R.push({rt::NoTicket, OpKind::Write, 3});
-  R.push({7, OpKind::Acquire, 0}); // another ring holds 5 and 6
-  R.push({rt::NoTicket, OpKind::Write, 4});
-  rt::OnlineEvent Out[16];
+  R.push(ticketed(3, OpKind::Acquire, 0));
+  R.push(access(OpKind::Write, 1));
+  R.push(access(OpKind::Read, 2));
+  R.push(ticketed(4, OpKind::Release, 0));
+  R.push(access(OpKind::Write, 3));
+  R.push(ticketed(7, OpKind::Acquire, 0)); // another ring holds 5 and 6
+  R.push(access(OpKind::Write, 4));
+  rt::EventWord Out[16];
   uint64_t Next = 3;
   ASSERT_EQ(pull(R, Next, Out, 16), 5u);
   EXPECT_EQ(Next, 5u);
   const uint32_t Targets[] = {0, 1, 2, 0, 3};
   for (size_t I = 0; I != 5; ++I)
-    EXPECT_EQ(Out[I].Target, Targets[I]) << "event " << I;
+    EXPECT_EQ(Out[I].target(), Targets[I]) << "word " << I;
   ASSERT_NE(R.head(), nullptr);
-  EXPECT_EQ(R.head()->Seq, 7u) << "future ticket must stay queued";
+  EXPECT_EQ(*R.head(), ticketed(7, OpKind::Acquire, 0))
+      << "future ticket must stay queued";
 
   Next = 7;
   ASSERT_EQ(pull(R, Next, Out, 16), 2u);
   EXPECT_EQ(Next, 8u);
-  EXPECT_EQ(Out[1].Seq, rt::NoTicket);
+  EXPECT_FALSE(Out[1].ticketed());
+  EXPECT_EQ(Out[1].tag(), 0u) << "an access carries an empty tag";
   EXPECT_TRUE(R.empty());
 }
 
@@ -247,13 +262,13 @@ TEST(EventRing, UnticketedRunRespectsMax) {
   // A sync-free run is bounded by Max alone and resumes where it left.
   Ring R(8);
   for (uint32_t I = 0; I != 6; ++I)
-    R.push({rt::NoTicket, OpKind::Write, I});
-  rt::OnlineEvent Out[4];
+    R.push(access(OpKind::Write, I));
+  rt::EventWord Out[4];
   uint64_t Next = 0;
   EXPECT_EQ(pull(R, Next, Out, 4), 4u);
   EXPECT_EQ(pull(R, Next, Out, 4), 2u);
-  EXPECT_EQ(Out[1].Target, 5u);
-  EXPECT_EQ(Next, 0u) << "unticketed events draw no ticket";
+  EXPECT_EQ(Out[1].target(), 5u);
+  EXPECT_EQ(Next, 0u) << "unticketed words draw no ticket";
   EXPECT_TRUE(R.empty());
 }
 
@@ -262,41 +277,64 @@ TEST(EventRing, TicketedRunAcrossTheWrapMergesWhole) {
   // tickets 5..10 that occupies slots 5, 6, 7, 0, 1, 2: one pull must
   // take all six in order, not stop at the buffer's end.
   Ring R(8);
-  rt::OnlineEvent Out[8];
+  rt::EventWord Out[8];
   uint64_t Next = 0;
   for (uint64_t I = 0; I != 5; ++I)
-    R.push({I, OpKind::Release, 0});
+    R.push(ticketed(I, OpKind::Release, 0));
   ASSERT_EQ(pull(R, Next, Out, 8), 5u);
-  for (uint64_t I = 5; I != 11; ++I)
-    ASSERT_TRUE(R.push({I, OpKind::Acquire, static_cast<uint32_t>(I)}));
+  for (uint32_t I = 5; I != 11; ++I)
+    ASSERT_TRUE(R.push(ticketed(I, OpKind::Acquire, I)));
   ASSERT_EQ(pull(R, Next, Out, 8), 6u);
   EXPECT_EQ(Next, 11u);
-  for (uint64_t I = 0; I != 6; ++I) {
-    EXPECT_EQ(Out[I].Seq, 5 + I) << "event " << I;
-    EXPECT_EQ(Out[I].Target, 5 + I) << "event " << I;
-  }
+  for (uint32_t I = 0; I != 6; ++I)
+    EXPECT_EQ(Out[I], ticketed(5 + I, OpKind::Acquire, 5 + I)) << "word " << I;
   EXPECT_TRUE(R.empty());
   EXPECT_EQ(R.cursor(0), 11u) << "the whole run is released at once";
+}
+
+TEST(EventRing, TicketResiduesMergeAcrossTheirWrap) {
+  // A word keeps its ticket modulo TicketWindow. Tickets in flight never
+  // span a window, so residue equality is ticket equality: the run
+  // W-2, W-1, W, W+1 merges in order through the residue's wrap to 0,
+  // and a residue that is not next's stays queued.
+  constexpr uint64_t W = rt::EventWord::TicketWindow;
+  Ring R(8);
+  for (uint64_t T = W - 2; T != W + 2; ++T)
+    R.push(ticketed(T, OpKind::Acquire, static_cast<uint32_t>(T % 7)));
+  R.push(ticketed(W + 3, OpKind::Release, 0)); // W + 2 is another ring's
+  EXPECT_EQ(ticketed(W, OpKind::Acquire, 0), ticketed(0, OpKind::Acquire, 0))
+      << "the word holds the residue only";
+  rt::EventWord Out[8];
+  uint64_t Next = W - 2;
+  ASSERT_EQ(pull(R, Next, Out, 8), 4u);
+  EXPECT_EQ(Next, W + 2);
+  for (uint64_t I = 0; I != 4; ++I)
+    EXPECT_EQ(Out[I].target(), (W - 2 + I) % 7) << "word " << I;
+  ASSERT_NE(R.head(), nullptr);
+  EXPECT_EQ(R.head()->tag(), rt::EventWord::ticketTag(3));
+  Next = W + 3;
+  EXPECT_EQ(pull(R, Next, Out, 8), 1u);
+  EXPECT_TRUE(R.empty());
 }
 
 TEST(EventRing, JoinWaitsForTheJoinedThreadsTrailingAccesses) {
   // join(t, u) is next, but u's ring still holds unticketed accesses
   // u made before it exited: they must merge first.
   Ring Parent(8), Child(8);
-  Parent.push({5, OpKind::Join, 1});
-  Child.push({rt::NoTicket, OpKind::Write, 0});
-  Child.push({rt::NoTicket, OpKind::Read, 0});
+  Parent.push(ticketed(5, OpKind::Join, 1));
+  Child.push(access(OpKind::Write, 0));
+  Child.push(access(OpKind::Read, 0));
   auto ChildLog = [&](uint32_t U) -> rt::BroadcastLog * {
     EXPECT_EQ(U, 1u);
     return &Child;
   };
-  rt::OnlineEvent Out[8];
+  rt::EventWord Out[8];
   uint64_t Next = 5;
   EXPECT_EQ(rt::Engine::pullBatch(Parent, Next, Out, 8, ChildLog), 0u);
   EXPECT_EQ(Next, 5u) << "a gated join must not consume its ticket";
   EXPECT_EQ(pull(Child, Next, Out, 8), 2u);
   EXPECT_EQ(rt::Engine::pullBatch(Parent, Next, Out, 8, ChildLog), 1u);
-  EXPECT_EQ(Out[0].Kind, OpKind::Join);
+  EXPECT_EQ(Out[0].kind(), OpKind::Join);
   EXPECT_EQ(Next, 6u);
 }
 
@@ -306,13 +344,13 @@ TEST(EventRing, JoinGateOpensOnALaterIncarnationsTicketedHead) {
   // incarnation has fully drained — the gate must open, not deadlock
   // waiting on an event that can only merge after the join.
   Ring Parent(8), Slot(8);
-  Parent.push({5, OpKind::Join, 1});
-  Parent.push({6, OpKind::Fork, 1});
-  Slot.push({rt::NoTicket, OpKind::Write, 0}); // dead incarnation
-  Slot.push({7, OpKind::Write, 0});             // successor's first event
-  Slot.push({rt::NoTicket, OpKind::Write, 0});
+  Parent.push(ticketed(5, OpKind::Join, 1));
+  Parent.push(ticketed(6, OpKind::Fork, 1));
+  Slot.push(access(OpKind::Write, 0));        // dead incarnation
+  Slot.push(ticketed(7, OpKind::Write, 0));   // successor's first event
+  Slot.push(access(OpKind::Write, 0));
   auto SlotLog = [&](uint32_t) -> rt::BroadcastLog * { return &Slot; };
-  rt::OnlineEvent Out[8];
+  rt::EventWord Out[8];
   uint64_t Next = 5;
   EXPECT_EQ(rt::Engine::pullBatch(Parent, Next, Out, 8, SlotLog), 0u);
   // The successor's head is not mergeable yet, but the dead
