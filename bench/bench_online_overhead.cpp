@@ -271,12 +271,12 @@ RunResult runShardedOnce(unsigned Shards, unsigned NumThreads,
   return R;
 }
 
-/// Options pinning the session at one degraded rung (StartRung skips the
-/// space trigger; the one-rung ladder is exhausted, so the session runs
-/// the whole workload there).
-rt::OnlineOptions pinnedRung(DegradeStep Step) {
+/// Options pinning the session at one variable-id divisor (StartRung
+/// skips the space trigger; the one-rung ladder is exhausted, so the
+/// session runs the whole workload there).
+rt::OnlineOptions pinnedRung(unsigned Divisor) {
   rt::OnlineOptions Options;
-  Options.Degrade.Ladder = {Step};
+  Options.Degrade.Ladder = {Divisor};
   Options.Degrade.StartRung = 1;
   return Options;
 }
@@ -384,7 +384,7 @@ int main(int argc, char **argv) {
     FastTrack FTCoarse;
     RunResult CoarseRun = timeOnline(
         FTCoarse, NumThreads, Iters,
-        pinnedRung({DegradeStep::Kind::CoarseGranularity, 64}));
+        pinnedRung(64));
 
     auto Row = [&](const char *Name, const RunResult &R, double VsEmpty) {
       Out.addRow({std::to_string(NumThreads), Name, fixed(R.Seconds, 3),

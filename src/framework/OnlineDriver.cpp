@@ -16,24 +16,19 @@ OnlineDriver::OnlineDriver(Tool &Checker, const ToolContext &Capacity,
   const FastPathEntry *Fast = findFastPath(Checker);
   FastRun = Fast ? Fast->DispatchRun : &fastDispatchRun<Tool>;
   DegradePolicy &D = Options.Degrade;
-  if (D.Enabled && D.Memory.Enabled) {
-    // Offer self-governance to the tool before begin() (the policy takes
-    // effect at the table's next reset). A tool that accepts holds the
-    // budget in-table; the probe below enforces it only for decliners.
-    MemoryGoverned = Checker.configureShadowPolicy(D.Memory);
-    if (MemoryGoverned)
-      // The first memory-pressure transition is the in-table fold, taken
-      // before any stream transform (see DegradeStep::Kind::ShadowSummarize).
-      D.Ladder.insert(D.Ladder.begin(),
-                      {DegradeStep::Kind::ShadowSummarize, 0});
-  }
+  // Offer self-governance to the tool before begin() (the policy takes
+  // effect at the table's next reset). A tool that accepts holds the
+  // budget in-table and records its own folds; the probe below enforces
+  // the budget only for decliners.
+  MemoryGoverned =
+      D.Enabled && D.Memory.Enabled && Checker.configureShadowPolicy(D.Memory);
   if (D.Enabled && D.StartRung != 0) {
     Rung = D.StartRung < D.Ladder.size() ? D.StartRung
                                          : static_cast<unsigned>(D.Ladder.size());
     applyRung();
   }
   if (D.Enabled &&
-      (D.Memory.BudgetBytes != 0 || MemoryGoverned || D.Tracker ||
+      ((D.Memory.BudgetBytes != 0 && !MemoryGoverned) || D.Tracker ||
        Options.ForceBudgetBreachAtRawOp != OnlineDriverOptions::NoFault))
     NextProbe = std::max<unsigned>(1, D.BudgetCheckEveryOps);
   Checker.begin(Capacity);
@@ -69,22 +64,9 @@ void OnlineDriver::halt(StatusCode Code, std::string Message) {
   Halted = true;
 }
 
-/// Recomputes the effective transform from ladder steps [0, Rung).
+/// The divisor of ladder rung Rung (1 = Full).
 void OnlineDriver::applyRung() {
-  Divisor = 1;
-  const std::vector<DegradeStep> &Ladder = Options.Degrade.Ladder;
-  for (unsigned I = 0; I != Rung && I < Ladder.size(); ++I) {
-    const DegradeStep &S = Ladder[I];
-    switch (S.K) {
-    case DegradeStep::Kind::CoarseGranularity:
-      Divisor = std::max(1u, S.Param);
-      break;
-    case DegradeStep::Kind::ShadowSummarize:
-      // No stream transform: the precision fold happened inside the
-      // governed shadow table. Crossing the rung records the transition.
-      break;
-    }
-  }
+  Divisor = Rung == 0 ? 1 : std::max(1u, Options.Degrade.Ladder[Rung - 1]);
 }
 
 uint32_t OnlineDriver::widestDivisor() const {
@@ -92,8 +74,7 @@ uint32_t OnlineDriver::widestDivisor() const {
   const DegradePolicy &D = Options.Degrade;
   if (D.Enabled)
     for (size_t I = Rung; I < D.Ladder.size(); ++I)
-      if (D.Ladder[I].K == DegradeStep::Kind::CoarseGranularity)
-        Widest = std::max(Widest, D.Ladder[I].Param);
+      Widest = std::max(Widest, D.Ladder[I]);
   return Widest;
 }
 
@@ -101,25 +82,17 @@ bool OnlineDriver::stepDown(StatusCode Code, const std::string &Reason) {
   const DegradePolicy &D = Options.Degrade;
   if (!D.Enabled || Rung >= D.Ladder.size())
     return false;
-  const DegradeStep &S = D.Ladder[Rung];
   ++Rung;
   ++Degradations;
   applyRung();
-  std::string What;
-  switch (S.K) {
-  case DegradeStep::Kind::CoarseGranularity:
-    What = "coarse granularity (divisor " + std::to_string(Divisor) + ")";
-    break;
-  case DegradeStep::Kind::ShadowSummarize:
-    What = "shadow summarization (page-granularity cold shadow)";
-    break;
-  }
   Diagnostic Diag;
   Diag.Code = Code;
   Diag.Sev = Severity::Warning;
   Diag.OpIndex = Raw;
   Diag.Message = "degraded to rung " + std::to_string(Rung) + "/" +
-                 std::to_string(D.Ladder.size()) + ": " + What + " — " + Reason;
+                 std::to_string(D.Ladder.size()) +
+                 ": coarse granularity (divisor " + std::to_string(Divisor) +
+                 ") — " + Reason;
   Diags.push_back(std::move(Diag));
   return true;
 }
@@ -135,32 +108,6 @@ void OnlineDriver::probeBudget() {
     Live = Options.ShadowBytes ? Options.ShadowBytes() : Checker.shadowBytes();
     if (D.Tracker)
       D.Tracker->sampleLive(Live);
-  }
-
-  // Memory-governed tools shed for themselves (watermark summarization,
-  // denied-allocation fallbacks); the probe's job is to surface the first
-  // such transition as the ShadowSummarize rung and its diagnostic.
-  if (MemoryGoverned && !MemoryRungNoted) {
-    ShadowGovernorStats S = Options.GovernorStats
-                                ? Options.GovernorStats()
-                                : Checker.shadowGovernorStats();
-    if (S.BudgetTrips != 0 || S.AllocDenied != 0) {
-      MemoryRungNoted = true;
-      const std::string Why =
-          S.AllocDenied != 0
-              ? "shadow allocation denied; cold pages summarized at page "
-                "granularity"
-              : "shadow memory high watermark tripped; cold pages summarized "
-                "at page granularity";
-      if (Rung < D.Ladder.size() &&
-          D.Ladder[Rung].K == DegradeStep::Kind::ShadowSummarize)
-        stepDown(StatusCode::ResourceExhausted, Why);
-      else
-        // A deeper rung is already active (or the ladder was customized
-        // without the memory rung): record the event without stepping.
-        Diags.push_back(
-            {StatusCode::ResourceExhausted, Severity::Note, 0, Raw, Why});
-    }
   }
 
   bool Breach = Budget != 0 && Live > Budget;

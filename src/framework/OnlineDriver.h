@@ -29,16 +29,17 @@
 /// SmartTrack's philosophy of cutting work per event rather than giving
 /// up):
 ///
-///   Full → CoarseGranularity(8) → CoarseGranularity(64)
-///        → CoarseGranularity(512)
+///   Full → divisor 8 → divisor 64 → divisor 512
 ///
-/// (a governed tool's ladder starts with the in-table ShadowSummarize
-/// rung). Coarse rungs fold variable ids through a widening divisor (the
+/// Each rung folds variable ids through a widening divisor (the
 /// GranularityMap mapping of replay()), so every rung coarsens and none
 /// drops an event: a race is still reported, possibly against its
 /// bucket's representative id. Sync events
 /// (acquire/release/fork/join/volatiles) are never remapped, so the
-/// happens-before spine stays exact on every rung. Each transition emits
+/// happens-before spine stays exact on every rung. A governed tool's
+/// in-table fold (cold pages summarized under the byte budget) is no
+/// rung: the tool's ShadowGovernorStats record it, and the runtime
+/// reports it once at finish. Each transition emits
 /// a Warning diagnostic anchored to the raw op index. Halting remains
 /// only for the failures no rung can absorb: thread/lock/volatile
 /// capacity breaches, a variable id too large for the widest divisor,
@@ -108,12 +109,6 @@ struct OnlineDriverOptions {
   /// holds no shadow state (the shard clones do), so the sharded engine
   /// installs a functor summing the sizes the shard workers publish.
   std::function<uint64_t()> ShadowBytes;
-
-  /// Same override for governance telemetry: an AdmissionOnly driver's
-  /// tool governs nothing (the shard clones do), so the sharded engine
-  /// installs a functor summing the trip/denial counters the shard
-  /// workers publish. Empty = poll Tool::shadowGovernorStats().
-  std::function<ShadowGovernorStats()> GovernorStats;
 
   /// Strip redundant re-entrant lock acquires/releases before dispatch,
   /// as the serial replay loop does. Keep this in sync with the replay
@@ -252,8 +247,8 @@ private:
   void applyRung();
   /// The widest variable-id divisor the ladder can still reach.
   uint32_t widestDivisor() const;
-  /// The rung rewrites accesses. Not Rung != 0: the ShadowSummarize
-  /// rung leaves every access as it was.
+  /// The rung rewrites accesses: a divisor above 1 (a custom ladder may
+  /// hold divisor 1, which leaves every access as it was).
   bool transformsAccesses() const { return Divisor != 1; }
   void probeBudget();
   void drainWarnings();
@@ -288,12 +283,9 @@ private:
   uint32_t Divisor = 1;
   bool LastFiltered = false;
   /// The tool accepted configureShadowPolicy: it holds Memory.BudgetBytes
-  /// in-table, and probes poll its governor telemetry to surface the
-  /// memory-driven rung instead of stepping down on shadowBytes().
+  /// in-table (its governor counters record every fold), so no probe
+  /// steps down on its shadowBytes().
   bool MemoryGoverned = false;
-  /// The ShadowSummarize transition was already taken/noted (the table
-  /// governs itself continuously; the ladder records it exactly once).
-  bool MemoryRungNoted = false;
   bool Halted = false;
   bool Finished = false;
 };

@@ -86,21 +86,18 @@ ShadowMemoryPolicy effectiveMemoryPolicy(const OnlineOptions &Options) {
 
 OnlineDriverOptions driverOptions(const OnlineOptions &Options,
                                   unsigned NumShards,
-                                  std::function<uint64_t()> ShadowBytes,
-                                  std::function<ShadowGovernorStats()> Gov) {
+                                  std::function<uint64_t()> ShadowBytes) {
   OnlineDriverOptions Driver;
   // With shards the primary driver is admission-only: it owns the ladder,
   // the capacity checks, the raw indices, and the lock filter, but the
   // tool handlers run in the shard workers' DispatchOnly drivers. Its
-  // budget probes read the shadow bytes and governance telemetry the
-  // workers publish (its own tool instance never grows), and the warning
-  // sink stays empty — shard drivers sink warnings live; installing it
-  // here too would replay every adopted warning a second time at
-  // finish().
+  // budget probes read the shadow bytes the workers publish (its own tool
+  // instance never grows), and the warning sink stays empty — shard
+  // drivers sink warnings live; installing it here too would replay every
+  // adopted warning a second time at finish().
   Driver.Role =
       NumShards > 1 ? DriverRole::AdmissionOnly : DriverRole::Full;
   Driver.ShadowBytes = std::move(ShadowBytes);
-  Driver.GovernorStats = std::move(Gov);
   Driver.FilterReentrantLocks = Options.FilterReentrantLocks;
   if (NumShards == 1)
     Driver.WarningSink = Options.OnWarning;
@@ -177,10 +174,6 @@ struct Engine::Shard {
                                             ///< of the last batch refill;
                                             ///< read by the admission
                                             ///< driver's budget probe.
-  std::atomic<uint64_t> TripsPublished{0};  ///< Clone governor BudgetTrips
-                                            ///< as of the last publish.
-  std::atomic<uint64_t> DeniedPublished{0}; ///< Clone governor AllocDenied
-                                            ///< as of the last publish.
 };
 
 Engine::Engine(Tool &Checker, OnlineOptions Opts)
@@ -192,11 +185,7 @@ Engine::Engine(Tool &Checker, OnlineOptions Opts)
                            NumShards > 1
                                ? std::function<uint64_t()>(
                                      [this] { return shardShadowBytes(); })
-                               : std::function<uint64_t()>(),
-                           NumShards > 1
-                               ? std::function<ShadowGovernorStats()>(
-                                     [this] { return shardGovernorStats(); })
-                               : std::function<ShadowGovernorStats()>())),
+                               : std::function<uint64_t()>())),
       MemCapture(Options.KeepCapture ||
                  (!Options.CapturePath.empty() &&
                   Options.CaptureSegmentBytes == 0)),
@@ -243,9 +232,9 @@ Engine::Engine(Tool &Checker, OnlineOptions Opts)
         NumShards * std::max(Options.RingCapacity, 4 * BatchCap), NumShards);
     Owners = ShardMap(Options.ShardBlockVars, NumShards);
     // Per-shard governance: each clone self-governs against an equal
-    // slice of the byte budget (the admission driver's ladder probe still
-    // sees the sum via shardGovernorStats). Configured before the shard
-    // driver exists — its begin() is what applies the policy.
+    // slice of the byte budget (finish() sums the clones' counters).
+    // Configured before the shard driver exists — its begin() is what
+    // applies the policy.
     ShadowMemoryPolicy ShardMem = effectiveMemoryPolicy(Options);
     if (ShardMem.BudgetBytes != 0)
       ShardMem.BudgetBytes =
@@ -641,20 +630,6 @@ uint64_t Engine::shardShadowBytes() const {
   return Total;
 }
 
-ShadowGovernorStats Engine::shardGovernorStats() const {
-  // The admission driver's governance-poll source (same publish-and-sum
-  // discipline as shardShadowBytes — probing the clones directly from the
-  // merge loop would race the workers). Only the two counters the
-  // probe branches on are published; finish() reads the clones' full
-  // stats after the workers are joined.
-  ShadowGovernorStats Total;
-  for (const std::unique_ptr<Shard> &S : ShardSet) {
-    Total.BudgetTrips += S->TripsPublished.load(std::memory_order_relaxed);
-    Total.AllocDenied += S->DeniedPublished.load(std::memory_order_relaxed);
-  }
-  return Total;
-}
-
 void Engine::mergeLoop() {
   // The one merge loop, at every shard count. It merges the rings into one
   // totally-ordered stream, admits each event through the primary driver,
@@ -833,12 +808,10 @@ void Engine::shardLoop(Shard &S) {
   const size_t BatchCap = std::max<size_t>(1, Options.SequencerBatch);
   // Mirrors the primary driver's own probe (OnlineDriver.cpp): it reads
   // ShadowPublished only for a tracker, or for a budget the clones do not
-  // hold in-table; without governed clones nobody reads the governor
-  // publishes.
+  // hold in-table.
   const bool ShadowProbeNeeded =
       (Options.Degrade.Memory.BudgetBytes != 0 && !ShardMemoryGoverned) ||
       Options.Degrade.Tracker != nullptr;
-  const bool GovernorProbeNeeded = ShardMemoryGoverned;
   uint64_t Refills = 0; ///< Throttles the shadow-size publish.
   uint64_t Pos = 0;     ///< This worker's cursor: the next word's raw index.
   for (;;) {
@@ -846,16 +819,9 @@ void Engine::shardLoop(Shard &S) {
     // for every shipped detector), so publish it only when the merge loop
     // actually probes budgets, and then only every 16th refill — roughly
     // the primary driver's own BudgetCheckEveryOps cadence.
-    if ((ShadowProbeNeeded || GovernorProbeNeeded) && (Refills++ & 15u) == 0) {
-      if (ShadowProbeNeeded)
-        S.ShadowPublished.store(S.Clone->shadowBytes(),
-                                std::memory_order_relaxed);
-      if (GovernorProbeNeeded) {
-        const ShadowGovernorStats GS = S.Clone->shadowGovernorStats();
-        S.TripsPublished.store(GS.BudgetTrips, std::memory_order_relaxed);
-        S.DeniedPublished.store(GS.AllocDenied, std::memory_order_relaxed);
-      }
-    }
+    if (ShadowProbeNeeded && (Refills++ & 15u) == 0)
+      S.ShadowPublished.store(S.Clone->shadowBytes(),
+                              std::memory_order_relaxed);
     // Read before the peek: once the merge loop is joined, an empty peek
     // means this worker has read everything.
     const bool Closed = LogClosed.load(std::memory_order_acquire);
@@ -1088,6 +1054,19 @@ OnlineReport Engine::finish() {
     Report.PagesCompressed = GS.PagesCompressed;
     Report.PagesSummarized = GS.PagesSummarized;
     Report.BudgetTrips = GS.BudgetTrips;
+    // The one record of the in-table fold (relation() reads
+    // PagesSummarized): warnings on a summarized page may name its
+    // region rather than the variable.
+    if (GS.PagesSummarized != 0)
+      Report.Diags.push_back(
+          {StatusCode::ResourceExhausted, Severity::Warning, 0, NoOpIndex,
+           std::to_string(GS.PagesSummarized) +
+               " shadow page(s) summarized at page granularity; " +
+               std::to_string(GS.BudgetTrips) + " budget trip(s), " +
+               (GS.AllocDenied != 0
+                    ? "shadow allocation denied " +
+                          std::to_string(GS.AllocDenied) + " time(s)"
+                    : std::string("no denied allocation"))});
   }
   if (Report.ForksRejected != 0)
     Report.Diags.push_back(
@@ -1120,6 +1099,9 @@ OnlineReport Engine::finish() {
     // Recycled slots legally re-fork a joined tid; the validator knows
     // the reincarnation protocol through this option.
     VOpts.AllowTidReuse = Options.RecycleThreadSlots;
+    // The capture keeps the nested acquire/release pairs the re-entrant
+    // lock filter strips before dispatch.
+    VOpts.AllowReentrantLocks = true;
     for (Diagnostic &D : validateTrace(Capture, VOpts))
       Report.Diags.push_back(std::move(D));
   }

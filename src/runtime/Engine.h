@@ -82,16 +82,21 @@
 ///    (trace/SegmentedCapture.h) so a crash loses at most one segment.
 ///
 /// **Resilience.** A production detector must survive the host program
-/// misbehaving, and must never hang it. Three mechanisms:
+/// misbehaving, and must never hang it. Four mechanisms:
 ///
-///  - **The coarsening ladder** (OnlineDriver.h): a shadow-memory budget
-///    breach or an over-capacity variable steps the driver through
-///    widening variable-id divisors instead of halting. Every rung
-///    coarsens and none drops an event; sync events are never remapped,
-///    so the happens-before spine stays exact; every transition is a
-///    Warning diagnostic in the report. Pin it off with
-///    OnlineOptions::Degrade.Enabled = false. The ladder answers space
-///    only: the one answer to time is the counted drop at emit below.
+///  - **The coarsening ladder** (OnlineDriver.h): an over-capacity
+///    variable, or a budget breach of a tool that declines shadow
+///    governance, steps the driver through widening variable-id divisors
+///    instead of halting. Every rung coarsens and none drops an event;
+///    sync events are never remapped, so the happens-before spine stays
+///    exact; every transition is a Warning diagnostic in the report. Pin
+///    it off with OnlineOptions::Degrade.Enabled = false. The ladder
+///    answers space only: the one answer to time is the counted drop at
+///    emit below.
+///  - **Shadow governance** (shadow/ShadowPolicy.h): a tool that accepts
+///    it holds the byte budget in its own table by summarizing cold
+///    pages. That fold is no ladder rung; the report's PagesSummarized
+///    and BudgetTrips and one Warning diagnostic at finish record it.
 ///  - **The supervisor** (a watchdog thread): when a loop makes no
 ///    progress past the deadline while work is outstanding — the merge
 ///    position against the events pushed, or a shard worker's log cursor
@@ -618,7 +623,6 @@ private:
   void mergeLoop();
   void shardLoop(Shard &S);
   uint64_t shardShadowBytes() const;
-  ShadowGovernorStats shardGovernorStats() const;
   void supervisorLoop();
   void superviseNote(Severity Sev, StatusCode Code, std::string Message);
   void noteMaxBacklog(uint64_t Backlog);
@@ -635,7 +639,7 @@ private:
   /// Which shard owns each variable (ShardBlockVars over NumShards).
   ShardMap Owners;
   /// Shard clones accepted configureShadowPolicy (set during shard
-  /// construction, read by the workers' publish gate and finish()).
+  /// construction, read by the workers' publish gate).
   bool ShardMemoryGoverned = false;
   OnlineDriver Driver;
   Trace Capture;

@@ -321,6 +321,50 @@ TEST(OnlineDriver, TrackerAloneSamplesShadowBytes) {
   EXPECT_GT(PeakOf(Djit, false), 0u);
 }
 
+TEST(OnlineDriver, GovernedToolCoarsensOverCapacityVariableOnTheFirstDivisor) {
+  // A governed tool's in-table fold is no ladder rung, so an
+  // over-capacity variable takes the first divisor directly: one step,
+  // one diagnostic, and it names divisor 8.
+  FastTrack Checker;
+  OnlineDriverOptions Options;
+  Options.Degrade.Memory.Enabled = true;
+  OnlineDriver Driver(Checker, capacity(8, 4), Options);
+  Operation Over = wr(0, 16);
+  EXPECT_EQ(Driver.offer(Over), Delivered);
+  EXPECT_EQ(Over.Target, 2u);
+  EXPECT_EQ(Driver.rung(), 1u);
+  EXPECT_EQ(Driver.degradations(), 1u);
+  ASSERT_EQ(Driver.diags().size(), 1u);
+  EXPECT_NE(Driver.diags()[0].Message.find("divisor 8)"), std::string::npos)
+      << Driver.diags()[0].Message;
+  Driver.finish();
+}
+
+TEST(OnlineDriver, GovernedBudgetTripWithNothingColdStaysAtRungZero) {
+  // A 1-byte budget trips on the first page fault-in, but sixteen pages
+  // touched in one generation leave nothing cold to summarize. The table
+  // lost no precision and its counters say so; the driver must neither
+  // step nor claim a fold.
+  FastTrack Checker;
+  OnlineDriverOptions Options;
+  Options.Degrade.Memory.Enabled = true;
+  Options.Degrade.Memory.BudgetBytes = 1;
+  Options.Degrade.BudgetCheckEveryOps = 4;
+  OnlineDriver Driver(Checker, capacity(8, 128 * 1024), Options); // paged
+  for (VarId Page = 0; Page != 16; ++Page)
+    offerOp(Driver, wr(0, Page * ShadowPageVars));
+  for (int I = 0; I != 8; ++I)
+    offerOp(Driver, rd(0, 0)); // later probes see the trip too
+  Driver.finish();
+  EXPECT_FALSE(Driver.halted());
+  EXPECT_EQ(Driver.rung(), 0u);
+  EXPECT_EQ(Driver.degradations(), 0u);
+  for (const Diagnostic &D : Driver.diags())
+    EXPECT_EQ(D.Message.find("degraded"), std::string::npos) << D.Message;
+  EXPECT_GE(Checker.shadowGovernorStats().BudgetTrips, 1u);
+  EXPECT_EQ(Checker.shadowGovernorStats().PagesSummarized, 0u);
+}
+
 TEST(OnlineDriver, DegradedCaptureReplaysToIdenticalWarnings) {
   // The equivalence contract on a degraded rung: the capture is the
   // delivered stream, exactly as offer() left each op, and replaying
@@ -328,7 +372,7 @@ TEST(OnlineDriver, DegradedCaptureReplaysToIdenticalWarnings) {
   Trace T = mixedTrace();
   FastTrack Online;
   OnlineDriverOptions Options;
-  Options.Degrade.Ladder = {{DegradeStep::Kind::CoarseGranularity, 2}};
+  Options.Degrade.Ladder = {2};
   Options.Degrade.StartRung = 1;
   OnlineDriver Driver(Online, capacity(), Options);
   Trace Capture;

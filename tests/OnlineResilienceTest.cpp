@@ -67,6 +67,15 @@ bool anyDiagContains(const std::vector<Diagnostic> &Diags,
   return false;
 }
 
+/// Diagnostics about shadow space: ladder steps, budget notes and the
+/// finish-time record of the table's fold.
+unsigned memoryDiags(const std::vector<Diagnostic> &Diags) {
+  unsigned N = 0;
+  for (const Diagnostic &D : Diags)
+    N += D.Code == StatusCode::ResourceExhausted;
+  return N;
+}
+
 unsigned countDiags(const std::vector<Diagnostic> &Diags, Severity Sev,
                     const char *Needle) {
   unsigned N = 0;
@@ -498,8 +507,8 @@ TEST(OnlineResilience, DeniedShadowAllocationDegradesOneRungNeverAborts) {
   // The third shadow page allocation is denied mid-stream. The contract:
   // the engine never aborts, detection continues (a real race planted
   // after the fault is still caught), exactly one diagnostic reports the
-  // denial, and the degradation ladder steps down exactly one rung — the
-  // prepended shadow-summarization rung, not a stream transform.
+  // denial, and the degradation ladder never moves: the fold happened in
+  // the table, whose counters are its one record.
   rt::FaultPlan Faults;
   Faults.FailShadowPageAllocAt = 2;
 
@@ -508,7 +517,7 @@ TEST(OnlineResilience, DeniedShadowAllocationDegradesOneRungNeverAborts) {
   Options.MaxVars = 128 * 1024; // paged shadow table
   Options.Degrade.BudgetCheckEveryOps = 256;
   // The sweep saturates the rings by design; keep the emit drop out of
-  // the way so the memory rung is the session's only precision loss.
+  // the way so the table's fold is the session's only precision loss.
   Options.RingCapacity = 8192;
   Options.Supervise.MaxParkMs = 10000;
 
@@ -533,14 +542,16 @@ TEST(OnlineResilience, DeniedShadowAllocationDegradesOneRungNeverAborts) {
   EXPECT_GE(Report.NumWarnings, 1u);
   EXPECT_GE(Report.PagesSummarized, 1u); // the denied region degraded
   EXPECT_EQ(Report.BudgetTrips, 0u);     // no byte budget in play
-  EXPECT_EQ(Report.DegradeRung, 1u);     // exactly one rung: the fold
+  EXPECT_EQ(Report.DegradeRung, 0u);     // the fold is no ladder rung
+  EXPECT_EQ(Report.relation(), rt::OracleRelation::Coarsened);
   EXPECT_TRUE(anyDiagContains(Report.Diags, "shadow allocation denied"));
-  EXPECT_TRUE(anyDiagContains(Report.Diags, "degraded to rung"));
+  EXPECT_TRUE(anyDiagContains(Report.Diags, "summarized at page granularity"));
   unsigned DenialDiags = 0;
   for (const Diagnostic &D : Report.Diags)
     DenialDiags += D.Message.find("shadow allocation denied") !=
                    std::string::npos;
   EXPECT_EQ(DenialDiags, 1u);
+  EXPECT_EQ(memoryDiags(Report.Diags), 1u);
 
   // A governed replay of the capture — same policy, same fault ordinal —
   // walks the identical table lifecycle and reproduces every warning.
@@ -557,8 +568,8 @@ TEST(OnlineResilience, BudgetSoakHoldsHighWaterAndKeepsDetecting) {
   // A million-variable-class streaming sweep against a 256 KiB budget the
   // ungoverned table exceeds several times over. The governed session
   // must hold its high-water mark near the budget, report the trips and
-  // folds, step the memory rung once, keep finding races planted after
-  // the pressure — and stay warning-for-warning replayable.
+  // folds in one diagnostic without moving the ladder, keep finding races
+  // planted after the pressure — and stay warning-for-warning replayable.
   rt::OnlineOptions Options;
   Options.MaxVars = 256 * 1024;
   Options.Degrade.Memory.Enabled = true;
@@ -566,7 +577,7 @@ TEST(OnlineResilience, BudgetSoakHoldsHighWaterAndKeepsDetecting) {
   Options.Degrade.Memory.MaintainEveryAccesses = 512;
   Options.Degrade.Memory.ColdAgeTicks = 1;
   Options.Degrade.BudgetCheckEveryOps = 512;
-  // As above: only the memory rung may move in this session.
+  // As above: the table's fold is the session's only precision loss.
   Options.RingCapacity = 8192;
   Options.Supervise.MaxParkMs = 10000;
 
@@ -592,8 +603,10 @@ TEST(OnlineResilience, BudgetSoakHoldsHighWaterAndKeepsDetecting) {
   EXPECT_FALSE(Report.Halted);
   EXPECT_GE(Report.BudgetTrips, 1u);
   EXPECT_GT(Report.PagesSummarized, 0u);
-  EXPECT_EQ(Report.DegradeRung, 1u); // the memory rung, noted once
+  EXPECT_EQ(Report.DegradeRung, 0u); // the fold is no ladder rung
+  EXPECT_EQ(Report.relation(), rt::OracleRelation::Coarsened);
   EXPECT_TRUE(anyDiagContains(Report.Diags, "summarized at page granularity"));
+  EXPECT_EQ(memoryDiags(Report.Diags), 1u);
   EXPECT_GE(Report.NumWarnings, 1u); // the race survived the pressure
   // The watermark held: within one hysteresis band plus per-generation
   // drift of the budget, against an ungoverned footprint 4x+ larger.

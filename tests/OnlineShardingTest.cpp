@@ -21,8 +21,8 @@
 //    workers' zero-copy read, paced by the slowest cursor) and
 //    OnlineDriver::dispatchRun (batched, devirtualized for every
 //    registered tool, keeping only the shard's own accesses) agree with
-//    the per-event paths they replace, and batched admission stays on at
-//    the memory rung;
+//    the per-event paths they replace, and a governed driver admits
+//    whole runs;
 //  - memory governance per shard: clones compress losslessly, and under
 //    a budget summarize pages with warnings coarsened, never missing.
 //
@@ -573,10 +573,10 @@ TEST(OnlineDriver, DispatchRunAnchorsToolFaultAtTheThrowingEvent) {
 }
 
 TEST(OnlineDriver, AdmitAccessRunStaysOnAtTheMemoryRung) {
-  // The ShadowSummarize rung folds pages inside the governed table and
-  // leaves every access as it was, so batched admission must stay on
-  // there; rungs that rewrite accesses must send the merge loop back to
-  // per-event offer().
+  // A governed tool folds pages inside its table and takes no ladder
+  // rung for it, so a governed admission driver admits whole runs at
+  // rung 0; the first rung, coarse 8, rewrites accesses and sends the
+  // merge loop back to per-event offer().
   ToolContext Capacity;
   Capacity.NumThreads = 4;
   Capacity.NumVars = 1024;
@@ -587,13 +587,12 @@ TEST(OnlineDriver, AdmitAccessRunStaysOnAtTheMemoryRung) {
   for (uint32_t I = 0; I != N; ++I)
     Run.push_back(rt::EventWord::of(I % 2 ? OpKind::Read : OpKind::Write, I * 3));
 
-  auto Admit = [&](std::vector<DegradeStep> Ladder, unsigned StartRung,
-                   bool ExpectAdmitted) {
+  auto Admit = [&](unsigned StartRung, bool ExpectAdmitted) {
     SCOPED_TRACE("StartRung " + std::to_string(StartRung));
     OnlineDriverOptions Opts;
     Opts.Role = DriverRole::AdmissionOnly;
     Opts.Degrade.Memory.Enabled = true;
-    Opts.Degrade.Ladder = std::move(Ladder);
+    Opts.Degrade.Memory.BudgetBytes = 64 * 1024;
     Opts.Degrade.StartRung = StartRung;
     FastTrack Detector;
     OnlineDriver Driver(Detector, Capacity, Opts);
@@ -602,9 +601,8 @@ TEST(OnlineDriver, AdmitAccessRunStaysOnAtTheMemoryRung) {
     EXPECT_EQ(Driver.rawOps(), ExpectAdmitted ? N : 0u);
     EXPECT_EQ(Driver.dispatched(), ExpectAdmitted ? N : 0u);
   };
-  // Governance prepends the memory rung: [ShadowSummarize, coarse 8, ...].
-  Admit(defaultOnlineLadder(), 1, true);
-  Admit(defaultOnlineLadder(), 2, false);
+  Admit(0, true);
+  Admit(1, false); // coarse 8
 }
 
 namespace {
@@ -863,9 +861,6 @@ rt::OnlineReport runSequential(FastTrack &Detector, unsigned Shards,
   Options.ShardBlockVars = 1; // the sixteen variables on every shard
   Options.Degrade.Enabled = false;
   Options.Supervise.Enabled = false;
-  // The validator reads a nested acquire as a second owner; the filter
-  // is what makes this stream feasible.
-  Options.ValidateCapture = false;
   Options.Faults = &Plan;
   rt::Engine Engine(Detector, std::move(Options));
   runSequentialLockedWorkers(3, 20);
@@ -890,6 +885,10 @@ TEST(OnlineSharding, FilteredLockEventsKeepTheirIndicesAcrossShardCounts) {
   const rt::OnlineReport Serial = runSequential(Reference, 1);
   ASSERT_FALSE(Serial.Halted);
   ASSERT_GT(Reference.warnings().size(), 0u);
+  // The capture keeps the nested pairs, and the validator reads them as
+  // re-entrant acquires, not as a second owner.
+  for (const Diagnostic &D : Serial.Diags)
+    EXPECT_NE(D.Code, StatusCode::ValidationError) << toString(D);
   uint64_t Acquires = 0;
   for (const Operation &Op : Serial.Captured)
     Acquires += Op.Kind == OpKind::Acquire;
@@ -1229,9 +1228,9 @@ TEST(OnlineSharding, GovernedShardsCompressAndStayEquivalent) {
 TEST(OnlineSharding, BudgetedShardsStayEquivalentPastTheMemoryRung) {
   // The budget soak of OnlineResilienceTest at two shards: each clone
   // summarizes cold pages under its share of the budget, the merge loop
-  // steps the memory rung once and keeps admitting accesses in batches, and
-  // the warnings keep the governed relation to the oracle — coarsened to the
-  // page region, never missing.
+  // never moves the ladder and keeps admitting accesses in batches, finish
+  // records the fold once, and the warnings keep the governed relation to
+  // the oracle — coarsened to the page region, never missing.
   rt::OnlineOptions Options;
   Options.Shards = 2;
   Options.MaxVars = 256 * 1024;
@@ -1240,7 +1239,7 @@ TEST(OnlineSharding, BudgetedShardsStayEquivalentPastTheMemoryRung) {
   Options.Degrade.Memory.MaintainEveryAccesses = 512;
   Options.Degrade.Memory.ColdAgeTicks = 1;
   Options.Degrade.BudgetCheckEveryOps = 512;
-  // Only the memory rung may move in this session.
+  // The table's fold is the session's only precision loss.
   Options.RingCapacity = 8192;
   Options.Supervise.MaxParkMs = 10000;
 
@@ -1264,7 +1263,16 @@ TEST(OnlineSharding, BudgetedShardsStayEquivalentPastTheMemoryRung) {
 
   EXPECT_FALSE(Report.Halted);
   EXPECT_EQ(Report.Shards, 2u);
-  EXPECT_EQ(Report.DegradeRung, 1u); // the memory rung, noted once
+  EXPECT_EQ(Report.DegradeRung, 0u); // the fold is no ladder rung
+  EXPECT_EQ(Report.relation(), rt::OracleRelation::Coarsened);
+  unsigned MemoryDiags = 0, FoldDiags = 0;
+  for (const Diagnostic &D : Report.Diags) {
+    MemoryDiags += D.Code == StatusCode::ResourceExhausted;
+    FoldDiags += D.Message.find("summarized at page granularity") !=
+                 std::string::npos;
+  }
+  EXPECT_EQ(MemoryDiags, 1u);
+  EXPECT_EQ(FoldDiags, 1u);
   EXPECT_GE(Report.BudgetTrips, 1u);
   EXPECT_GT(Report.PagesSummarized, 0u);
   EXPECT_GE(Report.NumWarnings, 1u);
