@@ -7,11 +7,12 @@ OBJECT is the tool's compiled translation unit (the one holding its
 FT_REGISTER_FAST_PATH line) and TOOL a substring of the tool's demangled
 class name, e.g. BasicFastTrack or DjitPlus. The script disassembles
 OBJECT with `objdump -dr -C` and fails when a replayLoop or accessRunLoop
-instantiation for TOOL carries a relocation to TOOL's onRead or onWrite,
-or to the readResident/writeResident tier FastTrack's handlers inline in
-turn, that is, when the compiler called a handler out of line instead of
-inlining its fast path. It also fails when it finds no such loop at all,
-so a renamed loop or a wrong object file cannot pass by checking nothing.
+instantiation for TOOL carries a relocation to any class's onRead or
+onWrite (a base class's default handler included), or to the
+readResident/writeResident tier FastTrack's handlers inline in turn, that
+is, when a loop calls a handler out of line instead of inlining it. It
+also fails when it finds no such loop at all, so a renamed loop or a wrong
+object file cannot pass by checking nothing.
 """
 
 import re
@@ -21,14 +22,13 @@ import sys
 FUNCTION = re.compile(r"^[0-9a-f]+ <(.*)>:$")
 RELOCATION = re.compile(r"\sR_\S+\s+(.*)$")
 LOOP = re.compile(r"\b(replayLoop|accessRunLoop)<")
+HANDLER = re.compile(r"::(onRead|onWrite|readResident|writeResident)\(")
 
 
 def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     obj, tool = sys.argv[1], sys.argv[2]
-    handler = re.compile(re.escape(tool) +
-                         r"\b.*::(onRead|onWrite|readResident|writeResident)\(")
     dump = subprocess.run(["objdump", "-dr", "-C", "--no-show-raw-insn", obj],
                           stdout=subprocess.PIPE, text=True, check=True).stdout
     loops, calls, current = 0, [], None
@@ -40,7 +40,7 @@ def main():
             loops += current is not None
             continue
         m = RELOCATION.search(line)
-        if current and m and handler.search(m.group(1)):
+        if current and m and HANDLER.search(m.group(1)):
             calls.append((current, m.group(1)))
     if not loops:
         sys.exit(f"error: no replayLoop/accessRunLoop for {tool} in {obj}")
@@ -48,7 +48,8 @@ def main():
         print(f"out-of-line call in {loop[:120]}...\n    to {target}",
               file=sys.stderr)
     if calls:
-        sys.exit(f"error: {len(calls)} out-of-line {tool} handler call(s); "
+        sys.exit(f"error: {len(calls)} out-of-line handler call(s) in "
+                 f"{tool}'s loops; "
                  "the fast path no longer inlines")
     print(f"ok: {loops} registered loops for {tool}, no out-of-line "
           "onRead/onWrite/readResident/writeResident call")

@@ -16,7 +16,8 @@
 /// when the handler is small, so a registered tool defines its handlers
 /// `inline` with just the O(1) part (FastTrack's [FT READ/WRITE SAME
 /// EPOCH]) and moves the rest into `[[gnu::noinline]]` members. CI checks
-/// FastTrack's and DJIT+'s loops with scripts/check_fast_path_inlining.py:
+/// the loops of every E2 column, EMPTY's included, with
+/// scripts/check_fast_path_inlining.py:
 ///
 ///  - Replay: replayWithTool<ToolT>, which replay() runs offline;
 ///  - DispatchRun: the online access-run loop. It feeds both driver roles
@@ -119,9 +120,12 @@ ReplayResult fastReplay(const Trace &T, Tool &Checker,
                   : Checker.ToolT::onWrite(T, (E).target(), Idx)
 
 /// The access-run loop against \p ToolT. Instantiated on Tool itself:
-/// OnlineDriver's fallback for unregistered types.
+/// OnlineDriver's fallback for unregistered types. Out of line, one
+/// symbol per instantiation, like replayLoop: with handlers as small as
+/// EMPTY's the loop would otherwise inline into fastDispatchRun, where
+/// scripts/check_fast_path_inlining.py would not find it.
 template <typename ToolT, bool OneThread>
-void accessRunLoop(ToolT &Checker, AccessRun &R) {
+[[gnu::noinline]] void accessRunLoop(ToolT &Checker, AccessRun &R) {
   // A copy: the handlers write memory the compiler cannot prove disjoint
   // from R, so reading R's fields would reload them every event.
   const AccessRun In = R;

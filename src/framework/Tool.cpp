@@ -7,8 +7,6 @@ Tool::~Tool() = default;
 void Tool::begin(const ToolContext &) {}
 void Tool::end() {}
 
-bool Tool::onRead(ThreadId, VarId, size_t) { return true; }
-bool Tool::onWrite(ThreadId, VarId, size_t) { return true; }
 void Tool::onAcquire(ThreadId, LockId, size_t) {}
 void Tool::onRelease(ThreadId, LockId, size_t) {}
 void Tool::onFork(ThreadId, ThreadId, size_t) {}

@@ -57,11 +57,14 @@ public:
   /// Called once after the last event.
   virtual void end();
 
-  /// rd(t, x). \returns pass flag (see class comment).
-  virtual bool onRead(ThreadId T, VarId X, size_t OpIndex);
+  /// rd(t, x). \returns pass flag (see class comment). The access
+  /// defaults are inline so that a registered loop of a tool keeping them
+  /// (EMPTY) inlines them, as it does a detector's handlers, instead of
+  /// calling out of line per access.
+  virtual bool onRead(ThreadId, VarId, size_t) { return true; }
 
   /// wr(t, x). \returns pass flag.
-  virtual bool onWrite(ThreadId T, VarId X, size_t OpIndex);
+  virtual bool onWrite(ThreadId, VarId, size_t) { return true; }
 
   virtual void onAcquire(ThreadId T, LockId M, size_t OpIndex);
   virtual void onRelease(ThreadId T, LockId M, size_t OpIndex);

@@ -4,29 +4,35 @@
 
 using namespace ft;
 
-void Trace::noteEntities(const Operation &Op) {
+namespace {
+
+void cover(unsigned &Count, uint32_t Id) {
+  if (Id + 1 > Count)
+    Count = Id + 1;
+}
+
+} // namespace
+
+inline void Trace::EntityCounts::note(const Operation &Op) {
   assert(Op.Kind != OpKind::Barrier &&
          "use appendBarrier for barrier operations");
-  noteThread(Op.Thread);
+  cover(Threads, Op.Thread);
   switch (Op.Kind) {
   case OpKind::Read:
   case OpKind::Write:
-    if (Op.Target + 1 > NumVars)
-      NumVars = Op.Target + 1;
+    cover(Vars, Op.Target);
     break;
   case OpKind::Acquire:
   case OpKind::Release:
-    if (Op.Target + 1 > NumLocks)
-      NumLocks = Op.Target + 1;
+    cover(Locks, Op.Target);
     break;
   case OpKind::Fork:
   case OpKind::Join:
-    noteThread(Op.Target);
+    cover(Threads, Op.Target);
     break;
   case OpKind::VolatileRead:
   case OpKind::VolatileWrite:
-    if (Op.Target + 1 > NumVolatiles)
-      NumVolatiles = Op.Target + 1;
+    cover(Volatiles, Op.Target);
     break;
   case OpKind::Barrier:
   case OpKind::AtomicBegin:
@@ -36,7 +42,7 @@ void Trace::noteEntities(const Operation &Op) {
 }
 
 void Trace::append(const Operation &Op) {
-  noteEntities(Op);
+  Counts.note(Op);
   Ops.push_back(Op);
 }
 
@@ -45,8 +51,10 @@ void Trace::appendRun(const Operation *Run, size_t N) {
   // making a capture of many short runs quadratic.
   if (Ops.capacity() - Ops.size() < N)
     Ops.reserve(std::max(Ops.size() + N, 2 * Ops.capacity()));
+  EntityCounts C = Counts;
   for (size_t I = 0; I != N; ++I)
-    noteEntities(Run[I]);
+    C.note(Run[I]);
+  Counts = C;
   Ops.insert(Ops.end(), Run, Run + N);
 }
 
@@ -56,7 +64,7 @@ Operation Trace::appendBarrier(const std::vector<ThreadId> &Threads) {
   std::sort(Sorted.begin(), Sorted.end());
   Sorted.erase(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
   for (ThreadId T : Sorted)
-    noteThread(T);
+    cover(Counts.Threads, T);
   uint32_t SetIndex = BarrierSets.size();
   // Reuse an identical existing set if present (barriers repeat many times).
   for (uint32_t I = 0; I != BarrierSets.size(); ++I) {
@@ -75,8 +83,5 @@ Operation Trace::appendBarrier(const std::vector<ThreadId> &Threads) {
 void Trace::clear() {
   Ops.clear();
   BarrierSets.clear();
-  NumThreads = 1;
-  NumVars = 0;
-  NumLocks = 0;
-  NumVolatiles = 0;
+  Counts = EntityCounts();
 }

@@ -31,11 +31,12 @@ public:
   /// Appends \p Op, updating entity counts.
   void append(const Operation &Op);
 
-  /// Appends \p N operations in one call, updating entity counts once per
-  /// op but growing storage at most once — geometrically, so a capture of
-  /// many short runs stays linear overall. The online sequencer captures each
-  /// drained batch through this, so the steady state has no per-event
-  /// capture branch, and the trace parser appends its runs of records.
+  /// Appends \p N operations in one call, raising the entity counts in a
+  /// register copy that is stored once, and growing storage at most once
+  /// — geometrically, so a capture of many short runs stays linear
+  /// overall. The online sequencer captures each drained batch through
+  /// this, so the steady state has no per-event capture branch, and the
+  /// trace parser appends its runs of records.
   /// Barriers are not allowed (use appendBarrier).
   void appendRun(const Operation *Ops, size_t N);
 
@@ -59,10 +60,10 @@ public:
 
   /// Upper bounds on entity ids seen so far (max id + 1). A trace always
   /// has at least one thread (the main thread, id 0).
-  unsigned numThreads() const { return NumThreads; }
-  unsigned numVars() const { return NumVars; }
-  unsigned numLocks() const { return NumLocks; }
-  unsigned numVolatiles() const { return NumVolatiles; }
+  unsigned numThreads() const { return Counts.Threads; }
+  unsigned numVars() const { return Counts.Vars; }
+  unsigned numLocks() const { return Counts.Locks; }
+  unsigned numVolatiles() const { return Counts.Volatiles; }
   unsigned numBarrierSets() const { return BarrierSets.size(); }
 
   /// Reserves capacity for \p N operations.
@@ -77,20 +78,22 @@ public:
   const_iterator end() const { return Ops.end(); }
 
 private:
-  /// Raises the entity counts to cover \p Op (not a barrier).
-  void noteEntities(const Operation &Op);
+  /// The entity counts, a value so appendRun can raise a copy held in
+  /// registers: raising the members op by op makes each op wait on the
+  /// previous op's stores.
+  struct EntityCounts {
+    unsigned Threads = 1;
+    unsigned Vars = 0;
+    unsigned Locks = 0;
+    unsigned Volatiles = 0;
 
-  void noteThread(ThreadId T) {
-    if (T + 1 > NumThreads)
-      NumThreads = T + 1;
-  }
+    /// Raises the counts to cover \p Op (not a barrier).
+    inline void note(const Operation &Op);
+  };
 
   std::vector<Operation> Ops;
   std::vector<std::vector<ThreadId>> BarrierSets;
-  unsigned NumThreads = 1;
-  unsigned NumVars = 0;
-  unsigned NumLocks = 0;
-  unsigned NumVolatiles = 0;
+  EntityCounts Counts;
 };
 
 } // namespace ft

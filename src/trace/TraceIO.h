@@ -36,13 +36,17 @@
 /// writes: `kind tid[ target]` with single spaces, no comment, and
 /// decimal ids of at most nine digits below ParseOptions::MaxId, ended by
 /// a newline. It decodes such a record in the same pass that finds its
-/// end. Every other line (comments, blanks, tabs, CR, barriers, extra
-/// tokens, bad or out-of-range ids, a final line with no newline, a
-/// record split across two read chunks) goes to the general grammar. Invariant: the fast path accepts a subset of what
-/// the general grammar accepts, with the identical Operation, so the
-/// parsed trace, the Records/Skipped counts and every diagnostic are what
-/// the general grammar alone would give (tests/TraceIOTest.cpp checks
-/// this differentially).
+/// end, finding the kind by testing only the bytes where a name can end
+/// (offsets 2, 3, 4 and 6) for the space, and it keeps the line and
+/// record counts in registers over a stretch of such records. Every other
+/// line (comments, blanks, tabs, CR, barriers, extra tokens, bad or
+/// out-of-range ids, a final line with no newline, a record split across
+/// two read chunks) goes to the general grammar, after the counts are
+/// written back. Invariant: the fast path accepts a subset of what the
+/// general grammar accepts, with the identical Operation, so the parsed
+/// trace, its entity counts, the Records/Skipped counts and every
+/// diagnostic are what the general grammar alone would give
+/// (tests/TraceIOTest.cpp checks this differentially).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace ft;
@@ -472,6 +473,131 @@ TEST(TraceIO, CanonicalPathAgreesWithGeneralGrammar) {
 
 namespace {
 
+/// \p Text with every space a tab. The general grammar reads the same
+/// records and reports the same diagnostics (no record or message holds
+/// a separator), while the canonical path, which needs a space after the
+/// kind name, takes none of its lines.
+std::string generalOnly(std::string Text) {
+  std::replace(Text.begin(), Text.end(), ' ', '\t');
+  return Text;
+}
+
+/// Expects two parses to give the same trace, entity counts, accounting
+/// and diagnostics.
+void expectSameParse(const Trace &A, const ParseReport &RA, const Trace &B,
+                     const ParseReport &RB, const std::string &What) {
+  EXPECT_EQ(A.operations(), B.operations()) << What;
+  EXPECT_EQ(A.numThreads(), B.numThreads()) << What;
+  EXPECT_EQ(A.numVars(), B.numVars()) << What;
+  EXPECT_EQ(A.numLocks(), B.numLocks()) << What;
+  EXPECT_EQ(A.numVolatiles(), B.numVolatiles()) << What;
+  EXPECT_EQ(RA.St.toString(), RB.St.toString()) << What;
+  EXPECT_EQ(RA.Records, RB.Records) << What;
+  EXPECT_EQ(RA.Skipped, RB.Skipped) << What;
+  ASSERT_EQ(RA.Diags.size(), RB.Diags.size()) << What;
+  for (size_t I = 0; I != RA.Diags.size(); ++I) {
+    EXPECT_EQ(toString(RA.Diags[I]), toString(RB.Diags[I])) << What;
+    EXPECT_EQ(RA.Diags[I].OpIndex, RB.Diags[I].OpIndex) << What;
+  }
+}
+
+/// Every kind name the canonical path decodes.
+const OpKind CanonicalKinds[] = {
+    OpKind::Read,         OpKind::Write,        OpKind::Acquire,
+    OpKind::Release,      OpKind::Fork,         OpKind::Join,
+    OpKind::VolatileRead, OpKind::VolatileWrite, OpKind::AtomicBegin,
+    OpKind::AtomicEnd};
+
+} // namespace
+
+TEST(TraceIO, CanonicalRecordsAtTheEndOfInputMatchTheGeneralGrammar) {
+  // The kind scan tests the bytes at offsets 2, 3, 4 and 6 only within
+  // the input left, so put each kind's record, whole and cut at every
+  // length, at the very end of the input, with and without a newline,
+  // and after a whole record of the same kind (which then ends within
+  // the last 7 bytes). Strict and salvage parses must match the general
+  // grammar's.
+  for (OpKind Kind : CanonicalKinds) {
+    std::string Record = std::string(opKindName(Kind)) + " 1";
+    if (Kind != OpKind::AtomicBegin && Kind != OpKind::AtomicEnd)
+      Record += " 23";
+    for (size_t Len = 0; Len <= Record.size(); ++Len) {
+      for (const char *Newline : {"", "\n"}) {
+        for (const std::string &Before :
+             {std::string("rd 1 2\n"), Record + "\n"}) {
+          const std::string Text =
+              "fork 0 1\n" + Before + Record.substr(0, Len) + Newline;
+          for (bool Salvage : {false, true}) {
+            ParseOptions Options;
+            Options.Salvage = Salvage;
+            Trace Parsed, General;
+            ParseReport Report = parseTrace(Text, Parsed, Options);
+            ParseReport GeneralReport =
+                parseTrace(generalOnly(Text), General, Options);
+            expectSameParse(Parsed, Report, General, GeneralReport,
+                            '"' + Text + "\" salvage " +
+                                std::to_string(Salvage));
+          }
+        }
+      }
+    }
+    // The whole record parses, as its operation.
+    Trace Parsed;
+    ASSERT_TRUE(parseTrace("fork 0 1\n" + Record, Parsed).ok()) << Record;
+    ASSERT_EQ(Parsed.size(), 2u);
+    EXPECT_EQ(Parsed[1].Kind, Kind);
+  }
+}
+
+TEST(TraceIO, LoadedEntityCountsMatchAppend) {
+  // The loader raises entity counts a run at a time. Over random traces
+  // with fork/join, volatiles, barriers and atomic markers, the loaded
+  // counts must be those of the same operations append()ed one by one.
+  std::string Path = ::testing::TempDir() + "/ft_trace_io_counts.trc";
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+    RandomTraceConfig Config;
+    Config.Seed = Seed;
+    Config.NumThreads = 2 + Seed % 6;
+    Config.NumVars = 8 + 13 * Seed;
+    Config.NumLocks = 1 + Seed % 4;
+    Config.NumVolatiles = 1 + Seed % 3;
+    Config.OpsPerThread = 1500;
+    Config.ChaosProbability = 0.1;
+    Config.VolatileProbability = 0.1;
+    Config.BarrierProbability = 0.02;
+    Config.EmitAtomicBlocks = true;
+    Trace T = generateRandomTrace(Config);
+
+    Trace Appended;
+    unsigned Forks = 0, Volatiles = 0, Atomics = 0;
+    for (const Operation &Op : T) {
+      Forks += Op.Kind == OpKind::Fork;
+      Volatiles += isVolatileOp(Op.Kind);
+      Atomics += Op.Kind == OpKind::AtomicBegin;
+      if (Op.Kind == OpKind::Barrier)
+        Appended.appendBarrier(T.barrierSet(Op.Target));
+      else
+        Appended.append(Op);
+    }
+    ASSERT_GT(Forks, 0u) << Seed;
+    ASSERT_GT(Volatiles, 0u) << Seed;
+    ASSERT_GT(Atomics, 0u) << Seed;
+
+    ASSERT_TRUE(saveTraceFile(Path, T).ok());
+    Trace Loaded;
+    ParseReport Report = loadTraceFile(Path, Loaded);
+    ASSERT_TRUE(Report.ok()) << Report.St.toString();
+    ASSERT_EQ(Loaded.operations(), Appended.operations()) << Seed;
+    EXPECT_EQ(Loaded.numThreads(), Appended.numThreads()) << Seed;
+    EXPECT_EQ(Loaded.numVars(), Appended.numVars()) << Seed;
+    EXPECT_EQ(Loaded.numLocks(), Appended.numLocks()) << Seed;
+    EXPECT_EQ(Loaded.numVolatiles(), Appended.numVolatiles()) << Seed;
+  }
+  std::remove(Path.c_str());
+}
+
+namespace {
+
 /// Appends lines to \p Text until it is exactly \p Size bytes long (at
 /// least two more than now): canonical records, then one comment line
 /// of the exact remaining length.
@@ -489,25 +615,50 @@ TEST(TraceIO, LoadHandlesRecordsSplitAtChunkBoundary) {
   // loadTraceFile reads 64 KiB chunks. Place each probe record so that
   // every byte of it in turn is the first byte of the second chunk, and
   // check the load against the in-memory parse of the same text. The
-  // CRLF probe covers a '\r' that ends a chunk.
+  // probes are a record of every kind name with ids of 1, 8 and 9 digits
+  // (the fast path's widest), after the original probes: a CRLF record
+  // (a '\r' that ends a chunk), a three-thread barrier and a
+  // tab-separated record with a comment.
   constexpr size_t Chunk = 1 << 16;
-  const std::pair<std::string, Operation> Probes[] = {
+  std::vector<std::pair<std::string, Operation>> Probes = {
       {"wr 12 345\n", wr(12, 345)},
       {"wr 12 345\r\n", wr(12, 345)},
       {"barrier 1 2 3\n", Operation(OpKind::Barrier, 1, 0)},
       {"acq\t7 8 # c\n", acq(7, 8)},
       {"aend 9\n", atomicEnd(9)}};
+  const std::pair<std::string, uint32_t> Ids[] = {
+      {"7", 7}, {"12345678", 12345678}, {"123456789", 123456789}};
+  for (unsigned K = 0; K <= static_cast<unsigned>(OpKind::AtomicEnd); ++K) {
+    const OpKind Kind = static_cast<OpKind>(K);
+    for (const auto &[Id, Value] : Ids) {
+      std::string Line = std::string(opKindName(Kind)) + " " + Id;
+      Operation Op(Kind, Value, NoTarget);
+      if (Kind == OpKind::Barrier) {
+        Line += " 0";
+        Op = Operation(OpKind::Barrier, 0, 0);
+      } else if (Kind != OpKind::AtomicBegin && Kind != OpKind::AtomicEnd) {
+        Line += " " + Id;
+        Op.Target = Value;
+      }
+      Probes.emplace_back(Line + "\n", Op);
+    }
+  }
+  ParseOptions Options;
+  Options.MaxId = 1000000000u;
   std::string Path = ::testing::TempDir() + "/ft_trace_io_chunk.trc";
+  std::vector<std::string> Heads; // the text before a probe, by split
   for (const auto &[Probe, Op] : Probes) {
     for (size_t Before = 0; Before <= Probe.size(); ++Before) {
-      std::string Text = "fork 0 1\n";
-      padTo(Text, Chunk - Before);
-      Text += Probe;
-      Text += "rd 1 2\nwr 1 3";
+      if (Heads.size() <= Before) {
+        Heads.resize(Before + 1);
+        Heads[Before] = "fork 0 1\n";
+        padTo(Heads[Before], Chunk - Before);
+      }
+      std::string Text = Heads[Before] + Probe + "rd 1 2\nwr 1 3";
       ASSERT_EQ(Text.substr(Chunk - Before, Probe.size()), Probe);
 
       Trace Expected;
-      ParseReport ExpectedReport = parseTrace(Text, Expected);
+      ParseReport ExpectedReport = parseTrace(Text, Expected, Options);
       ASSERT_TRUE(ExpectedReport.ok()) << ExpectedReport.St.toString();
 
       std::FILE *File = std::fopen(Path.c_str(), "wb");
@@ -515,12 +666,16 @@ TEST(TraceIO, LoadHandlesRecordsSplitAtChunkBoundary) {
       ASSERT_EQ(std::fwrite(Text.data(), 1, Text.size(), File), Text.size());
       std::fclose(File);
       Trace Loaded;
-      ParseReport Report = loadTraceFile(Path, Loaded);
+      ParseReport Report = loadTraceFile(Path, Loaded, Options);
       ASSERT_TRUE(Report.ok()) << Report.St.toString();
       EXPECT_EQ(Report.Records, ExpectedReport.Records) << Before;
       EXPECT_TRUE(Report.Diags.empty()) << Before;
       ASSERT_EQ(Loaded.operations(), Expected.operations())
           << Probe << " split " << Before;
+      EXPECT_EQ(Loaded.numThreads(), Expected.numThreads()) << Probe;
+      EXPECT_EQ(Loaded.numVars(), Expected.numVars()) << Probe;
+      EXPECT_EQ(Loaded.numLocks(), Expected.numLocks()) << Probe;
+      EXPECT_EQ(Loaded.numVolatiles(), Expected.numVolatiles()) << Probe;
       ASSERT_GE(Loaded.size(), 3u);
       EXPECT_EQ(Loaded[Loaded.size() - 3], Op) << Probe << " split " << Before;
       EXPECT_EQ(Loaded[Loaded.size() - 1], wr(1, 3));

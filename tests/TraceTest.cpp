@@ -107,6 +107,41 @@ TEST(Trace, AppendRunGrowsGeometrically) {
   EXPECT_LE(CapacityChanges, 2 * 17u) << "capacity changed per run";
 }
 
+TEST(Trace, AppendRunCountsEntitiesAsAppendDoes) {
+  // One run of every non-barrier kind, ids out of order so that each
+  // count's maximum comes mid-run, onto a trace whose counts are already
+  // raised: the run starts from the trace's counts and ends where per-op
+  // append() ends. Atomic markers carry NoTarget and count only their
+  // thread.
+  const std::vector<Operation> Before = {fork(0, 3), wr(1, 20), acq(2, 5),
+                                         volRd(1, 4)};
+  const std::vector<Operation> Run = {
+      rd(1, 9),   volRd(2, 3),    acq(4, 6),   fork(0, 11), wr(3, 40),
+      rel(4, 2),  atomicBegin(15), volWr(7, 8), join(0, 12), rd(2, 17),
+      atomicEnd(5), acq(1, 30),   fork(13, 2), wr(6, 1),    volWr(1, 6),
+      join(9, 10)};
+  Trace PerOp, InRun;
+  for (const Operation &Op : Before) {
+    PerOp.append(Op);
+    InRun.append(Op);
+  }
+  for (const Operation &Op : Run)
+    PerOp.append(Op);
+  InRun.appendRun(Run.data(), Run.size());
+
+  EXPECT_EQ(InRun.operations(), PerOp.operations());
+  EXPECT_EQ(InRun.numThreads(), PerOp.numThreads());
+  EXPECT_EQ(InRun.numVars(), PerOp.numVars());
+  EXPECT_EQ(InRun.numLocks(), PerOp.numLocks());
+  EXPECT_EQ(InRun.numVolatiles(), PerOp.numVolatiles());
+  // And the counts themselves, so the two paths cannot agree on a wrong
+  // answer.
+  EXPECT_EQ(InRun.numThreads(), 16u);
+  EXPECT_EQ(InRun.numVars(), 41u);
+  EXPECT_EQ(InRun.numLocks(), 31u);
+  EXPECT_EQ(InRun.numVolatiles(), 9u);
+}
+
 TEST(TraceBuilder, BuildsThePaperSection22Trace) {
   // wr(0,x) rel(0,m) acq(1,m) wr(1,x) — the worked example of Section 2.2.
   Trace T = TraceBuilder().wr(0, 0).rel(0, 0).acq(1, 0).wr(1, 0).take();
